@@ -26,7 +26,8 @@
 #include "data/chunks.h"
 #include "data/group_info.h"
 #include "data/index.h"
-#include "data/sort_index.h"
+#include "data/order_stats.h"
+#include "data/prepared.h"
 #include "data/spill.h"
 #include "parallel/sharded_miner.h"
 #include "stats/chi_squared.h"
@@ -468,6 +469,75 @@ void AddShardedColdMineCase(bench::BenchJson* json, bool smoke) {
   json->SetCase("patterns", static_cast<uint64_t>(serial->contrasts.size()));
 }
 
+// Served cold mine: the same end-to-end mine with and without a
+// PreparedDataset attached. Every serve::Server mine attaches its
+// dataset's bundle, so this is the served miss path; the other
+// cold_mine_* cases run bare. The bundle is warmed first (a served miss
+// finds its group artifact already built), and both runs must return
+// identical patterns.
+void AddServedColdMineCase(bench::BenchJson* json, bool smoke) {
+  synth::ScalingOptions opt;
+  opt.rows = smoke ? 8000 : 60000;
+  opt.continuous_features = 6;
+  opt.categorical_features = 2;
+  synth::NamedDataset nd = synth::MakeScalingDataset(opt);
+
+  core::MinerConfig cfg;
+  cfg.max_depth = 2;
+  cfg.top_k = 10;
+  core::MineRequest bare;
+  bare.group_attr = nd.group_attr;
+  bare.group_values = nd.groups;
+  data::PreparedDataset prepared(&nd.db);
+  core::MineRequest served = bare;
+  served.prepared = &prepared;
+  SDADCS_CHECK(core::Miner(cfg).Mine(nd.db, served).ok());
+  constexpr int kReps = 3;
+
+  auto best_of = [&](const core::MineRequest& req,
+                     util::StatusOr<core::MiningResult>* result) {
+    double best = 1e30;
+    for (int rep = 0; rep < kReps; ++rep) {
+      util::WallTimer timer;
+      *result = core::Miner(cfg).Mine(nd.db, req);
+      best = std::min(best, timer.Seconds());
+      SDADCS_CHECK(result->ok());
+    }
+    return best;
+  };
+  util::StatusOr<core::MiningResult> bare_result =
+      util::Status::Internal("unset");
+  util::StatusOr<core::MiningResult> served_result =
+      util::Status::Internal("unset");
+  const double bare_sec = best_of(bare, &bare_result);
+  const double served_sec = best_of(served, &served_result);
+
+  SDADCS_CHECK(served_result->contrasts.size() ==
+               bare_result->contrasts.size());
+  for (size_t i = 0; i < served_result->contrasts.size(); ++i) {
+    const core::ContrastPattern& a = served_result->contrasts[i];
+    const core::ContrastPattern& b = bare_result->contrasts[i];
+    SDADCS_CHECK(a.itemset.Key() == b.itemset.Key());
+    SDADCS_CHECK(a.counts == b.counts);
+    SDADCS_CHECK(a.measure == b.measure);
+  }
+
+  const double ratio = bare_sec > 0.0 ? served_sec / bare_sec : 0.0;
+  std::printf("\n== cold mine: bare vs prepared bundle (%s rows) ==\n",
+              std::to_string(nd.db.num_rows()).c_str());
+  std::printf("bare %.4fs | bundle %.4fs | bundle/bare %.2fx "
+              "(identical patterns)\n",
+              bare_sec, served_sec, ratio);
+
+  json->BeginCase("cold_mine_served");
+  json->SetCase("rows", static_cast<uint64_t>(nd.db.num_rows()));
+  json->SetCase("bare_wall_seconds", bare_sec);
+  json->SetCase("bundle_wall_seconds", served_sec);
+  json->SetCase("bundle_over_bare", ratio);
+  json->SetCase("patterns",
+                static_cast<uint64_t>(bare_result->contrasts.size()));
+}
+
 // Chunked cold mine: the same end-to-end mine on the three storage
 // configurations — dense resident columns, resident columns re-sliced
 // into 4K-row chunks, and the mmap-backed paged backend with a byte cap
@@ -702,6 +772,7 @@ void RunKernelComparison(bool smoke) {
   AddColdMineCases(&json, smoke);
   AddShardedColdMineCase(&json, smoke);
   AddChunkedColdMineCase(&json, smoke);
+  AddServedColdMineCase(&json, smoke);
   json.Write();
 }
 

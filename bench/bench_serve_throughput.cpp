@@ -4,7 +4,7 @@
 //
 // Cold = every request mines a freshly loaded dataset handle it has
 // never seen, so it misses the result cache AND pays the
-// prepared-artifact builds (sort indexes, ranks, root bounds, groups).
+// prepared-artifact build (resolved groups and root bounds).
 // Prepared-warm = still all cache misses (each worker iteration
 // perturbs top_k, so every key is new), but against one dataset whose
 // artifact bundle is already built: the gap over cold is what hoisting

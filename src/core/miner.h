@@ -38,8 +38,7 @@ struct MineRequest {
   /// Optional prepared-artifact bundle of the mined dataset (must wrap
   /// the very same data::Dataset). When set, the engine session pulls
   /// resolved groups, the attribute universe and root bounds from the
-  /// bundle instead of recomputing them, and the SDAD-CS median cuts
-  /// run on the bundle's SortIndex artifacts. Null = derive per call.
+  /// bundle instead of recomputing them. Null = derive per call.
   const data::PreparedDataset* prepared = nullptr;
   /// Deadline / cancellation / budget / progress handle. Default:
   /// unlimited.

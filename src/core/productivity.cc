@@ -15,12 +15,6 @@ namespace sdadcs::core {
 
 namespace {
 
-// Per-group counts of `itemset` over the analysis rows (shard-merged
-// when the run has a shard plan — the merged counts are exact).
-GroupCounts CountOverBase(MiningContext& ctx, const Itemset& itemset) {
-  return CountMatchesSharded(ctx, itemset, ctx.gi->base_selection());
-}
-
 // Chi-square (or Fisher when sparse) test that parts `a` and `b` of a
 // pattern are positively dependent within group `g`.
 bool PartsDependentInGroup(MiningContext& ctx, const Itemset& a,
@@ -82,8 +76,8 @@ bool IsProductive(MiningContext& ctx, const ContrastPattern& pattern) {
     Itemset a(std::move(part_a));
     Itemset b = pattern.itemset.Complement(a);
 
-    std::vector<double> sa = CountOverBase(ctx, a).Supports(*ctx.gi);
-    std::vector<double> sb = CountOverBase(ctx, b).Supports(*ctx.gi);
+    const std::vector<double>& sa = ctx.BaseSupports(a);
+    const std::vector<double>& sb = ctx.BaseSupports(b);
     double expected_diff = sa[gx] * sb[gx] - sa[gy] * sb[gy];
     if (diff_c <= expected_diff) return false;  // Eq. 17 violated
 
@@ -148,8 +142,7 @@ bool IsRedundantAgainstSubsets(MiningContext& ctx,
   for (size_t i = 0; i < n; ++i) {
     Itemset subset =
         pattern.itemset.WithoutAttribute(pattern.itemset.item(i).attr);
-    GroupCounts gc = CountOverBase(ctx, subset);
-    std::vector<double> supports = gc.Supports(*ctx.gi);
+    const std::vector<double>& supports = ctx.BaseSupports(subset);
     double subset_diff = SupportDifference(supports);
     if (StatisticallySameDifference(pattern.diff, subset_diff, supports,
                                     ctx.group_sizes, ctx.cfg->alpha)) {

@@ -21,27 +21,6 @@ std::string CsvEscape(const std::string& s) {
   return out;
 }
 
-// Escapes a string for JSON.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 // JSON number rendering: infinities become null (JSON has no inf).
 std::string JsonNumber(double v) {
   if (std::isnan(v) || std::isinf(v)) return "null";
@@ -148,16 +127,20 @@ std::string PatternsToJson(const data::Dataset& db,
   std::string out = "[";
   for (size_t i = 0; i < patterns.size(); ++i) {
     const ContrastPattern& p = patterns[i];
-    if (i > 0) out += ",";
-    out += "\n  {\"items\": [";
+    if (i > 0) out += ", ";
+    out += "{\"items\": [";
     for (size_t j = 0; j < p.itemset.size(); ++j) {
       const Item& it = p.itemset.item(j);
       if (j > 0) out += ", ";
-      out += "{\"attr\": \"" +
-             JsonEscape(db.schema().attribute(it.attr).name) + "\", ";
+      // Appended piecewise: GCC 12's -Wrestrict false positive fires on
+      // `const char* + std::string&&`.
+      out += "{\"attr\": \"";
+      out += util::JsonEscape(db.schema().attribute(it.attr).name);
+      out += "\", ";
       if (it.kind == Item::Kind::kCategorical) {
-        out += "\"value\": \"" +
-               JsonEscape(db.categorical(it.attr).ValueOf(it.code)) + "\"}";
+        out += "\"value\": \"";
+        out += util::JsonEscape(db.categorical(it.attr).ValueOf(it.code));
+        out += "\"}";
       } else {
         out += "\"lo\": " + JsonNumber(it.lo) +
                ", \"hi\": " + JsonNumber(it.hi) + "}";
@@ -166,14 +149,15 @@ std::string PatternsToJson(const data::Dataset& db,
     out += "], \"supports\": {";
     for (int g = 0; g < gi.num_groups(); ++g) {
       if (g > 0) out += ", ";
-      out += "\"" + JsonEscape(gi.group_name(g)) +
-             "\": " + JsonNumber(p.supports[g]);
+      out += '"';
+      out += util::JsonEscape(gi.group_name(g));
+      out += "\": " + JsonNumber(p.supports[g]);
     }
     out += "}, \"diff\": " + JsonNumber(p.diff) +
            ", \"purity\": " + JsonNumber(p.purity) +
            ", \"p_value\": " + JsonNumber(p.p_value) + "}";
   }
-  out += "\n]";
+  out += "]";
   return out;
 }
 

@@ -30,6 +30,8 @@ std::string PatternsToCsv(const data::Dataset& db,
 /// [{"items":[{"attr":"age","lo":18,"hi":26}, ...],
 ///   "supports":{"Doctorate":0.0,...}, "diff":..., "purity":...,
 ///   "p_value":...}, ...]
+/// The array is rendered on one line (strings escape every control
+/// byte), so it embeds as-is in a newline-delimited JSON frame.
 std::string PatternsToJson(const data::Dataset& db,
                            const data::GroupInfo& gi,
                            const std::vector<ContrastPattern>& patterns);

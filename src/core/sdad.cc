@@ -134,6 +134,21 @@ double MiningContext::ChiCritical(double alpha, int dof) {
   return value;
 }
 
+const std::vector<double>& MiningContext::BaseSupports(
+    const Itemset& itemset) {
+  std::string key = itemset.Key();
+  auto it = base_supports_.find(key);
+  if (it != base_supports_.end()) return it->second;
+  GroupCounts gc = CountMatchesSharded(*this, itemset, gi->base_selection());
+  return base_supports_.emplace(std::move(key), gc.Supports(*gi))
+      .first->second;
+}
+
+void MiningContext::RememberBaseSupports(const Itemset& itemset,
+                                         std::vector<double> supports) {
+  base_supports_.emplace(itemset.Key(), std::move(supports));
+}
+
 SdadCall MakeRootCall(const MiningContext& ctx, const Itemset& cat_items,
                       const std::vector<int>& cont_attrs) {
   SdadCall call;
@@ -192,8 +207,7 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
   std::vector<GroupCounts> fused_counts;
   if (cfg.columnar_kernels) {
     cuts = PartitionCuts(*ctx.db, call.space, cfg.split,
-                         &ctx.split_scratch.values, ctx.prepared,
-                         &ctx.split_scratch.ranks, &ctx.split_scratch.select,
+                         &ctx.split_scratch.values, &ctx.split_scratch.select,
                          ctx.kernel == KernelKind::kAvx2);
     SplitResult split = SplitAndCountSharded(ctx, call.space, cuts);
     cells = std::move(split.cells);

@@ -1,6 +1,7 @@
 #ifndef SDADCS_CORE_SDAD_H_
 #define SDADCS_CORE_SDAD_H_
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -25,10 +26,6 @@ struct MiningContext {
   const data::Dataset* db = nullptr;
   const data::GroupInfo* gi = nullptr;
   const MinerConfig* cfg = nullptr;
-  /// Optional prepared-artifact bundle of `db` (null = none). When set,
-  /// the SDAD-CS median cuts take the rank-based path through the
-  /// bundle's shared SortIndex artifacts instead of gathering values.
-  const data::PreparedDataset* prepared = nullptr;
   PruneTable* prune_table = nullptr;
   TopK* topk = nullptr;
   MiningCounters* counters = nullptr;
@@ -61,8 +58,21 @@ struct MiningContext {
   /// (alpha, dof) pairs recur throughout a run.
   double ChiCritical(double alpha, int dof);
 
+  /// Per-group supports of `itemset` over the base selection, from the
+  /// run's memo keyed by Itemset::Key(); a miss counts once with
+  /// CountMatchesSharded. The productivity and redundancy tests ask for
+  /// the same sub-itemsets pattern after pattern. The reference stays
+  /// valid for the context's lifetime.
+  const std::vector<double>& BaseSupports(const Itemset& itemset);
+
+  /// Seeds the memo with supports the search already computed over the
+  /// base selection (counts are exact, so a seed equals a recount).
+  void RememberBaseSupports(const Itemset& itemset,
+                            std::vector<double> supports);
+
  private:
   std::unordered_map<int64_t, double> chi_critical_cache_;
+  std::unordered_map<std::string, std::vector<double>> base_supports_;
 };
 
 /// Per-call arguments of Algorithm 1 beyond the shared context.

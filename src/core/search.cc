@@ -169,22 +169,40 @@ bool LatticeSearch::MineCombo(const std::vector<int>& combo) {
       cont_attrs.push_back(a);
     }
   }
+  // The base selection holds exactly the group members, so its
+  // per-group counts are the group sizes.
+  GroupCounts base_counts;
+  base_counts.counts = GroupSizes(*ctx_.gi);
   bool alive = false;
   EnumerateCategorical(cat_attrs, cont_attrs, 0, Itemset(),
-                       ctx_.gi->base_selection(), &alive);
+                       ctx_.gi->base_selection(), base_counts, &alive);
   return alive;
+}
+
+const LatticeSearch::ItemCover& LatticeSearch::BaseCover(const Item& item) {
+  auto [it, inserted] =
+      base_covers_.try_emplace(std::make_pair(item.attr, item.code));
+  ItemCover& cover = it->second;
+  if (inserted) {
+    cover.rows = FilterCountItemSharded(ctx_, item, ctx_.gi->base_selection(),
+                                        &cover.counts);
+    ctx_.RememberBaseSupports(Itemset({item}),
+                              cover.counts.Supports(*ctx_.gi));
+  }
+  return cover;
 }
 
 void LatticeSearch::EnumerateCategorical(const std::vector<int>& cat_attrs,
                                          const std::vector<int>& cont_attrs,
                                          size_t next, const Itemset& prefix,
                                          const data::Selection& rows,
+                                         const GroupCounts& counts,
                                          bool* alive) {
   if (next == cat_attrs.size()) {
     if (cont_attrs.empty()) {
-      EvaluateCategoricalLeaf(prefix, rows, alive);
+      EvaluateCategoricalLeaf(prefix, rows, counts, alive);
     } else {
-      EvaluateSdadLeaf(prefix, cont_attrs, rows, alive);
+      EvaluateSdadLeaf(prefix, cont_attrs, rows, counts, alive);
     }
     return;
   }
@@ -201,24 +219,36 @@ void LatticeSearch::EnumerateCategorical(const std::vector<int>& cat_attrs,
       continue;
     }
     // Fused scan: filter to the item's rows and count groups in one
-    // pass. Partial-itemset minimum deviation: supports only shrink as
-    // items are added, so a below-δ prefix can be abandoned outright.
-    GroupCounts gc;
-    data::Selection sub = FilterCountItemSharded(ctx_, item, rows, &gc);
-    if (BelowMinimumDeviation(gc.Supports(*ctx_.gi), ctx_.cfg->delta)) {
+    // pass. Against the base selection the run's memo already holds
+    // that cover.
+    ItemCover scanned;
+    const ItemCover* cover = &scanned;
+    if (prefix.empty()) {
+      cover = &BaseCover(item);
+    } else {
+      scanned.rows =
+          FilterCountItemSharded(ctx_, item, rows, &scanned.counts);
+      ctx_.RememberBaseSupports(candidate,
+                                scanned.counts.Supports(*ctx_.gi));
+    }
+    // Partial-itemset minimum deviation: supports only shrink as items
+    // are added, so a below-δ prefix can be abandoned outright.
+    if (BelowMinimumDeviation(cover->counts.Supports(*ctx_.gi),
+                              ctx_.cfg->delta)) {
       if (ctx_.cfg->meaningful_pruning) {
         ctx_.prune_table->Insert(candidate, PruneReason::kMinSupport);
       }
       ++ctx_.counters->pruned_min_support;
       continue;
     }
-    EnumerateCategorical(cat_attrs, cont_attrs, next + 1, candidate, sub,
-                         alive);
+    EnumerateCategorical(cat_attrs, cont_attrs, next + 1, candidate,
+                         cover->rows, cover->counts, alive);
   }
 }
 
 void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
                                             const data::Selection& rows,
+                                            const GroupCounts& gc,
                                             bool* alive) {
   if (itemset.empty()) return;
   if (ctx_.run.CheckPoint(RunState::NodeWeight(rows.size()))) return;
@@ -226,7 +256,6 @@ void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
   const MinerConfig& cfg = *ctx_.cfg;
   ++counters.partitions_evaluated;
 
-  GroupCounts gc = CountGroupsSharded(ctx_, rows);
   std::vector<double> supports = gc.Supports(*ctx_.gi);
   double diff = SupportDifference(supports);
   double purity = PurityRatio(supports);
@@ -251,10 +280,9 @@ void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
   if (cfg.RedundancyPruningOn() && level >= 2) {
     for (int i = 0; i < level; ++i) {
       Itemset subset = itemset.WithoutAttribute(itemset.item(i).attr);
-      const std::vector<double>* sub_supports = CachedSupports(subset);
-      if (StatisticallySameDifference(diff,
-                                      SupportDifference(*sub_supports),
-                                      *sub_supports, ctx_.group_sizes,
+      const std::vector<double>& sub_supports = ctx_.BaseSupports(subset);
+      if (StatisticallySameDifference(diff, SupportDifference(sub_supports),
+                                      sub_supports, ctx_.group_sizes,
                                       cfg.alpha)) {
         ctx_.prune_table->Insert(itemset, PruneReason::kRedundant);
         ++counters.pruned_redundant;
@@ -263,7 +291,6 @@ void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
     }
   }
   *alive = true;
-  support_cache_.emplace(itemset.Key(), supports);
 
   if (cfg.PureSpacePruningOn() && purity >= 1.0 && gc.total() > 0.0) {
     ctx_.prune_table->Insert(itemset, PruneReason::kPure);
@@ -302,6 +329,7 @@ void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
 void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
                                      const std::vector<int>& cont_attrs,
                                      const data::Selection& rows,
+                                     const GroupCounts& counts,
                                      bool* alive) {
   if (ctx_.run.CheckPoint(RunState::NodeWeight(rows.size()))) return;
   SdadCall call;
@@ -310,14 +338,24 @@ void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
   call.level = 1;
   call.parent_measure = 0.0;
   call.space.bounds.reserve(cont_attrs.size());
+  bool any_missing = false;
   for (int attr : cont_attrs) {
     auto it = ctx_.root_bounds.find(attr);
     SDADCS_CHECK(it != ctx_.root_bounds.end());
     call.space.bounds.push_back({attr, it->second.lo, it->second.hi});
+    any_missing = any_missing || it->second.any_missing;
   }
+  // The root filter drops rows missing a continuous attribute. When no
+  // analysis row misses one (recorded by the root-bounds pass), it
+  // would keep `rows` whole, so the prefix's rows and counts are reused.
   GroupCounts root_counts;
-  call.space.rows =
-      FilterAllPresentSharded(ctx_, cont_attrs, rows, &root_counts);
+  if (any_missing) {
+    call.space.rows =
+        FilterAllPresentSharded(ctx_, cont_attrs, rows, &root_counts);
+  } else {
+    call.space.rows = rows;
+    root_counts = counts;
+  }
   if (call.space.rows.empty()) return;
   call.outer_db_size = static_cast<double>(call.space.rows.size());
   call.parent_supports = root_counts.Supports(*ctx_.gi);
@@ -334,28 +372,17 @@ void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
   if (!patterns.empty() || evaluated > kills) *alive = true;
 
   for (ContrastPattern& p : patterns) {
+    // A pattern's counts are those of its itemset over the base
+    // selection: its interval items imply the root filter.
+    ctx_.RememberBaseSupports(p.itemset, p.supports);
     if (ctx_.cfg->ProductivityFilterOn() && p.itemset.size() >= 2 &&
         !IsProductive(ctx_, p)) {
       ++counters.unproductive;
       continue;
     }
-    support_cache_.emplace(p.itemset.Key(), p.supports);
     ctx_.topk->Insert(p);
   }
   MaybeReportInsert();
-}
-
-const std::vector<double>* LatticeSearch::CachedSupports(
-    const Itemset& itemset) {
-  std::string key = itemset.Key();
-  auto it = support_cache_.find(key);
-  if (it != support_cache_.end()) return &it->second;
-  GroupCounts gc =
-      CountMatchesSharded(ctx_, itemset, ctx_.gi->base_selection());
-  auto [ins, unused] =
-      support_cache_.emplace(std::move(key), gc.Supports(*ctx_.gi));
-  (void)unused;
-  return &ins->second;
 }
 
 }  // namespace sdadcs::core

@@ -2,8 +2,8 @@
 #define SDADCS_CORE_SEARCH_H_
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "core/sdad.h"
@@ -50,6 +50,12 @@ std::vector<std::vector<int>> BuildLevelFrontier(
 ///
 /// Purely categorical combinations are enumerated STUCCO-style; any
 /// combination containing a continuous attribute is handed to SDAD-CS.
+///
+/// Scans are reused within one run, never across runs: each single
+/// categorical item's cover of the base selection is computed once
+/// (BaseCover), every prefix's group counts travel down the
+/// enumeration with its rows, and the supports the search computes seed
+/// the context's base-support memo (MiningContext::BaseSupports).
 class LatticeSearch {
  public:
   /// `ctx` must outlive the search and have all pointers set.
@@ -65,27 +71,39 @@ class LatticeSearch {
   bool MineCombo(const std::vector<int>& combo);
 
  private:
-  struct LeafOutcome {
-    bool alive = false;
+  /// Rows of the base selection matching one item, with their
+  /// per-group counts.
+  struct ItemCover {
+    data::Selection rows;
+    GroupCounts counts;
   };
 
+  /// `rows` is the cover of `prefix` within the base selection and
+  /// `counts` its per-group counts.
   void EnumerateCategorical(const std::vector<int>& cat_attrs,
                             const std::vector<int>& cont_attrs, size_t next,
                             const Itemset& prefix,
-                            const data::Selection& rows, bool* alive);
+                            const data::Selection& rows,
+                            const GroupCounts& counts, bool* alive);
 
-  /// Scores a complete categorical itemset (no continuous part).
+  /// Scores a complete categorical itemset (no continuous part) whose
+  /// cover is `rows` with per-group `counts`.
   void EvaluateCategoricalLeaf(const Itemset& itemset,
-                               const data::Selection& rows, bool* alive);
+                               const data::Selection& rows,
+                               const GroupCounts& counts, bool* alive);
 
-  /// Runs SDAD-CS under a fixed categorical itemset.
+  /// Runs SDAD-CS under a fixed categorical itemset whose cover is
+  /// `rows` with per-group `counts`.
   void EvaluateSdadLeaf(const Itemset& cat_items,
                         const std::vector<int>& cont_attrs,
-                        const data::Selection& rows, bool* alive);
+                        const data::Selection& rows,
+                        const GroupCounts& counts, bool* alive);
 
-  /// Looks up cached per-group supports of an itemset, counting on demand
-  /// and caching on miss.
-  const std::vector<double>* CachedSupports(const Itemset& itemset);
+  /// The cover of one categorical item within the base selection,
+  /// scanned on first request and kept for the run. An attribute's
+  /// values partition the rows, so the memo holds at most one row id
+  /// per base row per categorical attribute.
+  const ItemCover& BaseCover(const Item& item);
 
   /// Invokes the run's progress callback, if any.
   void ReportProgress(int level, uint64_t done, uint64_t total) const;
@@ -101,7 +119,8 @@ class LatticeSearch {
   int progress_level_ = 0;
   uint64_t progress_done_ = 0;
   uint64_t progress_total_ = 0;
-  std::unordered_map<std::string, std::vector<double>> support_cache_;
+  /// BaseCover's memo, keyed by (attribute, value code).
+  std::map<std::pair<int, int32_t>, ItemCover> base_covers_;
   /// TopK::version() at the last anytime snapshot; reports attach a new
   /// snapshot only when the top-k advanced past it.
   mutable uint64_t last_snapshot_version_ = 0;

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <limits>
 
-#include "data/sort_index.h"
+#include "data/order_stats.h"
 #include "util/logging.h"
 
 namespace sdadcs::core {
@@ -31,8 +31,6 @@ double MeanOnAxis(const data::Dataset& db, int attr,
 std::vector<double> PartitionCuts(const data::Dataset& db,
                                   const Space& space, SplitKind kind,
                                   std::vector<double>* scratch,
-                                  const data::PreparedDataset* prepared,
-                                  std::vector<uint32_t>* rank_scratch,
                                   data::SelectScratch* select_scratch,
                                   bool simd) {
   std::vector<double> cuts;
@@ -40,13 +38,7 @@ std::vector<double> PartitionCuts(const data::Dataset& db,
   const bool fast = simd && kind == SplitKind::kMedian &&
                     scratch != nullptr && select_scratch != nullptr;
   for (const AxisBound& b : space.bounds) {
-    // The rank-based path (prepared bundle available) and the value
-    // gather return bit-identical medians; only the work differs.
-    const data::SortIndex* index =
-        prepared != nullptr && kind == SplitKind::kMedian
-            ? prepared->Sorted(b.attr)
-            : nullptr;
-    if (fast && index == nullptr) {
+    if (fast) {
       // Vectorized path. The SDAD invariants (rows inside (lo, hi] on
       // every axis, no missing values) make the feasibility check
       // algebraic: the left half (lo, m] always holds the median
@@ -61,15 +53,9 @@ std::vector<double> PartitionCuts(const data::Dataset& db,
                                 : std::numeric_limits<double>::quiet_NaN());
       continue;
     }
-    double m;
-    if (index != nullptr) {
-      m = data::MedianInSelectionRanked(db, b.attr, space.rows, *index,
-                                        rank_scratch);
-    } else {
-      m = kind == SplitKind::kMedian
-              ? data::MedianInSelection(db, b.attr, space.rows, scratch)
-              : MeanOnAxis(db, b.attr, space.rows);
-    }
+    double m = kind == SplitKind::kMedian
+                   ? data::MedianInSelection(db, b.attr, space.rows, scratch)
+                   : MeanOnAxis(db, b.attr, space.rows);
     if (std::isnan(m) || m >= b.hi || m <= b.lo) {
       // Not splittable two ways inside (lo, hi].
       cuts.push_back(std::numeric_limits<double>::quiet_NaN());

@@ -43,9 +43,6 @@ using data::ComputeRootBounds;
 /// or the mean. An axis whose rows cannot be split two ways (all values
 /// equal, or the cut leaves one side empty) gets NaN. `scratch`, when
 /// non-null, is a reusable gather buffer for the median computation.
-/// With `prepared` set, median cuts take the rank-based path through
-/// the bundle's SortIndex artifacts (bit-identical values, no per-call
-/// double gather); `rank_scratch` is that path's reusable buffer.
 ///
 /// With `simd` set (and both scratches supplied), median cuts go
 /// through the vectorized gather + quickselect kernels and the
@@ -57,8 +54,6 @@ using data::ComputeRootBounds;
 std::vector<double> PartitionCuts(
     const data::Dataset& db, const Space& space, SplitKind kind,
     std::vector<double>* scratch = nullptr,
-    const data::PreparedDataset* prepared = nullptr,
-    std::vector<uint32_t>* rank_scratch = nullptr,
     data::SelectScratch* select_scratch = nullptr, bool simd = false);
 
 /// PartitionCuts with the paper's default, the median.

@@ -25,8 +25,6 @@ namespace sdadcs::core {
 struct SplitScratch {
   /// Gather buffer for median/quantile computation (PartitionCuts).
   std::vector<double> values;
-  /// Rank gather buffer for the prepared-dataset median path.
-  std::vector<uint32_t> ranks;
   /// Partition ping-pong buffers for the vectorized quickselect.
   data::SelectScratch select;
   /// Per surviving parent row: the row id, in selection order.

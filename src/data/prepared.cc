@@ -3,12 +3,15 @@
 #include <cmath>
 #include <utility>
 
+#include "data/order_stats.h"
+
 namespace sdadcs::data {
 
 RootBounds ComputeRootBounds(const Dataset& db, int attr,
                              const Selection& sel) {
   MinMax mm = MinMaxInSelection(db, attr, sel);
   RootBounds rb;
+  rb.any_missing = mm.missing;
   if (std::isnan(mm.min)) {
     rb.lo = 0.0;
     rb.hi = 0.0;
@@ -54,45 +57,7 @@ size_t PreparedGroups::MemoryUsage() const {
   return bytes;
 }
 
-PreparedDataset::PreparedDataset(const Dataset* db)
-    : db_(db), sort_slots_(db->num_attributes()) {}
-
-const SortIndex* PreparedDataset::Sorted(int attr) const {
-  if (attr < 0 || attr >= static_cast<int>(sort_slots_.size()) ||
-      !db_->is_continuous(attr)) {
-    return nullptr;
-  }
-  SortSlot& slot = sort_slots_[static_cast<size_t>(attr)];
-  const SortIndex* ready = slot.ready.load(std::memory_order_acquire);
-  if (ready != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return ready;
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    ready = slot.ready.load(std::memory_order_acquire);
-    if (ready != nullptr) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return ready;
-    }
-    if (!slot.building) break;
-    cv_.wait(lock);
-  }
-  slot.building = true;
-  lock.unlock();
-  // Built outside the lock: a sort over a large column must not stall
-  // requests for other artifacts.
-  auto built = std::make_unique<SortIndex>(
-      SortIndex::Build(*db_, attr, /*with_ranks=*/true));
-  lock.lock();
-  slot.storage = std::move(built);
-  ++sort_builds_;
-  bytes_ += slot.storage->MemoryUsage();
-  slot.building = false;
-  slot.ready.store(slot.storage.get(), std::memory_order_release);
-  cv_.notify_all();
-  return slot.storage.get();
-}
+PreparedDataset::PreparedDataset(const Dataset* db) : db_(db) {}
 
 util::StatusOr<std::shared_ptr<const PreparedGroups>>
 PreparedDataset::Groups(const std::string& group_attr,
@@ -107,7 +72,7 @@ PreparedDataset::Groups(const std::string& group_attr,
     auto it = group_slots_.find(key);
     if (it == group_slots_.end()) break;  // this thread builds
     if (it->second.artifact != nullptr) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      ++hits_;
       return it->second.artifact;
     }
     // Another thread is building this spec (or failed and erased the
@@ -173,9 +138,8 @@ PreparedDataset::BuildGroups(
 PreparedStats PreparedDataset::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   PreparedStats s;
-  s.sort_builds = sort_builds_;
   s.group_builds = group_builds_;
-  s.hits = hits_.load(std::memory_order_relaxed);
+  s.hits = hits_;
   s.bytes = bytes_;
   return s;
 }

@@ -1,7 +1,6 @@
 #ifndef SDADCS_DATA_PREPARED_H_
 #define SDADCS_DATA_PREPARED_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -13,7 +12,6 @@
 #include "data/dataset.h"
 #include "data/group_info.h"
 #include "data/selection.h"
-#include "data/sort_index.h"
 #include "util/status.h"
 
 namespace sdadcs::data {
@@ -21,13 +19,17 @@ namespace sdadcs::data {
 /// Display/normalization bounds of one continuous attribute over the
 /// analysis rows: lo is a "nice" value just below the minimum (min-1 for
 /// integral data, matching the paper's "18 < Age" rendering), hi is the
-/// maximum.
+/// maximum. `any_missing` says whether some analysis row lacks a value;
+/// when it is false the SDAD-CS root filter keeps every row, so the
+/// search skips that scan. It defaults to true, so bounds built by hand
+/// keep the filter.
 struct RootBounds {
   double lo = 0.0;
   double hi = 0.0;
+  bool any_missing = true;
 };
 
-/// Computes RootBounds of `attr` over `sel`.
+/// Computes RootBounds of `attr` over `sel` in one pass over its rows.
 RootBounds ComputeRootBounds(const Dataset& db, int attr,
                              const Selection& sel);
 
@@ -51,19 +53,17 @@ struct PreparedGroups {
 /// Counters of one PreparedDataset; `bytes` is the resident artifact
 /// footprint (what a registry byte budget should charge).
 struct PreparedStats {
-  uint64_t sort_builds = 0;   ///< SortIndex artifacts built
   uint64_t group_builds = 0;  ///< group artifacts built
   uint64_t hits = 0;          ///< artifact requests served from cache
   size_t bytes = 0;           ///< resident artifact bytes
 };
 
 /// Lazily-built, thread-safe bundle of request-invariant artifacts of
-/// one sealed Dataset: per-attribute rank+permutation SortIndexes and a
-/// keyed cache of resolved group specs (groups, universe, sizes, root
-/// bounds). Every artifact is built on first request and shared
-/// thereafter; construction is single-flight, so concurrent requests
-/// racing for the same artifact build it exactly once and the rest
-/// wait.
+/// one sealed Dataset: a keyed cache of resolved group specs (groups,
+/// universe, sizes, root bounds). Every artifact is built on first
+/// request and shared thereafter; construction is single-flight, so
+/// concurrent requests racing for the same artifact build it exactly
+/// once and the rest wait.
 ///
 /// The bundle borrows the dataset, which must outlive it — the serving
 /// layer keeps both inside one ServedDataset so their lifetimes cannot
@@ -77,11 +77,6 @@ class PreparedDataset {
   PreparedDataset& operator=(const PreparedDataset&) = delete;
 
   const Dataset& dataset() const { return *db_; }
-
-  /// Rank+permutation sort artifact of a continuous attribute, built on
-  /// first request. Returns nullptr for a categorical or out-of-range
-  /// attribute. The pointer stays valid for the bundle's lifetime.
-  const SortIndex* Sorted(int attr) const;
 
   /// Resolved artifact of one group spec (empty `group_values` = every
   /// value of `group_attr`), built on first request. Failures (unknown
@@ -97,12 +92,6 @@ class PreparedDataset {
   size_t MemoryUsage() const;
 
  private:
-  struct SortSlot {
-    /// Non-null once built; the lock-free fast path for readers.
-    std::atomic<const SortIndex*> ready{nullptr};
-    bool building = false;
-    std::unique_ptr<SortIndex> storage;
-  };
   struct GroupSlot {
     /// Null while the single-flight builder runs.
     std::shared_ptr<const PreparedGroups> artifact;
@@ -115,10 +104,8 @@ class PreparedDataset {
   const Dataset* db_;
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
-  mutable std::vector<SortSlot> sort_slots_;  ///< one per attribute
   mutable std::unordered_map<std::string, GroupSlot> group_slots_;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable uint64_t sort_builds_ = 0;
+  mutable uint64_t hits_ = 0;
   mutable uint64_t group_builds_ = 0;
   mutable size_t bytes_ = 0;
 };

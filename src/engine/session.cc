@@ -86,7 +86,6 @@ util::StatusOr<MiningSession> MiningSession::Begin(
   MiningSession session;
   session.db_ = &db;
   session.config_ = &config;
-  session.prepared_ = request.prepared;
   session.control_ = request.run_control;
 
   if (request.groups != nullptr) {
@@ -183,7 +182,6 @@ core::MiningContext MiningSession::MakeContext(
   ctx.counters = counters;
   ctx.group_sizes = group_sizes_;
   ctx.root_bounds = root_bounds_;
-  ctx.prepared = prepared_;
   ctx.kernel = core::ResolveKernel(config_->kernel);
   ctx.run = core::RunState(control_);
   return ctx;

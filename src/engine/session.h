@@ -35,10 +35,9 @@ namespace sdadcs::engine {
 /// When the request carries a prepared-artifact bundle
 /// (request.prepared), groups, universe, group sizes and root bounds
 /// all come out of the bundle's keyed group artifact — no row scan, no
-/// GroupInfo rebuild — and every context made here hands the bundle to
-/// the SDAD-CS median kernels. The session keeps the artifact alive
-/// via shared_ptr, so it survives even a concurrent registry eviction
-/// of the dataset handle that produced it.
+/// GroupInfo rebuild. The session keeps the artifact alive via
+/// shared_ptr, so it survives even a concurrent registry eviction of
+/// the dataset handle that produced it.
 ///
 /// Finalize() sorts the patterns by measure (a deterministic total
 /// order, idempotent on already-sorted input), applies the
@@ -111,8 +110,6 @@ class MiningSession {
 
   const data::Dataset* db_ = nullptr;
   const core::MinerConfig* config_ = nullptr;
-  /// The request's prepared bundle (null when mining cold).
-  const data::PreparedDataset* prepared_ = nullptr;
   /// Set when the groups came from the prepared bundle; keeps the
   /// artifact alive for the session's lifetime.
   std::shared_ptr<const data::PreparedGroups> prepared_groups_;

@@ -202,7 +202,7 @@ DatasetRegistry::Stats DatasetRegistry::stats() const {
   for (const auto& [name, entry] : entries_) {
     data::PreparedStats ps = entry.ds->prepared->stats();
     s.artifact_bytes += ps.bytes;
-    s.artifact_builds += ps.sort_builds + ps.group_builds;
+    s.artifact_builds += ps.group_builds;
     s.artifact_hits += ps.hits;
     const data::ChunkStore* store = entry.ds->db.chunk_store();
     if (store != nullptr) {
@@ -283,7 +283,7 @@ size_t DatasetRegistry::TrimChunksLocked() {
 
 void DatasetRegistry::RetireArtifactsLocked(const ServedDataset& ds) {
   data::PreparedStats ps = ds.prepared->stats();
-  retired_artifact_builds_ += ps.sort_builds + ps.group_builds;
+  retired_artifact_builds_ += ps.group_builds;
   retired_artifact_hits_ += ps.hits;
   const data::ChunkStore* store = ds.db.chunk_store();
   if (store != nullptr) {

@@ -29,11 +29,10 @@ struct ServedDataset {
   uint64_t fingerprint = 0;  ///< core::DatasetFingerprint(name, generation)
   size_t memory_bytes = 0;   ///< Dataset::MemoryUsage() at load time
   data::Dataset db;
-  /// Lazily-built request-invariant artifacts (sort indexes, root
-  /// bounds, resolved groups) over `db`. Created fresh per load, so a
-  /// replace (generation bump) discards the old bundle with the old
-  /// data. Borrows `db`: only reach it through a live ServedDataset
-  /// handle.
+  /// Lazily-built request-invariant artifacts (resolved groups, root
+  /// bounds) over `db`. Created fresh per load, so a replace
+  /// (generation bump) discards the old bundle with the old data.
+  /// Borrows `db`: only reach it through a live ServedDataset handle.
   std::shared_ptr<data::PreparedDataset> prepared;
 };
 
@@ -123,7 +122,7 @@ class DatasetRegistry {
     /// Prepared-artifact accounting, summed over resident bundles plus
     /// (for the counters) bundles that have since left the registry.
     size_t artifact_bytes = 0;     ///< resident bundles only
-    uint64_t artifact_builds = 0;  ///< sort + group artifact builds
+    uint64_t artifact_builds = 0;  ///< group artifact builds
     uint64_t artifact_hits = 0;    ///< artifact reuses (no build)
     /// Chunk-residency accounting over paged datasets: live byte sum of
     /// resident chunk buffers, plus monotonic load/eviction counters

@@ -255,27 +255,6 @@ std::vector<std::string> JsonValue::GetStringArray(
   return out;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string JsonNumber(double value) {
   if (!std::isfinite(value)) return "null";
   if (value == std::floor(value) && std::fabs(value) < 1e15) {
@@ -296,7 +275,7 @@ JsonObjectWriter& JsonObjectWriter::Add(const std::string& key,
   // Built with += (not operator+ chains): GCC 12's -Wrestrict false
   // positive fires on `const char* + std::string&&`.
   std::string rendered = "\"";
-  rendered += JsonEscape(value);
+  rendered += util::JsonEscape(value);
   rendered += '"';
   return AddRendered(key, std::move(rendered));
 }
@@ -338,7 +317,7 @@ std::string JsonObjectWriter::Str() const {
   for (size_t i = 0; i < fields_.size(); ++i) {
     if (i > 0) out += ",";
     out += '"';
-    out += JsonEscape(fields_[i].first);
+    out += util::JsonEscape(fields_[i].first);
     out += "\":";
     out += fields_[i].second;
   }

@@ -61,9 +61,6 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
-/// Escapes `s` for inclusion inside a JSON string literal (no quotes).
-std::string JsonEscape(std::string_view s);
-
 /// Incremental writer for one flat-or-nested JSON object, rendered in
 /// insertion order:
 ///

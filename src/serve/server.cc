@@ -103,8 +103,8 @@ util::StatusOr<core::MiningResult> Server::RunEngine(
     const util::RunControl& control) const {
   core::MineRequest request = BuildRequest(call, control);
   // Every run against a registered dataset mines warm: the handle's
-  // prepared bundle supplies sort indexes, root bounds and resolved
-  // groups, built at most once per load generation.
+  // prepared bundle supplies root bounds and resolved groups, built at
+  // most once per load generation.
   request.prepared = ds.prepared.get();
   // Every engine — including the historical serial/parallel pair — is
   // constructed through the registry; there is no other name-to-miner

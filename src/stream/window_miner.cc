@@ -58,9 +58,6 @@ util::StatusOr<core::MiningResult> MineTailWindow(
 
   core::MineRequest tail_request;
   tail_request.groups = &*windowed;
-  // Sort-index artifacts are selection-independent, so the bundle's
-  // rank-based median path stays valid under the tail restriction.
-  tail_request.prepared = request.prepared;
   tail_request.run_control = request.run_control;
   return core::Miner(config).Mine(db, tail_request);
 }

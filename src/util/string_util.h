@@ -37,6 +37,12 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Escapes `s` for inclusion inside a JSON string literal (no quotes):
+/// quote and backslash, \n \r \t by name, every other byte below 0x20
+/// as \u00XX. The repository's one JSON escaper — the wire protocol
+/// and the report writers both use it.
+std::string JsonEscape(std::string_view s);
+
 /// Formats a double compactly for display: up to `precision` significant
 /// digits, no trailing zeros, "-inf"/"inf" for infinities.
 std::string FormatDouble(double v, int precision = 6);

@@ -4,6 +4,7 @@
 
 #include "common/requests.h"
 #include "core/miner.h"
+#include "serve/ndjson.h"
 #include "synth/simulated.h"
 #include "util/logging.h"
 
@@ -92,6 +93,58 @@ TEST(PatternsToJsonTest, InfinityBecomesNull) {
   p.ComputeStats(f.gi, MeasureKind::kSupportDiff);
   std::string json = PatternsToJson(f.db, f.gi, {p});
   EXPECT_NE(json.find("\"lo\": null"), std::string::npos);
+}
+
+TEST(PatternsToJsonTest, RendersOneLine) {
+  Fixture f = MakeFixture();
+  ASSERT_GE(f.result.contrasts.size(), 2u);
+  std::string json = PatternsToJson(f.db, f.gi, f.result.contrasts);
+  EXPECT_EQ(json.find('\n'), std::string::npos) << json;
+  auto parsed = serve::JsonValue::Parse(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->AsArray().size(), f.result.contrasts.size());
+}
+
+TEST(PatternsToJsonTest, ControlBytesInValuesRoundTrip) {
+  // CSV ingest accepts RFC-4180 quoted fields, so attribute names,
+  // values and group names can carry tabs, CRs and other bytes below
+  // 0x20; the JSON must escape every one of them.
+  const std::string attr_name = "note\tcol";
+  const std::string value = "a\tb\rc\x01";
+  const std::string group_name = "g\r1";
+  data::DatasetBuilder b;
+  int g = b.AddCategorical("group");
+  int note = b.AddCategorical(attr_name);
+  for (int r = 0; r < 4; ++r) {
+    b.AppendCategorical(g, r % 2 == 0 ? group_name : "g2");
+    b.AppendCategorical(note, r < 2 ? value : "plain");
+  }
+  auto db = std::move(b).Build();
+  ASSERT_TRUE(db.ok());
+  auto gi = data::GroupInfo::Create(*db, g);
+  ASSERT_TRUE(gi.ok());
+  ContrastPattern p;
+  p.itemset = Itemset({Item::Categorical(
+      note, db->categorical(note).CodeOf(value))});
+  p.counts = {1, 1};
+  p.ComputeStats(*gi, MeasureKind::kSupportDiff);
+
+  std::string json = PatternsToJson(*db, *gi, {p});
+  for (char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+  }
+  auto parsed = serve::JsonValue::Parse(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message() << ": " << json;
+  ASSERT_EQ(parsed->AsArray().size(), 1u);
+  const serve::JsonValue& pattern = parsed->AsArray()[0];
+  const serve::JsonValue* items = pattern.Find("items");
+  ASSERT_NE(items, nullptr);
+  ASSERT_EQ(items->AsArray().size(), 1u);
+  EXPECT_EQ(items->AsArray()[0].GetString("attr"), attr_name);
+  EXPECT_EQ(items->AsArray()[0].GetString("value"), value);
+  const serve::JsonValue* supports = pattern.Find("supports");
+  ASSERT_NE(supports, nullptr);
+  EXPECT_NE(supports->Find(group_name), nullptr);
 }
 
 TEST(SummarizeRunTest, MentionsCountsAndGroups) {

@@ -1,12 +1,9 @@
 // PreparedDataset: lazy single-flight artifact construction, keyed group
-// artifacts, rank-based medians matching the value-based reference, and
-// byte accounting.
+// artifacts and byte accounting.
 
 #include "data/prepared.h"
 
-#include <algorithm>
-#include <cmath>
-#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,91 +14,41 @@
 namespace sdadcs::data {
 namespace {
 
-TEST(PreparedDatasetTest, SortArtifactBuiltOnceUnderConcurrency) {
+TEST(PreparedDatasetTest, GroupArtifactBuiltOnceUnderConcurrency) {
   synth::NamedDataset nd = synth::MakeUciLike("adult", /*seed=*/3);
   PreparedDataset prepared(&nd.db);
 
-  std::vector<int> cont;
-  for (size_t a = 0; a < nd.db.num_attributes(); ++a) {
-    if (nd.db.is_continuous(static_cast<int>(a))) {
-      cont.push_back(static_cast<int>(a));
-    }
-  }
-  ASSERT_FALSE(cont.empty());
+  // Two distinct specs of the same group attribute: the requested pair
+  // and every value.
+  const std::vector<std::vector<std::string>> specs = {nd.groups, {}};
 
   // Many threads race for every artifact; single-flight construction
   // must build each exactly once and hand everyone the same pointer.
   constexpr int kThreads = 8;
-  std::vector<std::vector<const SortIndex*>> seen(kThreads);
+  std::vector<std::vector<const PreparedGroups*>> seen(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (int attr : cont) seen[t].push_back(prepared.Sorted(attr));
+      for (const std::vector<std::string>& values : specs) {
+        auto pg = prepared.Groups(nd.group_attr, values);
+        seen[t].push_back(pg.ok() ? pg->get() : nullptr);
+      }
     });
   }
   for (std::thread& th : threads) th.join();
 
   for (int t = 0; t < kThreads; ++t) {
-    for (size_t i = 0; i < cont.size(); ++i) {
+    for (size_t i = 0; i < specs.size(); ++i) {
       ASSERT_NE(seen[t][i], nullptr);
-      EXPECT_EQ(seen[t][i], seen[0][i]) << "thread " << t << " attr " << i;
-      EXPECT_TRUE(seen[t][i]->has_ranks());
+      EXPECT_EQ(seen[t][i], seen[0][i]) << "thread " << t << " spec " << i;
     }
   }
+  EXPECT_NE(seen[0][0], seen[0][1]);
   PreparedStats stats = prepared.stats();
-  EXPECT_EQ(stats.sort_builds, cont.size());
-  EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(stats.group_builds, specs.size());
+  EXPECT_EQ(stats.hits, kThreads * specs.size() - specs.size());
   EXPECT_GT(stats.bytes, 0u);
   EXPECT_EQ(prepared.MemoryUsage(), stats.bytes);
-}
-
-TEST(PreparedDatasetTest, SortedRejectsCategoricalAndOutOfRange) {
-  synth::NamedDataset nd = synth::MakeUciLike("adult", /*seed=*/3);
-  PreparedDataset prepared(&nd.db);
-  int cat = -1;
-  for (size_t a = 0; a < nd.db.num_attributes(); ++a) {
-    if (!nd.db.is_continuous(static_cast<int>(a))) {
-      cat = static_cast<int>(a);
-      break;
-    }
-  }
-  ASSERT_GE(cat, 0);
-  EXPECT_EQ(prepared.Sorted(cat), nullptr);
-  EXPECT_EQ(prepared.Sorted(-1), nullptr);
-  EXPECT_EQ(prepared.Sorted(static_cast<int>(nd.db.num_attributes())),
-            nullptr);
-  EXPECT_EQ(prepared.stats().sort_builds, 0u);
-}
-
-TEST(PreparedDatasetTest, RankedMedianMatchesValueMedian) {
-  synth::NamedDataset nd = synth::MakeUciLike("breast", /*seed=*/11);
-  PreparedDataset prepared(&nd.db);
-  std::mt19937 rng(41);
-  std::uniform_int_distribution<uint32_t> pick(
-      0, static_cast<uint32_t>(nd.db.num_rows() - 1));
-
-  for (size_t a = 0; a < nd.db.num_attributes(); ++a) {
-    int attr = static_cast<int>(a);
-    if (!nd.db.is_continuous(attr)) continue;
-    const SortIndex* index = prepared.Sorted(attr);
-    ASSERT_NE(index, nullptr);
-    for (int trial = 0; trial < 20; ++trial) {
-      std::vector<uint32_t> rows;
-      for (int i = 0; i < 40; ++i) rows.push_back(pick(rng));
-      std::sort(rows.begin(), rows.end());
-      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-      Selection sel(std::move(rows));
-      double ranked = MedianInSelectionRanked(nd.db, attr, sel, *index);
-      double reference = MedianInSelection(nd.db, attr, sel);
-      if (std::isnan(reference)) {
-        EXPECT_TRUE(std::isnan(ranked));
-      } else {
-        // Bit-identical, not just close: the rank order refines the
-        // value order, so both paths select the same element.
-        EXPECT_EQ(ranked, reference) << "attr " << attr;
-      }
-    }
-  }
 }
 
 TEST(PreparedDatasetTest, GroupArtifactCachedByKey) {
@@ -150,6 +97,7 @@ TEST(PreparedDatasetTest, GroupArtifactCarriesSessionState) {
         ComputeRootBounds(nd.db, attr, art.groups.base_selection());
     EXPECT_EQ(it->second.lo, reference.lo);
     EXPECT_EQ(it->second.hi, reference.hi);
+    EXPECT_EQ(it->second.any_missing, reference.any_missing);
   }
 }
 

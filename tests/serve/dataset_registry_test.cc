@@ -155,21 +155,13 @@ TEST(DatasetRegistryTest, ReplaceStartsAFreshArtifactBundle) {
   ASSERT_TRUE(v1.ok());
   ASSERT_NE((*v1)->prepared, nullptr);
 
-  // Warm the old generation's bundle.
+  // Warm the old generation's bundle with two group specs.
   ASSERT_TRUE((*v1)->prepared->Groups("class", {}).ok());
-  int cont = -1;
-  for (size_t a = 0; a < (*v1)->db.num_attributes(); ++a) {
-    if ((*v1)->db.is_continuous(static_cast<int>(a))) {
-      cont = static_cast<int>(a);
-      break;
-    }
-  }
-  ASSERT_GE(cont, 0);
-  ASSERT_NE((*v1)->prepared->Sorted(cont), nullptr);
+  ASSERT_TRUE((*v1)->prepared->Groups("class", {"Benign", "Malignant"}).ok());
   data::PreparedStats warm = (*v1)->prepared->stats();
-  ASSERT_GT(warm.sort_builds + warm.group_builds, 0u);
+  ASSERT_EQ(warm.group_builds, 2u);
   DatasetRegistry::Stats before = registry.stats();
-  EXPECT_EQ(before.artifact_builds, warm.sort_builds + warm.group_builds);
+  EXPECT_EQ(before.artifact_builds, warm.group_builds);
   EXPECT_EQ(before.artifact_bytes, warm.bytes);
 
   // The replacement (generation bump) carries a fresh, empty bundle:
@@ -179,7 +171,6 @@ TEST(DatasetRegistryTest, ReplaceStartsAFreshArtifactBundle) {
   EXPECT_GT((*v2)->generation, (*v1)->generation);
   EXPECT_NE((*v2)->prepared.get(), (*v1)->prepared.get());
   data::PreparedStats fresh = (*v2)->prepared->stats();
-  EXPECT_EQ(fresh.sort_builds, 0u);
   EXPECT_EQ(fresh.group_builds, 0u);
   EXPECT_EQ(fresh.bytes, 0u);
 
@@ -196,9 +187,6 @@ TEST(DatasetRegistryTest, ArtifactBytesChargeAgainstTheBudget) {
   ASSERT_TRUE(probe.ok());
   const size_t one = (*probe)->memory_bytes;
   ASSERT_TRUE((*probe)->prepared->Groups("donated", {}).ok());
-  for (size_t a = 0; a < (*probe)->db.num_attributes(); ++a) {
-    (*probe)->prepared->Sorted(static_cast<int>(a));
-  }
   const size_t artifacts = (*probe)->prepared->stats().bytes;
   ASSERT_GT(artifacts, 0u);
   // The test needs artifacts to be the tie-breaker, not the dominant
@@ -221,9 +209,6 @@ TEST(DatasetRegistryTest, ArtifactBytesChargeAgainstTheBudget) {
   // Warm "a"'s bundle (this also refreshes its recency via Get).
   ASSERT_TRUE(registry.Get("a").ok());
   ASSERT_TRUE((*a)->prepared->Groups("donated", {}).ok());
-  for (size_t at = 0; at < (*a)->db.num_attributes(); ++at) {
-    (*a)->prepared->Sorted(static_cast<int>(at));
-  }
   DatasetRegistry::Stats warm = registry.stats();
   EXPECT_EQ(warm.artifact_bytes, artifacts);
 

@@ -80,14 +80,6 @@ TEST(JsonParseTest, WhitespaceTolerant) {
   EXPECT_EQ(v->Find("a")->AsArray().size(), 2u);
 }
 
-TEST(JsonEscapeTest, EscapesControlQuoteBackslash) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(JsonEscape(std::string_view("\x01", 1)), "\\u0001");
-}
-
 TEST(JsonNumberTest, IntegralAndFractionalRendering) {
   EXPECT_EQ(JsonNumber(3.0), "3");
   EXPECT_EQ(JsonNumber(-42.0), "-42");

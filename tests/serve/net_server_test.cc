@@ -81,6 +81,36 @@ TEST(NetServerTest, WarmHitAnsweredOnReaderThread) {
   EXPECT_EQ(stats.protocol_errors, 0u);
 }
 
+TEST(NetServerTest, PatternsReplyIsOneFrame) {
+  TestStack stack;
+  NetClient client = stack.Connect();
+  // The miss (answered by a run slot) and the hit (answered on the
+  // reader thread) render the patterns body on separate paths. Lock
+  // step: a split reply would leave its tail lines ahead of the ping's.
+  for (const char* id : {"1", "2"}) {
+    ASSERT_TRUE(
+        client.Send(Mine(id, R"({"depth":2})", R"(,"emit":"patterns")")).ok());
+    auto line = client.ReadLine();
+    ASSERT_TRUE(line.ok());
+    JsonValue reply = MustParse(*line);
+    EXPECT_EQ(reply.GetString("id"), id);
+    EXPECT_EQ(reply.GetString("verdict"), "ok");
+    const JsonValue* patterns = reply.Find("patterns");
+    ASSERT_NE(patterns, nullptr) << *line;
+    ASSERT_TRUE(patterns->IsArray());
+    EXPECT_GT(patterns->AsArray().size(), 0u);
+    EXPECT_EQ(static_cast<int64_t>(patterns->AsArray().size()),
+              reply.GetInt("patterns_found", -1));
+    // The next frame's reply starts on the very next line.
+    ASSERT_TRUE(client.Send(R"({"op":"ping","id":"after"})").ok());
+    auto next = client.ReadLine();
+    ASSERT_TRUE(next.ok());
+    JsonValue ping = MustParse(*next);
+    EXPECT_EQ(ping.GetString("op"), "ping");
+    EXPECT_EQ(ping.GetString("id"), "after");
+  }
+}
+
 TEST(NetServerTest, ProtocolErrorsKeepTheConnectionAlive) {
   TestStack stack;
   NetClient client = stack.Connect();

@@ -370,8 +370,8 @@ TEST(ServerTest, EveryRegistryEngineIsServableWithItsOwnRequestKey) {
 TEST(ServerTest, PreparedArtifactsReusedAcrossCacheMisses) {
   // The warm-path guarantee: a second mine that misses the ResultCache
   // (different config, same dataset) runs the engine again but rebuilds
-  // zero artifacts — sort indexes, root bounds and resolved groups all
-  // come out of the dataset's prepared bundle.
+  // zero artifacts — root bounds and resolved groups both come out of
+  // the dataset's prepared bundle.
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Load("breast", "synth:breast").ok());
 

@@ -74,5 +74,14 @@ TEST(FormatDoubleTest, CompactAndSpecials) {
   EXPECT_EQ(FormatDouble(std::numeric_limits<double>::quiet_NaN()), "nan");
 }
 
+TEST(JsonEscapeTest, EscapesControlQuoteBackslash) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(JsonEscape("a\rb"), "a\\rb");
+  EXPECT_EQ(JsonEscape(std::string_view("\x01", 1)), "\\u0001");
+}
+
 }  // namespace
 }  // namespace sdadcs::util

@@ -40,11 +40,9 @@
 //   --seed-sample N     mine a stratified N-row sample first to seed
 //                       the top-k pruning floor (results unchanged,
 //                       node counts usually much lower)
-//   --repeat N          mine the same request N times against one
-//                       prepared-artifact bundle (per-iteration wall
-//                       time on stderr; iteration 1 pays the artifact
-//                       builds, the rest run warm; on a paged dataset
-//                       each line also reports chunk residency)
+//   --repeat N          mine the same request N times (per-iteration
+//                       wall time on stderr; on a paged dataset each
+//                       line also reports chunk residency)
 //   --chunk-rows N      rows per column chunk (default 65536); results
 //                       are byte-identical for every chunk size
 //   --max-resident-bytes N
@@ -75,7 +73,6 @@
 #include "core/run_state.h"
 #include "core/validate.h"
 #include "data/csv.h"
-#include "data/prepared.h"
 #include "data/profile.h"
 #include "data/sample.h"
 #include "discretize/equal_bins.h"
@@ -302,11 +299,6 @@ int RunMine(const Flags& args, const sdadcs::data::Dataset& db) {
   sdadcs::core::MineRequest request;
   request.groups = &*gi;
   request.run_control = control;
-  // All iterations share one prepared-artifact bundle, so with
-  // --repeat the first pass pays the sort-index builds and the rest
-  // mine warm — the serving layer's steady state, without a server.
-  sdadcs::data::PreparedDataset prepared(&db);
-  request.prepared = &prepared;
   const int repeat = std::max(1, static_cast<int>(args.GetInt("repeat", 1)));
   sdadcs::util::StatusOr<sdadcs::core::MiningResult> result =
       sdadcs::util::Status::Internal("no mining iteration ran");
