@@ -107,17 +107,8 @@ struct MinerConfig {
     return meaningful_pruning && productivity_filter;
   }
 
-  /// Use the fused single-pass split+count kernels (SplitAndCount) in
-  /// the SDAD-CS recursion. The naive reference pipeline (per-cell
-  /// Selection::Filter + CountGroups) is kept behind this switch solely
-  /// so the differential tests can prove the fast path bit-identical;
-  /// there is no reason to turn it off in production.
-  bool columnar_kernels = true;
-
-  /// Which split+count kernel implementation to run (only consulted when
-  /// `columnar_kernels` is true). All kinds produce byte-identical
-  /// results; like `columnar_kernels` this is excluded from
-  /// Fingerprint().
+  /// Which split+count kernel implementation to run. All kinds produce
+  /// byte-identical results, so this is excluded from Fingerprint().
   KernelKind kernel = KernelKind::kAuto;
 
   /// Sample-seeded optimistic bounds: when > 0, MiningSession::Begin
@@ -183,11 +174,11 @@ struct MinerConfig {
   /// Stable 64-bit hash of the *semantic* fields — every knob that can
   /// change the mined patterns, each mixed under its own field tag so
   /// two configs collide only if they would produce identical output.
-  /// Deliberately not a hash of the struct bytes: `columnar_kernels` is
-  /// excluded (the fused kernels are proven byte-identical to the naive
-  /// pipeline by the differential tests), and a NaN `merge_alpha` is
-  /// canonicalized so "default" always hashes the same. The serving
-  /// layer's result cache keys on this; see core/request_key.h.
+  /// Deliberately not a hash of the struct bytes: the speed-only knobs
+  /// (`kernel`, `seed_sample_rows`) are excluded, and a NaN
+  /// `merge_alpha` is canonicalized so "default" always hashes the same.
+  /// The serving layer's result cache keys on this; see
+  /// core/request_key.h.
   uint64_t Fingerprint() const;
 };
 

@@ -197,25 +197,14 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
   std::vector<ContrastPattern> d;       // contrasts (Line 2)
   std::vector<ContrastPattern> d_temp;  // maybe-contrasts (Line 3)
 
-  // Split the space and count the children. The columnar path computes
-  // each row's cell in one pass and fuses the per-cell group counting
-  // into that same pass; the naive reference path (one Filter scan per
-  // cell, then one CountGroups scan per cell) is kept behind the switch
-  // so the differential tests can prove the outputs bit-identical.
-  std::vector<double> cuts;
-  std::vector<Space> cells;
-  std::vector<GroupCounts> fused_counts;
-  if (cfg.columnar_kernels) {
-    cuts = PartitionCuts(*ctx.db, call.space, cfg.split,
-                         &ctx.split_scratch.values, &ctx.split_scratch.select,
-                         ctx.kernel == KernelKind::kAvx2);
-    SplitResult split = SplitAndCountSharded(ctx, call.space, cuts);
-    cells = std::move(split.cells);
-    fused_counts = std::move(split.counts);
-  } else {
-    cuts = PartitionCuts(*ctx.db, call.space, cfg.split);
-    cells = FindCombs(*ctx.db, call.space, cuts);
-  }
+  // Split the space and count the children in one pass: each row's cell
+  // is computed and its group counted together (SplitAndCount; FindCombs
+  // + CountGroups, its per-cell reference, lives on as the test oracle).
+  const std::vector<double> cuts =
+      PartitionCuts(*ctx.db, call.space, cfg.split, &ctx.split_scratch.values,
+                    &ctx.split_scratch.select, ctx.kernel == KernelKind::kAvx2);
+  SplitResult split = SplitAndCountSharded(ctx, call.space, cuts);
+  const std::vector<Space>& cells = split.cells;
   if (cells.empty()) return {};
 
   const int item_count = static_cast<int>(call.cat_items.size() +
@@ -237,9 +226,7 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
       continue;
     }
 
-    GroupCounts gc = cfg.columnar_kernels
-                         ? std::move(fused_counts[ci])
-                         : CountGroupsSharded(ctx, cell.rows);
+    GroupCounts gc = std::move(split.counts[ci]);
     std::vector<double> supports = gc.Supports(*ctx.gi);
     double diff = SupportDifference(supports);
     double purity = PurityRatio(supports);

@@ -1,6 +1,9 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <limits>
 
 #include "core/report.h"
 #include "core/request_key.h"
@@ -26,6 +29,28 @@ std::string ExtractField(const std::string& message) {
   if (i < message.size() && message[i] == ':') return token;
   if (message.compare(i, 9, " must be ") == 0) return token;
   return "";
+}
+
+/// Reads the optional integer field `key` of `object` into `*out` (left
+/// alone when absent). Anything but an integral number in [0, max] —
+/// max capped at what T holds and at 2^53, the largest integer a JSON
+/// number carries exactly — is an invalid_argument naming `field`.
+template <typename T>
+std::optional<WireError> ReadCount(const JsonValue& object, const char* key,
+                                   const char* field, T* out,
+                                   uint64_t max = uint64_t{1} << 53) {
+  const JsonValue* v = object.Find(key);
+  if (v == nullptr) return std::nullopt;
+  max = std::min({max, uint64_t{1} << 53,
+                  static_cast<uint64_t>(std::numeric_limits<T>::max())});
+  const double x = v->IsNumber() ? v->AsNumber() : -1.0;
+  if (!(x >= 0.0 && x <= static_cast<double>(max) && x == std::floor(x))) {
+    return WireError{ErrorCode::kInvalidArgument, field,
+                     std::string(field) + " must be an integer in [0, " +
+                         std::to_string(max) + "]"};
+  }
+  *out = static_cast<T>(x);
+  return std::nullopt;
 }
 
 ErrorCode CodeFromStatus(const util::Status& status) {
@@ -130,10 +155,15 @@ std::optional<WireError> ParseMinerConfig(const JsonValue& request,
                      "\"config\" must be a JSON object"};
   }
   if (config != nullptr) {
-    cfg.max_depth = static_cast<int>(config->GetInt("depth", cfg.max_depth));
+    for (const auto& error :
+         {ReadCount(*config, "depth", "config.depth", &cfg.max_depth),
+          ReadCount(*config, "top", "config.top", &cfg.top_k),
+          ReadCount(*config, "seed_sample", "config.seed_sample",
+                    &cfg.seed_sample_rows)}) {
+      if (error) return error;
+    }
     cfg.delta = config->GetNumber("delta", cfg.delta);
     cfg.alpha = config->GetNumber("alpha", cfg.alpha);
-    cfg.top_k = static_cast<int>(config->GetInt("top", cfg.top_k));
     auto measure = MeasureFromString(config->GetString("measure", "diff"));
     if (!measure.ok()) {
       return WireError::FromStatus(measure.status(), "config.measure");
@@ -148,8 +178,6 @@ std::optional<WireError> ParseMinerConfig(const JsonValue& request,
       return WireError::FromStatus(kernel.status(), "config.kernel");
     }
     cfg.kernel = *kernel;
-    cfg.seed_sample_rows =
-        static_cast<size_t>(config->GetInt("seed_sample", 0));
   }
   *out = cfg;
   return std::nullopt;
@@ -182,24 +210,21 @@ std::optional<WireError> ParseMineCall(const JsonValue& request,
   frame.call.engine = spec->kind;
   frame.call.shards = spec->shard_count;
 
-  frame.deadline_ms = request.GetInt("deadline_ms", 0);
-  frame.node_budget =
-      static_cast<uint64_t>(request.GetInt("node_budget", 0));
+  for (const auto& error :
+       {ReadCount(request, "deadline_ms", "deadline_ms", &frame.deadline_ms,
+                  util::kMaxDeadlineMs),
+        ReadCount(request, "node_budget", "node_budget", &frame.node_budget)}) {
+    if (error) return error;
+  }
   frame.emit_patterns = request.GetString("emit", "summary") == "patterns";
   frame.anytime = request.GetBool("anytime", false);
   frame.tenant = request.GetString("tenant");
   frame.id = request.GetString("id");
-
-  frame.burst = request.GetInt("burst", 1);
-  if (frame.burst < 1) frame.burst = 1;
-  if (frame.burst > 256) {
+  // Burst mode (N concurrent copies of one mine) is gone; a client that
+  // wants concurrency pipelines frames on a socket instead.
+  if (request.GetNumber("burst", 1) > 1) {
     return WireError{ErrorCode::kInvalidArgument, "burst",
-                     "burst is capped at 256"};
-  }
-  if (frame.anytime && frame.burst > 1) {
-    // Concurrent burst copies would interleave their partial streams.
-    return WireError{ErrorCode::kInvalidArgument, "anytime",
-                     "anytime requires burst 1"};
+                     "no transport has burst: pipeline requests"};
   }
   *out = std::move(frame);
   return std::nullopt;
@@ -323,18 +348,16 @@ void RenderStats(const ServerStats& s, JsonObjectWriter* out) {
   w.AddRaw("admission", admission.Str());
 }
 
-std::string RenderPatternsBody(Server& server, const MineCall& call,
+std::string RenderPatternsBody(const MineCall& call,
                                const MineOutcome& outcome) {
-  if (outcome.result == nullptr) return "";
-  auto handle = server.Dataset(call.dataset);
-  if (!handle.ok()) return "";
+  if (outcome.result == nullptr || outcome.dataset == nullptr) return "";
+  const data::Dataset& db = outcome.dataset->db;
   core::MineRequest probe;
   probe.group_attr = call.group_attr;
   probe.group_values = call.group_values;
-  auto gi = core::ResolveRequestGroups((*handle)->db, probe);
+  auto gi = core::ResolveRequestGroups(db, probe);
   if (!gi.ok()) return "";
-  return core::PatternsToJson((*handle)->db, *gi,
-                              outcome.result->contrasts);
+  return core::PatternsToJson(db, *gi, outcome.result->contrasts);
 }
 
 }  // namespace sdadcs::serve

@@ -21,6 +21,8 @@ namespace sdadcs::serve {
 ///       stats / evict / cancel / ping / shutdown. Later additive (no
 ///       version bump): the "engines" op enumerating the engine
 ///       registry, and "sharded:<n>" accepted as a mine engine name.
+///       The stdin-only "burst" mine field was removed: a "burst" above
+///       1 is an invalid_argument error on every transport.
 inline constexpr int64_t kProtocolVersion = 1;
 
 /// The error taxonomy shared by every front end. Stable lower_snake wire
@@ -71,7 +73,6 @@ struct MineFrame {
   uint64_t node_budget = 0;
   bool emit_patterns = false;  ///< "emit":"patterns"
   bool anytime = false;
-  int64_t burst = 1;
   std::string tenant;  ///< quota bucket; "" = the default tenant
   std::string id;      ///< client correlation token, echoed verbatim
 };
@@ -82,15 +83,17 @@ std::optional<WireError> CheckProtocolVersion(const JsonValue& request);
 /// Parses the "config" object (depth/delta/alpha/top/measure/np/kernel/
 /// seed_sample) into a MinerConfig. Unknown measure / kernel names are
 /// errors naming "config.measure" / "config.kernel" — never a silent
-/// fall back to the default.
+/// fall back to the default — and an integer field that is not a
+/// non-negative integral number its C++ field can hold is an error
+/// naming it ("config.depth").
 std::optional<WireError> ParseMinerConfig(const JsonValue& request,
                                           core::MinerConfig* out);
 
 /// Parses one "mine" request into a MineFrame: required dataset + group,
-/// engine resolution through the registry names, config, limits, burst
-/// rules. This is the one request codec behind every front end — the
-/// stdin server, the socket server and the CLI share it so they cannot
-/// drift.
+/// engine resolution through the registry names, config, and the range-
+/// checked limits ("deadline_ms", "node_budget"). This is the one request
+/// codec behind every front end — the dispatcher both transports share
+/// and the CLI — so they cannot drift.
 std::optional<WireError> ParseMineCall(const JsonValue& request,
                                        MineFrame* out);
 
@@ -127,10 +130,10 @@ void RenderStats(const ServerStats& stats, JsonObjectWriter* out);
 void RenderEngines(JsonObjectWriter* out);
 
 /// The "emit":"patterns" body: the outcome's contrasts rendered against
-/// the resident dataset the result was mined from (attribute names live
-/// there). "" when the outcome has no result or the dataset has since
-/// been evicted.
-std::string RenderPatternsBody(Server& server, const MineCall& call,
+/// the dataset generation they were mined from (outcome.dataset — a
+/// later load under the same name does not change the reply). "" when
+/// the outcome has no result.
+std::string RenderPatternsBody(const MineCall& call,
                                const MineOutcome& outcome);
 
 }  // namespace sdadcs::serve

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "engine/registry.h"
+#include "util/flags.h"
 #include "util/timer.h"
 
 namespace sdadcs::serve {
@@ -162,6 +163,7 @@ MineOutcome Server::Mine(const MineCall& call) {
     return finish(outcome);
   }
 
+  outcome.dataset = *ds;
   const core::EngineKind engine =
       ResolveEngine(call.engine, (*ds)->db.num_rows());
   outcome.engine = engine;
@@ -289,6 +291,7 @@ bool Server::TryCacheHit(const MineCall& call, MineOutcome* out) {
   outcome.engine = engine;
   outcome.key = key;
   outcome.result = std::move(result);
+  outcome.dataset = std::move(ds);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++requests_;
@@ -296,6 +299,30 @@ bool Server::TryCacheHit(const MineCall& call, MineOutcome* out) {
   }
   *out = std::move(outcome);
   return true;
+}
+
+util::StatusOr<ServerOptions> ServerOptionsFromFlags(const util::Flags& flags) {
+  ServerOptions o;
+  size_t budget_mb = o.dataset_memory_budget >> 20;
+  for (const util::Status& status : {
+           flags.GetCount("max-concurrent", &o.max_concurrent_runs),
+           flags.GetCount("queue", &o.max_queue),
+           flags.GetCount("cache-capacity", &o.result_cache_capacity),
+           flags.GetCount("memory-budget-mb", &budget_mb, SIZE_MAX >> 20),
+           flags.GetCount("deadline-ms", &o.default_deadline_ms,
+                          util::kMaxDeadlineMs),
+           flags.GetCount("node-budget", &o.default_node_budget),
+           flags.GetCount("threads", &o.parallel_threads),
+           flags.GetCount("parallel-threshold", &o.parallel_threshold_rows),
+           flags.GetCount("window-rows", &o.window_rows),
+           flags.GetCount("equal-bins", &o.equal_bins),
+           flags.GetCount("shards", &o.shard_count),
+           flags.GetCount("chunk-rows", &o.chunk_rows),
+           flags.GetCount("max-resident-bytes", &o.max_resident_bytes)}) {
+    if (!status.ok()) return status;
+  }
+  o.dataset_memory_budget = budget_mb << 20;
+  return o;
 }
 
 bool Server::WaitIdle(int64_t timeout_ms) const {

@@ -15,6 +15,10 @@
 #include "util/run_control.h"
 #include "util/status.h"
 
+namespace sdadcs::util {
+class Flags;
+}  // namespace sdadcs::util
+
 namespace sdadcs::serve {
 
 /// Knobs of the in-process serving layer. Defaults suit tests and the
@@ -58,6 +62,13 @@ struct ServerOptions {
   // two different effective configurations. (shard_count additionally
   // never changes results — sharded mining is byte-identical to serial.)
 };
+
+/// ServerOptions from the flags both servers take (--max-concurrent,
+/// --queue, --cache-capacity, --memory-budget-mb, --deadline-ms,
+/// --node-budget, --threads, --parallel-threshold, --window-rows,
+/// --equal-bins, --shards, --chunk-rows, --max-resident-bytes), each a
+/// checked util::Flags::GetCount; absent flags keep the defaults.
+util::StatusOr<ServerOptions> ServerOptionsFromFlags(const util::Flags& flags);
 
 /// One mining request against a registered dataset.
 struct MineCall {
@@ -107,6 +118,10 @@ struct MineOutcome {
   /// engine); zero only when the call failed before the dataset lookup.
   core::RequestKey key;
   std::shared_ptr<const core::MiningResult> result;     ///< null unless kOk
+  /// The dataset generation the request resolved to (null when the
+  /// lookup failed): replies render patterns against it, so a later
+  /// load under the same name cannot change them.
+  std::shared_ptr<const ServedDataset> dataset;
   double queue_seconds = 0.0;  ///< time spent in the admission queue
   double run_seconds = 0.0;    ///< time inside the mining engine
   double total_seconds = 0.0;  ///< end-to-end inside Server::Mine
@@ -150,8 +165,7 @@ class Server {
   bool Evict(const std::string& name);
 
   /// Resident dataset lookup (registry Get: counts a hit/miss and
-  /// refreshes recency). Front ends use it to render pattern bodies
-  /// against the dataset a result was mined from.
+  /// refreshes recency).
   util::StatusOr<std::shared_ptr<const ServedDataset>> Dataset(
       const std::string& name);
 

@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "util/string_util.h"
 
@@ -56,6 +57,23 @@ int Flags::GetInt(const std::string& name, int fallback) const {
   if (it == values_.end()) return fallback;
   auto v = ParseInt(it->second);
   return v.has_value() ? static_cast<int>(*v) : fallback;
+}
+
+Status Flags::ParseCount(const std::string& name, uint64_t max,
+                         uint64_t* value) const {
+  auto it = values_.find(name);
+  if (it == values_.end()) return Status::OK();
+  const std::string& text = it->second;
+  const char* end = text.data() + text.size();
+  uint64_t parsed = 0;
+  auto [stop, error] = std::from_chars(text.data(), end, parsed);
+  if (error != std::errc() || stop != end || parsed > max) {
+    return Status::InvalidArgument("--" + name + " must be an integer in [0, " +
+                                   std::to_string(max) + "], got '" + text +
+                                   "'");
+  }
+  *value = parsed;
+  return Status::OK();
 }
 
 std::vector<std::string> Flags::GetList(const std::string& name) const {

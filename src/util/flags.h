@@ -1,6 +1,9 @@
 #ifndef SDADCS_UTIL_FLAGS_H_
 #define SDADCS_UTIL_FLAGS_H_
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -36,10 +39,29 @@ class Flags {
   double GetDouble(const std::string& name, double fallback) const;
   int GetInt(const std::string& name, int fallback) const;
 
+  /// Checked count: `*out` is left alone when the flag is absent and set
+  /// when it is a plain decimal integer in [0, max] (max capped at what T
+  /// holds); anything else is an InvalidArgument naming the flag.
+  template <typename T>
+  Status GetCount(const std::string& name, T* out,
+                  uint64_t max = UINT64_MAX) const {
+    uint64_t value = static_cast<uint64_t>(*out);
+    Status status = ParseCount(
+        name,
+        std::min(max, static_cast<uint64_t>(std::numeric_limits<T>::max())),
+        &value);
+    if (status.ok()) *out = static_cast<T>(value);
+    return status;
+  }
+
   /// Comma-separated list value.
   std::vector<std::string> GetList(const std::string& name) const;
 
  private:
+  /// GetCount's parse; `*value` is replaced only when the flag is set.
+  Status ParseCount(const std::string& name, uint64_t max,
+                    uint64_t* value) const;
+
   std::vector<std::string> positional_;
   std::map<std::string, std::string> values_;
 };

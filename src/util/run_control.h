@@ -20,6 +20,10 @@ enum class StopReason {
 /// Stable lower_snake name (e.g. "deadline_exceeded"); "none" for kNone.
 const char* StopReasonToString(StopReason reason);
 
+/// The longest budget set_deadline_after takes, 2^42 ms (~139 years):
+/// its steady-clock nanoseconds overflow int64 ~292 years past epoch.
+inline constexpr int64_t kMaxDeadlineMs = int64_t{1} << 42;
+
 /// Opaque base for engine-defined progress payloads. Lives in util so
 /// RunProgress can carry engine data without util depending on core;
 /// the mining layer subclasses it (core::AnytimeSnapshot) and consumers

@@ -75,16 +75,6 @@ TEST(ConfigFingerprintTest, EverySemanticFieldPerturbsTheHash) {
   }
 }
 
-TEST(ConfigFingerprintTest, ColumnarKernelsIsNotSemantic) {
-  // The fused kernels are proven byte-identical to the naive pipeline by
-  // the differential tests, so both settings may share a cache entry.
-  MinerConfig fused;
-  fused.columnar_kernels = true;
-  MinerConfig naive;
-  naive.columnar_kernels = false;
-  EXPECT_EQ(fused.Fingerprint(), naive.Fingerprint());
-}
-
 TEST(ConfigFingerprintTest, KernelAndSeedSampleRowsAreNotSemantic) {
   // Both knobs are speed-only: the vectorized kernel is byte-identical
   // to the scalar one (differential tests), and sample-seeded bounds are

@@ -138,41 +138,6 @@ std::string RenderResult(const std::vector<ContrastPattern>& patterns) {
   return out;
 }
 
-TEST(DifferentialTest, ColumnarKernelsMatchNaivePathExactly) {
-  // The fused split+count kernel must be a pure optimization: with
-  // columnar_kernels flipped off, the miner walks the seed's naive
-  // FindCombs + per-cell CountGroups path, and the mined output must be
-  // byte-identical on every dataset — same patterns, same order, same
-  // counts and statistics to the last bit.
-  for (const std::string& name :
-       {std::string("adult"), std::string("breast"),
-        std::string("transfusion"), std::string("shuttle")}) {
-    synth::NamedDataset nd = synth::MakeUciLike(name, /*seed=*/7);
-    auto attr = nd.db.schema().IndexOf(nd.group_attr);
-    ASSERT_TRUE(attr.ok());
-    auto gi = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
-    ASSERT_TRUE(gi.ok());
-
-    MinerConfig cfg;
-    cfg.max_depth = 2;
-    cfg.top_k = 50;
-
-    cfg.columnar_kernels = true;
-    auto fused = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
-    ASSERT_TRUE(fused.ok());
-
-    cfg.columnar_kernels = false;
-    auto naive = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
-    ASSERT_TRUE(naive.ok());
-
-    EXPECT_EQ(RenderResult(fused->contrasts), RenderResult(naive->contrasts))
-        << "dataset " << name;
-    EXPECT_EQ(fused->counters.partitions_evaluated,
-              naive->counters.partitions_evaluated)
-        << "dataset " << name;
-  }
-}
-
 TEST(DifferentialTest, ScalarAndVectorizedKernelsMatchExactly) {
   // KernelKind is a pure speed knob: the AVX2 kernel vectorizes only the
   // interval comparisons (with ordered predicates that reject NaN like

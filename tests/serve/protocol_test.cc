@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/interest.h"
 #include "core/split_kernel.h"
 
@@ -90,7 +94,6 @@ TEST(ParseMineCallTest, MinimalRequest) {
   EXPECT_FALSE(error.has_value());
   EXPECT_EQ(frame.call.dataset, "d");
   EXPECT_EQ(frame.call.group_attr, "class");
-  EXPECT_EQ(frame.burst, 1);
   EXPECT_TRUE(frame.call.use_cache);
   EXPECT_FALSE(frame.emit_patterns);
 }
@@ -202,29 +205,67 @@ TEST(ParseMineCallTest, UnknownMeasureKernelEngineAreErrors) {
   EXPECT_EQ(error->field, "engine");
 }
 
-TEST(ParseMineCallTest, BurstRules) {
+TEST(ParseMineCallTest, BurstAboveOneIsRejected) {
   MineFrame frame;
   auto error = ParseMineCall(
       Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
-            "\"burst\":257}"),
+            "\"burst\":4}"),
       &frame);
   ASSERT_TRUE(error.has_value());
-  EXPECT_EQ(error->field, "burst");
+  EXPECT_EQ(error->ToText(),
+            "invalid_argument[burst]: no transport has burst: pipeline "
+            "requests");
 
+  // A single copy is what every mine is anyway.
   error = ParseMineCall(
       Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
-            "\"burst\":4,\"anytime\":true}"),
-      &frame);
-  ASSERT_TRUE(error.has_value());
-  EXPECT_EQ(error->field, "anytime");
-
-  // Sub-1 values clamp to a single request rather than erroring.
-  error = ParseMineCall(
-      Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
-            "\"burst\":0}"),
+            "\"burst\":1}"),
       &frame);
   EXPECT_FALSE(error.has_value());
-  EXPECT_EQ(frame.burst, 1);
+}
+
+// Every integer field is range-checked before it reaches a narrower C++
+// type: a value that would wrap, truncate or overflow is an error naming
+// the field, never a different request.
+TEST(ParseMineCallTest, IntegerFieldsAreRangeChecked) {
+  const std::string head =
+      "{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\",";
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"\"config\":{\"depth\":4294967298}", "config.depth"},
+      {"\"config\":{\"depth\":2.5}", "config.depth"},
+      {"\"config\":{\"depth\":-1}", "config.depth"},
+      {"\"config\":{\"depth\":\"2\"}", "config.depth"},
+      {"\"config\":{\"top\":1e10}", "config.top"},
+      {"\"config\":{\"seed_sample\":-5}", "config.seed_sample"},
+      {"\"config\":{\"seed_sample\":1e300}", "config.seed_sample"},
+      {"\"node_budget\":-1", "node_budget"},
+      {"\"node_budget\":0.5", "node_budget"},
+      {"\"node_budget\":1e19", "node_budget"},
+      {"\"deadline_ms\":1e30", "deadline_ms"},
+      {"\"deadline_ms\":-10", "deadline_ms"},
+  };
+  for (const auto& [fields, field] : bad) {
+    MineFrame frame;
+    auto error = ParseMineCall(Parse(head + fields + "}"), &frame);
+    ASSERT_TRUE(error.has_value()) << fields;
+    EXPECT_EQ(error->code, ErrorCode::kInvalidArgument) << fields;
+    EXPECT_EQ(error->field, field) << fields;
+  }
+
+  // In range, including integral values written with an exponent.
+  MineFrame frame;
+  auto error = ParseMineCall(
+      Parse(head +
+            "\"node_budget\":1e6,\"deadline_ms\":0,"
+            "\"config\":{\"depth\":3,\"top\":2147483647,"
+            "\"seed_sample\":9007199254740992}}"),
+      &frame);
+  ASSERT_FALSE(error.has_value()) << error->ToText();
+  EXPECT_EQ(frame.node_budget, 1000000u);
+  EXPECT_EQ(frame.deadline_ms, 0);
+  EXPECT_EQ(frame.call.config.max_depth, 3);
+  EXPECT_EQ(frame.call.config.top_k, 2147483647);
+  EXPECT_EQ(frame.call.config.seed_sample_rows, size_t{1} << 53);
 }
 
 TEST(EnumParsersTest, MeasureAndKernelNames) {

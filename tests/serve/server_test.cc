@@ -18,6 +18,7 @@
 #include "engine/registry.h"
 #include "gtest/gtest.h"
 #include "serve/dataset_registry.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "util/run_control.h"
 
@@ -413,6 +414,36 @@ TEST(ServerTest, ReplacingADatasetInvalidatesItsCachedResults) {
   MineOutcome gone = server.Mine(BreastCall());
   EXPECT_EQ(gone.verdict, Verdict::kError);
   EXPECT_EQ(gone.status.code(), util::StatusCode::kNotFound);
+}
+
+// "emit":"patterns" renders a result against the generation it was
+// mined from, even when a load replaced the name before the reply was
+// rendered (synth:breast is narrower than synth:ionosphere: rendering
+// the old patterns against it would index past its schema).
+TEST(ServerTest, PatternsRenderAgainstTheGenerationTheyWereMinedFrom) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Load("d", "synth:ionosphere").ok());
+  MineCall call;
+  call.dataset = "d";
+  call.config = TestConfig();
+  call.group_attr = "class";
+  MineOutcome mined = server.Mine(call);
+  ASSERT_EQ(mined.verdict, Verdict::kOk);
+  ASSERT_FALSE(mined.result->contrasts.empty());
+  MineOutcome hit;
+  ASSERT_TRUE(server.TryCacheHit(call, &hit));
+  const std::string expected = RenderPatternsBody(call, mined);
+
+  ASSERT_TRUE(server.Load("d", "synth:breast").ok());
+  for (const MineOutcome* outcome : {&mined, &hit}) {
+    const std::string body = RenderPatternsBody(call, *outcome);
+    EXPECT_EQ(body, expected);
+    EXPECT_NE(body.find("\"attr\": \"pulse_"), std::string::npos);
+    EXPECT_NE(body.find("\"g\": "), std::string::npos);
+    EXPECT_EQ(body.find("nucleoli"), std::string::npos);
+    EXPECT_EQ(body.find("Malignant"), std::string::npos);
+    EXPECT_EQ(body.find("Benign"), std::string::npos);
+  }
 }
 
 }  // namespace

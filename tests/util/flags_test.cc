@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace sdadcs::util {
 namespace {
 
@@ -54,6 +56,58 @@ TEST(FlagsTest, FallbacksOnAbsentOrGarbage) {
   EXPECT_DOUBLE_EQ(f->GetDouble("missing", 0.5), 0.5);
   EXPECT_EQ(f->Get("missing", "dft"), "dft");
   EXPECT_TRUE(f->GetList("missing").empty());
+}
+
+TEST(FlagsTest, CountStoresAnInRangeIntegerAndKeepsTheDefaultWhenAbsent) {
+  auto f = ParseAll({"--max-resident-bytes", "4294987296", "--shards", "0"});
+  ASSERT_TRUE(f.ok());
+  size_t bytes = 7;
+  ASSERT_TRUE(f->GetCount("max-resident-bytes", &bytes).ok());
+  EXPECT_EQ(bytes, 4294987296u);  // not narrowed to 20000
+  int shards = 5;
+  ASSERT_TRUE(f->GetCount("shards", &shards).ok());
+  EXPECT_EQ(shards, 0);
+  int absent = 9;
+  ASSERT_TRUE(f->GetCount("missing", &absent).ok());
+  EXPECT_EQ(absent, 9);
+}
+
+TEST(FlagsTest, CountRejectsGarbageNegativesAndOverflowNamingTheFlag) {
+  auto f = ParseAll({"--shards", "abc", "--chunk-rows", "-1", "--queue",
+                     "4294987296", "--threads", "2.0", "--budget", "1e6",
+                     "--cap", "10"});
+  ASSERT_TRUE(f.ok());
+  size_t shards = 3;
+  Status status = f->GetCount("shards", &shards);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("--shards"), std::string::npos);
+  EXPECT_NE(status.message().find("'abc'"), std::string::npos);
+  EXPECT_EQ(shards, 3u);  // untouched on error
+
+  size_t chunk_rows = 0;
+  status = f->GetCount("chunk-rows", &chunk_rows);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("--chunk-rows"), std::string::npos);
+
+  // 4294987296 fits a size_t but not an int: an error, not 20000.
+  int queue = 8;
+  status = f->GetCount("queue", &queue);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("--queue"), std::string::npos);
+  EXPECT_EQ(queue, 8);
+  uint64_t wide = 0;
+  EXPECT_TRUE(f->GetCount("queue", &wide).ok());
+  EXPECT_EQ(wide, 4294987296u);
+
+  size_t threads = 0;
+  EXPECT_FALSE(f->GetCount("threads", &threads).ok());
+  uint64_t budget = 0;
+  EXPECT_FALSE(f->GetCount("budget", &budget).ok());
+
+  // An explicit bound below the type's range.
+  int cap = 0;
+  EXPECT_TRUE(f->GetCount("cap", &cap, 10).ok());
+  EXPECT_FALSE(f->GetCount("cap", &cap, 9).ok());
 }
 
 TEST(FlagsTest, LaterValueWins) {

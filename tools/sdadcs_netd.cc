@@ -15,6 +15,11 @@
 // printed on the "listening" line and, with --port-file, written to PATH
 // so scripts can wait for readiness and read the port in one step.
 //
+// Every flag but --host and --port-file takes a decimal integer its
+// setting can hold; anything else exits 2 naming the flag. Frames go to
+// the op dispatcher sdadcs_serve runs on stdin (serve/dispatcher.h);
+// connections are pipelined, replies correlated by "id".
+//
 // Shuts down on {"op":"shutdown"} from any client, SIGINT or SIGTERM —
 // always via graceful drain: stop accepting, answer everything already
 // received, flush, then exit.
@@ -43,7 +48,6 @@ int main(int argc, char** argv) {
   using sdadcs::serve::NetServer;
   using sdadcs::serve::NetServerOptions;
   using sdadcs::serve::Server;
-  using sdadcs::serve::ServerOptions;
 
   auto flags = sdadcs::util::Flags::Parse(argc, argv, {});
   if (!flags.ok()) {
@@ -52,35 +56,23 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  ServerOptions options;
-  options.max_concurrent_runs = flags->GetInt("max-concurrent", 2);
-  options.max_queue = flags->GetInt("queue", 8);
-  options.result_cache_capacity =
-      static_cast<size_t>(flags->GetInt("cache-capacity", 256));
-  options.dataset_memory_budget =
-      static_cast<size_t>(flags->GetInt("memory-budget-mb", 0)) * 1024 * 1024;
-  options.default_deadline_ms = flags->GetInt("deadline-ms", 0);
-  options.default_node_budget =
-      static_cast<uint64_t>(flags->GetDouble("node-budget", 0));
-  options.parallel_threads = static_cast<size_t>(flags->GetInt("threads", 0));
-  options.parallel_threshold_rows =
-      static_cast<size_t>(flags->GetInt("parallel-threshold", 100000));
-  options.window_rows = static_cast<size_t>(flags->GetInt("window-rows", 0));
-  options.equal_bins = flags->GetInt("equal-bins", 10);
-  options.shard_count = static_cast<size_t>(flags->GetInt("shards", 0));
-  options.chunk_rows = static_cast<size_t>(flags->GetInt("chunk-rows", 0));
-  options.max_resident_bytes =
-      static_cast<size_t>(flags->GetInt("max-resident-bytes", 0));
-
+  auto options = sdadcs::serve::ServerOptionsFromFlags(*flags);
   NetServerOptions net_options;
-  net_options.host = flags->Get("host", "127.0.0.1");
-  net_options.port = flags->GetInt("port", 0);
-  net_options.max_connections = flags->GetInt("max-connections", 256);
-  net_options.executor_threads = flags->GetInt("executor-threads", 0);
-  net_options.executor_backlog = flags->GetInt("executor-backlog", 64);
-  net_options.tenant_max_inflight = flags->GetInt("tenant-quota", 0);
+  net_options.host = flags->Get("host", net_options.host);
+  for (const sdadcs::util::Status& status : {
+           options.status(),
+           flags->GetCount("port", &net_options.port, 65535),
+           flags->GetCount("max-connections", &net_options.max_connections),
+           flags->GetCount("executor-threads", &net_options.executor_threads),
+           flags->GetCount("executor-backlog", &net_options.executor_backlog),
+           flags->GetCount("tenant-quota", &net_options.tenant_max_inflight)}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "sdadcs_netd: %s\n", status.message().c_str());
+      return 2;
+    }
+  }
 
-  Server server(options);
+  Server server(*options);
   NetServer net(server, net_options);
   auto started = net.Start();
   if (!started.ok()) {

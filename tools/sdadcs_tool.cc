@@ -31,6 +31,8 @@
 //   --deadline-ms N     wall-clock budget; on expiry the run drains and
 //                       the best-so-far patterns are printed
 //   --node-budget N     stop after evaluating ~N partitions/itemsets
+//                       (these two, --shards, --chunk-rows and
+//                       --max-resident-bytes exit 2 on a bad count)
 //   --anytime           stream monotonically-improving best-so-far
 //                       "partial:" lines to stderr while the exhaustive
 //                       run completes (final results on stdout are
@@ -61,6 +63,7 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -102,17 +105,30 @@ sdadcs::util::RunControl& GlobalRunControl() {
 
 extern "C" void HandleSigint(int) { GlobalRunControl().Cancel(); }
 
+// A checked count flag (Flags::GetCount), 0 when absent; a bad value
+// exits 2.
+template <typename T>
+T CountFlag(const Flags& args, const std::string& name,
+            uint64_t max = UINT64_MAX) {
+  T value = 0;
+  sdadcs::util::Status status = args.GetCount(name, &value, max);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.message().c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 // Applies --deadline-ms / --node-budget to the global control and
 // returns a copy (copies share state, so SIGINT still reaches it).
 sdadcs::util::RunControl RunControlFromArgs(const Flags& args) {
   sdadcs::util::RunControl& control = GlobalRunControl();
   if (args.Has("deadline-ms")) {
-    control.set_deadline_after(
-        std::chrono::milliseconds(args.GetInt("deadline-ms", 0)));
+    control.set_deadline_after(std::chrono::milliseconds(CountFlag<int64_t>(
+        args, "deadline-ms", sdadcs::util::kMaxDeadlineMs)));
   }
   if (args.Has("node-budget")) {
-    control.set_node_budget(
-        static_cast<uint64_t>(args.GetInt("node-budget", 0)));
+    control.set_node_budget(CountFlag<uint64_t>(args, "node-budget"));
   }
   return control;
 }
@@ -226,7 +242,7 @@ int RunMine(const Flags& args, const sdadcs::data::Dataset& db) {
       static_cast<size_t>(args.GetInt("threads", 0));
   eopts.window_rows = static_cast<size_t>(args.GetInt("window-rows", 0));
   eopts.equal_bins = static_cast<int>(args.GetInt("bins", 10));
-  eopts.shard_count = static_cast<size_t>(args.GetInt("shards", 0));
+  eopts.shard_count = CountFlag<size_t>(args, "shards");
   sdadcs::util::StatusOr<std::unique_ptr<sdadcs::engine::Engine>> miner =
       sdadcs::engine::EngineRegistry::Global().Create(
           args.Get("engine", "serial"), cfg, eopts);
@@ -464,10 +480,9 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSigint);
 
   sdadcs::serve::DatasetLoadOptions load_options;
-  load_options.chunk_rows =
-      static_cast<size_t>(flags->GetInt("chunk-rows", 0));
+  load_options.chunk_rows = CountFlag<size_t>(*flags, "chunk-rows");
   load_options.max_resident_bytes =
-      static_cast<size_t>(flags->GetInt("max-resident-bytes", 0));
+      CountFlag<size_t>(*flags, "max-resident-bytes");
   auto db = sdadcs::serve::LoadDatasetFromSpec(csv_path, load_options);
   if (!db.ok()) {
     std::fprintf(stderr, "failed to read '%s': %s\n", csv_path.c_str(),
