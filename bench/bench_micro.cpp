@@ -29,7 +29,6 @@
 #include "data/order_stats.h"
 #include "data/prepared.h"
 #include "data/spill.h"
-#include "parallel/sharded_miner.h"
 #include "stats/chi_squared.h"
 #include "stats/fisher.h"
 #include "stream/window_miner.h"
@@ -265,12 +264,11 @@ void BM_SplitAndCountTwoAxes(benchmark::State& state) {
 }
 BENCHMARK(BM_SplitAndCountTwoAxes);
 
-// Cold-mine latency attack: end-to-end mine of a scaling dataset,
-// baseline (scalar kernel, no bound seeding) against the attack
-// configuration (vectorized kernel + sample-seeded optimistic bounds),
-// plus the anytime time-to-first-result fraction and the pruning
-// counters with and without seeding. The attack must not change the
-// answer — every knob involved is a pure speed knob.
+// Cold-mine kernels: end-to-end mine of a scaling dataset under the
+// scalar kernel (the differential oracle) and the AVX2 kernel, plus the
+// anytime time-to-first-result fraction and the run's pruning counters.
+// The kernel is a pure speed knob, so both runs must return the same
+// answer.
 void AddColdMineCases(bench::BenchJson* json, bool smoke) {
   synth::ScalingOptions opt;
   opt.rows = smoke ? 8000 : 60000;
@@ -282,7 +280,6 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
   auto gi_or = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
   SDADCS_CHECK(gi_or.ok());
   const data::GroupInfo& gi = *gi_or;
-  const size_t seed_rows = smoke ? 1000 : 4000;
 
   core::MinerConfig cfg;
   cfg.max_depth = 2;
@@ -294,52 +291,34 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
   // noise can swamp a single run.
   constexpr int kReps = 3;
 
-  // Baseline: the seed repo's cold-mine path.
   cfg.kernel = core::KernelKind::kScalar;
-  cfg.seed_sample_rows = 0;
-  util::StatusOr<core::MiningResult> baseline =
-      util::Status::Internal("unset");
-  double base_sec = 1e30;
+  util::StatusOr<core::MiningResult> scalar = util::Status::Internal("unset");
+  double scalar_sec = 1e30;
   for (int rep = 0; rep < kReps; ++rep) {
-    util::WallTimer base_timer;
-    baseline = core::Miner(cfg).Mine(nd.db, req);
-    base_sec = std::min(base_sec, base_timer.Seconds());
-    SDADCS_CHECK(baseline.ok());
+    util::WallTimer timer;
+    scalar = core::Miner(cfg).Mine(nd.db, req);
+    scalar_sec = std::min(scalar_sec, timer.Seconds());
+    SDADCS_CHECK(scalar.ok());
   }
 
-  // Attack: vectorized kernel + sample-seeded bounds.
   cfg.kernel = core::KernelKind::kAvx2;
-  cfg.seed_sample_rows = seed_rows;
-  util::StatusOr<core::MiningResult> fast = util::Status::Internal("unset");
-  double fast_sec = 1e30;
+  util::StatusOr<core::MiningResult> avx2 = util::Status::Internal("unset");
+  double avx2_sec = 1e30;
   for (int rep = 0; rep < kReps; ++rep) {
-    util::WallTimer fast_timer;
-    fast = core::Miner(cfg).Mine(nd.db, req);
-    fast_sec = std::min(fast_sec, fast_timer.Seconds());
-    SDADCS_CHECK(fast.ok());
+    util::WallTimer timer;
+    avx2 = core::Miner(cfg).Mine(nd.db, req);
+    avx2_sec = std::min(avx2_sec, timer.Seconds());
+    SDADCS_CHECK(avx2.ok());
   }
 
-  SDADCS_CHECK(fast->contrasts.size() == baseline->contrasts.size());
-  for (size_t i = 0; i < fast->contrasts.size(); ++i) {
-    SDADCS_CHECK(fast->contrasts[i].itemset.Key() ==
-                 baseline->contrasts[i].itemset.Key());
-    SDADCS_CHECK(fast->contrasts[i].measure ==
-                 baseline->contrasts[i].measure);
+  SDADCS_CHECK(avx2->contrasts.size() == scalar->contrasts.size());
+  for (size_t i = 0; i < avx2->contrasts.size(); ++i) {
+    SDADCS_CHECK(avx2->contrasts[i].itemset.Key() ==
+                 scalar->contrasts[i].itemset.Key());
+    SDADCS_CHECK(avx2->contrasts[i].measure == scalar->contrasts[i].measure);
   }
 
-  // Seeding-only run: isolates the node-count effect of the seeded
-  // bound for the counter report below.
-  cfg.kernel = core::KernelKind::kScalar;
-  auto seeded = core::Miner(cfg).Mine(nd.db, req);
-  SDADCS_CHECK(seeded.ok());
-
-  // Anytime streaming on the latency-first configuration: vectorized
-  // kernel, seeding off. The seed pre-pass trades first-result latency
-  // for total wall time, which is exactly the opposite of what an
-  // --anytime caller wants, so the time-to-first-result is measured on
-  // the configuration such a caller would run.
-  cfg.kernel = core::KernelKind::kAvx2;
-  cfg.seed_sample_rows = 0;
+  // Anytime streaming under the AVX2 kernel.
   core::MineRequest any_req;
   any_req.groups = &gi;
   any_req.run_control.set_anytime(true);
@@ -357,53 +336,40 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
   SDADCS_CHECK(first_partial_sec >= 0.0);
   double ttfr_fraction =
       any_sec > 0.0 ? first_partial_sec / any_sec : 0.0;
-  double mine_speedup = fast_sec > 0.0 ? base_sec / fast_sec : 0.0;
+  double avx2_speedup = avx2_sec > 0.0 ? scalar_sec / avx2_sec : 0.0;
 
-  std::printf("\n== cold mine: scalar+unseeded vs avx2+seeded (%s rows) ==\n",
+  std::printf("\n== cold mine: scalar vs avx2 kernel (%s rows) ==\n",
               std::to_string(nd.db.num_rows()).c_str());
-  std::printf("baseline %.4fs | attack %.4fs | speedup %.2fx\n", base_sec,
-              fast_sec, mine_speedup);
+  std::printf("scalar %.4fs | avx2 %.4fs | speedup %.2fx\n", scalar_sec,
+              avx2_sec, avx2_speedup);
   std::printf("anytime: first result at %.4fs of %.4fs (%.1f%%)\n",
               first_partial_sec, any_sec, 100.0 * ttfr_fraction);
-  std::printf("counters (unseeded vs seeded, scalar kernel):\n");
-  std::printf("  partitions_evaluated %llu vs %llu\n",
+  std::printf("counters: partitions_evaluated %llu, pruned_oe_measure %llu, "
+              "pruned_oe_chi2 %llu\n",
               static_cast<unsigned long long>(
-                  baseline->counters.partitions_evaluated),
+                  scalar->counters.partitions_evaluated),
               static_cast<unsigned long long>(
-                  seeded->counters.partitions_evaluated));
-  std::printf("  pruned_oe_measure    %llu vs %llu\n",
+                  scalar->counters.pruned_oe_measure),
               static_cast<unsigned long long>(
-                  baseline->counters.pruned_oe_measure),
-              static_cast<unsigned long long>(
-                  seeded->counters.pruned_oe_measure));
-  std::printf("  pruned_oe_chi2       %llu vs %llu\n",
-              static_cast<unsigned long long>(
-                  baseline->counters.pruned_oe_chi2),
-              static_cast<unsigned long long>(
-                  seeded->counters.pruned_oe_chi2));
+                  scalar->counters.pruned_oe_chi2));
 
   json->BeginCase("cold_mine_scaling");
   json->SetCase("rows", static_cast<uint64_t>(nd.db.num_rows()));
-  json->SetCase("seed_sample_rows", static_cast<uint64_t>(seed_rows));
-  json->SetCase("baseline_wall_seconds", base_sec);
-  json->SetCase("attack_wall_seconds", fast_sec);
-  json->SetCase("mine_speedup", mine_speedup);
+  json->SetCase("scalar_wall_seconds", scalar_sec);
+  json->SetCase("avx2_wall_seconds", avx2_sec);
+  json->SetCase("avx2_speedup", avx2_speedup);
   json->SetCase("anytime_first_result_seconds", first_partial_sec);
   json->SetCase("anytime_total_seconds", any_sec);
   json->SetCase("anytime_ttfr_fraction", ttfr_fraction);
-  json->SetCase("unseeded_partitions",
-                baseline->counters.partitions_evaluated);
-  json->SetCase("seeded_partitions",
-                seeded->counters.partitions_evaluated);
-  json->SetCase("unseeded_pruned_oe", baseline->counters.pruned_oe_measure);
-  json->SetCase("seeded_pruned_oe", seeded->counters.pruned_oe_measure);
+  json->SetCase("partitions", scalar->counters.partitions_evaluated);
+  json->SetCase("pruned_oe", scalar->counters.pruned_oe_measure);
 }
 
-// Sharded cold mine: the serial miner against the shard-merge engine
-// (4 row shards) on the same end-to-end mine. The sharded engine's
-// contract is byte-identity — the coordinator replays the serial
-// decision order and only the counting scans fan out — so beyond the
-// wall times this asserts the two pattern lists match exactly.
+// Sharded cold mine: the one-shard miner against the same miner on 4
+// row shards, on the same end-to-end mine. Sharding's contract is
+// byte-identity — the coordinator keeps the serial decision order and
+// only the counting scans fan out — so beyond the wall times this
+// asserts the two pattern lists match exactly.
 void AddShardedColdMineCase(bench::BenchJson* json, bool smoke) {
   synth::ScalingOptions opt;
   opt.rows = smoke ? 8000 : 60000;
@@ -434,7 +400,7 @@ void AddShardedColdMineCase(bench::BenchJson* json, bool smoke) {
     SDADCS_CHECK(serial.ok());
   }
 
-  parallel::ShardedMiner sharded_miner(cfg, kShards);
+  core::Miner sharded_miner(cfg, kShards);
   util::StatusOr<core::MiningResult> sharded =
       util::Status::Internal("unset");
   double sharded_sec = 1e30;

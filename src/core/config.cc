@@ -116,10 +116,9 @@ uint64_t MinerConfig::Fingerprint() const {
   h = MixBool(h, "pure_space_pruning", pure_space_pruning);
   h = MixBool(h, "chi_bound_pruning", chi_bound_pruning);
   h = MixBool(h, "productivity_filter", productivity_filter);
-  // `kernel` and `seed_sample_rows` are intentionally NOT hashed: every
-  // kernel kind is differential-tested bit-exact, and a seeded run that
-  // would diverge from the unseeded result set falls back to the
-  // unseeded run, so all their settings may share one cache entry.
+  // `kernel` is intentionally NOT hashed: every kernel kind is
+  // differential-tested bit-exact, so all its settings may share one
+  // cache entry.
   h = MixBool(h, "merge_spaces", merge_spaces);
   h = MixDouble(h, "merge_alpha", merge_alpha);
   h = MixBool(h, "independently_productive_filter",

@@ -111,18 +111,6 @@ struct MinerConfig {
   /// byte-identical results, so this is excluded from Fingerprint().
   KernelKind kernel = KernelKind::kAuto;
 
-  /// Sample-seeded optimistic bounds: when > 0, MiningSession::Begin
-  /// mines a stratified subsample of this many rows, re-scores the
-  /// sample's patterns on the full data, and seeds the top-k threshold
-  /// floor with (a safety-discounted) k-th best re-scored measure so
-  /// optimistic-estimate pruning bites from node one. The final result
-  /// set is guarded: if the seeded run surfaces fewer than top_k
-  /// patterns at or above the seed floor, the miner transparently
-  /// re-runs unseeded, so seeding can only ever change node counts, not
-  /// results. 0 (default) disables the pre-pass. Excluded from
-  /// Fingerprint() for that reason.
-  size_t seed_sample_rows = 0;
-
   /// Bottom-up merging of contiguous similar spaces (Lines 26-29 of
   /// Algorithm 1).
   bool merge_spaces = true;
@@ -174,9 +162,9 @@ struct MinerConfig {
   /// Stable 64-bit hash of the *semantic* fields — every knob that can
   /// change the mined patterns, each mixed under its own field tag so
   /// two configs collide only if they would produce identical output.
-  /// Deliberately not a hash of the struct bytes: the speed-only knobs
-  /// (`kernel`, `seed_sample_rows`) are excluded, and a NaN
-  /// `merge_alpha` is canonicalized so "default" always hashes the same.
+  /// Deliberately not a hash of the struct bytes: the speed-only
+  /// `kernel` knob is excluded, and a NaN `merge_alpha` is canonicalized
+  /// so "default" always hashes the same.
   /// The serving layer's result cache keys on this; see
   /// core/request_key.h.
   uint64_t Fingerprint() const;

@@ -1,13 +1,47 @@
 #include "core/miner.h"
 
 #include <algorithm>
+#include <optional>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/pruning.h"
 #include "core/search.h"
+#include "core/shard_exec.h"
+#include "core/split_kernel.h"
 #include "core/topk.h"
+#include "data/shard.h"
 #include "engine/session.h"
+#include "util/thread_pool.h"
 
 namespace sdadcs::core {
+
+namespace {
+
+// The row-shard fan-out of one multi-shard mine: the plan, a pool no
+// wider than the plan or the host, and one split scratch per shard (the
+// split kernel's scratch is single-owner, and each shard's slice runs on
+// its own pool thread).
+struct ShardFanOut {
+  ShardFanOut(size_t rows, size_t shards)
+      : plan(rows, shards),
+        pool(std::min<size_t>(
+            plan.num_shards(),
+            std::max(1u, std::thread::hardware_concurrency()))),
+        scratches(plan.num_shards()) {
+    exec.plan = &plan;
+    exec.pool = &pool;
+    exec.scratches = &scratches;
+  }
+
+  data::ShardPlan plan;
+  util::ThreadPool pool;
+  std::vector<SplitScratch> scratches;
+  ShardExec exec;
+};
+
+}  // namespace
 
 double MiningResult::MeanSupportDifference(size_t k) const {
   if (contrasts.empty()) return 0.0;
@@ -44,6 +78,13 @@ util::StatusOr<data::GroupInfo> ResolveRequestGroups(
   return gi;
 }
 
+Miner::Miner(MinerConfig config, size_t shards)
+    : config_(std::move(config)), num_shards_(shards) {
+  if (num_shards_ == 0) {
+    num_shards_ = std::max(1u, std::thread::hardware_concurrency());
+  }
+}
+
 util::StatusOr<MiningResult> Miner::Mine(const data::Dataset& db,
                                          const MineRequest& request) const {
   // Prologue (validation, group/attribute resolution, root bounds) and
@@ -53,31 +94,21 @@ util::StatusOr<MiningResult> Miner::Mine(const data::Dataset& db,
       engine::MiningSession::Begin(db, config_, request);
   if (!session.ok()) return session.status();
 
-  // Two attempts at most: seeded (when the session computed a sample
-  // floor), then — only if the a-posteriori guard shows the seed floor
-  // may have pruned a would-be result — a transparent unseeded re-run.
-  // Seeding therefore only ever changes node counts, never patterns.
-  double seed_floor = session->seed_floor();
-  for (;;) {
-    PruneTable prune_table;
-    TopK topk(static_cast<size_t>(config_.top_k), config_.delta);
-    if (seed_floor > 0.0) topk.SeedFloor(seed_floor);
-    MiningCounters counters;
-    MiningContext ctx = session->MakeContext(&prune_table, &topk, &counters);
+  PruneTable prune_table;
+  TopK topk(static_cast<size_t>(config_.top_k), config_.delta);
+  MiningCounters counters;
+  MiningContext ctx = session->MakeContext(&prune_table, &topk, &counters);
 
-    LatticeSearch search(ctx);
-    search.Run(session->attributes());
-
-    std::vector<ContrastPattern> sorted = topk.Sorted();
-    Completion completion = ctx.run.completion();
-    if (seed_floor > 0.0 && completion == Completion::kComplete &&
-        !engine::SeedFloorJustified(sorted, static_cast<size_t>(config_.top_k),
-                                    seed_floor)) {
-      seed_floor = 0.0;
-      continue;
-    }
-    return session->Finalize(std::move(sorted), counters, completion);
+  // The fan-out exists only for a multi-shard mine; the search itself
+  // is oblivious to how its counting scans execute.
+  std::optional<ShardFanOut> fan_out;
+  if (num_shards_ > 1) {
+    fan_out.emplace(db.num_rows(), num_shards_);
+    ctx.shards = &fan_out->exec;
   }
+
+  LatticeSearch(ctx).Run(session->attributes());
+  return session->Finalize(topk.Sorted(), counters, ctx.run.completion());
 }
 
 }  // namespace sdadcs::core

@@ -1,6 +1,7 @@
 #ifndef SDADCS_CORE_MINER_H_
 #define SDADCS_CORE_MINER_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,8 @@ namespace sdadcs::core {
 
 /// One mining request: which groups to contrast and how the run is
 /// controlled. The single argument of every engine's Mine(db, request)
-/// entry point (Miner, ParallelMiner, WindowMiner passes, beam).
+/// entry point (Miner at any shard count, ParallelMiner, WindowMiner
+/// passes, beam).
 ///
 ///   MineRequest req;
 ///   req.group_attr = "class";
@@ -86,11 +88,26 @@ struct MiningResult {
 ///   req.group_attr = "class";
 ///   req.group_values = {"Doctorate", "Bachelors"};
 ///   auto result = miner.Mine(db, req);
+///
+/// With more than one shard the same search fans every counting scan
+/// (group counts, item filters, match counts, recursive splits, 2x2
+/// part tables) across that many contiguous row ranges and merges the
+/// partials before any statistic is read (DESIGN.md §12). Shards are
+/// ascending row ranges and counts are small-integer doubles, so the
+/// merged statistics, every pruning decision and the result are
+/// byte-identical to the one-shard mine for every shard count — which
+/// is why the count lives in EngineOptions, outside the request key.
+/// The request's RunControl is also checked at every fan-out merge
+/// barrier.
 class Miner {
  public:
-  explicit Miner(MinerConfig config) : config_(std::move(config)) {}
+  /// `shards == 0` resolves to std::thread::hardware_concurrency() (at
+  /// least 1); num_shards() reports the resolved value. One shard mines
+  /// on the calling thread alone.
+  explicit Miner(MinerConfig config, size_t shards = 1);
 
   const MinerConfig& config() const { return config_; }
+  size_t num_shards() const { return num_shards_; }
 
   /// Unified entry point: validates the config, resolves the groups and
   /// mines under the request's RunControl. An expired deadline, a
@@ -102,6 +119,7 @@ class Miner {
 
  private:
   MinerConfig config_;
+  size_t num_shards_;
 };
 
 }  // namespace sdadcs::core

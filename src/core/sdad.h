@@ -41,8 +41,9 @@ struct MiningContext {
   /// context (i.e. by one mining thread) and recycled across the whole
   /// SDAD-CS recursion.
   SplitScratch split_scratch;
-  /// Shard fan-out state (core/shard_exec.h), set only by the sharded
-  /// engine. Null = every counting scan runs inline on this thread.
+  /// Shard fan-out state (core/shard_exec.h), set only by a Miner with
+  /// more than one shard. Null = every counting scan runs inline on
+  /// this thread.
   /// Decision logic never reads this: the sharded counting wrappers
   /// return merged statistics bit-identical to an inline scan, so the
   /// search is oblivious to how its scans were executed.

@@ -27,8 +27,8 @@ std::vector<std::vector<int>> GenerateLevelCandidates(
 /// counters->truncated_candidates) and, with `cheap_first` set, the
 /// stable cheap-first ordering (fewest continuous attributes first, so
 /// a top-k threshold exists before the expensive recursive splits).
-/// The serial and sharded engines consume the frontier in this order on
-/// one coordinator; the level-parallel engine deals the same frontier
+/// core::Miner consumes the frontier in this order on one coordinator
+/// at every shard count; the level-parallel engine deals the same frontier
 /// (cheap_first = false, its workers interleave anyway) across threads.
 /// Pure frontier generation: no mining, no pruning — pruning decisions
 /// happen downstream, off merged statistics only.

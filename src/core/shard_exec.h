@@ -22,7 +22,8 @@ namespace sdadcs::core {
 /// Shard fan-out state of one mining run: the static row partition, the
 /// worker pool the counting scans fan across, and one SplitScratch per
 /// shard (kernel scratch is single-owner — see split_kernel.h). Hung off
-/// MiningContext by the sharded engine; null there = serial counting.
+/// MiningContext by a multi-shard core::Miner; null there = serial
+/// counting.
 ///
 /// The contract that keeps results byte-identical to serial for every
 /// shard count: shards are contiguous ascending row ranges, every kernel

@@ -29,12 +29,7 @@ bool TopK::Insert(const ContrastPattern& pattern) {
 }
 
 double TopK::threshold() const {
-  double base = patterns_.size() < k_ ? floor_ : patterns_.front().measure;
-  return std::max(base, seed_floor_);
-}
-
-void TopK::SeedFloor(double floor) {
-  seed_floor_ = std::max(seed_floor_, floor);
+  return patterns_.size() < k_ ? floor_ : patterns_.front().measure;
 }
 
 std::vector<ContrastPattern> TopK::Sorted() const {

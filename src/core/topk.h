@@ -25,20 +25,9 @@ class TopK {
   /// pattern entered the list.
   bool Insert(const ContrastPattern& pattern);
 
-  /// Current pruning threshold: the larger of the seed floor and the
-  /// usual dynamic threshold (k-th best measure once full, otherwise the
-  /// floor).
+  /// Current pruning threshold: the k-th best measure once full,
+  /// otherwise the floor.
   double threshold() const;
-
-  /// Raises the pre-full pruning threshold to `floor` (sample-seeded
-  /// bounds, see MinerConfig::seed_sample_rows). Only the threshold is
-  /// affected — Insert still admits every pattern the unseeded list
-  /// would, so seeding alone never drops a result; any divergence comes
-  /// from oe-pruned subtrees and is caught by the miner's a-posteriori
-  /// guard. No-op when `floor` is below the current seed floor.
-  void SeedFloor(double floor);
-
-  double seed_floor() const { return seed_floor_; }
 
   /// Monotone counter bumped on every successful Insert; the anytime
   /// progress path uses it to detect "the best-so-far set changed since
@@ -58,7 +47,6 @@ class TopK {
  private:
   size_t k_;
   double floor_;
-  double seed_floor_ = 0.0;
   double best_measure_ = 0.0;
   uint64_t version_ = 0;
   std::vector<ContrastPattern> patterns_;  // kept as a min-heap on measure

@@ -92,12 +92,34 @@ class Reader {
     pos_ += len;
     return true;
   }
+  size_t remaining() const { return size_ - pos_; }
 
  private:
   const char* data_;
   size_t size_;
   size_t pos_ = 0;
 };
+
+// The fewest header bytes one attribute record can take (a categorical
+// one with an empty name and dictionary), and one dictionary entry (an
+// empty string). A count the rest of the file cannot hold at this rate
+// is corrupt, and is rejected before it sizes an allocation.
+constexpr size_t kMinAttrBytes =
+    sizeof(uint32_t) + sizeof(uint8_t) + sizeof(uint32_t) + sizeof(uint64_t);
+constexpr size_t kMinDictEntryBytes = sizeof(uint32_t);
+
+// True when every one of the `rows` codes at `data` is kMissingCode or
+// an index into a dictionary of `dict_size` entries.
+bool CodesInDictionary(const char* data, uint64_t rows, uint32_t dict_size) {
+  for (uint64_t r = 0; r < rows; ++r) {
+    int32_t code;
+    std::memcpy(&code, data + r * sizeof(code), sizeof(code));
+    if (code != kMissingCode && static_cast<uint32_t>(code) >= dict_size) {
+      return false;
+    }
+  }
+  return true;
+}
 
 struct Mapping {
   void* data = nullptr;
@@ -196,6 +218,10 @@ util::StatusOr<Dataset> OpenSpill(const std::string& path,
     return util::Status::InvalidArgument("truncated spill header in '" +
                                          path + "'");
   }
+  if (num_attrs > r.remaining() / kMinAttrBytes) {
+    return util::Status::InvalidArgument(
+        "attribute count exceeds the header of spill file '" + path + "'");
+  }
 
   Schema schema;
   std::vector<std::unique_ptr<CategoricalColumn>> categorical;
@@ -216,7 +242,8 @@ util::StatusOr<Dataset> OpenSpill(const std::string& path,
     }
     if (type == kTypeCategorical) {
       uint32_t dict_size;
-      if (!r.ReadU32(&dict_size)) {
+      if (!r.ReadU32(&dict_size) ||
+          dict_size > r.remaining() / kMinDictEntryBytes) {
         return util::Status::InvalidArgument("truncated dictionary in '" +
                                              path + "'");
       }
@@ -252,12 +279,23 @@ util::StatusOr<Dataset> OpenSpill(const std::string& path,
           "unknown attribute type in spill file '" + path + "'");
     }
     uint64_t offset;
-    if (!r.ReadU64(&offset) ||
-        offset + num_rows * sources[a].elem_size > mapping->size) {
+    if (!r.ReadU64(&offset) || offset > mapping->size ||
+        num_rows > (mapping->size - offset) / sources[a].elem_size) {
       return util::Status::InvalidArgument(
           "data section out of bounds in spill file '" + path + "'");
     }
     sources[a].data = base + offset;
+    // Everything downstream indexes dictionaries and per-code tables by
+    // code without a check, so each categorical column is verified once
+    // here; continuous columns stay lazy.
+    if (type == kTypeCategorical &&
+        !CodesInDictionary(
+            base + offset, num_rows,
+            static_cast<uint32_t>(categorical[a]->dictionary().size()))) {
+      return util::Status::InvalidArgument(
+          "categorical code outside its dictionary in spill file '" + path +
+          "'");
+    }
   }
 
   ChunkLayout layout(num_rows, options.chunk_rows != 0

@@ -6,12 +6,20 @@
 
 namespace sdadcs::engine {
 
-std::string SerialEngine::Describe() const {
-  return "single-threaded SDAD-CS lattice search (the paper's reference "
-         "algorithm)";
+std::string LatticeEngine::Describe() const {
+  // A one-shard mine runs on the calling thread alone, whatever the
+  // entry is called.
+  if (miner_.num_shards() == 1) {
+    return "single-threaded SDAD-CS lattice search (the paper's reference "
+           "algorithm)";
+  }
+  return util::StrFormat(
+      "shard-merge SDAD-CS: serial decision order, counting fanned "
+      "across %zu row shards (byte-identical to serial)",
+      miner_.num_shards());
 }
 
-util::StatusOr<core::MiningResult> SerialEngine::Mine(
+util::StatusOr<core::MiningResult> LatticeEngine::Mine(
     const data::Dataset& db, const core::MineRequest& request) const {
   return miner_.Mine(db, request);
 }
@@ -23,18 +31,6 @@ std::string ParallelEngine::Describe() const {
 }
 
 util::StatusOr<core::MiningResult> ParallelEngine::Mine(
-    const data::Dataset& db, const core::MineRequest& request) const {
-  return miner_.Mine(db, request);
-}
-
-std::string ShardedEngine::Describe() const {
-  return util::StrFormat(
-      "shard-merge SDAD-CS: serial decision order, counting fanned "
-      "across %zu row shards (byte-identical to serial)",
-      miner_.num_shards());
-}
-
-util::StatusOr<core::MiningResult> ShardedEngine::Mine(
     const data::Dataset& db, const core::MineRequest& request) const {
   return miner_.Mine(db, request);
 }

@@ -5,10 +5,10 @@
 #include <string>
 
 #include "core/config.h"
+#include "core/miner.h"
 #include "discretize/discretizer.h"
 #include "engine/engine.h"
 #include "parallel/parallel_miner.h"
-#include "parallel/sharded_miner.h"
 #include "subgroup/beam.h"
 
 namespace sdadcs::engine {
@@ -17,19 +17,24 @@ namespace sdadcs::engine {
 /// miner behind the uniform Engine interface; all of them run the shared
 /// MiningSession prologue/epilogue inside their miner's Mine().
 
-/// "serial" — single-threaded SDAD-CS lattice search (core::Miner).
-class SerialEngine : public Engine {
+/// "serial", "sharded" and "sharded:<n>" — the SDAD-CS lattice search
+/// (core::Miner). The entries differ only in name and shard count: a
+/// sharded mine fans its counting scans across row shards and is
+/// byte-identical to serial for every count.
+class LatticeEngine : public Engine {
  public:
-  explicit SerialEngine(core::MinerConfig config)
-      : miner_(std::move(config)) {}
+  LatticeEngine(std::string name, core::MinerConfig config,
+                size_t num_shards)
+      : name_(std::move(name)), miner_(std::move(config), num_shards) {}
 
-  std::string Name() const override { return "serial"; }
+  std::string Name() const override { return name_; }
   std::string Describe() const override;
   util::StatusOr<core::MiningResult> Mine(
       const data::Dataset& db,
       const core::MineRequest& request) const override;
 
  private:
+  std::string name_;
   core::Miner miner_;
 };
 
@@ -47,25 +52,6 @@ class ParallelEngine : public Engine {
 
  private:
   parallel::ParallelMiner miner_;
-};
-
-/// "sharded" (and the parameterized "sharded:<n>") — shard-merge
-/// SDAD-CS: one coordinator walks the exact serial lattice while every
-/// counting scan fans across row shards and merges. Byte-identical to
-/// "serial" for every shard count.
-class ShardedEngine : public Engine {
- public:
-  ShardedEngine(core::MinerConfig config, size_t num_shards)
-      : miner_(std::move(config), num_shards) {}
-
-  std::string Name() const override { return "sharded"; }
-  std::string Describe() const override;
-  util::StatusOr<core::MiningResult> Mine(
-      const data::Dataset& db,
-      const core::MineRequest& request) const override;
-
- private:
-  parallel::ShardedMiner miner_;
 };
 
 /// "beam" — beam-search subgroup discovery (the paper's Cortana

@@ -45,7 +45,7 @@ EngineRegistry::EngineRegistry() {
   Register({"serial", EngineKind::kSerial,
             "single-threaded SDAD-CS lattice search",
             [](const MinerConfig& config, const EngineOptions&) {
-              return std::make_unique<SerialEngine>(config);
+              return std::make_unique<LatticeEngine>("serial", config, 1);
             }});
   Register({"parallel", EngineKind::kParallel,
             "level-parallel SDAD-CS (Section 6)",
@@ -99,7 +99,7 @@ EngineRegistry::EngineRegistry() {
             "shard-merge SDAD-CS: serial decision order, row-sharded "
             "counting (byte-identical to serial)",
             [](const MinerConfig& config, const EngineOptions& options) {
-              return std::make_unique<ShardedEngine>(config,
+              return std::make_unique<LatticeEngine>("sharded", config,
                                                      options.shard_count);
             }});
 }

@@ -1,82 +1,15 @@
 #include "engine/session.h"
 
-#include <algorithm>
-#include <functional>
 #include <memory>
 #include <utility>
 
-#include "core/match_kernel.h"
 #include "core/productivity.h"
 #include "core/run_state.h"
 #include "core/space.h"
+#include "core/split_kernel.h"
 #include "core/support.h"
-#include "data/sample.h"
 
 namespace sdadcs::engine {
-
-namespace {
-
-// Stratified-sample seed for the bound pre-pass. Fixed so the computed
-// floor (and therefore a seeded run's node counts) is deterministic.
-constexpr uint64_t kSeedSampleSeed = 41;
-
-// The sample-seeded-bounds pre-pass: mine a stratified subsample with
-// the same config (seeding disabled, fresh unlimited RunControl — the
-// sample is a small fraction of the data, so the caller's deadline and
-// budget are left to the main run), re-score each sample pattern on the
-// FULL data, and derive a floor for the top-k threshold from the k-th
-// best re-scored measure that would still be admissible in the full run
-// (significant at its level's alpha, covered, above delta). The 0.95
-// discount absorbs sample-vs-full interval drift; the engines'
-// a-posteriori guard catches the cases it cannot.
-double ComputeSeedFloor(const data::Dataset& db,
-                        const core::MinerConfig& config,
-                        const data::GroupInfo& gi) {
-  util::StatusOr<data::GroupInfo> sample =
-      data::SampleGroups(gi, config.seed_sample_rows, kSeedSampleSeed);
-  if (!sample.ok()) return 0.0;
-  // A sample as large as the data would just mine everything twice.
-  if (sample->total() >= gi.total()) return 0.0;
-
-  core::MinerConfig sample_cfg = config;
-  sample_cfg.seed_sample_rows = 0;
-  core::MineRequest sample_req;
-  sample_req.groups = &*sample;
-  util::StatusOr<core::MiningResult> mined =
-      core::Miner(sample_cfg).Mine(db, sample_req);
-  if (!mined.ok()) return 0.0;
-
-  std::vector<double> measures;
-  for (const core::ContrastPattern& p : mined->contrasts) {
-    core::GroupCounts gc = core::CountMatchesKernel(
-        db, gi, p.itemset, gi.base_selection(), config.kernel);
-    if (gc.total() < static_cast<double>(config.min_coverage)) continue;
-    core::ContrastPattern full;
-    full.itemset = p.itemset;
-    full.level = p.level;
-    full.counts = std::move(gc.counts);
-    full.ComputeStats(gi, config.measure);
-    if (!(full.p_value < config.AlphaForLevel(full.level))) continue;
-    if (!(full.measure > config.delta)) continue;
-    measures.push_back(full.measure);
-  }
-  // Seed only when the sample justifies a full top-k: with fewer
-  // patterns the unseeded threshold would still sit at delta, and any
-  // higher floor would over-prune.
-  if (measures.size() < static_cast<size_t>(config.top_k)) return 0.0;
-  std::sort(measures.begin(), measures.end(), std::greater<double>());
-  return 0.95 * measures[static_cast<size_t>(config.top_k) - 1];
-}
-
-}  // namespace
-
-bool SeedFloorJustified(const std::vector<core::ContrastPattern>& sorted,
-                        size_t top_k, double seed_floor) {
-  if (seed_floor <= 0.0) return true;
-  if (sorted.size() < top_k) return false;
-  // Sorted descending: the k-th entry is the weakest kept pattern.
-  return sorted[top_k - 1].measure >= seed_floor;
-}
 
 util::StatusOr<MiningSession> MiningSession::Begin(
     const data::Dataset& db, const core::MinerConfig& config,
@@ -158,14 +91,6 @@ util::StatusOr<MiningSession> MiningSession::Begin(
             data::ComputeRootBounds(db, a, gi.base_selection());
       }
     }
-  }
-
-  // Sample-seeded optimistic bounds (MinerConfig::seed_sample_rows):
-  // computed here so every engine built on the session benefits. The
-  // pre-pass is itself a (sample) mine with seeding disabled, so this
-  // recursion is one level deep.
-  if (config.seed_sample_rows > 0) {
-    session.seed_floor_ = ComputeSeedFloor(db, config, gi);
   }
   return session;
 }

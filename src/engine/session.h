@@ -21,9 +21,11 @@
 namespace sdadcs::engine {
 
 /// The shared prologue and epilogue of every mining engine — the one
-/// place the setup and finalize logic lives (serial lattice, level-
-/// parallel, beam subgroup discovery, pre-binned and window engines all
-/// run between Begin() and Finalize()).
+/// place the setup and finalize logic lives (the SDAD-CS lattice miner
+/// at any shard count, level-parallel, beam subgroup discovery,
+/// pre-binned and window engines all run between Begin() and
+/// Finalize()). Neither end mines anything itself, so an engine's
+/// search runs exactly once per request.
 ///
 /// Begin() validates the config, resolves the request's groups
 /// (request.groups wins over group_attr/group_values), resolves the
@@ -79,14 +81,6 @@ class MiningSession {
   /// handle, so external Cancel() still reaches every context made
   /// here).
   const util::RunControl& control() const { return control_; }
-  /// Sample-seeded floor for the top-k pruning threshold
-  /// (MinerConfig::seed_sample_rows): 0 when seeding is off or the
-  /// pre-pass could not justify a floor. Threshold-pruning engines apply
-  /// it via TopK::SeedFloor before mining and MUST enforce the
-  /// a-posteriori guard (SeedFloorJustified on the pre-epilogue sorted
-  /// top-k) with a transparent unseeded re-run on failure, so seeding
-  /// can only change node counts, never the result set.
-  double seed_floor() const { return seed_floor_; }
   /// Seconds since Begin().
   double ElapsedSeconds() const { return timer_.Seconds(); }
 
@@ -122,18 +116,7 @@ class MiningSession {
   std::unordered_map<int, core::RootBounds> root_bounds_;
   util::RunControl control_;
   util::WallTimer timer_;
-  double seed_floor_ = 0.0;
 };
-
-/// A-posteriori guard for sample-seeded bounds: true when the seeded
-/// run's *pre-epilogue* result list (`sorted`, measure-descending — the
-/// raw TopK content before the independently-productive filter) holds at
-/// least `top_k` patterns whose measures are all >= `seed_floor`, i.e.
-/// the unseeded dynamic threshold would have reached the seed floor on
-/// its own and pruning against it was retroactively justified. A
-/// `seed_floor` of 0 (seeding off) always passes.
-bool SeedFloorJustified(const std::vector<core::ContrastPattern>& sorted,
-                        size_t top_k, double seed_floor);
 
 }  // namespace sdadcs::engine
 

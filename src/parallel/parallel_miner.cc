@@ -77,107 +77,90 @@ util::StatusOr<core::MiningResult> ParallelMiner::Mine(
   const int max_depth =
       std::min<int>(config_.max_depth, static_cast<int>(attrs.size()));
 
-  // Two attempts at most (mirroring the serial miner): seeded when the
-  // session computed a sample floor, then a transparent unseeded re-run
-  // only if the a-posteriori guard shows the floor may have pruned a
-  // would-be result.
-  double seed_floor = session->seed_floor();
-  for (;;) {
-    PruneTable pooled_table;
-    TopK global_topk(static_cast<size_t>(config_.top_k), config_.delta);
-    if (seed_floor > 0.0) global_topk.SeedFloor(seed_floor);
-    MiningCounters global_counters;
+  PruneTable pooled_table;
+  TopK global_topk(static_cast<size_t>(config_.top_k), config_.delta);
+  MiningCounters global_counters;
 
-    // The coordinator's view of the shared control: workers observe the
-    // same cancel flag / deadline / budget through their own RunStates,
-    // so checking here between levels is enough to classify how the run
-    // ended.
-    RunState coord_run(control);
-    uint64_t last_snapshot_version = 0;
-    std::vector<std::vector<int>> alive_prev;
+  // The coordinator's view of the shared control: workers observe the
+  // same cancel flag / deadline / budget through their own RunStates,
+  // so checking here between levels is enough to classify how the run
+  // ended.
+  RunState coord_run(control);
+  uint64_t last_snapshot_version = 0;
+  std::vector<std::vector<int>> alive_prev;
 
-    for (int level = 1; level <= max_depth; ++level) {
-      if (coord_run.CheckNow()) break;
-      // cheap_first is off: the strided workers interleave candidates, so
-      // a global cost ordering would not buy an earlier threshold.
-      std::vector<std::vector<int>> candidates = core::BuildLevelFrontier(
-          db, config_, level, attrs, alive_prev, /*cheap_first=*/false,
-          &global_counters);
-      if (candidates.empty()) break;
-      ReportLevel(control, global_topk, level, 0, candidates.size(),
-                  &last_snapshot_version);
+  for (int level = 1; level <= max_depth; ++level) {
+    if (coord_run.CheckNow()) break;
+    // cheap_first is off: the strided workers interleave candidates, so
+    // a global cost ordering would not buy an earlier threshold.
+    std::vector<std::vector<int>> candidates = core::BuildLevelFrontier(
+        db, config_, level, attrs, alive_prev, /*cheap_first=*/false,
+        &global_counters);
+    if (candidates.empty()) break;
+    ReportLevel(control, global_topk, level, 0, candidates.size(),
+                &last_snapshot_version);
 
-      // One worker state per thread; each worker handles a strided slice
-      // of the level's combinations with its own prune table and top-k
-      // seeded from the pooled state (a seeded global threshold
-      // propagates into every worker's floor here).
-      const size_t num_workers =
-          std::min(num_threads_, std::max<size_t>(1, candidates.size()));
-      std::vector<WorkerState> workers;
-      workers.reserve(num_workers);
-      double floor = std::max(config_.delta, global_topk.threshold());
-      for (size_t w = 0; w < num_workers; ++w) {
-        workers.emplace_back(&pooled_table,
-                             static_cast<size_t>(config_.top_k), floor);
-      }
+    // One worker state per thread; each worker handles a strided slice
+    // of the level's combinations with its own prune table and top-k
+    // floored at the pooled threshold.
+    const size_t num_workers =
+        std::min(num_threads_, std::max<size_t>(1, candidates.size()));
+    std::vector<WorkerState> workers;
+    workers.reserve(num_workers);
+    double floor = std::max(config_.delta, global_topk.threshold());
+    for (size_t w = 0; w < num_workers; ++w) {
+      workers.emplace_back(&pooled_table,
+                           static_cast<size_t>(config_.top_k), floor);
+    }
 
-      for (size_t w = 0; w < num_workers; ++w) {
-        pool.Submit([&, w] {
-          WorkerState& state = workers[w];
-          // Every worker's context wraps the same session (and therefore
-          // the same RunControl), so a stop observed by one thread is
-          // observed by all at their next checkpoint (between
-          // combinations and inside MineCombo).
-          MiningContext ctx = session->MakeContext(
-              &state.prune_table, &state.topk, &state.counters);
-          LatticeSearch search(ctx);
-          for (size_t i = w; i < candidates.size(); i += num_workers) {
-            if (ctx.run.stopped()) {
-              state.counters.abandoned_candidates +=
-                  (candidates.size() - i + num_workers - 1) / num_workers;
-              break;
-            }
-            if (search.MineCombo(candidates[i])) {
-              state.alive.push_back(candidates[i]);
-            }
+    for (size_t w = 0; w < num_workers; ++w) {
+      pool.Submit([&, w] {
+        WorkerState& state = workers[w];
+        // Every worker's context wraps the same session (and therefore
+        // the same RunControl), so a stop observed by one thread is
+        // observed by all at their next checkpoint (between
+        // combinations and inside MineCombo).
+        MiningContext ctx = session->MakeContext(
+            &state.prune_table, &state.topk, &state.counters);
+        LatticeSearch search(ctx);
+        for (size_t i = w; i < candidates.size(); i += num_workers) {
+          if (ctx.run.stopped()) {
+            state.counters.abandoned_candidates +=
+                (candidates.size() - i + num_workers - 1) / num_workers;
+            break;
           }
-          state.patterns = state.topk.Sorted();
-        });
-      }
-      pool.Wait();
-
-      // Pool the level's results.
-      std::vector<std::vector<int>> alive_cur;
-      for (WorkerState& state : workers) {
-        for (const ContrastPattern& p : state.patterns) {
-          global_topk.Insert(p);
+          if (search.MineCombo(candidates[i])) {
+            state.alive.push_back(candidates[i]);
+          }
         }
-        global_counters.Add(state.counters);
-        pooled_table.MergeFrom(state.prune_table);
-        for (std::vector<int>& combo : state.alive) {
-          alive_cur.push_back(std::move(combo));
-        }
-      }
-      ReportLevel(control, global_topk, level, candidates.size(),
-                  candidates.size(), &last_snapshot_version);
-      std::sort(alive_cur.begin(), alive_cur.end());
-      alive_prev = std::move(alive_cur);
-      if (alive_prev.empty()) break;
+        state.patterns = state.topk.Sorted();
+      });
     }
-    // Classify a stop the workers hit during the final level.
-    coord_run.CheckNow();
+    pool.Wait();
 
-    std::vector<ContrastPattern> sorted = global_topk.Sorted();
-    core::Completion completion = coord_run.completion();
-    if (seed_floor > 0.0 && completion == core::Completion::kComplete &&
-        !engine::SeedFloorJustified(sorted,
-                                    static_cast<size_t>(config_.top_k),
-                                    seed_floor)) {
-      seed_floor = 0.0;
-      continue;
+    // Pool the level's results.
+    std::vector<std::vector<int>> alive_cur;
+    for (WorkerState& state : workers) {
+      for (const ContrastPattern& p : state.patterns) {
+        global_topk.Insert(p);
+      }
+      global_counters.Add(state.counters);
+      pooled_table.MergeFrom(state.prune_table);
+      for (std::vector<int>& combo : state.alive) {
+        alive_cur.push_back(std::move(combo));
+      }
     }
-    return session->Finalize(std::move(sorted), global_counters, completion);
+    ReportLevel(control, global_topk, level, candidates.size(),
+                candidates.size(), &last_snapshot_version);
+    std::sort(alive_cur.begin(), alive_cur.end());
+    alive_prev = std::move(alive_cur);
+    if (alive_prev.empty()) break;
   }
+  // Classify a stop the workers hit during the final level.
+  coord_run.CheckNow();
+
+  return session->Finalize(global_topk.Sorted(), global_counters,
+                           coord_run.completion());
 }
 
 }  // namespace sdadcs::parallel

@@ -157,9 +157,7 @@ std::optional<WireError> ParseMinerConfig(const JsonValue& request,
   if (config != nullptr) {
     for (const auto& error :
          {ReadCount(*config, "depth", "config.depth", &cfg.max_depth),
-          ReadCount(*config, "top", "config.top", &cfg.top_k),
-          ReadCount(*config, "seed_sample", "config.seed_sample",
-                    &cfg.seed_sample_rows)}) {
+          ReadCount(*config, "top", "config.top", &cfg.top_k)}) {
       if (error) return error;
     }
     cfg.delta = config->GetNumber("delta", cfg.delta);

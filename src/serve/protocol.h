@@ -80,12 +80,12 @@ struct MineFrame {
 /// Rejects a request that pinned an incompatible protocol version.
 std::optional<WireError> CheckProtocolVersion(const JsonValue& request);
 
-/// Parses the "config" object (depth/delta/alpha/top/measure/np/kernel/
-/// seed_sample) into a MinerConfig. Unknown measure / kernel names are
-/// errors naming "config.measure" / "config.kernel" — never a silent
-/// fall back to the default — and an integer field that is not a
-/// non-negative integral number its C++ field can hold is an error
-/// naming it ("config.depth").
+/// Parses the "config" object (depth/delta/alpha/top/measure/np/kernel)
+/// into a MinerConfig; any other key is ignored. Unknown measure /
+/// kernel names are errors naming "config.measure" / "config.kernel" —
+/// never a silent fall back to the default — and an integer field that
+/// is not a non-negative integral number its C++ field can hold is an
+/// error naming it ("config.depth").
 std::optional<WireError> ParseMinerConfig(const JsonValue& request,
                                           core::MinerConfig* out);
 

@@ -1,5 +1,7 @@
 #include "stats/special_functions.h"
 
+#include <math.h>
+
 #include <cmath>
 #include <limits>
 
@@ -85,7 +87,10 @@ double BetaContinuedFraction(double x, double a, double b) {
 
 double LogGamma(double x) {
   SDADCS_CHECK(x > 0.0);
-  return std::lgamma(x);
+  // lgamma_r, not std::lgamma: glibc's lgamma stores the sign in the
+  // global `signgam`, a data race between concurrent mines.
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
 }
 
 double RegularizedGammaP(double a, double x) {

@@ -56,41 +56,6 @@ TEST(TopKTest, EvictedKeyCanReenter) {
   EXPECT_DOUBLE_EQ(topk.Sorted()[0].measure, 0.9);
 }
 
-TEST(TopKTest, SeedFloorRaisesThresholdWithoutHoldingPatterns) {
-  TopK topk(3, 0.1);
-  topk.SeedFloor(0.4);
-  // The seeded floor dominates the base floor even though the heap is
-  // not full, but it holds no patterns of its own.
-  EXPECT_DOUBLE_EQ(topk.threshold(), 0.4);
-  EXPECT_EQ(topk.size(), 0u);
-  EXPECT_DOUBLE_EQ(topk.seed_floor(), 0.4);
-  // Weaker seeds never lower an established floor.
-  topk.SeedFloor(0.2);
-  EXPECT_DOUBLE_EQ(topk.threshold(), 0.4);
-  // Once the heap fills past the seed, the k-th measure takes over.
-  topk.Insert(MakePattern(0, 0.5));
-  topk.Insert(MakePattern(1, 0.6));
-  topk.Insert(MakePattern(2, 0.7));
-  EXPECT_DOUBLE_EQ(topk.threshold(), 0.5);
-}
-
-TEST(TopKTest, SeedFloorStillAppliesWhenFullButWeak) {
-  // A full heap whose k-th measure sits below the seed keeps pruning at
-  // the seed level; the guard in the miners makes this safe.
-  TopK topk(2, 0.0);
-  topk.SeedFloor(0.6);
-  topk.Insert(MakePattern(0, 0.9));
-  topk.Insert(MakePattern(1, 0.7));
-  EXPECT_TRUE(topk.full());
-  EXPECT_DOUBLE_EQ(topk.threshold(), 0.7);
-  TopK weak(2, 0.0);
-  weak.SeedFloor(0.6);
-  weak.Insert(MakePattern(0, 0.3));
-  weak.Insert(MakePattern(1, 0.2));
-  EXPECT_TRUE(weak.full());
-  EXPECT_DOUBLE_EQ(weak.threshold(), 0.6);
-}
-
 TEST(TopKTest, VersionAndBestMeasureAreMonotone) {
   TopK topk(2, 0.0);
   EXPECT_EQ(topk.version(), 0u);

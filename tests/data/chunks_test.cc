@@ -210,6 +210,125 @@ TEST(SpillTest, ResidentBackendHandsOutBorrowedSlices) {
   EXPECT_EQ(dense.chunk_store(), nullptr);
 }
 
+// A spill file written field by field, for the crafted-header cases
+// below (the layout is documented in data/spill.h).
+struct SpillBytes {
+  std::string bytes;
+
+  SpillBytes& Put(const void* data, size_t n) {
+    bytes.append(static_cast<const char*>(data), n);
+    return *this;
+  }
+  SpillBytes& U64(uint64_t v) { return Put(&v, sizeof(v)); }
+  SpillBytes& U32(uint32_t v) { return Put(&v, sizeof(v)); }
+  SpillBytes& I32(int32_t v) { return Put(&v, sizeof(v)); }
+  SpillBytes& U8(uint8_t v) { return Put(&v, sizeof(v)); }
+  SpillBytes& F64(double v) { return Put(&v, sizeof(v)); }
+  SpillBytes& Str(const std::string& s) {
+    return U32(static_cast<uint32_t>(s.size())).Put(s.data(), s.size());
+  }
+  SpillBytes& Header(uint64_t rows, uint64_t attrs) {
+    return Put("SDCSPIL1", 8).U64(1).U64(rows).U64(attrs).U64(0);
+  }
+  SpillBytes& PadTo(size_t size) {
+    bytes.resize(size, '\0');
+    return *this;
+  }
+
+  std::string WriteTo(const char* tag) const {
+    std::string path = SpillPath(tag);
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    if (f != nullptr) {
+      EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+      std::fclose(f);
+    }
+    return path;
+  }
+};
+
+// A crafted file is answered InvalidArgument naming it: never an abort,
+// an allocation sized by the header, or a Dataset that reads past its
+// mapping.
+void ExpectRejected(const SpillBytes& file, size_t size, const char* tag) {
+  ASSERT_EQ(file.bytes.size(), size);
+  std::string path = file.WriteTo(tag);
+  auto opened = OpenSpill(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(opened.ok()) << tag;
+  EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find(path), std::string::npos)
+      << opened.status().message();
+}
+
+TEST(SpillTest, AttributeCountBeyondTheFileIsRejected) {
+  ExpectRejected(SpillBytes().Header(0, uint64_t{1} << 60), 40, "attrs");
+  // The same header with no attributes is a valid empty file.
+  std::string path = SpillBytes().Header(0, 0).WriteTo("no_attrs");
+  auto opened = OpenSpill(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->num_attributes(), 0u);
+}
+
+TEST(SpillTest, DictionarySizeBeyondTheFileIsRejected) {
+  auto file = [](uint32_t dict_size) {
+    return SpillBytes().Header(0, 1).Str("g").U8(0).U32(dict_size).PadTo(64);
+  };
+  ExpectRejected(file(0xFFFFFFFFu), 64, "dict");
+  std::string path = file(0).WriteTo("empty_dict");
+  auto opened = OpenSpill(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_TRUE(opened->is_categorical(0));
+}
+
+TEST(SpillTest, RowCountWhoseSectionWouldWrapIsRejected) {
+  // 2^61 rows of 8 bytes end 2^64 bytes past the offset: a check that
+  // adds them wraps around to the offset itself.
+  auto file = [](uint64_t rows) {
+    return SpillBytes()
+        .Header(rows, 1)
+        .Str("x")
+        .U8(1)
+        .F64(0.0)
+        .F64(0.0)
+        .U8(1)
+        .U64(72)
+        .PadTo(128);
+  };
+  ExpectRejected(file(uint64_t{1} << 61), 128, "rows");
+  std::string path = file(7).WriteTo("seven_rows");
+  auto opened = OpenSpill(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->num_rows(), 7u);
+  EXPECT_EQ(opened->continuous(0).value(6), 0.0);
+}
+
+TEST(SpillTest, CodeOutsideTheDictionaryIsRejected) {
+  auto file = [](int32_t second_code) {
+    return SpillBytes()
+        .Header(2, 1)
+        .Str("g")
+        .U8(0)
+        .U32(1)
+        .Str("a")
+        .U64(64)
+        .PadTo(64)
+        .I32(0)
+        .I32(second_code);
+  };
+  ExpectRejected(file(1000000), 72, "code");
+  ExpectRejected(file(-2), 72, "negative_code");
+  std::string path = file(kMissingCode).WriteTo("missing_code");
+  auto opened = OpenSpill(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->categorical(0).code(0), 0);
+  EXPECT_TRUE(opened->categorical(0).is_missing(1));
+}
+
 TEST(ChunkStoreTest, CapEvictsUnpinnedBeforeLoadingAndTryPinDeclines) {
   const size_t kRows = 64;  // chunk_rows 16 -> 4 chunks of 128 bytes each
   Dataset dense = MakeMixed(kRows);

@@ -175,44 +175,6 @@ TEST(DifferentialTest, ScalarAndVectorizedKernelsMatchExactly) {
   }
 }
 
-TEST(DifferentialTest, SampleSeededBoundsNeverChangeResults) {
-  // Sample-seeded bounds raise the top-k pruning floor from node one;
-  // the a-posteriori guard re-runs unseeded whenever the floor could
-  // have cost a result. Net effect: identical patterns, only node
-  // counts may drop. Both runs are deterministic (fixed sample seed),
-  // so this equality is stable, not flaky.
-  for (const std::string& name :
-       {std::string("adult"), std::string("breast"),
-        std::string("transfusion"), std::string("shuttle")}) {
-    synth::NamedDataset nd = synth::MakeUciLike(name, /*seed=*/7);
-    auto attr = nd.db.schema().IndexOf(nd.group_attr);
-    ASSERT_TRUE(attr.ok());
-    auto gi = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
-    ASSERT_TRUE(gi.ok());
-
-    MinerConfig cfg;
-    cfg.max_depth = 2;
-    cfg.top_k = 50;
-
-    auto unseeded = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
-    ASSERT_TRUE(unseeded.ok());
-
-    cfg.seed_sample_rows = 200;
-    auto seeded = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
-    ASSERT_TRUE(seeded.ok());
-
-    EXPECT_EQ(RenderResult(unseeded->contrasts),
-              RenderResult(seeded->contrasts))
-        << "dataset " << name;
-    // Seeding never does extra main-run work: either the floor held and
-    // pruning removed nodes, or the guard forced an unseeded re-run
-    // whose counts match the pre-pass-free run exactly.
-    EXPECT_LE(seeded->counters.partitions_evaluated,
-              unseeded->counters.partitions_evaluated)
-        << "dataset " << name;
-  }
-}
-
 TEST(DifferentialTest, AnytimeStreamingMatchesNonAnytimeRun) {
   // --anytime semantics: snapshots are monotonically improving previews
   // delivered through the progress callback, and the exhaustive result

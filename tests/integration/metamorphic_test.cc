@@ -34,7 +34,6 @@
 
 #include "core/miner.h"
 #include "data/prepared.h"
-#include "parallel/sharded_miner.h"
 #include "synth/uci_like.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -151,7 +150,7 @@ std::vector<ContrastPattern> MineWith(Engine engine, const data::Dataset& db,
       result = core::Miner(cfg).Mine(db, request);
       break;
     case Engine::kSharded3:
-      result = parallel::ShardedMiner(cfg, 3).Mine(db, request);
+      result = core::Miner(cfg, 3).Mine(db, request);
       break;
     case Engine::kPrepared:
       request.prepared = &prepared;

@@ -1,5 +1,3 @@
-#include "parallel/sharded_miner.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -10,9 +8,9 @@
 
 #include "common/requests.h"
 #include "core/contrast.h"
+#include "core/miner.h"
 #include "synth/scaling.h"
 #include "synth/simulated.h"
-#include "synth/uci_like.h"
 #include "util/timer.h"
 
 namespace sdadcs::parallel {
@@ -60,7 +58,7 @@ TEST(ShardedMinerTest, ByteIdenticalToSerialIncludingCounters) {
   ASSERT_TRUE(serial.ok());
   for (size_t shards : {1u, 3u, 4u, 7u}) {
     auto sharded =
-        ShardedMiner(cfg, shards).Mine(sc.db, GroupRequest(sc.group_attr));
+        core::Miner(cfg, shards).Mine(sc.db, GroupRequest(sc.group_attr));
     ASSERT_TRUE(sharded.ok()) << shards << " shards";
     EXPECT_EQ(Render(serial->contrasts), Render(sharded->contrasts))
         << shards << " shards";
@@ -78,14 +76,14 @@ TEST(ShardedMinerTest, MoreShardsThanRowsStillExact) {
   data::Dataset db = synth::MakeSimulated3(300);
   auto serial = core::Miner(BaseConfig()).Mine(db, GroupRequest("Group"));
   auto sharded =
-      ShardedMiner(BaseConfig(), 1000).Mine(db, GroupRequest("Group"));
+      core::Miner(BaseConfig(), 1000).Mine(db, GroupRequest("Group"));
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(sharded.ok());
   EXPECT_EQ(Render(serial->contrasts), Render(sharded->contrasts));
 }
 
 TEST(ShardedMinerTest, ZeroShardsResolvesToHardwareConcurrency) {
-  ShardedMiner miner(BaseConfig(), 0);
+  core::Miner miner(BaseConfig(), 0);
   size_t expected = std::max(1u, std::thread::hardware_concurrency());
   EXPECT_EQ(miner.num_shards(), expected);
   data::Dataset db = synth::MakeSimulated3(300);
@@ -98,11 +96,11 @@ TEST(ShardedMinerTest, InvalidConfigAndUnknownGroupRejected) {
   data::Dataset db = synth::MakeSimulated3(300);
   core::MinerConfig bad = BaseConfig();
   bad.alpha = 1.5;
-  auto result = ShardedMiner(bad, 2).Mine(db, GroupRequest("Group"));
+  auto result = core::Miner(bad, 2).Mine(db, GroupRequest("Group"));
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().ToString().find("alpha"), std::string::npos);
   EXPECT_FALSE(
-      ShardedMiner(BaseConfig(), 2).Mine(db, GroupRequest("nope")).ok());
+      core::Miner(BaseConfig(), 2).Mine(db, GroupRequest("nope")).ok());
 }
 
 // A dataset big enough that (a) counting scans actually fan out (rows
@@ -138,7 +136,7 @@ TEST(ShardedMinerTest, CancelAtMergeBarrierDrainsSortedPartials) {
   util::StatusOr<core::MiningResult> result =
       util::Status::Internal("not run");
   std::thread worker([&] {
-    result = ShardedMiner(cfg, 4).Mine(sc.db, request);
+    result = core::Miner(cfg, 4).Mine(sc.db, request);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   util::WallTimer unblock;
@@ -162,7 +160,7 @@ TEST(ShardedMinerTest, DeadlineDrainsSortedPartialsWithCompletion) {
   request.run_control = control;
 
   util::WallTimer timer;
-  auto result = ShardedMiner(cfg, 4).Mine(sc.db, request);
+  auto result = core::Miner(cfg, 4).Mine(sc.db, request);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->completion, core::Completion::kDeadlineExceeded);
   // The drain must be prompt: well under the unbounded runtime.
@@ -181,28 +179,11 @@ TEST(ShardedMinerTest, NodeBudgetDrainsSortedPartialsWithCompletion) {
   request.group_attr = sc.group_attr;
   request.run_control = control;
 
-  auto result = ShardedMiner(cfg, 4).Mine(sc.db, request);
+  auto result = core::Miner(cfg, 4).Mine(sc.db, request);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->completion, core::Completion::kBudgetExhausted);
   EXPECT_GT(result->counters.abandoned_candidates, 0u);
   ExpectSortedByMeasure(result->contrasts);
-}
-
-TEST(ShardedMinerTest, SeededRunMatchesUnseededExactly) {
-  // The seed-floor retry loop is copied from the serial miner; make sure
-  // the sharded engine kept the a-posteriori guard intact.
-  synth::NamedDataset nd = synth::MakeUciLike("adult", /*seed=*/7);
-  core::MinerConfig cfg = BaseConfig();
-  cfg.top_k = 50;
-  auto plain = ShardedMiner(cfg, 4).Mine(
-      nd.db, GroupRequest(nd.group_attr, nd.groups));
-  ASSERT_TRUE(plain.ok());
-
-  cfg.seed_sample_rows = 200;
-  auto seeded = ShardedMiner(cfg, 4).Mine(
-      nd.db, GroupRequest(nd.group_attr, nd.groups));
-  ASSERT_TRUE(seeded.ok());
-  EXPECT_EQ(Render(plain->contrasts), Render(seeded->contrasts));
 }
 
 }  // namespace

@@ -164,6 +164,59 @@ TEST(DispatcherTest, FinalLineWithoutNewlineAndCrlfAreFrames) {
   EXPECT_EQ(MustParse(replies[1]).GetString("id"), "2");
 }
 
+// The "patterns" array of an "emit":"patterns" reply, as rendered.
+std::string PatternsOf(const std::string& reply) {
+  const size_t at = reply.find("\"patterns\":[");
+  EXPECT_NE(at, std::string::npos) << reply.substr(0, 200);
+  return at == std::string::npos ? "" : reply.substr(at);
+}
+
+// "seed_sample" is not a config key: it never entered the request key,
+// so a mine that honoured it could cache a different answer under the
+// plain request's key. On synth breast a seeded depth-2 top-10 mine lost
+// `epithelial (4,10]`, and the plain mine after it was answered from
+// that entry.
+TEST(DispatcherTest, SeedSampleIsIgnoredAndCannotPoisonThePlainKey) {
+  Server server({});
+  Dispatcher dispatcher(server, {});
+  const std::string mine =
+      R"({"op":"mine","dataset":"d","group":"class","engine":"serial",)"
+      R"("emit":"patterns",)";
+  const std::string input =
+      std::string(R"({"op":"load","name":"d","spec":"synth:breast"})") +
+      "\n" + mine +
+      R"("id":"seeded","config":{"depth":2,"top":10,"seed_sample":200}})" +
+      "\n" + mine + R"("id":"plain","config":{"depth":2,"top":10}})" +
+      "\n" + mine +
+      R"("id":"uncached","cache":false,"config":{"depth":2,"top":10}})" +
+      "\n";
+  std::vector<std::string> replies = ServeLockStep(dispatcher, input);
+  ASSERT_EQ(replies.size(), 4u);
+
+  JsonValue seeded = MustParse(replies[1]);
+  JsonValue plain = MustParse(replies[2]);
+  JsonValue uncached = MustParse(replies[3]);
+  EXPECT_EQ(seeded.GetString("cache"), "miss");
+  EXPECT_EQ(plain.GetString("cache"), "hit");
+  EXPECT_EQ(uncached.GetString("cache"), "bypass");
+  EXPECT_EQ(seeded.GetString("key"), plain.GetString("key"));
+
+  const std::string expected = PatternsOf(replies[3]);
+  EXPECT_EQ(PatternsOf(replies[1]), expected);
+  EXPECT_EQ(PatternsOf(replies[2]), expected);
+
+  const JsonValue* patterns = uncached.Find("patterns");
+  ASSERT_NE(patterns, nullptr);
+  ASSERT_GE(patterns->AsArray().size(), 3u);
+  const JsonValue* items = patterns->AsArray()[2].Find("items");
+  ASSERT_NE(items, nullptr);
+  ASSERT_EQ(items->AsArray().size(), 1u);
+  const JsonValue& item = items->AsArray()[0];
+  EXPECT_EQ(item.GetString("attr"), "epithelial");
+  EXPECT_EQ(item.GetNumber("lo", 0.0), 4.0);
+  EXPECT_EQ(item.GetNumber("hi", 0.0), 10.0);
+}
+
 util::Flags MustParseFlags(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "sdadcs_serve");
   auto flags =

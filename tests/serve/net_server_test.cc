@@ -54,6 +54,24 @@ struct TestStack {
   NetServer net;
 };
 
+/// Polls {"op":"stats"} on a connection of its own until one mine holds
+/// an admission slot. Executor workers pick frames up in any order, so a
+/// test that needs one mine queued behind another sends the second only
+/// once the first holds its slot.
+void AwaitOneRunning(TestStack& stack) {
+  NetClient probe = stack.Connect();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < give_up) {
+    JsonValue stats = Call(probe, R"({"op":"stats"})");
+    const JsonValue* admission = stats.Find("admission");
+    ASSERT_NE(admission, nullptr);
+    if (admission->GetInt("running", -1) == 1) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ADD_FAILURE() << "no mine reached an admission slot";
+}
+
 std::string Mine(const std::string& id,
                  const std::string& config = R"({"depth":1})",
                  const std::string& extra = "") {
@@ -133,7 +151,6 @@ TEST(NetServerTest, ProtocolErrorsKeepTheConnectionAlive) {
   EXPECT_EQ(invalid.Find("error")->GetString("code"), "invalid_argument");
   EXPECT_EQ(invalid.Find("error")->GetString("field"), "group");
 
-  // Burst is a stdin-transport knob; the socket rejects it by name.
   JsonValue burst =
       Call(client, Mine("b", R"({"depth":1})", R"(,"burst":4)"));
   EXPECT_EQ(burst.Find("error")->GetString("field"), "burst");
@@ -158,6 +175,7 @@ TEST(NetServerTest, PipelinedCancelReachesQueuedMine) {
   // when its cancel lands (frames are handled in order, microseconds
   // apart).
   ASSERT_TRUE(client.Send(Mine("a", R"({"depth":2})")).ok());
+  AwaitOneRunning(stack);
   ASSERT_TRUE(client.Send(Mine("b")).ok());
   ASSERT_TRUE(client.Send(R"({"op":"cancel","target":"b"})").ok());
 
@@ -195,6 +213,7 @@ TEST(NetServerTest, QueuedDeadlineExpiryObservedOverSocket) {
   NetClient client = stack.Connect();
 
   ASSERT_TRUE(client.Send(Mine("a", R"({"depth":2})")).ok());
+  AwaitOneRunning(stack);
   ASSERT_TRUE(client.Send(Mine("b", R"({"depth":1})", R"(,"deadline_ms":25)")).ok());
 
   JsonValue b = MustParse(*client.ReadLine());

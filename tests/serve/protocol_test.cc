@@ -236,8 +236,6 @@ TEST(ParseMineCallTest, IntegerFieldsAreRangeChecked) {
       {"\"config\":{\"depth\":-1}", "config.depth"},
       {"\"config\":{\"depth\":\"2\"}", "config.depth"},
       {"\"config\":{\"top\":1e10}", "config.top"},
-      {"\"config\":{\"seed_sample\":-5}", "config.seed_sample"},
-      {"\"config\":{\"seed_sample\":1e300}", "config.seed_sample"},
       {"\"node_budget\":-1", "node_budget"},
       {"\"node_budget\":0.5", "node_budget"},
       {"\"node_budget\":1e19", "node_budget"},
@@ -257,15 +255,13 @@ TEST(ParseMineCallTest, IntegerFieldsAreRangeChecked) {
   auto error = ParseMineCall(
       Parse(head +
             "\"node_budget\":1e6,\"deadline_ms\":0,"
-            "\"config\":{\"depth\":3,\"top\":2147483647,"
-            "\"seed_sample\":9007199254740992}}"),
+            "\"config\":{\"depth\":3,\"top\":2147483647}}"),
       &frame);
   ASSERT_FALSE(error.has_value()) << error->ToText();
   EXPECT_EQ(frame.node_budget, 1000000u);
   EXPECT_EQ(frame.deadline_ms, 0);
   EXPECT_EQ(frame.call.config.max_depth, 3);
   EXPECT_EQ(frame.call.config.top_k, 2147483647);
-  EXPECT_EQ(frame.call.config.seed_sample_rows, size_t{1} << 53);
 }
 
 TEST(EnumParsersTest, MeasureAndKernelNames) {

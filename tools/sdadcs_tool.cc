@@ -39,9 +39,6 @@
 //                       unchanged)
 //   --kernel K          split+count kernel: auto | scalar | avx2
 //                       (default auto; every kind is byte-identical)
-//   --seed-sample N     mine a stratified N-row sample first to seed
-//                       the top-k pruning floor (results unchanged,
-//                       node counts usually much lower)
 //   --repeat N          mine the same request N times (per-iteration
 //                       wall time on stderr; on a paged dataset each
 //                       line also reports chunk residency)
@@ -185,8 +182,6 @@ sdadcs::core::MinerConfig ConfigFromArgs(const Flags& args) {
     std::exit(2);
   }
   cfg.kernel = *kernel;
-  cfg.seed_sample_rows =
-      static_cast<size_t>(args.GetInt("seed-sample", 0));
   return cfg;
 }
 
