@@ -20,15 +20,18 @@
 #include "core/miner.h"
 #include "core/optimistic.h"
 #include "core/pruning.h"
+#include "core/search.h"
 #include "core/space.h"
 #include "core/split_kernel.h"
 #include "core/support.h"
+#include "core/topk.h"
 #include "data/chunks.h"
 #include "data/group_info.h"
-#include "data/index.h"
 #include "data/order_stats.h"
 #include "data/prepared.h"
+#include "data/simd_select.h"
 #include "data/spill.h"
+#include "engine/session.h"
 #include "stats/chi_squared.h"
 #include "stats/fisher.h"
 #include "stream/window_miner.h"
@@ -188,44 +191,6 @@ void BM_SelectionFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectionFilter);
 
-void BM_IndexRangeVsScan_Index(benchmark::State& state) {
-  const Fixture& f = SharedFixture();
-  int age = *f.nd.db.schema().IndexOf("age");
-  data::ContinuousIndex idx = data::ContinuousIndex::Build(f.nd.db, age);
-  for (auto _ : state) {
-    size_t n = idx.CountInRange(30.0, 50.0);
-    benchmark::DoNotOptimize(n);
-  }
-}
-BENCHMARK(BM_IndexRangeVsScan_Index);
-
-void BM_IndexRangeVsScan_Scan(benchmark::State& state) {
-  const Fixture& f = SharedFixture();
-  int age = *f.nd.db.schema().IndexOf("age");
-  const auto& col = f.nd.db.continuous(age);
-  for (auto _ : state) {
-    size_t n = 0;
-    for (uint32_t r = 0; r < f.nd.db.num_rows(); ++r) {
-      double v = col.value(r);
-      if (!std::isnan(v) && v > 30.0 && v <= 50.0) ++n;
-    }
-    benchmark::DoNotOptimize(n);
-  }
-}
-BENCHMARK(BM_IndexRangeVsScan_Scan);
-
-void BM_CategoricalIndexLookup(benchmark::State& state) {
-  const Fixture& f = SharedFixture();
-  int occ = *f.nd.db.schema().IndexOf("occupation");
-  data::CategoricalIndex idx = data::CategoricalIndex::Build(f.nd.db, occ);
-  int32_t code = f.nd.db.categorical(occ).CodeOf("Prof-specialty");
-  for (auto _ : state) {
-    const data::Selection& rows = idx.RowsFor(code);
-    benchmark::DoNotOptimize(rows.size());
-  }
-}
-BENCHMARK(BM_CategoricalIndexLookup);
-
 void BM_StreamAppend(benchmark::State& state) {
   stream::StreamConfig cfg;
   cfg.window_rows = 4000;
@@ -255,8 +220,8 @@ void BM_SplitAndCountTwoAxes(benchmark::State& state) {
   std::vector<double> medians = core::PartitionMedians(f.nd.db, space);
   core::SplitScratch scratch;
   for (auto _ : state) {
-    core::SplitResult split =
-        core::SplitAndCount(f.nd.db, f.gi, space, medians, &scratch);
+    core::SplitResult split = core::SplitAndCount(
+        f.nd.db, f.gi, space, medians, &scratch, data::SimdByDefault());
     benchmark::DoNotOptimize(split.cells.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -264,11 +229,27 @@ void BM_SplitAndCountTwoAxes(benchmark::State& state) {
 }
 BENCHMARK(BM_SplitAndCountTwoAxes);
 
-// Cold-mine kernels: end-to-end mine of a scaling dataset under the
-// scalar kernel (the differential oracle) and the AVX2 kernel, plus the
+// One serial mine with the scan kernels pinned: the engine session's
+// loop, with the context's simd flag set by hand instead of by the host.
+util::StatusOr<core::MiningResult> MineWithKernels(
+    const data::Dataset& db, const core::MinerConfig& cfg,
+    const core::MineRequest& req, bool simd) {
+  auto session = engine::MiningSession::Begin(db, cfg, req);
+  if (!session.ok()) return session.status();
+  core::PruneTable prune_table;
+  core::TopK topk(static_cast<size_t>(cfg.top_k), cfg.delta);
+  core::MiningCounters counters;
+  core::MiningContext ctx =
+      session->MakeContext(&prune_table, &topk, &counters);
+  ctx.simd = simd;
+  core::LatticeSearch(ctx).Run(session->attributes());
+  return session->Finalize(topk.Sorted(), counters, ctx.run.completion());
+}
+
+// Cold-mine kernels: end-to-end mine of a scaling dataset on the scalar
+// kernels (the differential oracle) and the AVX2 kernels, plus the
 // anytime time-to-first-result fraction and the run's pruning counters.
-// The kernel is a pure speed knob, so both runs must return the same
-// answer.
+// Both paths must return the same answer.
 void AddColdMineCases(bench::BenchJson* json, bool smoke) {
   synth::ScalingOptions opt;
   opt.rows = smoke ? 8000 : 60000;
@@ -291,22 +272,20 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
   // noise can swamp a single run.
   constexpr int kReps = 3;
 
-  cfg.kernel = core::KernelKind::kScalar;
   util::StatusOr<core::MiningResult> scalar = util::Status::Internal("unset");
   double scalar_sec = 1e30;
   for (int rep = 0; rep < kReps; ++rep) {
     util::WallTimer timer;
-    scalar = core::Miner(cfg).Mine(nd.db, req);
+    scalar = MineWithKernels(nd.db, cfg, req, /*simd=*/false);
     scalar_sec = std::min(scalar_sec, timer.Seconds());
     SDADCS_CHECK(scalar.ok());
   }
 
-  cfg.kernel = core::KernelKind::kAvx2;
   util::StatusOr<core::MiningResult> avx2 = util::Status::Internal("unset");
   double avx2_sec = 1e30;
   for (int rep = 0; rep < kReps; ++rep) {
     util::WallTimer timer;
-    avx2 = core::Miner(cfg).Mine(nd.db, req);
+    avx2 = MineWithKernels(nd.db, cfg, req, /*simd=*/true);
     avx2_sec = std::min(avx2_sec, timer.Seconds());
     SDADCS_CHECK(avx2.ok());
   }
@@ -318,7 +297,7 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
     SDADCS_CHECK(avx2->contrasts[i].measure == scalar->contrasts[i].measure);
   }
 
-  // Anytime streaming under the AVX2 kernel.
+  // Anytime streaming on the host's kernels.
   core::MineRequest any_req;
   any_req.groups = &gi;
   any_req.run_control.set_anytime(true);
@@ -683,19 +662,19 @@ void RunKernelComparison(bool smoke) {
     core::SplitResult split;
     for (int rep = 0; rep < reps; ++rep) {
       split = core::SplitAndCount(nd.db, gi, space, cuts, &scratch,
-                                  core::KernelKind::kScalar);
+                                  /*simd=*/false);
       benchmark::DoNotOptimize(split.cells.data());
     }
     double fused_sec = fused_timer.Seconds();
 
-    // Vectorized pass of the same fused kernel (resolves back to scalar
-    // on hosts without AVX2, where vector_speedup will print ~1.0x).
+    // Vectorized pass of the same fused kernel (scalar on hosts without
+    // AVX2, where vector_speedup will print ~1.0x).
     core::SplitScratch vscratch;
     util::WallTimer vector_timer;
     core::SplitResult vsplit;
     for (int rep = 0; rep < reps; ++rep) {
       vsplit = core::SplitAndCount(nd.db, gi, space, cuts, &vscratch,
-                                   core::KernelKind::kAvx2);
+                                   /*simd=*/true);
       benchmark::DoNotOptimize(vsplit.cells.data());
     }
     double vector_sec = vector_timer.Seconds();

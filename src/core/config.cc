@@ -60,18 +60,6 @@ uint64_t MixString(uint64_t h, const char* tag, const std::string& s) {
 
 }  // namespace
 
-const char* KernelKindName(KernelKind kind) {
-  switch (kind) {
-    case KernelKind::kAuto:
-      return "auto";
-    case KernelKind::kScalar:
-      return "scalar";
-    case KernelKind::kAvx2:
-      return "avx2";
-  }
-  return "auto";
-}
-
 util::Status MinerConfig::Validate() const {
   if (!(alpha > 0.0 && alpha < 1.0)) {
     return FieldError("alpha", "in (0, 1)", util::FormatDouble(alpha));
@@ -116,9 +104,6 @@ uint64_t MinerConfig::Fingerprint() const {
   h = MixBool(h, "pure_space_pruning", pure_space_pruning);
   h = MixBool(h, "chi_bound_pruning", chi_bound_pruning);
   h = MixBool(h, "productivity_filter", productivity_filter);
-  // `kernel` is intentionally NOT hashed: every kernel kind is
-  // differential-tested bit-exact, so all its settings may share one
-  // cache entry.
   h = MixBool(h, "merge_spaces", merge_spaces);
   h = MixDouble(h, "merge_alpha", merge_alpha);
   h = MixBool(h, "independently_productive_filter",

@@ -21,25 +21,6 @@ enum class SplitKind {
   kMean,
 };
 
-/// Which implementation of the fused split+count kernel the SDAD-CS
-/// recursion runs. Every kind is proven byte-identical by the
-/// differential tests, so the choice is purely a speed knob.
-enum class KernelKind {
-  /// Pick the widest kernel the host CPU supports at runtime (AVX2 when
-  /// available, scalar otherwise). Overridable per-process with the
-  /// SDADCS_KERNEL environment variable ("scalar" / "avx2" / "auto"),
-  /// which CI uses to force both paths through one binary.
-  kAuto,
-  /// Portable scalar reference implementation — the differential oracle.
-  kScalar,
-  /// AVX2 gather + vectorized interval compares; falls back to kScalar
-  /// when the CPU lacks AVX2.
-  kAvx2,
-};
-
-/// Stable name ("auto", "scalar", "avx2").
-const char* KernelKindName(KernelKind kind);
-
 /// How the significance level is adjusted for multiple testing.
 enum class BonferroniMode {
   /// Use α unchanged for every test.
@@ -51,7 +32,9 @@ enum class BonferroniMode {
 
 /// All user-facing knobs of the miner. Defaults mirror the paper's
 /// experimental setup (α = 0.05, δ = 0.1, tree stunted at 5 levels,
-/// top-100 patterns).
+/// top-100 patterns). Which scan kernels run (vectorized or the scalar
+/// oracle) is not a knob: the host picks once per run
+/// (MiningContext::simd), and every choice returns the same bytes.
 struct MinerConfig {
   /// Significance level for every statistical test (Eq. 3); adjusted per
   /// `bonferroni`.
@@ -107,10 +90,6 @@ struct MinerConfig {
     return meaningful_pruning && productivity_filter;
   }
 
-  /// Which split+count kernel implementation to run. All kinds produce
-  /// byte-identical results, so this is excluded from Fingerprint().
-  KernelKind kernel = KernelKind::kAuto;
-
   /// Bottom-up merging of contiguous similar spaces (Lines 26-29 of
   /// Algorithm 1).
   bool merge_spaces = true;
@@ -159,12 +138,11 @@ struct MinerConfig {
   /// baseline — validates through this before mining.
   util::Status Validate() const;
 
-  /// Stable 64-bit hash of the *semantic* fields — every knob that can
-  /// change the mined patterns, each mixed under its own field tag so
-  /// two configs collide only if they would produce identical output.
-  /// Deliberately not a hash of the struct bytes: the speed-only
-  /// `kernel` knob is excluded, and a NaN `merge_alpha` is canonicalized
-  /// so "default" always hashes the same.
+  /// Stable 64-bit hash of every field — each one can change the mined
+  /// patterns — mixed under its own field tag so two configs collide
+  /// only if they would produce identical output. Deliberately not a
+  /// hash of the struct bytes: a NaN `merge_alpha` is canonicalized so
+  /// "default" always hashes the same.
   /// The serving layer's result cache keys on this; see
   /// core/request_key.h.
   uint64_t Fingerprint() const;

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <cstdint>
 
-#include "core/split_kernel.h"
 #include "data/chunks.h"
+#include "data/simd_select.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -318,9 +318,9 @@ GroupCounts CountMatchesKernel(const data::Dataset& db,
                                const data::GroupInfo& gi,
                                const Itemset& itemset,
                                const data::Selection& sel,
-                               KernelKind kernel) {
+                               bool simd) {
 #if defined(SDADCS_MATCH_KERNEL_X86)
-  if (ResolveKernel(kernel) == KernelKind::kAvx2) {
+  if (simd && data::Avx2Supported()) {
     GroupCounts gc;
     gc.counts.assign(gi.num_groups(), 0.0);
     const std::vector<ItemSpec> specs = SpecsOf(itemset);
@@ -349,9 +349,9 @@ data::Selection FilterCountItemKernel(const data::Dataset& db,
                                       const data::GroupInfo& gi,
                                       const Item& item,
                                       const data::Selection& sel,
-                                      GroupCounts* gc, KernelKind kernel) {
+                                      GroupCounts* gc, bool simd) {
 #if defined(SDADCS_MATCH_KERNEL_X86)
-  if (ResolveKernel(kernel) == KernelKind::kAvx2) {
+  if (simd && data::Avx2Supported()) {
     gc->counts.assign(gi.num_groups(), 0.0);
     const int16_t* groups = gi.group_codes();
     double* counts = gc->counts.data();
@@ -384,9 +384,9 @@ data::Selection FilterAllPresentKernel(const data::Dataset& db,
                                        const data::GroupInfo& gi,
                                        const std::vector<int>& cont_attrs,
                                        const data::Selection& sel,
-                                       GroupCounts* gc, KernelKind kernel) {
+                                       GroupCounts* gc, bool simd) {
 #if defined(SDADCS_MATCH_KERNEL_X86)
-  if (ResolveKernel(kernel) == KernelKind::kAvx2) {
+  if (simd && data::Avx2Supported()) {
     gc->counts.assign(gi.num_groups(), 0.0);
     const int16_t* groups = gi.group_codes();
     double* counts = gc->counts.data();
@@ -424,10 +424,10 @@ Contingency2x2 CountPartsInGroupKernel(const data::Dataset& db,
                                        const data::GroupInfo& gi,
                                        const Itemset& a, const Itemset& b,
                                        int group, const data::Selection& sel,
-                                       KernelKind kernel) {
+                                       bool simd) {
   Contingency2x2 t;
 #if defined(SDADCS_MATCH_KERNEL_X86)
-  if (ResolveKernel(kernel) == KernelKind::kAvx2) {
+  if (simd && data::Avx2Supported()) {
     const std::vector<ItemSpec> sa = SpecsOf(a);
     const std::vector<ItemSpec> sb = SpecsOf(b);
     const int16_t* groups = gi.group_codes();

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "core/config.h"
 #include "core/itemset.h"
 #include "core/support.h"
 #include "data/dataset.h"
@@ -15,25 +14,26 @@ namespace sdadcs::core {
 /// Columnar itemset-scan kernels for the row-scan hot paths outside the
 /// split kernel: categorical candidate expansion, the SDAD root filter,
 /// support (re)counting, and the productivity contingency scan. Each
-/// kernel dispatches on MinerConfig::kernel through ResolveKernel:
+/// kernel takes the run's MiningContext::simd flag:
 ///
-///  - kScalar runs the historical per-row Item::Matches loops verbatim
-///    (the differential oracle);
-///  - kAvx2 resolves each item to a raw column pointer once and scans
-///    with branch-light columnar loops (plus AVX2 gathers where the
-///    access pattern warrants them).
+///  - false runs the historical per-row Item::Matches loops verbatim
+///    (the scalar oracle);
+///  - true resolves each item to a raw column pointer once per chunk and
+///    scans with AVX2 gathers and compares (the scalar loops again on a
+///    host without AVX2).
 ///
 /// Both paths are byte-identical by construction: rows are emitted in
 /// selection order, counts are accumulated in the same order as exact
 /// small-integer doubles, and interval/NaN semantics match Item::Matches
-/// (missing values never match).
+/// (missing values never match). tests/core/scan_kernel_test.cc compares
+/// them directly.
 
-/// CountMatches (support.h) with kernel dispatch: per-group match counts
+/// CountMatches (support.h) on either path: per-group match counts
 /// of `itemset` among `sel`.
 GroupCounts CountMatchesKernel(const data::Dataset& db,
                                const data::GroupInfo& gi,
                                const Itemset& itemset,
-                               const data::Selection& sel, KernelKind kernel);
+                               const data::Selection& sel, bool simd);
 
 /// Fused single-item filter + group count (the categorical candidate
 /// expansion scan): rows of `sel` matching `item`, in order, with their
@@ -42,7 +42,7 @@ data::Selection FilterCountItemKernel(const data::Dataset& db,
                                       const data::GroupInfo& gi,
                                       const Item& item,
                                       const data::Selection& sel,
-                                      GroupCounts* gc, KernelKind kernel);
+                                      GroupCounts* gc, bool simd);
 
 /// The SDAD root filter: rows of `sel` with a present (non-missing)
 /// value on every attribute of `cont_attrs`, in order, with per-group
@@ -51,7 +51,7 @@ data::Selection FilterAllPresentKernel(const data::Dataset& db,
                                        const data::GroupInfo& gi,
                                        const std::vector<int>& cont_attrs,
                                        const data::Selection& sel,
-                                       GroupCounts* gc, KernelKind kernel);
+                                       GroupCounts* gc, bool simd);
 
 /// 2x2 contingency of two itemsets within one group: how rows of `sel`
 /// belonging to `group` fall under (a, b) / (a, !b) / (!a, b) / neither.
@@ -67,7 +67,7 @@ Contingency2x2 CountPartsInGroupKernel(const data::Dataset& db,
                                        const data::GroupInfo& gi,
                                        const Itemset& a, const Itemset& b,
                                        int group, const data::Selection& sel,
-                                       KernelKind kernel);
+                                       bool simd);
 
 }  // namespace sdadcs::core
 

@@ -5,6 +5,7 @@
 #include "core/sdad.h"
 #include "core/support.h"
 #include "core/topk.h"
+#include "data/simd_select.h"
 #include "stats/chi_squared.h"
 
 namespace sdadcs::core {
@@ -38,7 +39,7 @@ MeaningfulnessReport ClassifyPatterns(
   ctx.prune_table = &prune_table;
   ctx.topk = &topk;
   ctx.counters = &counters;
-  ctx.kernel = ResolveKernel(cfg.kernel);
+  ctx.simd = data::SimdByDefault();
   ctx.group_sizes = GroupSizes(gi);
 
   MeaningfulnessReport report;

@@ -123,10 +123,7 @@ bool SameProfile(const ContrastPattern& a, const ContrastPattern& b) {
 }  // namespace
 
 double MiningContext::ChiCritical(double alpha, int dof) {
-  // Alphas in one run come from a small set (alpha / 2^level), so a
-  // quantized key is collision-safe in practice and exact for the
-  // values we generate.
-  int64_t key = static_cast<int64_t>(alpha * 1e12) * 64 + dof;
+  const std::pair<double, int> key(alpha, dof);
   auto it = chi_critical_cache_.find(key);
   if (it != chi_critical_cache_.end()) return it->second;
   double value = stats::ChiSquaredCritical(alpha, dof);
@@ -202,7 +199,7 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
   // + CountGroups, its per-cell reference, lives on as the test oracle).
   const std::vector<double> cuts =
       PartitionCuts(*ctx.db, call.space, cfg.split, &ctx.split_scratch.values,
-                    &ctx.split_scratch.select, ctx.kernel == KernelKind::kAvx2);
+                    &ctx.split_scratch.select, ctx.simd);
   SplitResult split = SplitAndCountSharded(ctx, call.space, cuts);
   const std::vector<Space>& cells = split.cells;
   if (cells.empty()) return {};
@@ -280,14 +277,14 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
       if (MeasureNeedsTrivialBound(cfg.measure)) {
         oe = gc.total() > 0.0 ? 1.0 : 0.0;
       } else {
-        // The bound inputs flow through the mergeable accumulator even
-        // on this (already merged) path, so the serial and sharded
-        // engines feed OptimisticMeasure bit-identical arithmetic.
-        OptimisticInputAccumulator oe_acc(gc.counts.size());
-        oe_acc.Accumulate(gc);
-        oe = OptimisticMeasure(std::move(oe_acc).Finalize(
-            call.outer_db_size, call.level,
-            static_cast<int>(call.cont_attrs.size()), ctx.group_sizes));
+        OptimisticInput in;
+        in.db_size = call.outer_db_size;
+        in.level = call.level;
+        in.num_continuous = static_cast<int>(call.cont_attrs.size());
+        in.space_total = gc.total();
+        in.counts = gc.counts;
+        in.group_sizes = ctx.group_sizes;
+        oe = OptimisticMeasure(in);
       }
       if (oe <= ctx.topk->threshold()) {
         ++counters.pruned_oe_measure;

@@ -1,8 +1,10 @@
 #ifndef SDADCS_CORE_SDAD_H_
 #define SDADCS_CORE_SDAD_H_
 
+#include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -29,9 +31,12 @@ struct MiningContext {
   PruneTable* prune_table = nullptr;
   TopK* topk = nullptr;
   MiningCounters* counters = nullptr;
-  /// cfg->kernel resolved once per run (ResolveKernel consults the
-  /// environment and CPU; the hot loops should not re-ask per node).
-  KernelKind kernel = KernelKind::kScalar;
+  /// Run the scan and median kernels on their vectorized path (scalar
+  /// anyway on a host without AVX2); false runs the scalar oracle. Both
+  /// return the same bytes. MiningSession::MakeContext sets it once per
+  /// run from the host default (data::SimdByDefault); tests set it to
+  /// compare the two paths in one process.
+  bool simd = false;
   /// Global group sizes |g_k|.
   std::vector<double> group_sizes;
   /// Per continuous attribute: display/normalization bounds over the
@@ -56,7 +61,8 @@ struct MiningContext {
 
   /// Memoized chi-square critical values: the inverse survival function
   /// costs ~13 µs per evaluation (bisection) and the same handful of
-  /// (alpha, dof) pairs recur throughout a run.
+  /// (alpha, dof) pairs recur throughout a run. Keyed on the exact
+  /// alpha, so distinct alphas never share an entry.
   double ChiCritical(double alpha, int dof);
 
   /// Per-group supports of `itemset` over the base selection, from the
@@ -72,7 +78,7 @@ struct MiningContext {
                             std::vector<double> supports);
 
  private:
-  std::unordered_map<int64_t, double> chi_critical_cache_;
+  std::map<std::pair<double, int>, double> chi_critical_cache_;
   std::unordered_map<std::string, std::vector<double>> base_supports_;
 };
 

@@ -1,38 +1,140 @@
 #include "core/shard_exec.h"
 
+#include <functional>
 #include <utility>
 
 #include "data/chunks.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace sdadcs::core {
 
 namespace {
 
-// Fan out only when a plan with real parallelism is attached and the
-// scan is large enough to amortize the task overhead.
-bool ShouldFanOut(const MiningContext& ctx, size_t rows) {
+// A filter kernel's output: the matching rows and their group counts.
+struct Filtered {
+  data::Selection rows;
+  GroupCounts counts;
+};
+
+// The rows a scan input covers, and its slice inside one shard's range
+// (rows stay ascending; a space keeps its bounds).
+const data::Selection& RowsOf(const data::Selection& sel) { return sel; }
+const data::Selection& RowsOf(const Space& space) { return space.rows; }
+
+data::Selection SliceOf(const data::Selection& sel,
+                        const data::ShardRange& range) {
+  return data::ToSelection(data::SliceSelection(sel, range));
+}
+
+Space SliceOf(const Space& space, const data::ShardRange& range) {
+  Space slice;
+  slice.bounds = space.bounds;
+  slice.rows = SliceOf(space.rows, range);
+  return slice;
+}
+
+// The one fan-out behind every sharded scan. `scan(input, scratch)`
+// runs one kernel. Without a multi-shard plan, or below the fan-out
+// floor, it runs once on this thread over `input` with the context's
+// scratch and its result is returned as is. Otherwise one task per
+// shard holds the chunks of the columns `attrs()` names pinned over the
+// shard's rows (a residency hint for paged datasets), runs `scan` over
+// its slice with the shard's scratch, and `merge` folds the per-shard
+// results, in plan order, into one. The checkpoint at the merge barrier
+// charges no nodes, so a run that completes is byte-identical to serial.
+template <typename Input, typename Attrs, typename Scan, typename Merge>
+auto FanOut(MiningContext& ctx, const Input& input, const Attrs& attrs,
+            const Scan& scan, const Merge& merge) {
   const ShardExec* ex = ctx.shards;
-  return ex != nullptr && ex->plan != nullptr && ex->pool != nullptr &&
-         ex->plan->num_shards() > 1 && rows >= ex->min_fanout_rows;
+  if (ex == nullptr || ex->plan == nullptr || ex->pool == nullptr ||
+      ex->plan->num_shards() < 2 ||
+      RowsOf(input).size() < ex->min_fanout_rows) {
+    return scan(input, &ctx.split_scratch);
+  }
+  const size_t n = ex->plan->num_shards();
+  SDADCS_CHECK(ex->scratches != nullptr && ex->scratches->size() >= n);
+  const std::vector<int> pinned = attrs();
+  std::vector<decltype(scan(input, &ctx.split_scratch))> parts(n);
+  for (size_t i = 0; i < n; ++i) {
+    ex->pool->Submit([&, i]() {
+      const data::ShardRange& range = ex->plan->range(i);
+      data::ChunkPinSet hint(*ctx.db, pinned, range.begin_row,
+                             range.end_row);
+      parts[i] = scan(SliceOf(input, range), &(*ex->scratches)[i]);
+    });
+  }
+  ex->pool->Wait();
+  (void)ctx.run.CheckNow();
+  return merge(std::move(parts));
 }
 
-// Materializes the slice of `sel` inside shard `i` as an owning
-// Selection (the kernels take Selections). Rows stay ascending.
-data::Selection ShardSlice(const ShardExec& ex, const data::Selection& sel,
-                           size_t i) {
-  return data::ToSelection(data::SliceSelection(sel, ex.plan->range(i)));
+// Merges. Shard ranges ascend and every kernel emits rows in selection
+// order, so rows concatenated in plan order come out sorted with no
+// sort; counts are exact small-integer doubles, so their sum is
+// bit-identical to one scan of the whole selection.
+
+// Sums the group counts `get(part)` over the shard results.
+template <typename Part, typename Get>
+GroupCounts SumCounts(const std::vector<Part>& parts, Get get) {
+  GroupCounts sum = std::invoke(get, parts.front());
+  for (size_t i = 1; i < parts.size(); ++i) {
+    const GroupCounts& part = std::invoke(get, parts[i]);
+    SDADCS_CHECK(part.counts.size() == sum.counts.size());
+    for (size_t g = 0; g < sum.counts.size(); ++g) {
+      sum.counts[g] += part.counts[g];
+    }
+  }
+  return sum;
 }
 
-// Best-effort residency hint for one shard task on a paged dataset:
-// holds the chunks of `attrs` covering the shard's row range pinned
-// across the task's kernel calls, so the per-span hard pins inside the
-// kernel hit resident buffers instead of reloading them. Returns an
-// empty set for resident datasets (the ctor no-ops without a store).
-data::ChunkPinSet ShardHint(const MiningContext& ctx, const ShardExec& ex,
-                            const std::vector<int>& attrs, size_t i) {
-  const data::ShardRange& range = ex.plan->range(i);
-  return data::ChunkPinSet(*ctx.db, attrs, range.begin_row, range.end_row);
+// Concatenates the rows `get(part)` of the shard results in plan order.
+template <typename Part, typename Get>
+data::Selection ConcatRows(const std::vector<Part>& parts, Get get) {
+  size_t total = 0;
+  for (const Part& part : parts) total += std::invoke(get, part).size();
+  std::vector<uint32_t> rows;
+  rows.reserve(total);
+  for (const Part& part : parts) {
+    const data::Selection& sel = std::invoke(get, part);
+    rows.insert(rows.end(), sel.begin(), sel.end());
+  }
+  return data::Selection(std::move(rows));
+}
+
+// Merges split results by position. Every shard splits the same
+// (bounds, cuts), so even a shard whose slice is empty produces the same
+// cell lattice in the same mask order: cell c keeps the first shard's
+// bounds, and its rows concatenate and its counts sum.
+SplitResult MergeSplitCells(std::vector<SplitResult> parts) {
+  const size_t num_cells = parts.front().cells.size();
+  for (const SplitResult& part : parts) {
+    SDADCS_CHECK(part.cells.size() == num_cells);
+  }
+  SplitResult out;
+  out.cells.resize(num_cells);
+  out.counts.reserve(num_cells);
+  for (size_t c = 0; c < num_cells; ++c) {
+    out.cells[c].bounds = std::move(parts.front().cells[c].bounds);
+    out.cells[c].rows =
+        ConcatRows(parts, [c](const SplitResult& part) -> const auto& {
+          return part.cells[c].rows;
+        });
+    out.counts.push_back(
+        SumCounts(parts, [c](const SplitResult& part) -> const auto& {
+          return part.counts[c];
+        }));
+  }
+  return out;
+}
+
+Filtered MergeFiltered(std::vector<Filtered> parts) {
+  return {ConcatRows(parts, &Filtered::rows),
+          SumCounts(parts, &Filtered::counts)};
+}
+
+GroupCounts MergeCounts(std::vector<GroupCounts> parts) {
+  return SumCounts(parts, std::identity());
 }
 
 // The column attributes an itemset scan touches.
@@ -43,246 +145,103 @@ std::vector<int> AttrsOf(const Itemset& is) {
   return attrs;
 }
 
-// Runs `task(shard)` for every shard on the pool and blocks at the
-// merge barrier; then flushes a RunState checkpoint so a cancel /
-// deadline / budget stop raised during the fan-out is observed before
-// the coordinator commits to more work. CheckNow charges no extra
-// nodes, so a run that completes is byte-identical to serial.
-template <typename Task>
-void FanOut(MiningContext& ctx, const Task& task) {
-  const ShardExec& ex = *ctx.shards;
-  const size_t n = ex.plan->num_shards();
-  for (size_t i = 0; i < n; ++i) {
-    ex.pool->Submit([&task, i]() { task(i); });
-  }
-  ex.pool->Wait();
-  (void)ctx.run.CheckNow();
-}
-
 }  // namespace
-
-void GroupCountsAccumulator::Accumulate(const GroupCounts& shard) {
-  SDADCS_CHECK(shard.counts.size() == merged_.counts.size());
-  for (size_t g = 0; g < shard.counts.size(); ++g) {
-    merged_.counts[g] += shard.counts[g];
-  }
-}
-
-void SelectionAccumulator::Accumulate(const data::Selection& shard) {
-  rows_.insert(rows_.end(), shard.rows().begin(), shard.rows().end());
-}
-
-void SelectionAccumulator::Merge(SelectionAccumulator&& other) {
-  rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
-}
-
-data::Selection SelectionAccumulator::Finalize() && {
-  return data::Selection(std::move(rows_));
-}
-
-void Contingency2x2Accumulator::Accumulate(const Contingency2x2& shard) {
-  merged_.n11 += shard.n11;
-  merged_.n10 += shard.n10;
-  merged_.n01 += shard.n01;
-  merged_.n00 += shard.n00;
-}
-
-void SplitAccumulator::Accumulate(SplitResult&& shard) {
-  if (cells_.empty()) {
-    // First shard fixes the cell lattice: bounds depend only on
-    // (space.bounds, cuts), which every shard shares.
-    cells_.reserve(shard.cells.size());
-    rows_.resize(shard.cells.size());
-    counts_.reserve(shard.cells.size());
-    for (size_t c = 0; c < shard.cells.size(); ++c) {
-      Space cell;
-      cell.bounds = std::move(shard.cells[c].bounds);
-      cells_.push_back(std::move(cell));
-      rows_[c].Accumulate(shard.cells[c].rows);
-      counts_.push_back(std::move(shard.counts[c]));
-    }
-    return;
-  }
-  SDADCS_CHECK(shard.cells.size() == cells_.size());
-  for (size_t c = 0; c < shard.cells.size(); ++c) {
-    rows_[c].Accumulate(shard.cells[c].rows);
-    GroupCountsAccumulator acc(counts_[c].counts.size());
-    acc.Accumulate(counts_[c]);
-    acc.Accumulate(shard.counts[c]);
-    counts_[c] = std::move(acc).Finalize();
-  }
-}
-
-SplitResult SplitAccumulator::Finalize() && {
-  SplitResult out;
-  out.cells = std::move(cells_);
-  out.counts = std::move(counts_);
-  for (size_t c = 0; c < out.cells.size(); ++c) {
-    out.cells[c].rows = std::move(rows_[c]).Finalize();
-  }
-  return out;
-}
-
-OptimisticInput OptimisticInputAccumulator::Finalize(
-    double db_size, int level, int num_continuous,
-    const std::vector<double>& group_sizes) && {
-  OptimisticInput in;
-  in.db_size = db_size;
-  in.level = level;
-  in.num_continuous = num_continuous;
-  GroupCounts merged = std::move(counts_).Finalize();
-  in.space_total = merged.total();
-  in.counts = std::move(merged.counts);
-  in.group_sizes = group_sizes;
-  return in;
-}
 
 GroupCounts CountGroupsSharded(MiningContext& ctx,
                                const data::Selection& sel) {
-  if (!ShouldFanOut(ctx, sel.size())) return CountGroups(*ctx.gi, sel);
-  const ShardExec& ex = *ctx.shards;
-  const size_t n = ex.plan->num_shards();
-  std::vector<GroupCounts> partials(n);
-  FanOut(ctx, [&](size_t i) {
-    partials[i] = CountGroups(*ctx.gi, ShardSlice(ex, sel, i));
-  });
-  GroupCountsAccumulator acc(
-      static_cast<size_t>(ctx.gi->num_groups()));
-  for (const GroupCounts& p : partials) acc.Accumulate(p);
-  return std::move(acc).Finalize();
+  return FanOut(
+      ctx, sel, [] { return std::vector<int>(); },
+      [&](const data::Selection& rows, SplitScratch*) {
+        return CountGroups(*ctx.gi, rows);
+      },
+      MergeCounts);
 }
 
 GroupCounts CountMatchesSharded(MiningContext& ctx, const Itemset& itemset,
                                 const data::Selection& sel) {
-  if (!ShouldFanOut(ctx, sel.size())) {
-    return CountMatchesKernel(*ctx.db, *ctx.gi, itemset, sel, ctx.kernel);
-  }
-  const ShardExec& ex = *ctx.shards;
-  const size_t n = ex.plan->num_shards();
-  std::vector<GroupCounts> partials(n);
-  const std::vector<int> attrs = AttrsOf(itemset);
-  FanOut(ctx, [&](size_t i) {
-    data::ChunkPinSet hint = ShardHint(ctx, ex, attrs, i);
-    partials[i] = CountMatchesKernel(*ctx.db, *ctx.gi, itemset,
-                                     ShardSlice(ex, sel, i), ctx.kernel);
-  });
-  GroupCountsAccumulator acc(
-      static_cast<size_t>(ctx.gi->num_groups()));
-  for (const GroupCounts& p : partials) acc.Accumulate(p);
-  return std::move(acc).Finalize();
+  return FanOut(
+      ctx, sel, [&] { return AttrsOf(itemset); },
+      [&](const data::Selection& rows, SplitScratch*) {
+        return CountMatchesKernel(*ctx.db, *ctx.gi, itemset, rows, ctx.simd);
+      },
+      MergeCounts);
 }
 
 data::Selection FilterCountItemSharded(MiningContext& ctx, const Item& item,
                                        const data::Selection& sel,
                                        GroupCounts* gc) {
-  if (!ShouldFanOut(ctx, sel.size())) {
-    return FilterCountItemKernel(*ctx.db, *ctx.gi, item, sel, gc,
-                                 ctx.kernel);
-  }
-  const ShardExec& ex = *ctx.shards;
-  const size_t n = ex.plan->num_shards();
-  std::vector<data::Selection> rows(n);
-  std::vector<GroupCounts> partials(n);
-  const std::vector<int> attrs = {item.attr};
-  FanOut(ctx, [&](size_t i) {
-    data::ChunkPinSet hint = ShardHint(ctx, ex, attrs, i);
-    rows[i] = FilterCountItemKernel(*ctx.db, *ctx.gi, item,
-                                    ShardSlice(ex, sel, i), &partials[i],
-                                    ctx.kernel);
-  });
-  GroupCountsAccumulator counts(
-      static_cast<size_t>(ctx.gi->num_groups()));
-  SelectionAccumulator merged;
-  for (size_t i = 0; i < n; ++i) {
-    counts.Accumulate(partials[i]);
-    merged.Accumulate(rows[i]);
-  }
-  *gc = std::move(counts).Finalize();
-  return std::move(merged).Finalize();
+  Filtered out = FanOut(
+      ctx, sel, [&] { return std::vector<int>{item.attr}; },
+      [&](const data::Selection& rows, SplitScratch*) {
+        Filtered f;
+        f.rows = FilterCountItemKernel(*ctx.db, *ctx.gi, item, rows,
+                                       &f.counts, ctx.simd);
+        return f;
+      },
+      MergeFiltered);
+  *gc = std::move(out.counts);
+  return std::move(out.rows);
 }
 
 data::Selection FilterAllPresentSharded(MiningContext& ctx,
                                         const std::vector<int>& cont_attrs,
                                         const data::Selection& sel,
                                         GroupCounts* gc) {
-  if (!ShouldFanOut(ctx, sel.size())) {
-    return FilterAllPresentKernel(*ctx.db, *ctx.gi, cont_attrs, sel, gc,
-                                  ctx.kernel);
-  }
-  const ShardExec& ex = *ctx.shards;
-  const size_t n = ex.plan->num_shards();
-  std::vector<data::Selection> rows(n);
-  std::vector<GroupCounts> partials(n);
-  FanOut(ctx, [&](size_t i) {
-    data::ChunkPinSet hint = ShardHint(ctx, ex, cont_attrs, i);
-    rows[i] = FilterAllPresentKernel(*ctx.db, *ctx.gi, cont_attrs,
-                                     ShardSlice(ex, sel, i), &partials[i],
-                                     ctx.kernel);
-  });
-  GroupCountsAccumulator counts(
-      static_cast<size_t>(ctx.gi->num_groups()));
-  SelectionAccumulator merged;
-  for (size_t i = 0; i < n; ++i) {
-    counts.Accumulate(partials[i]);
-    merged.Accumulate(rows[i]);
-  }
-  *gc = std::move(counts).Finalize();
-  return std::move(merged).Finalize();
+  Filtered out = FanOut(
+      ctx, sel, [&] { return cont_attrs; },
+      [&](const data::Selection& rows, SplitScratch*) {
+        Filtered f;
+        f.rows = FilterAllPresentKernel(*ctx.db, *ctx.gi, cont_attrs, rows,
+                                        &f.counts, ctx.simd);
+        return f;
+      },
+      MergeFiltered);
+  *gc = std::move(out.counts);
+  return std::move(out.rows);
 }
 
 SplitResult SplitAndCountSharded(MiningContext& ctx, const Space& space,
                                  const std::vector<double>& cuts) {
-  if (!ShouldFanOut(ctx, space.rows.size())) {
-    return SplitAndCount(*ctx.db, *ctx.gi, space, cuts, &ctx.split_scratch,
-                         ctx.kernel);
-  }
-  const ShardExec& ex = *ctx.shards;
-  const size_t n = ex.plan->num_shards();
-  SDADCS_CHECK(ex.scratches != nullptr && ex.scratches->size() >= n);
-  std::vector<SplitResult> partials(n);
-  std::vector<int> attrs;
-  for (int axis : SplittableAxes(cuts)) {
-    attrs.push_back(space.bounds[axis].attr);
-  }
-  FanOut(ctx, [&](size_t i) {
-    data::ChunkPinSet hint = ShardHint(ctx, ex, attrs, i);
-    Space shard_space;
-    shard_space.bounds = space.bounds;
-    shard_space.rows = ShardSlice(ex, space.rows, i);
-    partials[i] = SplitAndCount(*ctx.db, *ctx.gi, shard_space, cuts,
-                                &(*ex.scratches)[i], ctx.kernel);
-  });
-  SplitAccumulator acc;
-  for (SplitResult& p : partials) {
-    // A shard whose slice is empty still materializes the full cell
-    // lattice (it depends only on bounds and cuts), so every partial
-    // merges positionally.
-    acc.Accumulate(std::move(p));
-  }
-  return std::move(acc).Finalize();
+  return FanOut(
+      ctx, space,
+      [&] {
+        std::vector<int> attrs;
+        for (int axis : SplittableAxes(cuts)) {
+          attrs.push_back(space.bounds[axis].attr);
+        }
+        return attrs;
+      },
+      [&](const Space& part, SplitScratch* scratch) {
+        return SplitAndCount(*ctx.db, *ctx.gi, part, cuts, scratch,
+                             ctx.simd);
+      },
+      MergeSplitCells);
 }
 
 Contingency2x2 CountPartsInGroupSharded(MiningContext& ctx, const Itemset& a,
                                         const Itemset& b, int group,
                                         const data::Selection& sel) {
-  if (!ShouldFanOut(ctx, sel.size())) {
-    return CountPartsInGroupKernel(*ctx.db, *ctx.gi, a, b, group, sel,
-                                   ctx.kernel);
-  }
-  const ShardExec& ex = *ctx.shards;
-  const size_t n = ex.plan->num_shards();
-  std::vector<Contingency2x2> partials(n);
-  std::vector<int> attrs = AttrsOf(a);
-  for (int attr : AttrsOf(b)) attrs.push_back(attr);
-  FanOut(ctx, [&](size_t i) {
-    data::ChunkPinSet hint = ShardHint(ctx, ex, attrs, i);
-    partials[i] = CountPartsInGroupKernel(*ctx.db, *ctx.gi, a, b, group,
-                                          ShardSlice(ex, sel, i),
-                                          ctx.kernel);
-  });
-  Contingency2x2Accumulator acc;
-  for (const Contingency2x2& p : partials) acc.Accumulate(p);
-  return std::move(acc).Finalize();
+  return FanOut(
+      ctx, sel,
+      [&] {
+        std::vector<int> attrs = AttrsOf(a);
+        for (int attr : AttrsOf(b)) attrs.push_back(attr);
+        return attrs;
+      },
+      [&](const data::Selection& rows, SplitScratch*) {
+        return CountPartsInGroupKernel(*ctx.db, *ctx.gi, a, b, group, rows,
+                                       ctx.simd);
+      },
+      [](const std::vector<Contingency2x2>& parts) {
+        Contingency2x2 sum;
+        for (const Contingency2x2& part : parts) {
+          sum.n11 += part.n11;
+          sum.n10 += part.n10;
+          sum.n01 += part.n01;
+          sum.n00 += part.n00;
+        }
+        return sum;
+      });
 }
 
 }  // namespace sdadcs::core

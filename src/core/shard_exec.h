@@ -5,13 +5,11 @@
 #include <vector>
 
 #include "core/match_kernel.h"
-#include "core/optimistic.h"
 #include "core/sdad.h"
 #include "core/split_kernel.h"
 #include "core/support.h"
 #include "data/selection.h"
 #include "data/shard.h"
-#include "util/thread_pool.h"
 
 namespace sdadcs::util {
 class ThreadPool;
@@ -43,98 +41,15 @@ struct ShardExec {
   size_t min_fanout_rows = 4096;
 };
 
-/// Mergeable per-group count accumulator (Accumulate / Merge /
-/// Finalize): each shard contributes its local GroupCounts, the
-/// coordinator folds them, and only the finalized merged counts feed a
-/// statistic or pruning rule. Exact: counts are small-integer doubles,
-/// so addition is associative.
-class GroupCountsAccumulator {
- public:
-  explicit GroupCountsAccumulator(size_t num_groups) {
-    merged_.counts.assign(num_groups, 0.0);
-  }
-
-  void Accumulate(const GroupCounts& shard);
-  void Merge(const GroupCountsAccumulator& other) {
-    Accumulate(other.merged_);
-  }
-  GroupCounts Finalize() && { return std::move(merged_); }
-
- private:
-  GroupCounts merged_;
-};
-
-/// Mergeable row-set accumulator. Shards MUST be accumulated in plan
-/// order: ranges are ascending and disjoint, so plain concatenation
-/// preserves the Selection sortedness invariant with no sort.
-class SelectionAccumulator {
- public:
-  void Accumulate(const data::Selection& shard);
-  void Merge(SelectionAccumulator&& other);
-  data::Selection Finalize() &&;
-
- private:
-  std::vector<uint32_t> rows_;
-};
-
-/// Mergeable 2x2 contingency accumulator for the productivity
-/// dependence scan.
-class Contingency2x2Accumulator {
- public:
-  void Accumulate(const Contingency2x2& shard);
-  void Merge(const Contingency2x2Accumulator& other) {
-    Accumulate(other.merged_);
-  }
-  Contingency2x2 Finalize() && { return merged_; }
-
- private:
-  Contingency2x2 merged_;
-};
-
-/// Mergeable split-result accumulator. Every shard's SplitAndCount over
-/// the same (bounds, cuts) produces the same cell lattice in the same
-/// mask order, so cells merge positionally: rows concatenate (plan
-/// order — see SelectionAccumulator), counts add.
-class SplitAccumulator {
- public:
-  void Accumulate(SplitResult&& shard);
-  SplitResult Finalize() &&;
-  bool empty() const { return cells_.empty(); }
-
- private:
-  std::vector<Space> cells_;           // bounds from the first shard
-  std::vector<SelectionAccumulator> rows_;
-  std::vector<GroupCounts> counts_;
-};
-
-/// Mergeable builder of the optimistic-bound inputs (Eqs. 6-11): the
-/// per-group counts and space total accumulate per shard; the scalar
-/// fields (|DB|, level, |ca|, group sizes) are run-level constants set
-/// at Finalize. The serial path funnels through the same object so both
-/// engines feed OptimisticMeasure bit-identical inputs.
-class OptimisticInputAccumulator {
- public:
-  explicit OptimisticInputAccumulator(size_t num_groups)
-      : counts_(num_groups) {}
-
-  void Accumulate(const GroupCounts& shard) { counts_.Accumulate(shard); }
-  void Merge(OptimisticInputAccumulator&& other) {
-    counts_.Merge(other.counts_);
-  }
-  OptimisticInput Finalize(double db_size, int level, int num_continuous,
-                           const std::vector<double>& group_sizes) &&;
-
- private:
-  GroupCountsAccumulator counts_;
-};
-
-/// Sharded counting wrappers. Each runs the plain kernel inline when
-/// the context has no shard plan (or the selection is below the fan-out
-/// floor), and otherwise fans one task per shard across the pool,
-/// merges with the accumulators above, and flushes a RunState
-/// checkpoint at the merge barrier (CheckNow) so cancel / deadline /
-/// budget stops are observed between fan-outs and the coordinator
-/// drains its partial top-k cleanly.
+/// Counting scans with shard fan-out. Each calls its kernel directly on
+/// the calling thread when the context has no multi-shard plan or the
+/// selection is below the fan-out floor. Otherwise it runs one task per
+/// shard on the pool and merges the per-shard results in plan order
+/// (counts sum, rows concatenate, split cells merge by position), then
+/// flushes a RunState checkpoint at the merge barrier (CheckNow) so
+/// cancel / deadline / budget stops are observed between fan-outs and
+/// the coordinator drains its partial top-k cleanly. Every kernel runs
+/// the path MiningContext::simd names.
 
 /// CountGroups with shard fan-out.
 GroupCounts CountGroupsSharded(MiningContext& ctx,

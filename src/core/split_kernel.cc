@@ -1,8 +1,6 @@
 #include "core/split_kernel.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "data/chunks.h"
 #include "util/logging.h"
@@ -111,45 +109,13 @@ __attribute__((target("avx2"))) void Pass1Avx2(
               scratch);
 }
 
-bool Avx2Supported() {
-  static const bool supported = __builtin_cpu_supports("avx2");
-  return supported;
-}
-
-#else  // !SDADCS_SPLIT_KERNEL_X86
-
-bool Avx2Supported() { return false; }
-
 #endif  // SDADCS_SPLIT_KERNEL_X86
-
-KernelKind EnvKernel() {
-  static const KernelKind kind = [] {
-    const char* e = std::getenv("SDADCS_KERNEL");
-    if (e == nullptr) return KernelKind::kAuto;
-    if (std::strcmp(e, "scalar") == 0) return KernelKind::kScalar;
-    if (std::strcmp(e, "avx2") == 0) return KernelKind::kAvx2;
-    return KernelKind::kAuto;  // "auto" or unrecognized: no override
-  }();
-  return kind;
-}
 
 }  // namespace
 
-KernelKind ResolveKernel(KernelKind requested) {
-  KernelKind kind = requested;
-  if (kind == KernelKind::kAuto) kind = EnvKernel();
-  if (kind == KernelKind::kAuto) {
-    kind = Avx2Supported() ? KernelKind::kAvx2 : KernelKind::kScalar;
-  }
-  if (kind == KernelKind::kAvx2 && !Avx2Supported()) {
-    kind = KernelKind::kScalar;
-  }
-  return kind;
-}
-
 SplitResult SplitAndCount(const data::Dataset& db, const data::GroupInfo& gi,
                           const Space& space, const std::vector<double>& cuts,
-                          SplitScratch* scratch, KernelKind kernel) {
+                          SplitScratch* scratch, bool simd) {
   SDADCS_CHECK(cuts.size() == space.bounds.size());
   SplitResult out;
   const std::vector<int> splittable = SplittableAxes(cuts);
@@ -178,7 +144,7 @@ SplitResult SplitAndCount(const data::Dataset& db, const data::GroupInfo& gi,
 
   const uint32_t* rows = space.rows.rows().data();
   const size_t n = space.rows.size();
-  const KernelKind resolved = ResolveKernel(kernel);
+  const bool vectorized = simd && data::Avx2Supported();
   data::ColumnChunks chunks = db.chunks();
   data::ForEachChunkSpan(
       chunks.layout(), rows, n, [&](uint32_t chunk, size_t b, size_t e) {
@@ -194,7 +160,7 @@ SplitResult SplitAndCount(const data::Dataset& db, const data::GroupInfo& gi,
         }
         const uint32_t row_base = pins[0].row_base();
 #if SDADCS_SPLIT_KERNEL_X86
-        if (resolved == KernelKind::kAvx2) {
+        if (vectorized) {
           Pass1Avx2(rows + b, e - b, row_base, axes, k, groups, num_groups,
                     scratch);
         } else {
@@ -206,7 +172,7 @@ SplitResult SplitAndCount(const data::Dataset& db, const data::GroupInfo& gi,
                     scratch);
 #endif
       });
-  (void)resolved;
+  (void)vectorized;
 
   // Pass 2 — materialize the cells in mask order. Scattering rows in
   // selection order keeps every cell's row vector sorted.

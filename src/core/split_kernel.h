@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/config.h"
 #include "core/space.h"
 #include "core/support.h"
 #include "data/dataset.h"
@@ -47,13 +46,6 @@ struct SplitResult {
   std::vector<GroupCounts> counts;
 };
 
-/// Resolves a requested kernel kind to a concrete implementation:
-/// explicit kScalar/kAvx2 requests are honored (kAvx2 falls back to
-/// kScalar on hosts without AVX2); kAuto consults the SDADCS_KERNEL
-/// environment variable ("scalar" / "avx2") and otherwise picks the
-/// widest kernel the CPU supports. Never returns kAuto.
-KernelKind ResolveKernel(KernelKind requested);
-
 /// Single-pass find_combs(p) + per-cell group counting. Computes each
 /// parent row's cell mask once (n·k work for k splittable axes),
 /// scatters rows into per-cell selections, and accumulates per-group
@@ -62,15 +54,14 @@ KernelKind ResolveKernel(KernelKind requested);
 /// when no axis is splittable. Bit-identical to the naive pipeline:
 /// cells come out in the same mask order with the same rows and counts.
 ///
-/// `kernel` selects the implementation of the per-row interval tests
-/// (resolved through ResolveKernel). Only the comparisons are
+/// `simd` runs the per-row interval tests on AVX2 (scalar on hosts
+/// without it); false runs the scalar oracle. Only the comparisons are
 /// vectorized — row scatter and count accumulation run in row order with
-/// identical arithmetic — so every kind yields byte-identical output;
-/// the differential tests pin this.
+/// identical arithmetic — so both paths yield byte-identical output; the
+/// scan-kernel and differential tests pin this.
 SplitResult SplitAndCount(const data::Dataset& db, const data::GroupInfo& gi,
                           const Space& space, const std::vector<double>& cuts,
-                          SplitScratch* scratch,
-                          KernelKind kernel = KernelKind::kAuto);
+                          SplitScratch* scratch, bool simd);
 
 }  // namespace sdadcs::core
 

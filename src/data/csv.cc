@@ -1,6 +1,7 @@
 #include "data/csv.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -142,7 +143,16 @@ util::StatusOr<Dataset> ReadCsvString(const std::string& text,
       if (IsMissingToken(f, options)) {
         builder.AppendMissing(attr_index[c]);
       } else if (is_continuous[c]) {
-        builder.AppendContinuous(attr_index[c], *util::ParseDouble(f));
+        // An infinite value would make the column's root bound infinite:
+        // a -inf row then matches no interval yet still counts in its
+        // group's size, and hyper-volumes turn NaN.
+        const double v = *util::ParseDouble(f);
+        if (std::isinf(v)) {
+          return util::Status::InvalidArgument(util::StrFormat(
+              "CSV row %zu, column '%s': infinite value '%s'", r,
+              names[c].c_str(), f.c_str()));
+        }
+        builder.AppendContinuous(attr_index[c], v);
       } else {
         builder.AppendCategorical(attr_index[c], f);
       }

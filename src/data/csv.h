@@ -26,7 +26,9 @@ struct CsvOptions {
 
 /// Parses CSV text into a Dataset, inferring each column's type: a column
 /// where every non-missing field parses as a number becomes continuous,
-/// otherwise categorical.
+/// otherwise categorical. An infinite number in a continuous column
+/// (`inf`, `-inf`, or a literal that overflows such as `1e999`) is an
+/// InvalidArgument naming its row, column and field.
 util::StatusOr<Dataset> ReadCsvString(const std::string& text,
                                       const CsvOptions& options = {});
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -15,12 +17,22 @@
 
 namespace sdadcs::data {
 
-bool SimdSelectSupported() {
+bool Avx2Supported() {
 #if defined(SDADCS_SIMD_SELECT_X86) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2");
+  static const bool supported = __builtin_cpu_supports("avx2");
+  return supported;
 #else
   return false;
 #endif
+}
+
+bool SimdByDefault() {
+  static const bool simd = [] {
+    const char* e = std::getenv("SDADCS_KERNEL");
+    const bool scalar = e != nullptr && std::strcmp(e, "scalar") == 0;
+    return Avx2Supported() && !scalar;
+  }();
+  return simd;
 }
 
 namespace {
@@ -177,7 +189,7 @@ double SelectKth(double* vals, size_t n, size_t k, bool simd,
                  SelectScratch* scratch) {
   SDADCS_CHECK(k < n);
 #if defined(SDADCS_SIMD_SELECT_X86)
-  if (simd && scratch != nullptr && SimdSelectSupported()) {
+  if (simd && scratch != nullptr && Avx2Supported()) {
     return SelectKthAvx2(vals, n, k, scratch);
   }
 #endif
@@ -190,7 +202,7 @@ size_t GatherNonNanMaxSpan(const double* values, uint32_t row_base,
                            const uint32_t* rows, size_t n, double* dst,
                            double* max_out, bool simd) {
 #if defined(SDADCS_SIMD_SELECT_X86)
-  if (simd && SimdSelectSupported()) {
+  if (simd && Avx2Supported()) {
     return GatherNonNanMaxAvx2(values, row_base, rows, n, dst, max_out);
   }
 #endif

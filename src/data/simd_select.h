@@ -17,8 +17,16 @@ struct SelectScratch {
   std::vector<double> c;
 };
 
-/// True when the host can run the AVX2 partition kernel.
-bool SimdSelectSupported();
+/// True when the host CPU supports AVX2 (probed once per process). Every
+/// vectorized kernel checks it, so a simd=true call on a host without
+/// AVX2 runs the scalar path.
+bool Avx2Supported();
+
+/// The host's kernel choice for a mining run (MiningContext::simd):
+/// Avx2Supported(), unless the process runs with SDADCS_KERNEL=scalar —
+/// the one process-wide test override, which puts every mine on the
+/// scalar oracle. Read once per process.
+bool SimdByDefault();
 
 /// k-th smallest (0-based) element of vals[0..n). `vals` is clobbered.
 /// With simd=false this is std::nth_element; with simd=true a 3-way

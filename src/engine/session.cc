@@ -6,8 +6,8 @@
 #include "core/productivity.h"
 #include "core/run_state.h"
 #include "core/space.h"
-#include "core/split_kernel.h"
 #include "core/support.h"
+#include "data/simd_select.h"
 
 namespace sdadcs::engine {
 
@@ -107,7 +107,7 @@ core::MiningContext MiningSession::MakeContext(
   ctx.counters = counters;
   ctx.group_sizes = group_sizes_;
   ctx.root_bounds = root_bounds_;
-  ctx.kernel = core::ResolveKernel(config_->kernel);
+  ctx.simd = data::SimdByDefault();
   ctx.run = core::RunState(control_);
   return ctx;
 }

@@ -85,7 +85,8 @@ class MiningSession {
   double ElapsedSeconds() const { return timer_.Seconds(); }
 
   /// Wires a MiningContext over this session's shared read-only state
-  /// with the given per-run mutable pieces. Each worker thread of a
+  /// with the given per-run mutable pieces, and sets its kernel choice
+  /// (MiningContext::simd) from the host default. Each worker thread of a
   /// parallel engine makes its own context (MiningContext is not
   /// thread-safe); the contexts' RunStates all observe the session's
   /// RunControl.

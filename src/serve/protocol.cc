@@ -138,14 +138,6 @@ util::StatusOr<core::MeasureKind> MeasureFromString(const std::string& name) {
       "unknown measure '" + name + "' (want diff | pr | surprising | entropy)");
 }
 
-util::StatusOr<core::KernelKind> KernelFromString(const std::string& name) {
-  if (name == "auto") return core::KernelKind::kAuto;
-  if (name == "scalar") return core::KernelKind::kScalar;
-  if (name == "avx2") return core::KernelKind::kAvx2;
-  return util::Status::InvalidArgument("unknown kernel '" + name +
-                                       "' (want auto | scalar | avx2)");
-}
-
 std::optional<WireError> ParseMinerConfig(const JsonValue& request,
                                           core::MinerConfig* out) {
   core::MinerConfig cfg;
@@ -171,11 +163,6 @@ std::optional<WireError> ParseMinerConfig(const JsonValue& request,
       cfg.meaningful_pruning = false;
       cfg.optimistic_pruning = false;
     }
-    auto kernel = KernelFromString(config->GetString("kernel", "auto"));
-    if (!kernel.ok()) {
-      return WireError::FromStatus(kernel.status(), "config.kernel");
-    }
-    cfg.kernel = *kernel;
   }
   *out = cfg;
   return std::nullopt;

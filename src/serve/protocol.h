@@ -80,12 +80,11 @@ struct MineFrame {
 /// Rejects a request that pinned an incompatible protocol version.
 std::optional<WireError> CheckProtocolVersion(const JsonValue& request);
 
-/// Parses the "config" object (depth/delta/alpha/top/measure/np/kernel)
-/// into a MinerConfig; any other key is ignored. Unknown measure /
-/// kernel names are errors naming "config.measure" / "config.kernel" —
-/// never a silent fall back to the default — and an integer field that
-/// is not a non-negative integral number its C++ field can hold is an
-/// error naming it ("config.depth").
+/// Parses the "config" object (depth/delta/alpha/top/measure/np) into a
+/// MinerConfig; any other key is ignored. An unknown measure name is an
+/// error naming "config.measure" — never a silent fall back to the
+/// default — and an integer field that is not a non-negative integral
+/// number its C++ field can hold is an error naming it ("config.depth").
 std::optional<WireError> ParseMinerConfig(const JsonValue& request,
                                           core::MinerConfig* out);
 
@@ -97,9 +96,8 @@ std::optional<WireError> ParseMinerConfig(const JsonValue& request,
 std::optional<WireError> ParseMineCall(const JsonValue& request,
                                        MineFrame* out);
 
-/// String-level enum parsers shared with the flag-driven CLI front end.
+/// String-level enum parser shared with the flag-driven CLI front end.
 util::StatusOr<core::MeasureKind> MeasureFromString(const std::string& name);
-util::StatusOr<core::KernelKind> KernelFromString(const std::string& name);
 
 /// Stamps the frame's deadline / node budget onto `control`.
 void ApplyFrameLimits(const MineFrame& frame, util::RunControl* control);

@@ -54,16 +54,6 @@ bool ContingencyTable::AllExpectedAtLeast(double threshold) const {
   return MinExpected() >= threshold;
 }
 
-void ContingencyAccumulator::Accumulate(const ContingencyTable& shard) {
-  SDADCS_CHECK(shard.rows() == table_.rows() &&
-               shard.cols() == table_.cols());
-  for (int r = 0; r < shard.rows(); ++r) {
-    for (int c = 0; c < shard.cols(); ++c) {
-      table_.Add(r, c, shard.cell(r, c));
-    }
-  }
-}
-
 ContingencyTable MakePresenceTable(const std::vector<double>& match_counts,
                                    const std::vector<double>& group_sizes) {
   SDADCS_CHECK(match_counts.size() == group_sizes.size());

@@ -52,36 +52,6 @@ class ContingencyTable {
 ContingencyTable MakePresenceTable(const std::vector<double>& match_counts,
                                    const std::vector<double>& group_sizes);
 
-/// Mergeable contingency accumulator for shard-local counting:
-/// each shard fills its own accumulator (Accumulate / Add), shards are
-/// combined cell-by-cell (Merge) and only the merged table feeds a
-/// statistic (Finalize). Counts are exact small-integer doubles, so
-/// cell-wise addition is associative and exact — the merged table is
-/// bit-identical to a single whole-dataset scan regardless of how the
-/// rows were partitioned.
-class ContingencyAccumulator {
- public:
-  ContingencyAccumulator(int rows, int cols) : table_(rows, cols) {}
-
-  /// One observation (or `v` of them) into cell (r, c).
-  void Add(int r, int c, double v = 1.0) { table_.Add(r, c, v); }
-
-  /// Folds a whole shard-local table in (same shape required).
-  void Accumulate(const ContingencyTable& shard);
-
-  /// Folds another accumulator in (same shape required).
-  void Merge(const ContingencyAccumulator& other) {
-    Accumulate(other.table_);
-  }
-
-  /// The merged table; statistics must only ever read this, never a
-  /// shard-local partial (a partial's marginals are not the dataset's).
-  const ContingencyTable& Finalize() const { return table_; }
-
- private:
-  ContingencyTable table_;
-};
-
 }  // namespace sdadcs::stats
 
 #endif  // SDADCS_STATS_CONTINGENCY_H_

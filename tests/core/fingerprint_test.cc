@@ -75,19 +75,6 @@ TEST(ConfigFingerprintTest, EverySemanticFieldPerturbsTheHash) {
   }
 }
 
-TEST(ConfigFingerprintTest, KernelIsNotSemantic) {
-  // The kernel is speed-only: the vectorized kernel is byte-identical to
-  // the scalar one (differential tests), so every setting may share a
-  // cache entry.
-  MinerConfig base;
-  MinerConfig scalar;
-  scalar.kernel = KernelKind::kScalar;
-  MinerConfig avx2;
-  avx2.kernel = KernelKind::kAvx2;
-  EXPECT_EQ(base.Fingerprint(), scalar.Fingerprint());
-  EXPECT_EQ(base.Fingerprint(), avx2.Fingerprint());
-}
-
 TEST(ConfigFingerprintTest, NanMergeAlphaIsCanonical) {
   MinerConfig a;
   a.merge_alpha = std::nan("1");

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/support.h"
+#include "stats/chi_squared.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -175,6 +176,20 @@ TEST(SdadTest, MakeRootCallFiltersMissingAndSetsParentStats) {
   EXPECT_DOUBLE_EQ(call.outer_db_size, 8.0);
   EXPECT_EQ(call.parent_supports.size(), 2u);
   EXPECT_DOUBLE_EQ(call.parent_measure, 0.0);
+}
+
+// The critical-value memo keys on the exact alpha: alphas below 1e-12,
+// which a tiny configured alpha reaches through the per-level halving,
+// must not share an entry.
+TEST(ChiCriticalTest, DistinctAlphasNeverShareAnEntry) {
+  MiningContext ctx;
+  for (double alpha : {5e-14, 2.5e-14, 1.25e-14, 0.05, 0.025}) {
+    for (int dof : {1, 2}) {
+      EXPECT_EQ(ctx.ChiCritical(alpha, dof),
+                stats::ChiSquaredCritical(alpha, dof))
+          << "alpha " << alpha << " dof " << dof;
+    }
+  }
 }
 
 TEST(MergeTest, SimilarNeighborsMerge) {

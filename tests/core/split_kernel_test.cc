@@ -113,9 +113,12 @@ TEST(SplitKernelTest, MatchesNaiveOnSeededRandomData) {
           std::vector<Space> next;
           for (const Space& space : frontier) {
             std::vector<double> cuts = PartitionMedians(db, space);
-            SplitResult fused =
-                SplitAndCount(db, *gi, space, cuts, &scratch);
             NaiveResult naive = NaiveSplitAndCount(db, *gi, space, cuts);
+            ExpectIdentical(SplitAndCount(db, *gi, space, cuts, &scratch,
+                                          /*simd=*/false),
+                            naive);
+            SplitResult fused = SplitAndCount(db, *gi, space, cuts, &scratch,
+                                              /*simd=*/true);
             ExpectIdentical(fused, naive);
             for (Space& cell : fused.cells) {
               if (cell.rows.size() >= 8) next.push_back(std::move(cell));
@@ -137,8 +140,10 @@ TEST(SplitKernelTest, MatchesNaiveOneVsRestLayout) {
   Space space = RootSpace(db, *gi, 2);
   std::vector<double> cuts = PartitionMedians(db, space);
   SplitScratch scratch;
-  SplitResult fused = SplitAndCount(db, *gi, space, cuts, &scratch);
-  ExpectIdentical(fused, NaiveSplitAndCount(db, *gi, space, cuts));
+  for (bool simd : {false, true}) {
+    SplitResult fused = SplitAndCount(db, *gi, space, cuts, &scratch, simd);
+    ExpectIdentical(fused, NaiveSplitAndCount(db, *gi, space, cuts));
+  }
 }
 
 // Equivalence under a subset-of-values layout, where excluded rows sit
@@ -150,8 +155,10 @@ TEST(SplitKernelTest, MatchesNaiveForValuesLayout) {
   Space space = RootSpace(db, *gi, 2);
   std::vector<double> cuts = PartitionMedians(db, space);
   SplitScratch scratch;
-  SplitResult fused = SplitAndCount(db, *gi, space, cuts, &scratch);
-  ExpectIdentical(fused, NaiveSplitAndCount(db, *gi, space, cuts));
+  for (bool simd : {false, true}) {
+    SplitResult fused = SplitAndCount(db, *gi, space, cuts, &scratch, simd);
+    ExpectIdentical(fused, NaiveSplitAndCount(db, *gi, space, cuts));
+  }
 }
 
 // Rows of the selection that fall outside the space's bounds (or are
@@ -167,8 +174,10 @@ TEST(SplitKernelTest, MatchesNaiveWhenSelectionExceedsBounds) {
   space.rows = gi->base_selection();
   std::vector<double> cuts = PartitionMedians(db, space);
   SplitScratch scratch;
-  SplitResult fused = SplitAndCount(db, *gi, space, cuts, &scratch);
-  ExpectIdentical(fused, NaiveSplitAndCount(db, *gi, space, cuts));
+  for (bool simd : {false, true}) {
+    SplitResult fused = SplitAndCount(db, *gi, space, cuts, &scratch, simd);
+    ExpectIdentical(fused, NaiveSplitAndCount(db, *gi, space, cuts));
+  }
 }
 
 // One scratch arena reused across different spaces must give the same
@@ -182,9 +191,11 @@ TEST(SplitKernelTest, ScratchReuseDoesNotLeakState) {
   for (int axes : {3, 1, 2}) {
     Space space = RootSpace(db, *gi, axes);
     std::vector<double> cuts = PartitionMedians(db, space);
-    SplitResult with_reuse = SplitAndCount(db, *gi, space, cuts, &reused);
+    SplitResult with_reuse =
+        SplitAndCount(db, *gi, space, cuts, &reused, /*simd=*/true);
     SplitScratch fresh;
-    SplitResult with_fresh = SplitAndCount(db, *gi, space, cuts, &fresh);
+    SplitResult with_fresh =
+        SplitAndCount(db, *gi, space, cuts, &fresh, /*simd=*/true);
     ASSERT_EQ(with_reuse.cells.size(), with_fresh.cells.size());
     for (size_t c = 0; c < with_reuse.cells.size(); ++c) {
       EXPECT_EQ(with_reuse.cells[c].rows.rows(),
@@ -202,9 +213,11 @@ TEST(SplitKernelTest, EmptyWhenNoAxisSplittable) {
   Space space = RootSpace(db, *gi, 2);
   std::vector<double> cuts = {std::nan(""), std::nan("")};
   SplitScratch scratch;
-  SplitResult fused = SplitAndCount(db, *gi, space, cuts, &scratch);
-  EXPECT_TRUE(fused.cells.empty());
-  EXPECT_TRUE(fused.counts.empty());
+  for (bool simd : {false, true}) {
+    SplitResult fused = SplitAndCount(db, *gi, space, cuts, &scratch, simd);
+    EXPECT_TRUE(fused.cells.empty());
+    EXPECT_TRUE(fused.counts.empty());
+  }
   EXPECT_TRUE(FindCombs(db, space, cuts).empty());
 }
 

@@ -61,6 +61,32 @@ TEST(CsvTest, RejectsRaggedRows) {
   EXPECT_FALSE(ReadCsvString("a,b\n1,2\n3\n").ok());
 }
 
+// An infinite value in a numeric column would match no interval while
+// still counting in its group's size, so the reader refuses it and names
+// the row, the column and the field.
+void ExpectInfiniteRejected(const std::string& field) {
+  auto db = ReadCsvString("g,x\na,1\nb," + field + "\na,3\n");
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), util::StatusCode::kInvalidArgument);
+  const std::string& msg = db.status().message();
+  EXPECT_NE(msg.find("row 2"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("column 'x'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'" + field + "'"), std::string::npos) << msg;
+}
+
+TEST(CsvTest, RejectsInf) { ExpectInfiniteRejected("inf"); }
+
+TEST(CsvTest, RejectsNegativeInf) { ExpectInfiniteRejected("-inf"); }
+
+TEST(CsvTest, RejectsOverflowingLiteral) { ExpectInfiniteRejected("1e999"); }
+
+TEST(CsvTest, FiniteTwinOfInfiniteLoads) {
+  auto db = ReadCsvString("g,x\na,1\nb,-1e300\na,3\n");
+  ASSERT_TRUE(db.ok()) << db.status().message();
+  ASSERT_TRUE(db->is_continuous(1));
+  EXPECT_EQ(db->continuous(1).value(1), -1e300);
+}
+
 TEST(CsvTest, RejectsEmptyAndHeaderOnly) {
   EXPECT_FALSE(ReadCsvString("").ok());
   EXPECT_FALSE(ReadCsvString("a,b\n").ok());

@@ -8,6 +8,8 @@
 #include "core/anytime.h"
 #include "core/miner.h"
 #include "core/productivity.h"
+#include "core/search.h"
+#include "core/topk.h"
 #include "data/chunks.h"
 #include "data/csv.h"
 #include "data/prepared.h"
@@ -138,13 +140,31 @@ std::string RenderResult(const std::vector<ContrastPattern>& patterns) {
   return out;
 }
 
+// One serial mine with the context's simd flag set explicitly, so both
+// kernel paths run in one process whatever the host default.
+util::StatusOr<core::MiningResult> MineWithKernels(
+    const data::Dataset& db, const MinerConfig& cfg,
+    const core::MineRequest& request, bool simd) {
+  auto session = engine::MiningSession::Begin(db, cfg, request);
+  if (!session.ok()) return session.status();
+  core::PruneTable prune_table;
+  core::TopK topk(static_cast<size_t>(cfg.top_k), cfg.delta);
+  core::MiningCounters counters;
+  core::MiningContext ctx =
+      session->MakeContext(&prune_table, &topk, &counters);
+  ctx.simd = simd;
+  core::LatticeSearch(ctx).Run(session->attributes());
+  return session->Finalize(topk.Sorted(), counters, ctx.run.completion());
+}
+
 TEST(DifferentialTest, ScalarAndVectorizedKernelsMatchExactly) {
-  // KernelKind is a pure speed knob: the AVX2 kernel vectorizes only the
-  // interval comparisons (with ordered predicates that reject NaN like
-  // the scalar test) and commits surviving rows with identical scalar
-  // arithmetic, so the mined output must be byte-identical. On hosts
-  // without AVX2, kAvx2 resolves to the scalar kernel and the comparison
-  // is trivially (but still correctly) equal.
+  // The kernel path is the host's choice, never a semantic one: the AVX2
+  // kernels vectorize only the interval comparisons (with ordered
+  // predicates that reject NaN like the scalar test) and commit
+  // surviving rows with identical scalar arithmetic, so the mined output
+  // must be byte-identical. On hosts without AVX2 both legs run the
+  // scalar kernels and the comparison is trivially (but still
+  // correctly) equal.
   for (const std::string& name :
        {std::string("adult"), std::string("breast"),
         std::string("transfusion"), std::string("shuttle")}) {
@@ -158,12 +178,12 @@ TEST(DifferentialTest, ScalarAndVectorizedKernelsMatchExactly) {
     cfg.max_depth = 2;
     cfg.top_k = 50;
 
-    cfg.kernel = core::KernelKind::kScalar;
-    auto scalar = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
+    auto scalar =
+        MineWithKernels(nd.db, cfg, GroupsRequest(*gi), /*simd=*/false);
     ASSERT_TRUE(scalar.ok());
 
-    cfg.kernel = core::KernelKind::kAvx2;
-    auto vectorized = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
+    auto vectorized =
+        MineWithKernels(nd.db, cfg, GroupsRequest(*gi), /*simd=*/true);
     ASSERT_TRUE(vectorized.ok());
 
     EXPECT_EQ(RenderResult(scalar->contrasts),

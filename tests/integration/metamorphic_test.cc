@@ -12,6 +12,10 @@
 //    bounds (min minus a fraction of the range) and every cut scale
 //    exactly, hypervolumes (ratios of lengths) stay bit-identical, and
 //    the scaled attribute's interval bounds are the originals times 2^k.
+//  - Group order. Swapping the two group values mirrors every support,
+//    so the same patterns come back in the same order with their
+//    per-group counts reversed, and the search runs the same steps
+//    (every counter, partitions_evaluated included, is unchanged).
 //
 // Documented exceptions:
 //  - Integral attributes: their root bound is min - 1 (the paper's
@@ -24,12 +28,18 @@
 //    on other inputs a transformation could reorder a tie without
 //    changing any pattern. These inputs have ties, and their order
 //    holds too, so the comparison here is strict.
+//  - Statistics under a group swap: the chi-square sums fold the groups
+//    in the other order, so diff, measure, chi2 and the p-value agree to
+//    rounding only (measured within 6e-14 relative); the law compares
+//    them to 1e-12 relative and everything else exactly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/miner.h"
@@ -134,14 +144,15 @@ const char* EngineName(Engine e) {
   return "?";
 }
 
-std::vector<ContrastPattern> MineWith(Engine engine, const data::Dataset& db,
-                                      const synth::NamedDataset& nd) {
+core::MiningResult MineResult(Engine engine, const data::Dataset& db,
+                              const std::string& group_attr,
+                              const std::vector<std::string>& groups) {
   core::MinerConfig cfg;
   cfg.max_depth = 2;
   cfg.top_k = 50;
   core::MineRequest request;
-  request.group_attr = nd.group_attr;
-  request.group_values = nd.groups;
+  request.group_attr = group_attr;
+  request.group_values = groups;
   data::PreparedDataset prepared(&db);
   util::StatusOr<core::MiningResult> result =
       util::Status::Internal("unset");
@@ -160,7 +171,44 @@ std::vector<ContrastPattern> MineWith(Engine engine, const data::Dataset& db,
   EXPECT_TRUE(result.ok()) << EngineName(engine);
   if (!result.ok()) return {};
   EXPECT_EQ(result->completion, core::Completion::kComplete);
-  return std::move(result->contrasts);
+  return std::move(result).value();
+}
+
+std::vector<ContrastPattern> MineWith(Engine engine, const data::Dataset& db,
+                                      const synth::NamedDataset& nd) {
+  return MineResult(engine, db, nd.group_attr, nd.groups).contrasts;
+}
+
+// Every counter of a run, by name, so a mismatch says which one moved.
+std::vector<std::pair<std::string, uint64_t>> CountersOf(
+    const core::MiningCounters& c) {
+  return {{"partitions_evaluated", c.partitions_evaluated},
+          {"sdad_calls", c.sdad_calls},
+          {"pruned_lookup", c.pruned_lookup},
+          {"pruned_min_support", c.pruned_min_support},
+          {"pruned_low_expected", c.pruned_low_expected},
+          {"pruned_redundant", c.pruned_redundant},
+          {"pruned_pure", c.pruned_pure},
+          {"pruned_oe_measure", c.pruned_oe_measure},
+          {"pruned_oe_chi2", c.pruned_oe_chi2},
+          {"unproductive", c.unproductive},
+          {"not_independently_productive", c.not_independently_productive},
+          {"merges", c.merges},
+          {"chi2_tests", c.chi2_tests},
+          {"truncated_candidates", c.truncated_candidates},
+          {"abandoned_candidates", c.abandoned_candidates}};
+}
+
+template <typename T>
+std::vector<T> Reversed(std::vector<T> v) {
+  std::reverse(v.begin(), v.end());
+  return v;
+}
+
+// `a` and `b` agree to 1e-12 relative.
+void ExpectClose(double a, double b, const char* what) {
+  EXPECT_LE(std::fabs(a - b), 1e-12 * std::max(std::fabs(a), std::fabs(b)))
+      << what << " " << a << " vs " << b;
 }
 
 constexpr Engine kEngines[] = {Engine::kSerial, Engine::kSharded3,
@@ -213,6 +261,36 @@ TEST_P(MetamorphicTest, PowerOfTwoScalingLeavesEveryPatternUnchanged) {
       constrains = constrains || p.itemset.ConstrainsAttribute(*attr);
     }
     EXPECT_TRUE(constrains) << GetParam() << " " << EngineName(engine);
+  }
+}
+
+TEST_P(MetamorphicTest, SwappingGroupOrderMirrorsEveryPattern) {
+  synth::NamedDataset nd = synth::MakeUciLike(GetParam(), /*seed=*/7);
+  ASSERT_EQ(nd.groups.size(), 2u);
+  const std::vector<std::string> swapped = {nd.groups[1], nd.groups[0]};
+
+  for (Engine engine : kEngines) {
+    SCOPED_TRACE(std::string(GetParam()) + " " + EngineName(engine));
+    core::MiningResult base =
+        MineResult(engine, nd.db, nd.group_attr, nd.groups);
+    core::MiningResult mirrored =
+        MineResult(engine, nd.db, nd.group_attr, swapped);
+    ASSERT_FALSE(base.contrasts.empty());
+    ASSERT_EQ(base.contrasts.size(), mirrored.contrasts.size());
+    for (size_t i = 0; i < base.contrasts.size(); ++i) {
+      SCOPED_TRACE("rank " + std::to_string(i));
+      const ContrastPattern& a = base.contrasts[i];
+      const ContrastPattern& b = mirrored.contrasts[i];
+      EXPECT_EQ(a.itemset.Key(), b.itemset.Key());
+      EXPECT_EQ(a.counts, Reversed(b.counts));
+      EXPECT_EQ(a.supports, Reversed(b.supports));
+      EXPECT_EQ(a.hypervolume, b.hypervolume);
+      ExpectClose(a.diff, b.diff, "diff");
+      ExpectClose(a.measure, b.measure, "measure");
+      ExpectClose(a.chi2, b.chi2, "chi2");
+      ExpectClose(a.p_value, b.p_value, "p_value");
+    }
+    EXPECT_EQ(CountersOf(base.counters), CountersOf(mirrored.counters));
   }
 }
 

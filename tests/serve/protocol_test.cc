@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/interest.h"
-#include "core/split_kernel.h"
 
 namespace sdadcs::serve {
 namespace {
@@ -118,7 +117,7 @@ TEST(ParseMineCallTest, FullConfigRoundTrips) {
             "\"deadline_ms\":250,\"node_budget\":1000,\"cache\":false,"
             "\"emit\":\"patterns\",\"tenant\":\"team-a\",\"id\":\"42\","
             "\"config\":{\"depth\":3,\"delta\":0.2,\"alpha\":0.01,"
-            "\"top\":7,\"measure\":\"pr\",\"kernel\":\"scalar\"}}"),
+            "\"top\":7,\"measure\":\"pr\"}}"),
       &frame);
   ASSERT_FALSE(error.has_value()) << error->ToText();
   EXPECT_EQ(frame.call.group_values,
@@ -133,7 +132,6 @@ TEST(ParseMineCallTest, FullConfigRoundTrips) {
   EXPECT_EQ(frame.call.config.max_depth, 3);
   EXPECT_EQ(frame.call.config.top_k, 7);
   EXPECT_EQ(frame.call.config.measure, core::MeasureKind::kPurityRatio);
-  EXPECT_EQ(frame.call.config.kernel, core::KernelKind::kScalar);
 }
 
 TEST(ParseMineCallTest, ShardedEngineSpecCarriesCount) {
@@ -181,7 +179,7 @@ TEST(RenderEnginesTest, ListsRegistryAndAliases) {
   EXPECT_GE(engines->AsArray().size(), 10u);
 }
 
-TEST(ParseMineCallTest, UnknownMeasureKernelEngineAreErrors) {
+TEST(ParseMineCallTest, UnknownMeasureAndEngineAreErrors) {
   MineFrame frame;
   auto error = ParseMineCall(
       Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
@@ -189,13 +187,6 @@ TEST(ParseMineCallTest, UnknownMeasureKernelEngineAreErrors) {
       &frame);
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->field, "config.measure");
-
-  error = ParseMineCall(
-      Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
-            "\"config\":{\"kernel\":\"sse9\"}}"),
-      &frame);
-  ASSERT_TRUE(error.has_value());
-  EXPECT_EQ(error->field, "config.kernel");
 
   error = ParseMineCall(
       Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
@@ -264,13 +255,24 @@ TEST(ParseMineCallTest, IntegerFieldsAreRangeChecked) {
   EXPECT_EQ(frame.call.config.top_k, 2147483647);
 }
 
-TEST(EnumParsersTest, MeasureAndKernelNames) {
+// "kernel" is no longer a config key (the host picks the scan kernels),
+// so a client that still sends it, with any value, parses like any
+// other unknown key: ignored.
+TEST(ParseMineCallTest, RetiredKernelKeyIsIgnored) {
+  MineFrame frame;
+  auto error = ParseMineCall(
+      Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
+            "\"config\":{\"depth\":3,\"kernel\":\"sse9\"}}"),
+      &frame);
+  ASSERT_FALSE(error.has_value()) << error->ToText();
+  EXPECT_EQ(frame.call.config.max_depth, 3);
+}
+
+TEST(EnumParsersTest, MeasureNames) {
   EXPECT_EQ(*MeasureFromString("diff"), core::MeasureKind::kSupportDiff);
   EXPECT_EQ(*MeasureFromString("entropy"),
             core::MeasureKind::kEntropyPurity);
   EXPECT_FALSE(MeasureFromString("").ok());
-  EXPECT_EQ(*KernelFromString("avx2"), core::KernelKind::kAvx2);
-  EXPECT_FALSE(KernelFromString("neon").ok());
 }
 
 TEST(EnvelopeTest, VersionLeadsEveryResponse) {

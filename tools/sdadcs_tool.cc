@@ -37,8 +37,6 @@
 //                       "partial:" lines to stderr while the exhaustive
 //                       run completes (final results on stdout are
 //                       unchanged)
-//   --kernel K          split+count kernel: auto | scalar | avx2
-//                       (default auto; every kind is byte-identical)
 //   --repeat N          mine the same request N times (per-iteration
 //                       wall time on stderr; on a paged dataset each
 //                       line also reports chunk residency)
@@ -52,6 +50,10 @@
 //
 // Ctrl-C (SIGINT) cancels a running mine the same way: the search
 // drains cleanly and the partial results are printed.
+//
+// The scan kernels are the host's choice (AVX2 when the CPU has it), not
+// an option; SDADCS_KERNEL=scalar, a test override, runs the scalar
+// oracle instead. Every choice prints the same bytes.
 //
 // discretize options:
 //   --method M          fayyad | mvd | srikant | equal_width | equal_freq
@@ -172,16 +174,6 @@ sdadcs::core::MinerConfig ConfigFromArgs(const Flags& args) {
     cfg.meaningful_pruning = false;
     cfg.optimistic_pruning = false;
   }
-  auto kernel = sdadcs::serve::KernelFromString(args.Get("kernel", "auto"));
-  if (!kernel.ok()) {
-    std::fprintf(stderr, "%s\n",
-                 sdadcs::serve::WireError::FromStatus(kernel.status(),
-                                                      "kernel")
-                     .ToText()
-                     .c_str());
-    std::exit(2);
-  }
-  cfg.kernel = *kernel;
   return cfg;
 }
 
