@@ -305,7 +305,7 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
   double first_partial_sec = -1.0;
   any_req.run_control.set_progress_callback(
       [&](const util::RunProgress& p) {
-        if (p.payload != nullptr && first_partial_sec < 0.0) {
+        if (p.improved && first_partial_sec < 0.0) {
           first_partial_sec = any_timer.Seconds();
         }
       });

@@ -1,7 +1,5 @@
 #include "core/anytime.h"
 
-#include <memory>
-
 namespace sdadcs::core {
 
 void FillProgressFromTopK(const util::RunControl& control, const TopK& topk,
@@ -12,9 +10,7 @@ void FillProgressFromTopK(const util::RunControl& control, const TopK& topk,
   progress->topk_version = topk.version();
   if (!control.wants_anytime()) return;
   if (topk.version() == *last_version) return;
-  auto snapshot = std::make_shared<AnytimeSnapshot>();
-  snapshot->patterns = topk.Sorted();
-  progress->payload = std::move(snapshot);
+  progress->improved = true;
   *last_version = topk.version();
 }
 

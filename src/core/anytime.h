@@ -2,31 +2,18 @@
 #define SDADCS_CORE_ANYTIME_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "core/contrast.h"
 #include "core/topk.h"
 #include "util/run_control.h"
 
 namespace sdadcs::core {
 
-/// Best-so-far result snapshot attached to RunProgress::payload when a
-/// run was marked anytime (RunControl::set_anytime). The patterns are
-/// the current top-k content sorted by measure descending — a
-/// monotonically improving preview of the final result; the exhaustive
-/// run's output still arrives through the normal MiningResult. Note the
-/// preview is *pre* merge/productivity post-processing, so individual
-/// entries can still be merged away or filtered from the final set.
-struct AnytimeSnapshot : util::ProgressPayload {
-  std::vector<ContrastPattern> patterns;
-};
-
 /// Fills the result-set fields of `progress` (patterns_found,
 /// best_measure, topk_version) from `topk`, and — when `control` wants
-/// anytime streaming and the top-k changed since `*last_version` —
-/// attaches an AnytimeSnapshot payload and advances `*last_version`.
-/// Shared by the serial lattice search and the parallel coordinator so
-/// both emit identical progress shapes.
+/// anytime streaming and the top-k changed since `*last_version` — sets
+/// `progress->improved` and advances `*last_version`. Shared by the
+/// serial lattice search and the parallel coordinator so both emit
+/// identical progress shapes.
 void FillProgressFromTopK(const util::RunControl& control, const TopK& topk,
                           uint64_t* last_version,
                           util::RunProgress* progress);

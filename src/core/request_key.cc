@@ -1,7 +1,5 @@
 #include "core/request_key.h"
 
-#include <cstring>
-
 #include "util/string_util.h"
 
 namespace sdadcs::core {
@@ -38,83 +36,6 @@ uint64_t SplitMix(uint64_t x) {
 }
 
 }  // namespace
-
-namespace {
-
-// Name table in enum order; the single source both directions read.
-constexpr struct {
-  EngineKind kind;
-  const char* name;
-} kEngineKindNames[] = {
-    {EngineKind::kAuto, "auto"},
-    {EngineKind::kSerial, "serial"},
-    {EngineKind::kParallel, "parallel"},
-    {EngineKind::kBeam, "beam"},
-    {EngineKind::kWindow, "window"},
-    {EngineKind::kBinnedFayyad, "binned:fayyad"},
-    {EngineKind::kBinnedMvd, "binned:mvd"},
-    {EngineKind::kBinnedSrikant, "binned:srikant"},
-    {EngineKind::kBinnedEqualWidth, "binned:equal_width"},
-    {EngineKind::kBinnedEqualFreq, "binned:equal_freq"},
-    {EngineKind::kSharded, "sharded"},
-};
-
-}  // namespace
-
-const char* EngineKindToString(EngineKind kind) {
-  for (const auto& entry : kEngineKindNames) {
-    if (entry.kind == kind) return entry.name;
-  }
-  return "unknown";
-}
-
-util::StatusOr<EngineKind> EngineKindFromString(const std::string& name) {
-  std::string known;
-  for (const auto& entry : kEngineKindNames) {
-    if (name == entry.name) return entry.kind;
-    if (!known.empty()) known += ", ";
-    known += entry.name;
-  }
-  return util::Status::InvalidArgument("unknown engine '" + name +
-                                       "'; expected one of: " + known);
-}
-
-util::StatusOr<EngineSpec> EngineSpecFromString(const std::string& name) {
-  EngineSpec spec;
-  // Exact table names first, so plain "sharded" (count resolved
-  // downstream) parses without touching the suffix path.
-  if (auto kind = EngineKindFromString(name); kind.ok()) {
-    spec.kind = *kind;
-    return spec;
-  }
-  constexpr const char kShardedPrefix[] = "sharded:";
-  constexpr size_t kPrefixLen = sizeof(kShardedPrefix) - 1;
-  if (name.compare(0, kPrefixLen, kShardedPrefix) == 0) {
-    const std::string count = name.substr(kPrefixLen);
-    size_t value = 0;
-    bool digits = !count.empty() && count.size() <= 6;
-    for (char c : count) {
-      if (c < '0' || c > '9') {
-        digits = false;
-        break;
-      }
-      value = value * 10 + static_cast<size_t>(c - '0');
-    }
-    if (!digits || value == 0) {
-      return util::Status::InvalidArgument(
-          "engine '" + name +
-          "': sharded:<n> requires a positive shard count");
-    }
-    spec.kind = EngineKind::kSharded;
-    spec.shard_count = value;
-    return spec;
-  }
-  // Re-raise the kind parser's error so the caller sees the full list
-  // of accepted names, extended with the parameterized form.
-  util::Status status = EngineKindFromString(name).status();
-  return util::Status::InvalidArgument(status.message() +
-                                       ", sharded:<n>");
-}
 
 std::string RequestKey::ToString() const {
   return util::StrFormat("%016llx:%016llx",

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/config.h"
-#include "util/status.h"
 
 namespace sdadcs::core {
 
@@ -15,7 +14,8 @@ namespace sdadcs::core {
 /// level-parallel, which loses some cross-subtree pruning) can return
 /// different — still correct — result lists, so they never share a
 /// cache entry. The numeric values are part of the RequestKey hash and
-/// must never be reordered; new kinds append.
+/// must never be reordered; new kinds append. Names, descriptions and
+/// dispatch live in the one engine table (engine/registry.h).
 enum class EngineKind {
   kAuto = 0,  ///< resolved per request from the dataset size
   kSerial,
@@ -29,35 +29,6 @@ enum class EngineKind {
   kBinnedEqualFreq,  ///< ... equal-frequency bins
   kSharded,          ///< shard-merge SDAD-CS (row-partitioned counting)
 };
-
-/// Stable name of each kind — exactly the engine registry's name for
-/// every kind except kAuto ("auto", which the registry does not hold):
-/// "serial", "parallel", "beam", "window", "binned:fayyad",
-/// "binned:mvd", "binned:srikant", "binned:equal_width",
-/// "binned:equal_freq", "sharded".
-const char* EngineKindToString(EngineKind kind);
-
-/// Inverse of EngineKindToString. Unknown names are an InvalidArgument
-/// naming the offending value and listing every accepted name.
-util::StatusOr<EngineKind> EngineKindFromString(const std::string& name);
-
-/// A parsed engine request: the kind plus any parameter carried in the
-/// name itself. Today that is only the shard count of "sharded:<n>" —
-/// like parallel_threads it is a deployment/execution knob, NOT request
-/// identity (results are byte-identical for every n), so it rides next
-/// to the kind instead of inside it and never reaches the RequestKey.
-struct EngineSpec {
-  EngineKind kind = EngineKind::kAuto;
-  /// Shard count of "sharded:<n>"; 0 = unspecified (bare "sharded",
-  /// resolved from EngineOptions / hardware concurrency downstream).
-  size_t shard_count = 0;
-};
-
-/// Parses every spelling EngineKindFromString accepts, plus the
-/// parameterized "sharded:<n>" form (n a positive integer). The single
-/// name-to-engine parser shared by the engine registry, the CLI flag
-/// and the wire protocol, so all entry points agree on spellings.
-util::StatusOr<EngineSpec> EngineSpecFromString(const std::string& name);
 
 /// 128-bit canonical fingerprint of one mining request; the key of the
 /// serving layer's result cache. Two requests share a key iff a complete

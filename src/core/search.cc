@@ -78,7 +78,7 @@ std::vector<std::vector<int>> BuildLevelFrontier(
     // attributes are single-scan STUCCO enumerations (or smaller SDAD
     // spaces), so running them first establishes a top-k threshold
     // before the expensive recursive-split combinations — more
-    // optimistic pruning, and the first anytime snapshot arrives within
+    // optimistic pruning, and the first anytime partial arrives within
     // milliseconds. Applied after the candidate cap so the evaluated
     // SET is unchanged; the stable sort keeps the order deterministic,
     // so results are identical across runs and kernels (up to top-k
@@ -145,17 +145,17 @@ void LatticeSearch::ReportProgress(int level, uint64_t done,
   progress.candidates_total = total;
   progress.topk_threshold = ctx_.topk->threshold();
   FillProgressFromTopK(ctx_.run.control(), *ctx_.topk,
-                       &last_snapshot_version_, &progress);
+                       &last_improved_version_, &progress);
   ctx_.run.control().ReportProgress(progress);
 }
 
 void LatticeSearch::MaybeReportInsert() const {
-  // Only fires when there is a new snapshot to stream: anytime runs
+  // Only fires when there is an improvement to stream: anytime runs
   // with an advanced top-k. Keeps the callback cadence bounded by the
   // number of top-k improvements, not by leaf count.
   if (!ctx_.run.control().wants_anytime()) return;
   if (!ctx_.run.control().has_progress_callback()) return;
-  if (ctx_.topk->version() == last_snapshot_version_) return;
+  if (ctx_.topk->version() == last_improved_version_) return;
   ReportProgress(progress_level_, progress_done_, progress_total_);
 }
 

@@ -109,7 +109,7 @@ class LatticeSearch {
   void ReportProgress(int level, uint64_t done, uint64_t total) const;
 
   /// Reports mid-combo when anytime streaming is on and the top-k has
-  /// advanced since the last snapshot, so a freshly inserted pattern
+  /// advanced since the last improved report, so a freshly inserted pattern
   /// reaches the stream without waiting for the combination to finish.
   void MaybeReportInsert() const;
 
@@ -121,9 +121,9 @@ class LatticeSearch {
   uint64_t progress_total_ = 0;
   /// BaseCover's memo, keyed by (attribute, value code).
   std::map<std::pair<int, int32_t>, ItemCover> base_covers_;
-  /// TopK::version() at the last anytime snapshot; reports attach a new
-  /// snapshot only when the top-k advanced past it.
-  mutable uint64_t last_snapshot_version_ = 0;
+  /// TopK::version() at the last improved report; a report is flagged
+  /// improved only when the top-k advanced past it.
+  mutable uint64_t last_improved_version_ = 0;
 };
 
 }  // namespace sdadcs::core

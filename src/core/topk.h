@@ -31,7 +31,7 @@ class TopK {
 
   /// Monotone counter bumped on every successful Insert; the anytime
   /// progress path uses it to detect "the best-so-far set changed since
-  /// the last snapshot" without comparing pattern lists.
+  /// the last improved report" without comparing pattern lists.
   uint64_t version() const { return version_; }
 
   /// Best measure collected so far (0 while empty). Monotone: eviction

@@ -1,180 +1,157 @@
 #include "engine/registry.h"
 
-#include <utility>
-
+#include "discretize/binned_miner.h"
 #include "discretize/equal_bins.h"
 #include "discretize/fayyad.h"
 #include "discretize/mvd.h"
 #include "discretize/srikant.h"
-#include "engine/engines.h"
+#include "parallel/parallel_miner.h"
+#include "stream/window_miner.h"
+#include "subgroup/beam.h"
 
 namespace sdadcs::engine {
 
 namespace {
 
 using core::EngineKind;
-using core::MinerConfig;
 
-// One registration per binned discretization method.
-EngineRegistry::Entry BinnedEntry(
-    std::string name, EngineKind kind, std::string description,
-    std::function<std::unique_ptr<discretize::Discretizer>(
-        const EngineOptions&)>
-        make_disc) {
-  EngineRegistry::Entry entry;
-  entry.name = name;
-  entry.kind = kind;
-  entry.description = description;
-  entry.factory = [name, description, make_disc](
-                      const MinerConfig& config,
-                      const EngineOptions& options) {
-    return std::make_unique<BinnedEngine>(config, name, description,
-                                          make_disc(options));
-  };
-  return entry;
+// Adding an engine: append a core::EngineKind, add its row here and its
+// case to Mine().
+constexpr EngineRow kEngines[] = {
+    {EngineKind::kSerial, "serial", "single-threaded SDAD-CS lattice search"},
+    {EngineKind::kParallel, "parallel", "level-parallel SDAD-CS (Section 6)"},
+    {EngineKind::kBeam, "beam",
+     "beam-search subgroup discovery (Cortana-style baseline)"},
+    {EngineKind::kBinnedFayyad, "binned:fayyad",
+     "pre-binned STUCCO over Fayyad-MDL entropy bins"},
+    {EngineKind::kBinnedMvd, "binned:mvd", "pre-binned STUCCO over MVD bins"},
+    {EngineKind::kBinnedSrikant, "binned:srikant",
+     "pre-binned STUCCO over Srikant partial-completeness bins"},
+    {EngineKind::kBinnedEqualWidth, "binned:equal_width",
+     "pre-binned STUCCO over equal-width bins"},
+    {EngineKind::kBinnedEqualFreq, "binned:equal_freq",
+     "pre-binned STUCCO over equal-frequency bins"},
+    {EngineKind::kWindow, "window",
+     "serial SDAD-CS over the most recent rows only"},
+    {EngineKind::kSharded, "sharded",
+     "shard-merge SDAD-CS: serial decision order, row-sharded counting "
+     "(byte-identical to serial)"},
+};
+
+constexpr char kAutoName[] = "auto";
+constexpr char kShardedPrefix[] = "sharded:";
+
+// The positive count of "sharded:<n>", or 0 when `count` is not a plain
+// decimal of at most six digits.
+size_t ParseShardCount(const std::string& count) {
+  if (count.empty() || count.size() > 6) return 0;
+  size_t value = 0;
+  for (char c : count) {
+    if (c < '0' || c > '9') return 0;
+    value = value * 10 + static_cast<size_t>(c - '0');
+  }
+  return value;
 }
 
 }  // namespace
 
-const EngineRegistry& EngineRegistry::Global() {
-  static const EngineRegistry* registry = new EngineRegistry();
-  return *registry;
-}
+std::span<const EngineRow> Engines() { return kEngines; }
 
-EngineRegistry::EngineRegistry() {
-  Register({"serial", EngineKind::kSerial,
-            "single-threaded SDAD-CS lattice search",
-            [](const MinerConfig& config, const EngineOptions&) {
-              return std::make_unique<LatticeEngine>("serial", config, 1);
-            }});
-  Register({"parallel", EngineKind::kParallel,
-            "level-parallel SDAD-CS (Section 6)",
-            [](const MinerConfig& config, const EngineOptions& options) {
-              return std::make_unique<ParallelEngine>(
-                  config, options.parallel_threads);
-            }});
-  Register({"beam", EngineKind::kBeam,
-            "beam-search subgroup discovery (Cortana-style baseline)",
-            [](const MinerConfig& config, const EngineOptions&) {
-              return std::make_unique<BeamEngine>(config);
-            }});
-  Register(BinnedEntry(
-      "binned:fayyad", EngineKind::kBinnedFayyad,
-      "pre-binned STUCCO over Fayyad-MDL entropy bins",
-      [](const EngineOptions&) {
-        return std::make_unique<discretize::FayyadMdlDiscretizer>();
-      }));
-  Register(BinnedEntry("binned:mvd", EngineKind::kBinnedMvd,
-                       "pre-binned STUCCO over MVD bins",
-                       [](const EngineOptions&) {
-                         return std::make_unique<discretize::MvdDiscretizer>();
-                       }));
-  Register(BinnedEntry(
-      "binned:srikant", EngineKind::kBinnedSrikant,
-      "pre-binned STUCCO over Srikant partial-completeness bins",
-      [](const EngineOptions&) {
-        return std::make_unique<discretize::SrikantDiscretizer>();
-      }));
-  Register(BinnedEntry(
-      "binned:equal_width", EngineKind::kBinnedEqualWidth,
-      "pre-binned STUCCO over equal-width bins",
-      [](const EngineOptions& options) {
-        return std::make_unique<discretize::EqualWidthDiscretizer>(
-            options.equal_bins);
-      }));
-  Register(BinnedEntry(
-      "binned:equal_freq", EngineKind::kBinnedEqualFreq,
-      "pre-binned STUCCO over equal-frequency bins",
-      [](const EngineOptions& options) {
-        return std::make_unique<discretize::EqualFrequencyDiscretizer>(
-            options.equal_bins);
-      }));
-  Register({"window", EngineKind::kWindow,
-            "serial SDAD-CS over the most recent rows only",
-            [](const MinerConfig& config, const EngineOptions& options) {
-              return std::make_unique<WindowEngine>(config,
-                                                    options.window_rows);
-            }});
-  Register({"sharded", EngineKind::kSharded,
-            "shard-merge SDAD-CS: serial decision order, row-sharded "
-            "counting (byte-identical to serial)",
-            [](const MinerConfig& config, const EngineOptions& options) {
-              return std::make_unique<LatticeEngine>("sharded", config,
-                                                     options.shard_count);
-            }});
-}
-
-void EngineRegistry::Register(Entry entry) {
-  entries_.push_back(std::move(entry));
-}
-
-std::vector<std::string> EngineRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const Entry& e : entries_) names.push_back(e.name);
-  return names;
-}
-
-std::string EngineRegistry::NamesJoined() const {
-  std::string joined;
-  for (const Entry& e : entries_) {
-    if (!joined.empty()) joined += ", ";
-    joined += e.name;
+util::StatusOr<EngineSpec> ParseEngine(const std::string& name) {
+  if (name == kAutoName) return EngineSpec{EngineKind::kAuto, 0};
+  for (const EngineRow& row : kEngines) {
+    if (name == row.name) return EngineSpec{row.kind, 0};
   }
-  return joined;
-}
-
-bool EngineRegistry::Has(const std::string& name) const {
-  if (Find(name) != nullptr) return true;
-  // The parameterized "sharded:<n>" form resolves without an entry of
-  // its own (shard_count > 0 excludes plain kind names and "auto").
-  util::StatusOr<core::EngineSpec> spec = core::EngineSpecFromString(name);
-  return spec.ok() && spec->shard_count > 0;
-}
-
-const EngineRegistry::Entry* EngineRegistry::Find(
-    const std::string& name) const {
-  for (const Entry& e : entries_) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
-util::StatusOr<std::unique_ptr<Engine>> EngineRegistry::Create(
-    const std::string& name, const core::MinerConfig& config,
-    const EngineOptions& options) const {
-  const Entry* entry = Find(name);
-  if (entry == nullptr) {
-    // "sharded:<n>" parameterizes the sharded entry: the count is a
-    // deployment knob, so it rides in an options copy, never the name
-    // the request key sees.
-    util::StatusOr<core::EngineSpec> spec =
-        core::EngineSpecFromString(name);
-    if (spec.ok() && spec->shard_count > 0) {
-      EngineOptions opts = options;
-      opts.shard_count = spec->shard_count;
-      return Find("sharded")->factory(config, opts);
+  constexpr size_t kPrefixLen = sizeof(kShardedPrefix) - 1;
+  if (name.compare(0, kPrefixLen, kShardedPrefix) == 0) {
+    const size_t count = ParseShardCount(name.substr(kPrefixLen));
+    if (count == 0) {
+      return util::Status::InvalidArgument(
+          "engine '" + name +
+          "': sharded:<n> requires a positive shard count");
     }
-    return util::Status::InvalidArgument(
-        "unknown engine '" + name + "'; expected one of: " + NamesJoined() +
-        ", sharded:<n>");
+    return EngineSpec{EngineKind::kSharded, count};
   }
-  return entry->factory(config, options);
-}
-
-util::StatusOr<std::unique_ptr<Engine>> EngineRegistry::Create(
-    core::EngineKind kind, const core::MinerConfig& config,
-    const EngineOptions& options) const {
-  if (kind == EngineKind::kAuto) {
-    return util::Status::InvalidArgument(
-        "engine kind 'auto' must be resolved before Create()");
-  }
-  for (const Entry& e : entries_) {
-    if (e.kind == kind) return e.factory(config, options);
+  std::string known;
+  for (const EngineRow& row : kEngines) {
+    known += row.name;
+    known += ", ";
   }
   return util::Status::InvalidArgument(
-      std::string("no engine registered for kind '") +
-      core::EngineKindToString(kind) + "'");
+      "unknown engine '" + name + "'; expected one of: " + known +
+      "sharded:<n> (the servers also resolve auto)");
+}
+
+const char* EngineName(EngineKind kind) {
+  if (kind == EngineKind::kAuto) return kAutoName;
+  for (const EngineRow& row : kEngines) {
+    if (row.kind == kind) return row.name;
+  }
+  return "unknown";
+}
+
+util::StatusOr<core::MiningResult> Mine(const EngineSpec& spec,
+                                        const core::MinerConfig& config,
+                                        const EngineOptions& options,
+                                        const data::Dataset& db,
+                                        const core::MineRequest& request) {
+  switch (spec.kind) {
+    case EngineKind::kAuto:
+      return util::Status::InvalidArgument(
+          "engine 'auto' must be resolved before mining; the servers "
+          "resolve it from the dataset's row count");
+    case EngineKind::kSerial:
+      return core::Miner(config).Mine(db, request);
+    case EngineKind::kSharded:
+      return core::Miner(config, spec.shard_count != 0 ? spec.shard_count
+                                                       : options.shard_count)
+          .Mine(db, request);
+    case EngineKind::kParallel:
+      return parallel::ParallelMiner(config, options.parallel_threads)
+          .Mine(db, request);
+    case EngineKind::kBeam: {
+      // The beam mapping carries only the shared knobs; validating the
+      // whole config first keeps the dropped ones from escaping checks.
+      util::Status valid = config.Validate();
+      if (!valid.ok()) return valid;
+      subgroup::BeamConfig beam;
+      beam.max_depth = config.max_depth;
+      beam.top_k = config.top_k;
+      beam.min_coverage = config.min_coverage;
+      beam.measure = config.measure;
+      return subgroup::BeamSubgroupDiscovery(beam).Mine(db, request);
+    }
+    case EngineKind::kWindow:
+      return stream::MineTailWindow(db, request, config, options.window_rows);
+    case EngineKind::kBinnedFayyad:
+      return discretize::MineWithDiscretizer(
+          db, request, discretize::FayyadMdlDiscretizer(), config);
+    case EngineKind::kBinnedMvd:
+      return discretize::MineWithDiscretizer(
+          db, request, discretize::MvdDiscretizer(), config);
+    case EngineKind::kBinnedSrikant:
+      return discretize::MineWithDiscretizer(
+          db, request, discretize::SrikantDiscretizer(), config);
+    case EngineKind::kBinnedEqualWidth:
+    case EngineKind::kBinnedEqualFreq:
+      // The discretizers CHECK their bin count; a caller's bad option is
+      // an error, not an abort.
+      if (options.equal_bins < 1) {
+        return util::Status::InvalidArgument(
+            "equal_bins must be >= 1, got " +
+            std::to_string(options.equal_bins));
+      }
+      if (spec.kind == EngineKind::kBinnedEqualWidth) {
+        return discretize::MineWithDiscretizer(
+            db, request, discretize::EqualWidthDiscretizer(options.equal_bins),
+            config);
+      }
+      return discretize::MineWithDiscretizer(
+          db, request,
+          discretize::EqualFrequencyDiscretizer(options.equal_bins), config);
+  }
+  return util::Status::InvalidArgument(
+      "unknown engine kind " + std::to_string(static_cast<int>(spec.kind)));
 }
 
 }  // namespace sdadcs::engine

@@ -1,14 +1,13 @@
 #ifndef SDADCS_ENGINE_REGISTRY_H_
 #define SDADCS_ENGINE_REGISTRY_H_
 
-#include <functional>
-#include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "core/config.h"
+#include "core/miner.h"
 #include "core/request_key.h"
-#include "engine/engine.h"
+#include "data/dataset.h"
 #include "util/status.h"
 
 namespace sdadcs::engine {
@@ -22,84 +21,62 @@ struct EngineOptions {
   /// Rows of the tail window the "window" engine mines (0 = the whole
   /// dataset).
   size_t window_rows = 0;
-  /// Bin count of the binned:equal_width / binned:equal_freq engines.
+  /// Bin count of the binned:equal_width / binned:equal_freq engines
+  /// (at least 1).
   int equal_bins = 10;
-  /// Row shards of the shard-merge engine (0 = hardware concurrency).
-  /// Deployment knob only: the sharded engine's results are byte-
-  /// identical to serial for every count, so this never enters the
-  /// request fingerprint.
+  /// Row shards of the shard-merge engine when the spec carries no
+  /// "sharded:<n>" count (0 = hardware concurrency). Deployment knob
+  /// only: the sharded engine's results are byte-identical to serial for
+  /// every count, so this never enters the request fingerprint.
   size_t shard_count = 0;
 };
 
-/// The registry of every servable mining engine, keyed by stable string
-/// name. Tools, the ND-JSON server and tests all resolve engines here —
-/// there is no other path from a name to a miner.
-///
-/// Registered names (one per core::EngineKind except kAuto, which the
-/// serving layer resolves before it gets here):
-///
-///   serial             SDAD-CS lattice search, single thread
-///   parallel           level-parallel SDAD-CS (Section 6)
-///   beam               beam-search subgroup discovery (Cortana-style)
-///   binned:fayyad      pre-binned STUCCO over Fayyad-MDL global bins
-///   binned:mvd         ... over MVD bins
-///   binned:srikant     ... over Srikant partial-completeness bins
-///   binned:equal_width ... over equal-width bins
-///   binned:equal_freq  ... over equal-frequency bins
-///   window             serial SDAD-CS over the most recent rows only
-///   sharded            shard-merge SDAD-CS (serial decision order,
-///                      row-sharded counting; results byte-identical
-///                      to serial)
-///
-/// Create() additionally accepts the parameterized form "sharded:<n>",
-/// which resolves to the "sharded" entry with options.shard_count = n.
-class EngineRegistry {
- public:
-  struct Entry {
-    std::string name;
-    core::EngineKind kind = core::EngineKind::kAuto;
-    std::string description;
-    std::function<std::unique_ptr<Engine>(const core::MinerConfig&,
-                                          const EngineOptions&)>
-        factory;
-  };
-
-  /// The process-wide registry with every built-in engine registered.
-  static const EngineRegistry& Global();
-
-  /// Entries in registration order (stable across calls).
-  const std::vector<Entry>& entries() const { return entries_; }
-
-  /// Registered names, in registration order.
-  std::vector<std::string> Names() const;
-
-  /// Comma-separated names for error messages and --help.
-  std::string NamesJoined() const;
-
-  bool Has(const std::string& name) const;
-
-  /// The entry registered under `name`, or nullptr.
-  const Entry* Find(const std::string& name) const;
-
-  /// Constructs the named engine over `config`. Unknown names are an
-  /// InvalidArgument naming the offending value and listing every
-  /// registered name.
-  util::StatusOr<std::unique_ptr<Engine>> Create(
-      const std::string& name, const core::MinerConfig& config,
-      const EngineOptions& options = EngineOptions()) const;
-
-  /// Create() via the enum (kAuto is rejected — resolve it first).
-  util::StatusOr<std::unique_ptr<Engine>> Create(
-      core::EngineKind kind, const core::MinerConfig& config,
-      const EngineOptions& options = EngineOptions()) const;
-
- private:
-  EngineRegistry();
-
-  void Register(Entry entry);
-
-  std::vector<Entry> entries_;
+/// One servable engine: its request-key kind, its stable name and the
+/// one-line description the listings print.
+struct EngineRow {
+  core::EngineKind kind = core::EngineKind::kAuto;
+  const char* name = "";
+  const char* description = "";
 };
+
+/// The one engine table (engine/registry.cc), in listing order: one row
+/// per core::EngineKind except kAuto, which the serving layer resolves
+/// by row count. The `{"op":"engines"}` reply, `sdadcs_tool --engine
+/// list`, ParseEngine, EngineName and the unknown-name error all read
+/// it.
+std::span<const EngineRow> Engines();
+
+/// A parsed engine name: the kind plus the shard count "sharded:<n>"
+/// carries. Like EngineOptions::parallel_threads the count is an
+/// execution knob, not request identity (results are byte-identical for
+/// every n), so it rides next to the kind and never reaches the
+/// RequestKey.
+struct EngineSpec {
+  core::EngineKind kind = core::EngineKind::kAuto;
+  /// Shard count of "sharded:<n>"; 0 = none given (Mine falls back to
+  /// EngineOptions::shard_count).
+  size_t shard_count = 0;
+};
+
+/// The only name parser: every table name, "auto", and "sharded:<n>"
+/// with n a positive integer. Anything else is an InvalidArgument naming
+/// the offending value; an unknown name lists every accepted one.
+util::StatusOr<EngineSpec> ParseEngine(const std::string& name);
+
+/// The table name of `kind` ("auto" for kAuto).
+const char* EngineName(core::EngineKind kind);
+
+/// Runs `spec`'s miner over `db`. An explicit "sharded:<n>" count beats
+/// `options.shard_count`. Same contract as core::Miner::Mine: an expired
+/// deadline, cancellation or exhausted budget drains into a sorted
+/// best-so-far result with the matching completion, and errors are
+/// reserved for invalid input — an invalid config or request, kAuto
+/// (resolve it first), or an equal-bin engine with equal_bins < 1.
+util::StatusOr<core::MiningResult> Mine(const EngineSpec& spec,
+                                        const core::MinerConfig& config,
+                                        const EngineOptions& options,
+                                        const data::Dataset& db,
+                                        const core::MineRequest& request);
 
 }  // namespace sdadcs::engine
 

@@ -22,18 +22,18 @@ using core::RunState;
 using core::TopK;
 
 // A per-level progress report from the coordinator thread. Anytime
-// snapshots come from the pooled global top-k, so the parallel engine
+// previews come from the pooled global top-k, so the parallel engine
 // streams best-so-far results at level granularity.
 void ReportLevel(const util::RunControl& control, const TopK& global_topk,
                  int level, uint64_t done, uint64_t total,
-                 uint64_t* last_snapshot_version) {
+                 uint64_t* last_improved_version) {
   if (!control.has_progress_callback()) return;
   util::RunProgress progress;
   progress.level = level;
   progress.candidates_done = done;
   progress.candidates_total = total;
   progress.topk_threshold = global_topk.threshold();
-  core::FillProgressFromTopK(control, global_topk, last_snapshot_version,
+  core::FillProgressFromTopK(control, global_topk, last_improved_version,
                              &progress);
   control.ReportProgress(progress);
 }
@@ -86,7 +86,7 @@ util::StatusOr<core::MiningResult> ParallelMiner::Mine(
   // so checking here between levels is enough to classify how the run
   // ended.
   RunState coord_run(control);
-  uint64_t last_snapshot_version = 0;
+  uint64_t last_improved_version = 0;
   std::vector<std::vector<int>> alive_prev;
 
   for (int level = 1; level <= max_depth; ++level) {
@@ -98,7 +98,7 @@ util::StatusOr<core::MiningResult> ParallelMiner::Mine(
         &global_counters);
     if (candidates.empty()) break;
     ReportLevel(control, global_topk, level, 0, candidates.size(),
-                &last_snapshot_version);
+                &last_improved_version);
 
     // One worker state per thread; each worker handles a strided slice
     // of the level's combinations with its own prune table and top-k
@@ -151,7 +151,7 @@ util::StatusOr<core::MiningResult> ParallelMiner::Mine(
       }
     }
     ReportLevel(control, global_topk, level, candidates.size(),
-                candidates.size(), &last_snapshot_version);
+                candidates.size(), &last_improved_version);
     std::sort(alive_cur.begin(), alive_cur.end());
     alive_prev = std::move(alive_cur);
     if (alive_prev.empty()) break;

@@ -316,7 +316,7 @@ void Dispatcher::RunMine(const std::shared_ptr<Session>& session,
       frame.call.run_control.set_progress_callback(
           [weak = std::weak_ptr<Session>(session),
            id = frame.id](const util::RunProgress& p) {
-            if (p.payload == nullptr) return;
+            if (!p.improved) return;
             auto s = weak.lock();
             if (s == nullptr) return;
             JsonObjectWriter event;

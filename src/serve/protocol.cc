@@ -186,11 +186,11 @@ std::optional<WireError> ParseMineCall(const JsonValue& request,
   if (auto error = ParseMinerConfig(request, &frame.call.config)) {
     return error;
   }
-  // Any registered engine name (or "auto", or the parameterized
-  // "sharded:<n>") is accepted; anything else is an error naming the
-  // offending field — never a silent fall back.
-  util::StatusOr<core::EngineSpec> spec =
-      core::EngineSpecFromString(request.GetString("engine", "auto"));
+  // The one engine-name parser: any table name, "auto" or
+  // "sharded:<n>"; anything else is an error naming the field — never a
+  // silent fall back.
+  util::StatusOr<engine::EngineSpec> spec =
+      engine::ParseEngine(request.GetString("engine", "auto"));
   if (!spec.ok()) return WireError::FromStatus(spec.status(), "engine");
   frame.call.engine = spec->kind;
   frame.call.shards = spec->shard_count;
@@ -245,7 +245,7 @@ void RenderMineOutcome(const MineOutcome& outcome,
   JsonObjectWriter& w = *out;
   w.Add("verdict", VerdictToString(outcome.verdict));
   w.Add("cache", CacheStatusToString(outcome.cache));
-  w.Add("engine", core::EngineKindToString(outcome.engine));
+  w.Add("engine", engine::EngineName(outcome.engine));
   w.Add("key", outcome.key.ToString());
   w.Add("queue_ms", outcome.queue_seconds * 1e3);
   w.Add("run_ms", outcome.run_seconds * 1e3);
@@ -264,16 +264,16 @@ void RenderMineOutcome(const MineOutcome& outcome,
 
 void RenderEngines(JsonObjectWriter* out) {
   std::string engines = "[";
-  for (const auto& entry : engine::EngineRegistry::Global().entries()) {
+  for (const engine::EngineRow& row : engine::Engines()) {
     if (engines.size() > 1) engines += ",";
     JsonObjectWriter e;
-    e.Add("name", entry.name);
-    e.Add("description", entry.description);
+    e.Add("name", row.name);
+    e.Add("description", row.description);
     engines += e.Str();
   }
   engines += "]";
   out->AddRaw("engines", engines);
-  // Accepted names that are not registry entries of their own: the
+  // Accepted names that are not table rows of their own: the
   // server-resolved default and the count-parameterized sharded form.
   out->AddRaw("aliases", "[\"auto\",\"sharded:<n>\"]");
 }

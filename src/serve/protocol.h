@@ -20,7 +20,7 @@ namespace sdadcs::serve {
 ///       structured errors {code, field, message}, ops load / mine /
 ///       stats / evict / cancel / ping / shutdown. Later additive (no
 ///       version bump): the "engines" op enumerating the engine
-///       registry, and "sharded:<n>" accepted as a mine engine name.
+///       table, and "sharded:<n>" accepted as a mine engine name.
 ///       The stdin-only "burst" mine field was removed: a "burst" above
 ///       1 is an invalid_argument error on every transport.
 inline constexpr int64_t kProtocolVersion = 1;
@@ -89,10 +89,10 @@ std::optional<WireError> ParseMinerConfig(const JsonValue& request,
                                           core::MinerConfig* out);
 
 /// Parses one "mine" request into a MineFrame: required dataset + group,
-/// engine resolution through the registry names, config, and the range-
-/// checked limits ("deadline_ms", "node_budget"). This is the one request
-/// codec behind every front end — the dispatcher both transports share
-/// and the CLI — so they cannot drift.
+/// the engine name through engine::ParseEngine (the parser the CLI's
+/// --engine uses too), config, and the range-checked limits
+/// ("deadline_ms", "node_budget"). This is the one request codec behind
+/// the dispatcher both transports share, so they cannot drift.
 std::optional<WireError> ParseMineCall(const JsonValue& request,
                                        MineFrame* out);
 
@@ -121,10 +121,11 @@ void RenderMineOutcome(const MineOutcome& outcome,
 /// sub-objects) to `out`.
 void RenderStats(const ServerStats& stats, JsonObjectWriter* out);
 
-/// The "engines" op body: every EngineRegistry entry as
-/// {"name":...,"description":...} under "engines", plus the
-/// parameterized forms ("sharded:<n>", "auto") under "aliases". Shared
-/// by the stdin and socket front ends and `sdadcs_tool --engine list`.
+/// The "engines" op body: every row of the engine table
+/// (engine::Engines) as {"name":...,"description":...} under "engines",
+/// plus the accepted names that are not rows ("auto", "sharded:<n>")
+/// under "aliases". Shared by the stdin and socket front ends;
+/// `sdadcs_tool --engine list` prints the same rows.
 void RenderEngines(JsonObjectWriter* out);
 
 /// The "emit":"patterns" body: the outcome's contrasts rendered against

@@ -107,19 +107,16 @@ util::StatusOr<core::MiningResult> Server::RunEngine(
   // prepared bundle supplies root bounds and resolved groups, built at
   // most once per load generation.
   request.prepared = ds.prepared.get();
-  // Every engine — including the historical serial/parallel pair — is
-  // constructed through the registry; there is no other name-to-miner
-  // path in the server.
+  // Every engine runs through the one engine table; the call's
+  // "sharded:<n>" count and the server's shard_count meet in
+  // engine::Mine, which applies the precedence rule.
   engine::EngineOptions opts;
   opts.parallel_threads = options_.parallel_threads;
   opts.window_rows = options_.window_rows;
   opts.equal_bins = options_.equal_bins;
-  opts.shard_count =
-      call.shards != 0 ? call.shards : options_.shard_count;
-  util::StatusOr<std::unique_ptr<engine::Engine>> eng =
-      engine::EngineRegistry::Global().Create(engine, call.config, opts);
-  if (!eng.ok()) return eng.status();
-  return (*eng)->Mine(ds.db, request);
+  opts.shard_count = options_.shard_count;
+  return engine::Mine({engine, call.shards}, call.config, opts, ds.db,
+                      request);
 }
 
 MineOutcome Server::Mine(const MineCall& call) {
@@ -315,7 +312,8 @@ util::StatusOr<ServerOptions> ServerOptionsFromFlags(const util::Flags& flags) {
            flags.GetCount("threads", &o.parallel_threads),
            flags.GetCount("parallel-threshold", &o.parallel_threshold_rows),
            flags.GetCount("window-rows", &o.window_rows),
-           flags.GetCount("equal-bins", &o.equal_bins),
+           flags.GetCount("equal-bins", &o.equal_bins, UINT64_MAX,
+                          /*min=*/1),
            flags.GetCount("shards", &o.shard_count),
            flags.GetCount("chunk-rows", &o.chunk_rows),
            flags.GetCount("max-resident-bytes", &o.max_resident_bytes)}) {

@@ -44,7 +44,8 @@ struct ServerOptions {
   size_t parallel_threads = 0;
   /// Tail rows the "window" engine mines (0 = the whole dataset).
   size_t window_rows = 0;
-  /// Bin count of the binned:equal_width / binned:equal_freq engines.
+  /// Bin count of the binned:equal_width / binned:equal_freq engines
+  /// (at least 1).
   int equal_bins = 10;
   /// Row shards of the shard-merge engine when the request does not
   /// carry its own "sharded:<n>" count (0 = hardware concurrency).
@@ -67,7 +68,8 @@ struct ServerOptions {
 /// --queue, --cache-capacity, --memory-budget-mb, --deadline-ms,
 /// --node-budget, --threads, --parallel-threshold, --window-rows,
 /// --equal-bins, --shards, --chunk-rows, --max-resident-bytes), each a
-/// checked util::Flags::GetCount; absent flags keep the defaults.
+/// checked util::Flags::GetCount (--equal-bins at least 1); absent flags
+/// keep the defaults.
 util::StatusOr<ServerOptions> ServerOptionsFromFlags(const util::Flags& flags);
 
 /// One mining request against a registered dataset.

@@ -59,7 +59,7 @@ int Flags::GetInt(const std::string& name, int fallback) const {
   return v.has_value() ? static_cast<int>(*v) : fallback;
 }
 
-Status Flags::ParseCount(const std::string& name, uint64_t max,
+Status Flags::ParseCount(const std::string& name, uint64_t min, uint64_t max,
                          uint64_t* value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return Status::OK();
@@ -67,8 +67,9 @@ Status Flags::ParseCount(const std::string& name, uint64_t max,
   const char* end = text.data() + text.size();
   uint64_t parsed = 0;
   auto [stop, error] = std::from_chars(text.data(), end, parsed);
-  if (error != std::errc() || stop != end || parsed > max) {
-    return Status::InvalidArgument("--" + name + " must be an integer in [0, " +
+  if (error != std::errc() || stop != end || parsed < min || parsed > max) {
+    return Status::InvalidArgument("--" + name + " must be an integer in [" +
+                                   std::to_string(min) + ", " +
                                    std::to_string(max) + "], got '" + text +
                                    "'");
   }

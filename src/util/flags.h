@@ -40,14 +40,14 @@ class Flags {
   int GetInt(const std::string& name, int fallback) const;
 
   /// Checked count: `*out` is left alone when the flag is absent and set
-  /// when it is a plain decimal integer in [0, max] (max capped at what T
-  /// holds); anything else is an InvalidArgument naming the flag.
+  /// when it is a plain decimal integer in [min, max] (max capped at what
+  /// T holds); anything else is an InvalidArgument naming the flag.
   template <typename T>
-  Status GetCount(const std::string& name, T* out,
-                  uint64_t max = UINT64_MAX) const {
+  Status GetCount(const std::string& name, T* out, uint64_t max = UINT64_MAX,
+                  uint64_t min = 0) const {
     uint64_t value = static_cast<uint64_t>(*out);
     Status status = ParseCount(
-        name,
+        name, min,
         std::min(max, static_cast<uint64_t>(std::numeric_limits<T>::max())),
         &value);
     if (status.ok()) *out = static_cast<T>(value);
@@ -59,7 +59,7 @@ class Flags {
 
  private:
   /// GetCount's parse; `*value` is replaced only when the flag is set.
-  Status ParseCount(const std::string& name, uint64_t max,
+  Status ParseCount(const std::string& name, uint64_t min, uint64_t max,
                     uint64_t* value) const;
 
   std::vector<std::string> positional_;

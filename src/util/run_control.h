@@ -24,14 +24,6 @@ const char* StopReasonToString(StopReason reason);
 /// its steady-clock nanoseconds overflow int64 ~292 years past epoch.
 inline constexpr int64_t kMaxDeadlineMs = int64_t{1} << 42;
 
-/// Opaque base for engine-defined progress payloads. Lives in util so
-/// RunProgress can carry engine data without util depending on core;
-/// the mining layer subclasses it (core::AnytimeSnapshot) and consumers
-/// downcast on the documented concrete type.
-struct ProgressPayload {
-  virtual ~ProgressPayload() = default;
-};
-
 /// Progress snapshot delivered to a RunControl's progress callback by
 /// the mining engines: which lattice level is running, how many of its
 /// candidate combinations are done, and the current top-k pruning
@@ -48,11 +40,10 @@ struct RunProgress {
   /// Monotone counter of top-k insertions; grows iff the best-so-far set
   /// changed since the previous report.
   uint64_t topk_version = 0;
-  /// Anytime snapshot of the best-so-far results (core::AnytimeSnapshot
-  /// on the mining engines). Only attached when the run was marked
-  /// anytime via set_anytime(true) AND the top-k changed since the last
-  /// report; null otherwise.
-  std::shared_ptr<const ProgressPayload> payload;
+  /// True when the run was marked anytime via set_anytime(true) AND the
+  /// top-k changed since the last such report: the best-so-far fields
+  /// above are a new preview worth streaming. False otherwise.
+  bool improved = false;
 };
 
 /// Shared handle controlling one mining run: an optional wall-clock
@@ -92,10 +83,10 @@ class RunControl {
   /// per-thread stride before it stops.
   RunControl& set_node_budget(uint64_t nodes);
   RunControl& set_progress_callback(ProgressFn fn);
-  /// Requests anytime result streaming: engines attach a best-so-far
-  /// snapshot (RunProgress::payload) to progress reports whenever the
-  /// top-k changed since the last report. Off by default because
-  /// snapshotting copies the current result list.
+  /// Requests anytime result streaming: engines flag
+  /// RunProgress::improved on reports whose top-k changed since the last
+  /// flagged one (the lattice search also reports right after each top-k
+  /// insert). Off by default.
   RunControl& set_anytime(bool anytime);
 
   /// Requests cooperative cancellation; every engine loop drains at its

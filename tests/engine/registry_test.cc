@@ -1,10 +1,11 @@
-// Tests of the engine layer: registry lookup, name/kind round-trips and
-// the uniform Engine contract across every registered engine.
+// Tests of the engine layer: the one engine table, its name parser and
+// the uniform Mine() contract across every engine.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <filesystem>
+#include <iterator>
 
 #include "common/requests.h"
 #include "core/request_key.h"
@@ -17,11 +18,11 @@ namespace sdadcs {
 namespace {
 
 using core::EngineKind;
-using core::EngineKindFromString;
-using core::EngineKindToString;
 using core::MinerConfig;
 using engine::EngineOptions;
-using engine::EngineRegistry;
+using engine::EngineRow;
+using engine::Engines;
+using engine::ParseEngine;
 
 using test_support::GroupsRequest;
 
@@ -46,119 +47,154 @@ data::Dataset MakeTinyDataset() {
   return std::move(*db);
 }
 
+// Threads of this process (Linux /proc): a multi-shard mine holds its
+// worker pool for the whole run, so a progress callback sees it.
+size_t ThreadCount() {
+  namespace fs = std::filesystem;
+  return static_cast<size_t>(std::distance(
+      fs::directory_iterator("/proc/self/task"), fs::directory_iterator()));
+}
+
 TEST(EngineRegistryTest, RegistersEveryDocumentedName) {
   const std::vector<std::string> expected = {
       "serial",         "parallel",          "beam",
       "binned:fayyad",  "binned:mvd",        "binned:srikant",
       "binned:equal_width", "binned:equal_freq", "window",
       "sharded"};
-  std::vector<std::string> names = EngineRegistry::Global().Names();
+  std::vector<std::string> names;
+  for (const EngineRow& row : Engines()) names.push_back(row.name);
   std::sort(names.begin(), names.end());
   std::vector<std::string> want = expected;
   std::sort(want.begin(), want.end());
   EXPECT_EQ(names, want);
   for (const std::string& name : expected) {
-    EXPECT_TRUE(EngineRegistry::Global().Has(name)) << name;
+    EXPECT_TRUE(ParseEngine(name).ok()) << name;
   }
-  EXPECT_FALSE(EngineRegistry::Global().Has("auto"));
+  // "auto" parses but is no row: the servers resolve it.
+  EXPECT_EQ(std::count(names.begin(), names.end(), "auto"), 0);
 }
 
-TEST(EngineRegistryTest, EngineKindRoundTripsForEveryRegistryName) {
-  // Every registry name maps to a distinct EngineKind and both string
-  // conversions invert each other; "auto" round-trips too even though
-  // the registry itself does not hold it.
-  std::set<EngineKind> kinds;
-  for (const auto& entry : EngineRegistry::Global().entries()) {
-    EXPECT_EQ(EngineKindToString(entry.kind), entry.name);
-    auto parsed = EngineKindFromString(entry.name);
-    ASSERT_TRUE(parsed.ok()) << entry.name;
-    EXPECT_EQ(*parsed, entry.kind) << entry.name;
-    EXPECT_TRUE(kinds.insert(entry.kind).second)
-        << "duplicate kind for " << entry.name;
+TEST(EngineRegistryTest, EveryEngineKindHasExactlyOneRow) {
+  // kSharded is the last kind; a new kind moves this bound.
+  for (int k = 0; k <= static_cast<int>(EngineKind::kSharded); ++k) {
+    const EngineKind kind = static_cast<EngineKind>(k);
+    size_t rows = 0;
+    for (const EngineRow& row : Engines()) rows += row.kind == kind;
+    EXPECT_EQ(rows, kind == EngineKind::kAuto ? 0u : 1u) << "kind " << k;
   }
-  auto auto_kind = EngineKindFromString("auto");
-  ASSERT_TRUE(auto_kind.ok());
-  EXPECT_EQ(*auto_kind, EngineKind::kAuto);
-  EXPECT_EQ(kinds.count(EngineKind::kAuto), 0u);
+  // Name and kind invert each other on every row, and on "auto".
+  for (const EngineRow& row : Engines()) {
+    EXPECT_STREQ(engine::EngineName(row.kind), row.name);
+    auto parsed = ParseEngine(row.name);
+    ASSERT_TRUE(parsed.ok()) << row.name;
+    EXPECT_EQ(parsed->kind, row.kind) << row.name;
+  }
+  EXPECT_STREQ(engine::EngineName(EngineKind::kAuto), "auto");
+  auto auto_spec = ParseEngine("auto");
+  ASSERT_TRUE(auto_spec.ok());
+  EXPECT_EQ(auto_spec->kind, EngineKind::kAuto);
 }
 
 TEST(EngineRegistryTest, ShardedNameParsesWithOptionalCount) {
   // Bare "sharded" is a plain kind; "sharded:<n>" carries the count.
-  auto bare = core::EngineSpecFromString("sharded");
+  auto bare = ParseEngine("sharded");
   ASSERT_TRUE(bare.ok());
   EXPECT_EQ(bare->kind, EngineKind::kSharded);
   EXPECT_EQ(bare->shard_count, 0u);
 
-  auto counted = core::EngineSpecFromString("sharded:4");
+  auto counted = ParseEngine("sharded:4");
   ASSERT_TRUE(counted.ok());
   EXPECT_EQ(counted->kind, EngineKind::kSharded);
   EXPECT_EQ(counted->shard_count, 4u);
 
-  // Every plain registry name parses as a spec with no count.
-  for (const auto& entry : EngineRegistry::Global().entries()) {
-    auto spec = core::EngineSpecFromString(entry.name);
-    ASSERT_TRUE(spec.ok()) << entry.name;
-    EXPECT_EQ(spec->kind, entry.kind) << entry.name;
-    EXPECT_EQ(spec->shard_count, 0u) << entry.name;
+  // Every plain table name parses as a spec with no count.
+  for (const EngineRow& row : Engines()) {
+    auto spec = ParseEngine(row.name);
+    ASSERT_TRUE(spec.ok()) << row.name;
+    EXPECT_EQ(spec->kind, row.kind) << row.name;
+    EXPECT_EQ(spec->shard_count, 0u) << row.name;
   }
 
   for (const char* bad : {"sharded:", "sharded:0", "sharded:x",
                           "sharded:-1", "sharded:4x", "shard:4"}) {
-    auto spec = core::EngineSpecFromString(bad);
+    auto spec = ParseEngine(bad);
     EXPECT_FALSE(spec.ok()) << bad;
     EXPECT_EQ(spec.status().code(), util::StatusCode::kInvalidArgument)
         << bad;
   }
+  // A malformed count names the positive-count rule, not "unknown".
+  EXPECT_NE(ParseEngine("sharded:0").status().message().find(
+                "requires a positive shard count"),
+            std::string::npos);
 }
 
 TEST(EngineRegistryTest, ParameterizedShardedNameCreatesEngine) {
-  EXPECT_TRUE(EngineRegistry::Global().Has("sharded:4"));
-  EXPECT_FALSE(EngineRegistry::Global().Has("sharded:0"));
-  EXPECT_FALSE(EngineRegistry::Global().Has("auto"));
-
-  auto eng = EngineRegistry::Global().Create("sharded:4", MinerConfig());
-  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
-  EXPECT_EQ((*eng)->Name(), "sharded");
-  EXPECT_NE((*eng)->Describe().find("4 row shards"), std::string::npos)
-      << (*eng)->Describe();
-
-  // An explicit shard_count in the options reaches the bare name too.
-  EngineOptions opts;
-  opts.shard_count = 2;
-  auto bare = EngineRegistry::Global().Create("sharded", MinerConfig(), opts);
-  ASSERT_TRUE(bare.ok());
-  EXPECT_NE((*bare)->Describe().find("2 row shards"), std::string::npos)
-      << (*bare)->Describe();
+  // The shard count never changes results, so watch it where it shows:
+  // a multi-shard mine runs a worker pool, a one-shard mine none.
+  data::Dataset db = MakeTinyDataset();
+  auto gi = data::GroupInfo::Create(db, 0);
+  ASSERT_TRUE(gi.ok());
+  auto pool_threads = [&](const std::string& name, size_t option) {
+    auto spec = ParseEngine(name);
+    EXPECT_TRUE(spec.ok()) << name;
+    EngineOptions opts;
+    opts.shard_count = option;
+    core::MineRequest request = GroupsRequest(*gi);
+    const size_t before = ThreadCount();
+    size_t during = 0;
+    request.run_control.set_progress_callback(
+        [&](const util::RunProgress&) {
+          during = std::max(during, ThreadCount());
+        });
+    auto result = engine::Mine(*spec, MinerConfig(), opts, db, request);
+    EXPECT_TRUE(result.ok()) << name;
+    EXPECT_GE(during, before) << name << ": no progress report";
+    return during - before;
+  };
+  // An explicit "sharded:<n>" beats EngineOptions::shard_count...
+  EXPECT_EQ(pool_threads("sharded:1", 2), 0u);
+  EXPECT_GT(pool_threads("sharded:2", 1), 0u);
+  // ...and bare "sharded" takes the option.
+  EXPECT_GT(pool_threads("sharded", 2), 0u);
+  EXPECT_EQ(pool_threads("sharded", 1), 0u);
 }
 
 TEST(EngineRegistryTest, UnknownNameIsInvalidArgumentListingEveryName) {
-  auto parsed = EngineKindFromString("warp");
+  auto parsed = ParseEngine("warp");
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(parsed.status().message().find("warp"), std::string::npos);
-  EXPECT_NE(parsed.status().message().find("binned:mvd"),
-            std::string::npos);
-
-  auto created = EngineRegistry::Global().Create("warp", MinerConfig());
-  ASSERT_FALSE(created.ok());
-  EXPECT_EQ(created.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(created.status().message().find("warp"), std::string::npos);
+  const std::string& message = parsed.status().message();
+  EXPECT_NE(message.find("'warp'"), std::string::npos);
+  for (const EngineRow& row : Engines()) {
+    EXPECT_NE(message.find(row.name), std::string::npos) << row.name;
+  }
+  EXPECT_NE(message.find("sharded:<n>"), std::string::npos);
 }
 
-TEST(EngineRegistryTest, CreateByKindMatchesCreateByName) {
-  MinerConfig cfg;
-  for (const auto& entry : EngineRegistry::Global().entries()) {
-    auto by_name = EngineRegistry::Global().Create(entry.name, cfg);
-    auto by_kind = EngineRegistry::Global().Create(entry.kind, cfg);
-    ASSERT_TRUE(by_name.ok()) << entry.name;
-    ASSERT_TRUE(by_kind.ok()) << entry.name;
-    EXPECT_EQ((*by_name)->Name(), entry.name);
-    EXPECT_EQ((*by_kind)->Name(), entry.name);
-    EXPECT_FALSE((*by_name)->Describe().empty()) << entry.name;
+TEST(EngineRegistryTest, MineRejectsUnresolvedAuto) {
+  data::Dataset db = MakeTinyDataset();
+  auto result = engine::Mine({EngineKind::kAuto}, MinerConfig(), {}, db,
+                             test_support::GroupRequest("g"));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(EngineRegistryTest, EqualBinEnginesRejectFewerThanOneBin) {
+  // The discretizers CHECK their bin count; through Mine a bad option is
+  // an error the caller can report, never an abort.
+  data::Dataset db = MakeTinyDataset();
+  EngineOptions opts;
+  opts.equal_bins = 0;
+  for (EngineKind kind :
+       {EngineKind::kBinnedEqualWidth, EngineKind::kBinnedEqualFreq}) {
+    auto result = engine::Mine({kind}, MinerConfig(), opts, db,
+                               test_support::GroupRequest("g"));
+    ASSERT_FALSE(result.ok()) << engine::EngineName(kind);
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("equal_bins"),
+              std::string::npos)
+        << result.status().message();
   }
-  auto rejected = EngineRegistry::Global().Create(EngineKind::kAuto, cfg);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(EngineRegistryTest, EveryEngineMinesTheSameRequest) {
@@ -175,10 +211,8 @@ TEST(EngineRegistryTest, EveryEngineMinesTheSameRequest) {
   opts.parallel_threads = 2;
   opts.window_rows = 0;
 
-  for (const auto& entry : EngineRegistry::Global().entries()) {
-    auto eng = EngineRegistry::Global().Create(entry.name, cfg, opts);
-    ASSERT_TRUE(eng.ok()) << entry.name;
-    auto result = (*eng)->Mine(db, GroupsRequest(*gi));
+  for (const EngineRow& entry : Engines()) {
+    auto result = engine::Mine({entry.kind}, cfg, opts, db, GroupsRequest(*gi));
     ASSERT_TRUE(result.ok())
         << entry.name << ": " << result.status().ToString();
     EXPECT_EQ(result->completion, core::Completion::kComplete)
@@ -196,20 +230,16 @@ TEST(EngineRegistryTest, EnginesRejectInvalidConfigAndRequest) {
   data::Dataset db = MakeTinyDataset();
   MinerConfig bad;
   bad.alpha = 2.0;
-  for (const auto& entry : EngineRegistry::Global().entries()) {
-    auto eng = EngineRegistry::Global().Create(entry.name, bad);
-    ASSERT_TRUE(eng.ok()) << entry.name;  // construction is cheap & lazy
-    auto result =
-        (*eng)->Mine(db, test_support::GroupRequest("g"));
+  for (const EngineRow& entry : Engines()) {
+    auto result = engine::Mine({entry.kind}, bad, {}, db,
+                               test_support::GroupRequest("g"));
     EXPECT_FALSE(result.ok())
         << entry.name << " accepted alpha = 2.0";
   }
 
-  for (const auto& entry : EngineRegistry::Global().entries()) {
-    auto eng = EngineRegistry::Global().Create(entry.name, MinerConfig());
-    ASSERT_TRUE(eng.ok()) << entry.name;
-    auto result =
-        (*eng)->Mine(db, test_support::GroupRequest("no_such_attr"));
+  for (const EngineRow& entry : Engines()) {
+    auto result = engine::Mine({entry.kind}, MinerConfig(), {}, db,
+                               test_support::GroupRequest("no_such_attr"));
     EXPECT_FALSE(result.ok())
         << entry.name << " accepted an unknown group attribute";
   }
@@ -238,10 +268,10 @@ TEST(EngineRegistryTest, WindowEngineMinesOnlyTheTail) {
   cfg.max_depth = 1;
   EngineOptions opts;
   opts.window_rows = 300;
-  auto eng = EngineRegistry::Global().Create("window", cfg, opts);
-  ASSERT_TRUE(eng.ok());
+  auto spec = ParseEngine("window");
+  ASSERT_TRUE(spec.ok());
   auto result =
-      (*eng)->Mine(*db, test_support::GroupRequest("g"));
+      engine::Mine(*spec, cfg, opts, *db, test_support::GroupRequest("g"));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_FALSE(result->contrasts.empty());
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/requests.h"
-#include "core/anytime.h"
 #include "core/miner.h"
 #include "core/productivity.h"
 #include "core/search.h"
@@ -196,9 +195,9 @@ TEST(DifferentialTest, ScalarAndVectorizedKernelsMatchExactly) {
 }
 
 TEST(DifferentialTest, AnytimeStreamingMatchesNonAnytimeRun) {
-  // --anytime semantics: snapshots are monotonically improving previews
-  // delivered through the progress callback, and the exhaustive result
-  // is unchanged by streaming them.
+  // --anytime semantics: improved reports are monotonically improving
+  // previews delivered through the progress callback, and the exhaustive
+  // result is unchanged by streaming them.
   synth::NamedDataset nd = synth::MakeUciLike("adult", /*seed=*/7);
   auto attr = nd.db.schema().IndexOf(nd.group_attr);
   ASSERT_TRUE(attr.ok());
@@ -212,7 +211,7 @@ TEST(DifferentialTest, AnytimeStreamingMatchesNonAnytimeRun) {
   auto plain = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
   ASSERT_TRUE(plain.ok());
 
-  size_t snapshots = 0;
+  size_t partials = 0;
   double last_best = 0.0;
   core::MineRequest request = GroupsRequest(*gi);
   request.run_control.set_anytime(true);
@@ -220,23 +219,13 @@ TEST(DifferentialTest, AnytimeStreamingMatchesNonAnytimeRun) {
       [&](const util::RunProgress& p) {
         EXPECT_GE(p.best_measure, last_best);
         last_best = p.best_measure;
-        if (p.payload == nullptr) return;
-        ++snapshots;
-        auto* snap =
-            dynamic_cast<const core::AnytimeSnapshot*>(p.payload.get());
-        ASSERT_NE(snap, nullptr);
-        EXPECT_FALSE(snap->patterns.empty());
-        for (size_t i = 1; i < snap->patterns.size(); ++i) {
-          EXPECT_GE(snap->patterns[i - 1].measure,
-                    snap->patterns[i].measure);
-        }
-        EXPECT_EQ(snap->patterns.empty() ? 0.0
-                                         : snap->patterns.front().measure,
-                  p.best_measure);
+        if (!p.improved) return;
+        ++partials;
+        EXPECT_GT(p.patterns_found, 0u);
       });
   auto streamed = Miner(cfg).Mine(nd.db, request);
   ASSERT_TRUE(streamed.ok());
-  EXPECT_GT(snapshots, 0u);
+  EXPECT_GT(partials, 0u);
   EXPECT_EQ(RenderResult(plain->contrasts), RenderResult(streamed->contrasts));
 }
 
@@ -318,12 +307,13 @@ TEST(DifferentialTest, ShardedEngineByteIdenticalToSerialForEveryCount) {
     cfg.max_depth = 2;
     cfg.top_k = 50;
     for (size_t shards : {1u, 2u, 4u, 8u}) {
-      // Through the registry's parameterized name — the exact path the
-      // servers and CLI take, with no separate dispatch to drift.
+      // Through the parameterized name — the exact path the servers and
+      // CLI take, with no separate dispatch to drift.
       std::string spec = "sharded:" + std::to_string(shards);
-      auto eng = engine::EngineRegistry::Global().Create(spec, cfg);
-      ASSERT_TRUE(eng.ok()) << spec;
-      auto result = (*eng)->Mine(nd.db, GroupsRequest(*gi));
+      auto parsed = engine::ParseEngine(spec);
+      ASSERT_TRUE(parsed.ok()) << spec;
+      auto result =
+          engine::Mine(*parsed, cfg, {}, nd.db, GroupsRequest(*gi));
       ASSERT_TRUE(result.ok()) << spec << " on " << golden.name;
       EXPECT_EQ(result->contrasts.size(), golden.patterns)
           << spec << " on " << golden.name;
@@ -375,9 +365,10 @@ TEST(DifferentialTest, ChunkedStorageByteIdenticalToDenseForEveryGeometry) {
         ASSERT_TRUE(attr.ok());
         auto gi = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
         ASSERT_TRUE(gi.ok());
-        auto eng = engine::EngineRegistry::Global().Create(engine, cfg);
-        ASSERT_TRUE(eng.ok());
-        auto resident = (*eng)->Mine(nd.db, GroupsRequest(*gi));
+        auto spec = engine::ParseEngine(engine);
+        ASSERT_TRUE(spec.ok());
+        auto resident =
+            engine::Mine(*spec, cfg, {}, nd.db, GroupsRequest(*gi));
         ASSERT_TRUE(resident.ok());
         EXPECT_EQ(resident->contrasts.size(), golden.patterns)
             << golden.name << " resident chunk_rows=" << chunk_rows
@@ -397,7 +388,7 @@ TEST(DifferentialTest, ChunkedStorageByteIdenticalToDenseForEveryGeometry) {
         auto pgi = data::GroupInfo::CreateForValues(*paged, *pattr,
                                                     nd.groups);
         ASSERT_TRUE(pgi.ok());
-        auto mined = (*eng)->Mine(*paged, GroupsRequest(*pgi));
+        auto mined = engine::Mine(*spec, cfg, {}, *paged, GroupsRequest(*pgi));
         ASSERT_TRUE(mined.ok());
         EXPECT_EQ(Fnv1a(RenderResult(mined->contrasts)), golden.hash)
             << golden.name << " paged chunk_rows=" << chunk_rows
@@ -501,8 +492,8 @@ TEST(DifferentialTest, PreparedPathByteIdenticalToBaseline) {
 }
 
 TEST(DifferentialTest, EveryRegistryEngineReturnsWellFormedResults) {
-  // Every engine the registry can construct must honour the shared
-  // epilogue contract on real mixed data: an OK result, completion
+  // Every engine of the table must honour the shared epilogue contract
+  // on real mixed data: an OK result, completion
   // kComplete under no limits, group names filled in, and a pattern
   // list in the canonical measure-descending order (SortByMeasureDesc
   // is a total order, so sortedness is exact, not approximate).
@@ -521,11 +512,9 @@ TEST(DifferentialTest, EveryRegistryEngineReturnsWellFormedResults) {
     opts.parallel_threads = 2;
     opts.window_rows = 0;  // window engine: whole dataset
 
-    for (const auto& entry : engine::EngineRegistry::Global().entries()) {
-      auto eng = engine::EngineRegistry::Global().Create(entry.name, cfg,
-                                                         opts);
-      ASSERT_TRUE(eng.ok()) << entry.name;
-      auto result = (*eng)->Mine(nd.db, GroupsRequest(*gi));
+    for (const engine::EngineRow& entry : engine::Engines()) {
+      auto result =
+          engine::Mine({entry.kind}, cfg, opts, nd.db, GroupsRequest(*gi));
       ASSERT_TRUE(result.ok())
           << entry.name << " on " << name << ": "
           << result.status().ToString();

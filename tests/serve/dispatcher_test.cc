@@ -258,6 +258,7 @@ TEST(ServerOptionsFromFlagsTest, BadValuesAreUsageErrorsNamingTheFlag) {
       {"--node-budget", "1e6"},
       {"--deadline-ms", "9999999999999999"},
       {"--memory-budget-mb", "18446744073709551615"},
+      {"--equal-bins", "0"},
   };
   for (const auto& [flag, value] : bad) {
     auto options = ServerOptionsFromFlags(MustParseFlags({flag, value}));

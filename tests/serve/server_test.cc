@@ -331,7 +331,7 @@ TEST(ServerTest, EngineResolutionAndDistinctCacheUniverses) {
 }
 
 TEST(ServerTest, EveryRegistryEngineIsServableWithItsOwnRequestKey) {
-  // The same dataset + config served through each registered engine must
+  // The same dataset + config served through each engine of the table must
   // succeed, and each engine must land in its own cache universe: all
   // the RequestKeys stamped on the outcomes are pairwise distinct.
   ServerOptions options;
@@ -342,7 +342,7 @@ TEST(ServerTest, EveryRegistryEngineIsServableWithItsOwnRequestKey) {
 
   std::set<std::string> keys;
   size_t engines = 0;
-  for (const auto& entry : engine::EngineRegistry::Global().entries()) {
+  for (const engine::EngineRow& entry : engine::Engines()) {
     MineCall call = BreastCall();
     call.engine = entry.kind;
     MineOutcome out = server.Mine(call);

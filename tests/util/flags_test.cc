@@ -108,6 +108,12 @@ TEST(FlagsTest, CountRejectsGarbageNegativesAndOverflowNamingTheFlag) {
   int cap = 0;
   EXPECT_TRUE(f->GetCount("cap", &cap, 10).ok());
   EXPECT_FALSE(f->GetCount("cap", &cap, 9).ok());
+  // And an explicit lower bound: 10 is in [10, max], not in [11, max].
+  EXPECT_TRUE(f->GetCount("cap", &cap, UINT64_MAX, /*min=*/10).ok());
+  status = f->GetCount("cap", &cap, UINT64_MAX, /*min=*/11);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("[11, "), std::string::npos)
+      << status.message();
 }
 
 TEST(FlagsTest, LaterValueWins) {

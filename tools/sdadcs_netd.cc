@@ -16,7 +16,8 @@
 // so scripts can wait for readiness and read the port in one step.
 //
 // Every flag but --host and --port-file takes a decimal integer its
-// setting can hold; anything else exits 2 naming the flag. Frames go to
+// setting can hold (--equal-bins at least 1); anything else exits 2
+// naming the flag. Frames go to
 // the op dispatcher sdadcs_serve runs on stdin (serve/dispatcher.h);
 // connections are pipelined, replies correlated by "id".
 //

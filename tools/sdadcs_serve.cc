@@ -9,8 +9,8 @@
 //                  [--equal-bins N] [--shards N]
 //                  [--chunk-rows N] [--max-resident-bytes N]
 //
-// Each flag takes a decimal integer its setting can hold; anything else
-// exits 2 naming the flag. One request per input line, for example
+// Each flag takes a decimal integer its setting can hold (--equal-bins
+// at least 1); anything else exits 2 naming the flag. One request per input line, for example
 //
 //   {"op":"load","name":"d1","spec":"synth:scaling:20000"}
 //   {"op":"mine","dataset":"d1","group":"batch","config":{"depth":2}}

@@ -10,12 +10,15 @@
 // or `spill:<path>` for a columnar spill file served mmap-backed.
 //
 // Common mining options:
-//   --engine NAME       mining engine, any registry name: serial |
-//                       parallel | beam | window | binned:<method> |
-//                       sharded | sharded:<n> (default serial);
-//                       --engine list prints every registered engine;
-//                       --threads, --window-rows, --bins and --shards
-//                       tune the parallel/window/binned/sharded engines
+//   --engine NAME       mining engine, any name of the engine table:
+//                       serial | parallel | beam | window |
+//                       binned:<method> | sharded | sharded:<n>
+//                       (default serial); --engine list prints the
+//                       table. `auto` is the servers' row-count rule,
+//                       so here it is a usage error (exit 2).
+//                       --threads, --window-rows, --bins (at least 1)
+//                       and --shards tune the parallel/window/binned/
+//                       sharded engines
 //   --groups a,b        contrast exactly these two group values
 //   --depth N           max items per pattern          (default 2)
 //   --delta D           minimum support difference     (default 0.1)
@@ -31,8 +34,9 @@
 //   --deadline-ms N     wall-clock budget; on expiry the run drains and
 //                       the best-so-far patterns are printed
 //   --node-budget N     stop after evaluating ~N partitions/itemsets
-//                       (these two, --shards, --chunk-rows and
-//                       --max-resident-bytes exit 2 on a bad count)
+//                       (these two, --threads, --window-rows, --bins,
+//                       --shards, --chunk-rows and --max-resident-bytes
+//                       exit 2 on a bad count)
 //   --anytime           stream monotonically-improving best-so-far
 //                       "partial:" lines to stderr while the exhaustive
 //                       run completes (final results on stdout are
@@ -57,7 +61,8 @@
 //
 // discretize options:
 //   --method M          fayyad | mvd | srikant | equal_width | equal_freq
-//   --bins N            bin count for the unsupervised methods
+//   --bins N            bin count for the unsupervised methods (at
+//                       least 1; exit 2 otherwise)
 
 #include <algorithm>
 #include <csignal>
@@ -104,13 +109,13 @@ sdadcs::util::RunControl& GlobalRunControl() {
 
 extern "C" void HandleSigint(int) { GlobalRunControl().Cancel(); }
 
-// A checked count flag (Flags::GetCount), 0 when absent; a bad value
-// exits 2.
+// A checked count flag (Flags::GetCount), `fallback` when absent; a
+// value outside [min, max] or not a count exits 2 naming the flag.
 template <typename T>
-T CountFlag(const Flags& args, const std::string& name,
-            uint64_t max = UINT64_MAX) {
-  T value = 0;
-  sdadcs::util::Status status = args.GetCount(name, &value, max);
+T CountFlag(const Flags& args, const std::string& name, T fallback = 0,
+            uint64_t max = UINT64_MAX, uint64_t min = 0) {
+  T value = fallback;
+  sdadcs::util::Status status = args.GetCount(name, &value, max, min);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.message().c_str());
     std::exit(2);
@@ -124,7 +129,7 @@ sdadcs::util::RunControl RunControlFromArgs(const Flags& args) {
   sdadcs::util::RunControl& control = GlobalRunControl();
   if (args.Has("deadline-ms")) {
     control.set_deadline_after(std::chrono::milliseconds(CountFlag<int64_t>(
-        args, "deadline-ms", sdadcs::util::kMaxDeadlineMs)));
+        args, "deadline-ms", 0, sdadcs::util::kMaxDeadlineMs)));
   }
   if (args.Has("node-budget")) {
     control.set_node_budget(CountFlag<uint64_t>(args, "node-budget"));
@@ -222,34 +227,41 @@ int RunMine(const Flags& args, const sdadcs::data::Dataset& db) {
   }
 
   sdadcs::core::MinerConfig cfg = ConfigFromArgs(args);
-  // Every --engine value resolves through the one registry; the default
-  // is the serial reference engine.
+  // Every --engine value goes through the one engine-name parser the
+  // servers use; the default is the serial reference engine.
   sdadcs::engine::EngineOptions eopts;
-  eopts.parallel_threads =
-      static_cast<size_t>(args.GetInt("threads", 0));
-  eopts.window_rows = static_cast<size_t>(args.GetInt("window-rows", 0));
-  eopts.equal_bins = static_cast<int>(args.GetInt("bins", 10));
+  eopts.parallel_threads = CountFlag<size_t>(args, "threads");
+  eopts.window_rows = CountFlag<size_t>(args, "window-rows");
+  eopts.equal_bins = CountFlag<int>(args, "bins", 10, UINT64_MAX, /*min=*/1);
   eopts.shard_count = CountFlag<size_t>(args, "shards");
-  sdadcs::util::StatusOr<std::unique_ptr<sdadcs::engine::Engine>> miner =
-      sdadcs::engine::EngineRegistry::Global().Create(
-          args.Get("engine", "serial"), cfg, eopts);
-  if (!miner.ok()) {
+  sdadcs::util::StatusOr<sdadcs::engine::EngineSpec> spec =
+      sdadcs::engine::ParseEngine(args.Get("engine", "serial"));
+  if (spec.ok() && spec->kind == sdadcs::core::EngineKind::kAuto) {
+    spec = sdadcs::util::Status::InvalidArgument(
+        "engine 'auto' is resolved by the servers (sdadcs_serve, "
+        "sdadcs_netd) from the dataset's row count; name an engine "
+        "(--engine list)");
+  }
+  if (!spec.ok()) {
     std::fprintf(stderr, "%s\n",
-                 sdadcs::serve::WireError::FromStatus(miner.status(),
+                 sdadcs::serve::WireError::FromStatus(spec.status(),
                                                       "engine")
                      .ToText()
                      .c_str());
     return 2;
   }
+  auto mine = [&](const sdadcs::core::MineRequest& request) {
+    return sdadcs::engine::Mine(*spec, cfg, eopts, db, request);
+  };
   sdadcs::util::RunControl control = RunControlFromArgs(args);
   if (args.Has("anytime")) {
-    // Stream best-so-far snapshots to stderr; stdout stays identical to
+    // Stream best-so-far previews to stderr; stdout stays identical to
     // a non-anytime run, so outputs remain diffable.
     control.set_anytime(true);
     auto timer = std::make_shared<sdadcs::util::WallTimer>();
     control.set_progress_callback(
         [timer](const sdadcs::util::RunProgress& p) {
-          if (p.payload == nullptr) return;
+          if (!p.improved) return;
           std::fprintf(
               stderr, "partial: level=%d patterns=%llu best=%.6f t_ms=%.1f\n",
               p.level, static_cast<unsigned long long>(p.patterns_found),
@@ -279,7 +291,7 @@ int RunMine(const Flags& args, const sdadcs::data::Dataset& db) {
     sdadcs::core::MineRequest request;
     request.groups = &split->train;
     request.run_control = control;
-    auto result = (*miner)->Mine(db, request);
+    auto result = mine(request);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
@@ -307,7 +319,7 @@ int RunMine(const Flags& args, const sdadcs::data::Dataset& db) {
       sdadcs::util::Status::Internal("no mining iteration ran");
   for (int i = 0; i < repeat; ++i) {
     sdadcs::util::WallTimer iteration_timer;
-    result = (*miner)->Mine(db, request);
+    result = mine(request);
     if (!result.ok()) break;
     if (repeat > 1) {
       std::string residency;
@@ -360,7 +372,7 @@ int RunDiscretize(const Flags& args, const sdadcs::data::Dataset& db) {
   }
 
   std::string method = args.Get("method", "fayyad");
-  int bins = args.GetInt("bins", 4);
+  const int bins = CountFlag<int>(args, "bins", 4, UINT64_MAX, /*min=*/1);
   std::unique_ptr<sdadcs::discretize::Discretizer> disc;
   if (method == "fayyad") {
     disc = std::make_unique<sdadcs::discretize::FayyadMdlDiscretizer>();
@@ -442,17 +454,13 @@ int RunOneVsRest(const Flags& args, const sdadcs::data::Dataset& db) {
 int main(int argc, char** argv) {
   auto flags = Flags::Parse(argc, argv, /*boolean_flags=*/{"np", "anytime"});
   if (flags.ok() && flags->Get("engine") == "list") {
-    // `--engine list` enumerates the registry — the same catalogue the
-    // servers expose through the "engines" wire op.
+    // `--engine list` prints the engine table — the rows the servers
+    // expose through the "engines" wire op.
     std::printf("registered engines:\n");
-    for (const auto& entry :
-         sdadcs::engine::EngineRegistry::Global().entries()) {
-      std::printf("  %-20s %s\n", entry.name.c_str(),
-                  entry.description.c_str());
+    for (const sdadcs::engine::EngineRow& row : sdadcs::engine::Engines()) {
+      std::printf("  %-20s %s\n", row.name, row.description);
     }
-    std::printf(
-        "also accepted: sharded:<n> (explicit shard count), auto "
-        "(server-side row-threshold resolution)\n");
+    std::printf("also accepted: sharded:<n> (explicit shard count)\n");
     return 0;
   }
   if (!flags.ok() || flags->positional().size() < 2) {
