@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "bench/common.h"
 #include "core/miner.h"
@@ -344,74 +345,109 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
   json->SetCase("pruned_oe", scalar->counters.pruned_oe_measure);
 }
 
-// Sharded cold mine: the one-shard miner against the same miner on 4
-// row shards, on the same end-to-end mine. Sharding's contract is
-// byte-identity — the coordinator keeps the serial decision order and
-// only the counting scans fan out — so beyond the wall times this
-// asserts the two pattern lists match exactly.
-void AddShardedColdMineCase(bench::BenchJson* json, bool smoke) {
-  synth::ScalingOptions opt;
-  opt.rows = smoke ? 8000 : 60000;
-  opt.continuous_features = 6;
-  opt.categorical_features = 2;
-  synth::NamedDataset nd = synth::MakeScalingDataset(opt);
-  auto attr = nd.db.schema().IndexOf(nd.group_attr);
-  SDADCS_CHECK(attr.ok());
-  auto gi_or = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
-  SDADCS_CHECK(gi_or.ok());
-  const data::GroupInfo& gi = *gi_or;
+// Median, min and max of one point's wall times.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
 
+Spread SpreadOf(std::vector<double> secs) {
+  std::sort(secs.begin(), secs.end());
+  const size_t n = secs.size();
+  const double median =
+      n % 2 == 1 ? secs[n / 2] : 0.5 * (secs[n / 2 - 1] + secs[n / 2]);
+  return {median, secs.front(), secs.back()};
+}
+
+// Sharded cold mine, swept over rows x shards: the one-shard miner
+// against the same miner on 2 and 4 row shards, at 20k and 60k rows, so
+// the crossover where sharding starts to pay shows on the scoreboard.
+// Each rep mines serial and then every shard count back to back, so a
+// host slowdown reaches all of them alike; a point reports the median
+// and min/max over the reps. Sharding's contract is byte-identity, so
+// beyond the wall times this asserts every sharded pattern list matches
+// serial exactly.
+void AddShardedColdMineCases(bench::BenchJson* json, bool smoke) {
+  const std::vector<size_t> row_counts =
+      smoke ? std::vector<size_t>{8000} : std::vector<size_t>{20000, 60000};
+  const std::vector<size_t> shard_counts = {2, 4};
+  const int reps = smoke ? 5 : 9;
   core::MinerConfig cfg;
   cfg.max_depth = 2;
   cfg.top_k = 10;
-  core::MineRequest req;
-  req.groups = &gi;
-  constexpr size_t kShards = 4;
-  constexpr int kReps = 3;
 
-  util::StatusOr<core::MiningResult> serial =
-      util::Status::Internal("unset");
-  double serial_sec = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    util::WallTimer timer;
-    serial = core::Miner(cfg).Mine(nd.db, req);
-    serial_sec = std::min(serial_sec, timer.Seconds());
-    SDADCS_CHECK(serial.ok());
+  std::printf("\n== cold mine: serial vs sharded, rows x shards "
+              "(median [min, max] of %d) ==\n",
+              reps);
+  for (size_t rows : row_counts) {
+    synth::ScalingOptions opt;
+    opt.rows = rows;
+    opt.continuous_features = 6;
+    opt.categorical_features = 2;
+    synth::NamedDataset nd = synth::MakeScalingDataset(opt);
+    auto attr = nd.db.schema().IndexOf(nd.group_attr);
+    SDADCS_CHECK(attr.ok());
+    auto gi_or = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
+    SDADCS_CHECK(gi_or.ok());
+    core::MineRequest req;
+    req.groups = &*gi_or;
+
+    auto timed_mine = [&](size_t shards, std::vector<double>* secs) {
+      util::WallTimer timer;
+      util::StatusOr<core::MiningResult> result =
+          core::Miner(cfg, shards).Mine(nd.db, req);
+      secs->push_back(timer.Seconds());
+      SDADCS_CHECK(result.ok());
+      return std::move(*result);
+    };
+    std::vector<double> serial_secs;
+    std::vector<std::vector<double>> sharded_secs(shard_counts.size());
+    core::MiningResult serial;
+    for (int rep = 0; rep < reps; ++rep) {
+      serial = timed_mine(1, &serial_secs);
+      for (size_t s = 0; s < shard_counts.size(); ++s) {
+        core::MiningResult sharded =
+            timed_mine(shard_counts[s], &sharded_secs[s]);
+        SDADCS_CHECK(sharded.contrasts.size() == serial.contrasts.size());
+        for (size_t i = 0; i < sharded.contrasts.size(); ++i) {
+          SDADCS_CHECK(sharded.contrasts[i].itemset.Key() ==
+                       serial.contrasts[i].itemset.Key());
+          SDADCS_CHECK(sharded.contrasts[i].counts ==
+                       serial.contrasts[i].counts);
+          SDADCS_CHECK(sharded.contrasts[i].measure ==
+                       serial.contrasts[i].measure);
+        }
+      }
+    }
+
+    const Spread base = SpreadOf(serial_secs);
+    for (size_t s = 0; s < shard_counts.size(); ++s) {
+      const Spread sharded = SpreadOf(sharded_secs[s]);
+      const double speedup =
+          sharded.median > 0.0 ? base.median / sharded.median : 0.0;
+      std::printf("%6zu rows, %zu shards: serial %.4fs [%.4f, %.4f] | "
+                  "sharded %.4fs [%.4f, %.4f] | speedup %.2fx "
+                  "(identical patterns)\n",
+                  rows, shard_counts[s], base.median, base.min, base.max,
+                  sharded.median, sharded.min, sharded.max, speedup);
+
+      json->BeginCase("cold_mine_sharded_" + std::to_string(rows) + "x" +
+                      std::to_string(shard_counts[s]));
+      json->SetCase("rows", static_cast<uint64_t>(nd.db.num_rows()));
+      json->SetCase("shards", static_cast<uint64_t>(shard_counts[s]));
+      json->SetCase("reps", static_cast<uint64_t>(reps));
+      json->SetCase("serial_median_seconds", base.median);
+      json->SetCase("serial_min_seconds", base.min);
+      json->SetCase("serial_max_seconds", base.max);
+      json->SetCase("sharded_median_seconds", sharded.median);
+      json->SetCase("sharded_min_seconds", sharded.min);
+      json->SetCase("sharded_max_seconds", sharded.max);
+      json->SetCase("sharded_speedup", speedup);
+      json->SetCase("patterns",
+                    static_cast<uint64_t>(serial.contrasts.size()));
+    }
   }
-
-  core::Miner sharded_miner(cfg, kShards);
-  util::StatusOr<core::MiningResult> sharded =
-      util::Status::Internal("unset");
-  double sharded_sec = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    util::WallTimer timer;
-    sharded = sharded_miner.Mine(nd.db, req);
-    sharded_sec = std::min(sharded_sec, timer.Seconds());
-    SDADCS_CHECK(sharded.ok());
-  }
-
-  SDADCS_CHECK(sharded->contrasts.size() == serial->contrasts.size());
-  for (size_t i = 0; i < sharded->contrasts.size(); ++i) {
-    SDADCS_CHECK(sharded->contrasts[i].itemset.Key() ==
-                 serial->contrasts[i].itemset.Key());
-    SDADCS_CHECK(sharded->contrasts[i].measure ==
-                 serial->contrasts[i].measure);
-  }
-
-  const double speedup = sharded_sec > 0.0 ? serial_sec / sharded_sec : 0.0;
-  std::printf("\n== cold mine: serial vs sharded:%zu (%s rows) ==\n",
-              kShards, std::to_string(nd.db.num_rows()).c_str());
-  std::printf("serial %.4fs | sharded %.4fs | speedup %.2fx "
-              "(identical patterns)\n",
-              serial_sec, sharded_sec, speedup);
-
-  json->BeginCase("cold_mine_sharded");
-  json->SetCase("rows", static_cast<uint64_t>(nd.db.num_rows()));
-  json->SetCase("shards", static_cast<uint64_t>(kShards));
-  json->SetCase("serial_wall_seconds", serial_sec);
-  json->SetCase("sharded_wall_seconds", sharded_sec);
-  json->SetCase("sharded_speedup", speedup);
-  json->SetCase("patterns", static_cast<uint64_t>(serial->contrasts.size()));
 }
 
 // Served cold mine: the same end-to-end mine with and without a
@@ -715,7 +751,7 @@ void RunKernelComparison(bool smoke) {
   }
   json.Set("min_speedup", min_speedup);
   AddColdMineCases(&json, smoke);
-  AddShardedColdMineCase(&json, smoke);
+  AddShardedColdMineCases(&json, smoke);
   AddChunkedColdMineCase(&json, smoke);
   AddServedColdMineCase(&json, smoke);
   json.Write();

@@ -4,12 +4,15 @@
 // scales the rows down (20k/50k/100k with 40 features by default) and
 // reports both the growth curve over rows and the thread speedup —
 // the two shapes the section claims: roughly linear scaling in data
-// size, and useful speedup from per-level parallelism.
+// size, and useful speedup from per-level parallelism. The row sweep
+// also times sharded:<threads>, the engine that is byte-identical to
+// serial, against the level-parallel one at each row count.
 
 #include <cstdio>
 #include <thread>
 
 #include "bench/common.h"
+#include "core/miner.h"
 #include "parallel/parallel_miner.h"
 #include "util/logging.h"
 #include "synth/scaling.h"
@@ -18,9 +21,10 @@
 namespace sdadcs::bench {
 namespace {
 
-double TimeRun(const Bench& b, const core::MinerConfig& cfg,
-               size_t threads) {
-  parallel::ParallelMiner miner(cfg, threads);
+// Wall seconds of one mine of `b` by `miner` (ParallelMiner or the
+// sharded core::Miner).
+template <typename MinerT>
+double TimeMine(const MinerT& miner, const Bench& b) {
   util::WallTimer timer;
   core::MineRequest request;
   request.groups = &b.gi;
@@ -29,13 +33,22 @@ double TimeRun(const Bench& b, const core::MinerConfig& cfg,
   return timer.Seconds();
 }
 
+double TimeRun(const Bench& b, const core::MinerConfig& cfg,
+               size_t threads) {
+  return TimeMine(parallel::ParallelMiner(cfg, threads), b);
+}
+
 void Run() {
   PrintHeader("Section 6 scaling: level-parallel mining");
   const size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
   core::MinerConfig cfg = PaperConfig(/*depth=*/2);
 
-  std::printf("rows x features sweep (threads = %zu):\n", hw);
-  std::printf("%10s %10s %12s\n", "rows", "features", "seconds");
+  // The byte-identical row-shard engine (sharded:<hw>) next to the
+  // level-parallel one at the same width; "parallel/sharded" above 1
+  // means sharding is the faster of the two.
+  std::printf("rows x features sweep (threads = shards = %zu):\n", hw);
+  std::printf("%10s %10s %12s %12s %17s\n", "rows", "features",
+              "parallel(s)", "sharded(s)", "parallel/sharded");
   for (size_t rows : {20000u, 50000u, 100000u}) {
     synth::ScalingOptions opt;
     opt.rows = rows;
@@ -43,8 +56,10 @@ void Run() {
     opt.categorical_features = 10;
     Bench b = LoadNamed(synth::MakeScalingDataset(opt));
     double secs = TimeRun(b, cfg, hw);
-    std::printf("%10zu %10d %12.2f\n", rows,
-                opt.continuous_features + opt.categorical_features, secs);
+    double sharded_secs = TimeMine(core::Miner(cfg, hw), b);
+    std::printf("%10zu %10d %12.2f %12.2f %16.2fx\n", rows,
+                opt.continuous_features + opt.categorical_features, secs,
+                sharded_secs, sharded_secs > 0 ? secs / sharded_secs : 0.0);
   }
 
   std::printf("\nthread sweep (20k rows, 40 features):\n");

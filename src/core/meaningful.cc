@@ -6,7 +6,6 @@
 #include "core/support.h"
 #include "core/topk.h"
 #include "data/simd_select.h"
-#include "stats/chi_squared.h"
 
 namespace sdadcs::core {
 
@@ -45,12 +44,7 @@ MeaningfulnessReport ClassifyPatterns(
   MeaningfulnessReport report;
   report.classes.assign(patterns.size(), PatternClass::kMeaningful);
 
-  std::vector<data::Selection> covers;
-  covers.reserve(patterns.size());
-  for (const ContrastPattern& p : patterns) {
-    covers.push_back(p.itemset.Cover(db, gi.base_selection()));
-  }
-
+  ResidualTest residuals(ctx, patterns);
   for (size_t i = 0; i < patterns.size(); ++i) {
     const ContrastPattern& p = patterns[i];
     if (IsRedundantAgainstSubsets(ctx, p)) {
@@ -63,18 +57,7 @@ MeaningfulnessReport ClassifyPatterns(
       ++report.unproductive;
       continue;
     }
-    bool independent = true;
-    for (size_t j = 0; j < patterns.size() && independent; ++j) {
-      if (i == j) continue;
-      if (patterns[j].itemset.size() <= p.itemset.size()) continue;
-      if (!patterns[j].itemset.Specializes(p.itemset)) continue;
-      data::Selection residual = covers[i].Minus(covers[j]);
-      GroupCounts gc = CountGroups(gi, residual);
-      stats::ChiSquaredResult res =
-          stats::ChiSquaredPresenceTest(gc.counts, ctx.group_sizes);
-      if (!res.valid || res.p_value >= cfg.alpha) independent = false;
-    }
-    if (!independent) {
+    if (!residuals.IndependentlyProductive(i)) {
       report.classes[i] = PatternClass::kNotIndependentlyProductive;
       ++report.not_independently_productive;
       continue;

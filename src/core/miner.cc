@@ -13,30 +13,31 @@
 #include "core/topk.h"
 #include "data/shard.h"
 #include "engine/session.h"
-#include "util/thread_pool.h"
+#include "util/fork_join_team.h"
 
 namespace sdadcs::core {
 
 namespace {
 
-// The row-shard fan-out of one multi-shard mine: the plan, a pool no
-// wider than the plan or the host, and one split scratch per shard (the
-// split kernel's scratch is single-owner, and each shard's slice runs on
-// its own pool thread).
+// The row-shard fan-out of one multi-shard mine: the plan, a team no
+// wider than the plan or the host (for a mine that started alone, see
+// RunningMine), and one split scratch per shard (the split kernel's
+// scratch is single-owner, and shards run concurrently).
 struct ShardFanOut {
-  ShardFanOut(size_t rows, size_t shards)
-      : plan(rows, shards),
-        pool(std::min<size_t>(
-            plan.num_shards(),
-            std::max(1u, std::thread::hardware_concurrency()))),
-        scratches(plan.num_shards()) {
+  ShardFanOut(size_t rows, size_t shards, bool with_team)
+      : plan(rows, shards), scratches(plan.num_shards()) {
+    if (with_team) {
+      team.emplace(std::min<size_t>(
+          plan.num_shards(),
+          std::max(1u, std::thread::hardware_concurrency())));
+    }
     exec.plan = &plan;
-    exec.pool = &pool;
+    exec.team = team ? &*team : nullptr;
     exec.scratches = &scratches;
   }
 
   data::ShardPlan plan;
-  util::ThreadPool pool;
+  std::optional<util::ForkJoinTeam> team;
   std::vector<SplitScratch> scratches;
   ShardExec exec;
 };
@@ -89,7 +90,9 @@ util::StatusOr<MiningResult> Miner::Mine(const data::Dataset& db,
                                          const MineRequest& request) const {
   // Prologue (validation, group/attribute resolution, root bounds) and
   // epilogue (sort, independently-productive filter, completion) are the
-  // shared engine session; only the search strategy lives here.
+  // shared engine session; only the search strategy lives here. Declared
+  // first, `running` ends last: the team has joined before it goes.
+  const RunningMine running;
   util::StatusOr<engine::MiningSession> session =
       engine::MiningSession::Begin(db, config_, request);
   if (!session.ok()) return session.status();
@@ -103,7 +106,7 @@ util::StatusOr<MiningResult> Miner::Mine(const data::Dataset& db,
   // is oblivious to how its counting scans execute.
   std::optional<ShardFanOut> fan_out;
   if (num_shards_ > 1) {
-    fan_out.emplace(db.num_rows(), num_shards_);
+    fan_out.emplace(db.num_rows(), num_shards_, running.started_alone());
     ctx.shards = &fan_out->exec;
   }
 

@@ -98,7 +98,10 @@ struct MiningResult {
 /// byte-identical to the one-shard mine for every shard count — which
 /// is why the count lives in EngineOptions, outside the request key.
 /// The request's RunControl is also checked at every fan-out merge
-/// barrier.
+/// barrier. The shards run on a team of min(shards, cores) threads, the
+/// calling thread included, and only while no other Miner mine runs in
+/// the process; otherwise the scans run on the calling thread alone
+/// (RunningMine, core/shard_exec.h).
 class Miner {
  public:
   /// `shards == 0` resolves to std::thread::hardware_concurrency() (at

@@ -90,37 +90,45 @@ bool IsProductive(MiningContext& ctx, const ContrastPattern& pattern) {
   return true;
 }
 
+ResidualTest::ResidualTest(MiningContext& ctx,
+                           const std::vector<ContrastPattern>& patterns)
+    : ctx_(ctx), patterns_(patterns), counts_(patterns.size()) {}
+
+bool ResidualTest::IndependentlyProductive(size_t i) {
+  const Itemset& general = patterns_[i].itemset;
+  for (size_t j = 0; j < patterns_.size(); ++j) {
+    if (i == j) continue;
+    // j must be a strict specialization of i present in the list.
+    const Itemset& special = patterns_[j].itemset;
+    if (special.size() <= general.size()) continue;
+    if (!special.Specializes(general)) continue;
+    // Residual cover of i outside j must remain a significant contrast,
+    // else i was "found only because of" the extra items of j.
+    std::vector<double> residual = Counts(i);
+    const std::vector<double>& inner = Counts(j);
+    for (size_t g = 0; g < residual.size(); ++g) residual[g] -= inner[g];
+    ++ctx_.counters->chi2_tests;
+    stats::ChiSquaredResult res =
+        stats::ChiSquaredPresenceTest(residual, ctx_.group_sizes);
+    if (!res.valid || res.p_value >= ctx_.cfg->alpha) return false;
+  }
+  return true;
+}
+
+const std::vector<double>& ResidualTest::Counts(size_t i) {
+  if (!counts_[i]) {
+    counts_[i] = CountMatchesSharded(ctx_, patterns_[i].itemset,
+                                     ctx_.gi->base_selection());
+  }
+  return counts_[i]->counts;
+}
+
 std::vector<ContrastPattern> FilterIndependentlyProductive(
     MiningContext& ctx, std::vector<ContrastPattern> patterns) {
-  const data::Dataset& db = *ctx.db;
-  const data::GroupInfo& gi = *ctx.gi;
-  const double alpha = ctx.cfg->alpha;
-
-  std::vector<data::Selection> covers;
-  covers.reserve(patterns.size());
-  for (const ContrastPattern& p : patterns) {
-    covers.push_back(p.itemset.Cover(db, gi.base_selection()));
-  }
-
-  std::vector<bool> keep(patterns.size(), true);
+  std::vector<bool> keep(patterns.size());
+  ResidualTest residuals(ctx, patterns);
   for (size_t i = 0; i < patterns.size(); ++i) {
-    for (size_t j = 0; j < patterns.size(); ++j) {
-      if (i == j) continue;
-      // j must be a strict specialization of i present in the list.
-      if (patterns[j].itemset.size() <= patterns[i].itemset.size()) continue;
-      if (!patterns[j].itemset.Specializes(patterns[i].itemset)) continue;
-      // Residual cover of i outside j must remain a significant contrast,
-      // else i was "found only because of" the extra items of j.
-      data::Selection residual = covers[i].Minus(covers[j]);
-      GroupCounts gc = CountGroupsSharded(ctx, residual);
-      ++ctx.counters->chi2_tests;
-      stats::ChiSquaredResult res =
-          stats::ChiSquaredPresenceTest(gc.counts, ctx.group_sizes);
-      if (!res.valid || res.p_value >= alpha) {
-        keep[i] = false;
-        break;
-      }
-    }
+    keep[i] = residuals.IndependentlyProductive(i);
   }
 
   std::vector<ContrastPattern> out;

@@ -1,10 +1,13 @@
 #ifndef SDADCS_CORE_PRODUCTIVITY_H_
 #define SDADCS_CORE_PRODUCTIVITY_H_
 
+#include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "core/contrast.h"
 #include "core/sdad.h"
+#include "core/support.h"
 
 namespace sdadcs::core {
 
@@ -20,11 +23,35 @@ namespace sdadcs::core {
 /// Patterns with fewer than two items are trivially productive.
 bool IsProductive(MiningContext& ctx, const ContrastPattern& pattern);
 
-/// Independent-productivity post-filter (Section 4.3): a pattern A is
-/// dropped when some specialization S of A in the list explains it —
-/// i.e. the rows covered by A but not by S no longer form a significant
-/// contrast. Returns the surviving patterns, order preserved; the number
-/// removed is added to ctx.counters->not_independently_productive.
+/// Independent productivity (Section 4.3) within one pattern list: a
+/// pattern A fails when some strict specialization S of A in the list
+/// explains it, i.e. the rows covered by A but not by S no longer form a
+/// significant contrast (chi-square presence test at ctx.cfg->alpha).
+/// S's cover lies inside A's (Item::ContainedIn), so the residual's group
+/// counts are count(A) - count(S), exact on small-integer doubles: no
+/// cover is built, and a pattern's counts over the base selection are
+/// scanned only when a pair first needs them. Each evaluated pair adds
+/// one to ctx.counters->chi2_tests. `patterns` must outlive the test.
+class ResidualTest {
+ public:
+  ResidualTest(MiningContext& ctx,
+               const std::vector<ContrastPattern>& patterns);
+
+  /// True unless a strict specialization of patterns[i] in the list
+  /// leaves an insignificant residual.
+  bool IndependentlyProductive(size_t i);
+
+ private:
+  const std::vector<double>& Counts(size_t i);
+
+  MiningContext& ctx_;
+  const std::vector<ContrastPattern>& patterns_;
+  std::vector<std::optional<GroupCounts>> counts_;
+};
+
+/// Independent-productivity post-filter: drops every pattern the
+/// ResidualTest fails. Returns the surviving patterns, order preserved;
+/// the number removed is added to ctx.counters->not_independently_productive.
 std::vector<ContrastPattern> FilterIndependentlyProductive(
     MiningContext& ctx, std::vector<ContrastPattern> patterns);
 

@@ -1,15 +1,19 @@
 #include "core/shard_exec.h"
 
+#include <atomic>
 #include <functional>
 #include <utility>
 
 #include "data/chunks.h"
+#include "util/fork_join_team.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace sdadcs::core {
 
 namespace {
+
+// Mines registered by RunningMine.
+std::atomic<int> running_mines{0};
 
 // A filter kernel's output: the matching rows and their group counts.
 struct Filtered {
@@ -37,34 +41,37 @@ Space SliceOf(const Space& space, const data::ShardRange& range) {
 // The one fan-out behind every sharded scan. `scan(input, scratch)`
 // runs one kernel. Without a multi-shard plan, or below the fan-out
 // floor, it runs once on this thread over `input` with the context's
-// scratch and its result is returned as is. Otherwise one task per
-// shard holds the chunks of the columns `attrs()` names pinned over the
-// shard's rows (a residency hint for paged datasets), runs `scan` over
-// its slice with the shard's scratch, and `merge` folds the per-shard
-// results, in plan order, into one. The checkpoint at the merge barrier
-// charges no nodes, so a run that completes is byte-identical to serial.
+// scratch and its result is returned as is. Otherwise the team runs one
+// task per shard: each holds the chunks of the columns `attrs()` names
+// pinned over the shard's rows (a residency hint for paged datasets),
+// runs `scan` over its slice with the shard's scratch, and `merge` folds
+// the per-shard results, in plan order, into one. A mine without a
+// team, or one that shares the process with another running mine, scans
+// inline instead; both take the checkpoint at the merge barrier, so a
+// stop lands at the same scan either way. The checkpoint charges no
+// nodes, so a run that completes is byte-identical to serial.
 template <typename Input, typename Attrs, typename Scan, typename Merge>
 auto FanOut(MiningContext& ctx, const Input& input, const Attrs& attrs,
             const Scan& scan, const Merge& merge) {
   const ShardExec* ex = ctx.shards;
-  if (ex == nullptr || ex->plan == nullptr || ex->pool == nullptr ||
-      ex->plan->num_shards() < 2 ||
+  if (ex == nullptr || ex->plan == nullptr || ex->plan->num_shards() < 2 ||
       RowsOf(input).size() < ex->min_fanout_rows) {
     return scan(input, &ctx.split_scratch);
+  }
+  if (ex->team == nullptr || running_mines.load() > 1) {
+    auto whole = scan(input, &ctx.split_scratch);
+    (void)ctx.run.CheckNow();
+    return whole;
   }
   const size_t n = ex->plan->num_shards();
   SDADCS_CHECK(ex->scratches != nullptr && ex->scratches->size() >= n);
   const std::vector<int> pinned = attrs();
   std::vector<decltype(scan(input, &ctx.split_scratch))> parts(n);
-  for (size_t i = 0; i < n; ++i) {
-    ex->pool->Submit([&, i]() {
-      const data::ShardRange& range = ex->plan->range(i);
-      data::ChunkPinSet hint(*ctx.db, pinned, range.begin_row,
-                             range.end_row);
-      parts[i] = scan(SliceOf(input, range), &(*ex->scratches)[i]);
-    });
-  }
-  ex->pool->Wait();
+  ex->team->Run(n, [&](size_t i) {
+    const data::ShardRange& range = ex->plan->range(i);
+    data::ChunkPinSet hint(*ctx.db, pinned, range.begin_row, range.end_row);
+    parts[i] = scan(SliceOf(input, range), &(*ex->scratches)[i]);
+  });
   (void)ctx.run.CheckNow();
   return merge(std::move(parts));
 }
@@ -147,15 +154,10 @@ std::vector<int> AttrsOf(const Itemset& is) {
 
 }  // namespace
 
-GroupCounts CountGroupsSharded(MiningContext& ctx,
-                               const data::Selection& sel) {
-  return FanOut(
-      ctx, sel, [] { return std::vector<int>(); },
-      [&](const data::Selection& rows, SplitScratch*) {
-        return CountGroups(*ctx.gi, rows);
-      },
-      MergeCounts);
-}
+RunningMine::RunningMine()
+    : started_alone_(running_mines.fetch_add(1) == 0) {}
+
+RunningMine::~RunningMine() { running_mines.fetch_sub(1); }
 
 GroupCounts CountMatchesSharded(MiningContext& ctx, const Itemset& itemset,
                                 const data::Selection& sel) {

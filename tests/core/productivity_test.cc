@@ -1,10 +1,13 @@
 #include "core/productivity.h"
 
+#include <limits>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/support.h"
+#include "stats/chi_squared.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -207,6 +210,108 @@ TEST(FilterIndependentlyProductiveTest, NoSupersetsNoChange) {
   std::vector<ContrastPattern> kept =
       FilterIndependentlyProductive(h.ctx(), {a, b});
   EXPECT_EQ(kept.size(), 2u);
+}
+
+// Two groups of 1500 rows. Rows k % 10 < 3 of group a sit at
+// 20 < x <= 40 with c = u, those of group b at 60 < x <= 90 with either
+// c; the other rows spread over x and c identically in both groups. x is
+// missing on every seventh row of each group.
+data::Dataset MakeResidualDb() {
+  data::DatasetBuilder b;
+  int g = b.AddCategorical("g");
+  int x = b.AddContinuous("x");
+  int c = b.AddCategorical("c");
+  for (int i = 0; i < 3000; ++i) {
+    const bool in_a = i % 2 == 0;
+    const int k = i / 2;
+    double xv = (k * 37) % 100 + 0.5;
+    bool cu = (k / 10) % 2 == 0;
+    if (k % 10 < 3) {
+      xv = in_a ? 21.0 + k % 19 : 61.0 + k % 29;
+      cu = in_a || k % 2 == 0;
+    }
+    if (k % 7 == 0) xv = std::numeric_limits<double>::quiet_NaN();
+    b.AppendCategorical(g, in_a ? "a" : "b");
+    b.AppendContinuous(x, xv);
+    b.AppendCategorical(c, cu ? "u" : "w");
+  }
+  auto db = std::move(b).Build();
+  SDADCS_CHECK(db.ok());
+  return std::move(db).value();
+}
+
+// The residual test written out the eager way: covers, Minus,
+// CountGroups. Returns which patterns survive and how many chi-square
+// tests ran.
+std::vector<bool> ResidualOracle(Harness& h,
+                                 const std::vector<ContrastPattern>& ps,
+                                 uint64_t* tests) {
+  const data::Selection& base = h.gi().base_selection();
+  std::vector<data::Selection> covers;
+  for (const ContrastPattern& p : ps) {
+    covers.push_back(p.itemset.Cover(h.db(), base));
+  }
+  std::vector<bool> keep(ps.size(), true);
+  for (size_t i = 0; i < ps.size(); ++i) {
+    for (size_t j = 0; j < ps.size() && keep[i]; ++j) {
+      if (i == j || ps[j].itemset.size() <= ps[i].itemset.size() ||
+          !ps[j].itemset.Specializes(ps[i].itemset)) {
+        continue;
+      }
+      ++*tests;
+      GroupCounts gc = CountGroups(h.gi(), covers[i].Minus(covers[j]));
+      stats::ChiSquaredResult res =
+          stats::ChiSquaredPresenceTest(gc.counts, h.ctx().group_sizes);
+      keep[i] = res.valid && res.p_value < h.ctx().cfg->alpha;
+    }
+  }
+  return keep;
+}
+
+TEST(FilterIndependentlyProductiveTest, LazyResidualsMatchCoverOracle) {
+  Harness h(MakeResidualDb());
+  const int32_t u = h.db().categorical(2).CodeOf("u");
+  auto x_in = [](double lo, double hi) { return Item::Interval(1, lo, hi); };
+  const Item c_is_u = Item::Categorical(2, u);
+  // One list where the specialization narrows the x interval (x has
+  // missing values), one where it only adds the categorical item; each
+  // holds an explained pair and a pair whose general side keeps signal.
+  const std::vector<std::vector<Itemset>> lists = {
+      {Itemset({x_in(10, 50)}), Itemset({x_in(20, 40), c_is_u}),
+       Itemset({x_in(55, 95)}), Itemset({x_in(60, 90), c_is_u})},
+      {Itemset({x_in(20, 40)}), Itemset({x_in(20, 40), c_is_u}),
+       Itemset({x_in(60, 90)}), Itemset({x_in(60, 90), c_is_u})},
+  };
+  for (size_t l = 0; l < lists.size(); ++l) {
+    for (bool simd : {false, true}) {
+      h.ctx().simd = simd;
+      *h.ctx().counters = MiningCounters();
+      std::vector<ContrastPattern> ps;
+      for (const Itemset& is : lists[l]) ps.push_back(h.PatternFor(is));
+
+      uint64_t oracle_tests = 0;
+      const std::vector<bool> keep = ResidualOracle(h, ps, &oracle_tests);
+      std::vector<std::string> want;
+      for (size_t i = 0; i < ps.size(); ++i) {
+        if (keep[i]) want.push_back(ps[i].itemset.Key());
+      }
+      // Both outcomes occur, so the comparison below is not vacuous.
+      ASSERT_GT(want.size(), 0u) << "list " << l;
+      ASSERT_LT(want.size(), ps.size()) << "list " << l;
+
+      std::vector<std::string> got;
+      for (const ContrastPattern& p :
+           FilterIndependentlyProductive(h.ctx(), ps)) {
+        got.push_back(p.itemset.Key());
+      }
+      EXPECT_EQ(got, want) << "list " << l << " simd " << simd;
+      EXPECT_EQ(h.ctx().counters->chi2_tests, oracle_tests)
+          << "list " << l << " simd " << simd;
+      EXPECT_EQ(h.ctx().counters->not_independently_productive,
+                ps.size() - want.size())
+          << "list " << l << " simd " << simd;
+    }
+  }
 }
 
 }  // namespace

@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <iterator>
+#include <thread>
 
 #include "common/requests.h"
+#include "common/threads.h"
 #include "core/request_key.h"
 #include "data/dataset.h"
 #include "data/group_info.h"
@@ -25,6 +25,7 @@ using engine::Engines;
 using engine::ParseEngine;
 
 using test_support::GroupsRequest;
+using test_support::ThreadCount;
 
 // A small mixed dataset with an unmistakable planted contrast: group
 // "a" concentrates in x <= 50 and carries tag "t0".
@@ -45,14 +46,6 @@ data::Dataset MakeTinyDataset() {
   auto db = std::move(b).Build();
   EXPECT_TRUE(db.ok());
   return std::move(*db);
-}
-
-// Threads of this process (Linux /proc): a multi-shard mine holds its
-// worker pool for the whole run, so a progress callback sees it.
-size_t ThreadCount() {
-  namespace fs = std::filesystem;
-  return static_cast<size_t>(std::distance(
-      fs::directory_iterator("/proc/self/task"), fs::directory_iterator()));
 }
 
 TEST(EngineRegistryTest, RegistersEveryDocumentedName) {
@@ -130,11 +123,11 @@ TEST(EngineRegistryTest, ShardedNameParsesWithOptionalCount) {
 
 TEST(EngineRegistryTest, ParameterizedShardedNameCreatesEngine) {
   // The shard count never changes results, so watch it where it shows:
-  // a multi-shard mine runs a worker pool, a one-shard mine none.
+  // a multi-shard mine runs team threads, a one-shard mine none.
   data::Dataset db = MakeTinyDataset();
   auto gi = data::GroupInfo::Create(db, 0);
   ASSERT_TRUE(gi.ok());
-  auto pool_threads = [&](const std::string& name, size_t option) {
+  auto team_threads = [&](const std::string& name, size_t option) {
     auto spec = ParseEngine(name);
     EXPECT_TRUE(spec.ok()) << name;
     EngineOptions opts;
@@ -151,12 +144,16 @@ TEST(EngineRegistryTest, ParameterizedShardedNameCreatesEngine) {
     EXPECT_GE(during, before) << name << ": no progress report";
     return during - before;
   };
+  // A two-shard team is min(2, cores) wide, the mining thread included.
+  const size_t workers =
+      std::min<size_t>(2, std::max(1u, std::thread::hardware_concurrency())) -
+      1;
   // An explicit "sharded:<n>" beats EngineOptions::shard_count...
-  EXPECT_EQ(pool_threads("sharded:1", 2), 0u);
-  EXPECT_GT(pool_threads("sharded:2", 1), 0u);
+  EXPECT_EQ(team_threads("sharded:1", 2), 0u);
+  EXPECT_EQ(team_threads("sharded:2", 1), workers);
   // ...and bare "sharded" takes the option.
-  EXPECT_GT(pool_threads("sharded", 2), 0u);
-  EXPECT_EQ(pool_threads("sharded", 1), 0u);
+  EXPECT_EQ(team_threads("sharded", 2), workers);
+  EXPECT_EQ(team_threads("sharded", 1), 0u);
 }
 
 TEST(EngineRegistryTest, UnknownNameIsInvalidArgumentListingEveryName) {

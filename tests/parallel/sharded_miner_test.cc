@@ -1,12 +1,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <latch>
 #include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/requests.h"
+#include "common/threads.h"
 #include "core/contrast.h"
 #include "core/miner.h"
 #include "data/chunks.h"
@@ -20,6 +23,7 @@ namespace sdadcs::parallel {
 namespace {
 
 using test_support::GroupRequest;
+using test_support::ThreadCount;
 
 core::MinerConfig BaseConfig() {
   core::MinerConfig cfg;
@@ -222,6 +226,129 @@ TEST(ShardedMinerTest, NodeBudgetDrainsSortedPartialsWithCompletion) {
   EXPECT_EQ(result->completion, core::Completion::kBudgetExhausted);
   EXPECT_GT(result->counters.abandoned_candidates, 0u);
   ExpectSortedByMeasure(result->contrasts);
+}
+
+// Mines `request` on 4 shards and returns how many threads beyond the
+// starting count its progress reports saw (0 = it built no team). Calls
+// `on_report` after each report. `request` must carry no progress
+// callback of its own.
+size_t MineCountingTeamThreads(
+    const data::Dataset& db, core::MineRequest request,
+    util::StatusOr<core::MiningResult>* out,
+    const std::function<void()>& on_report = [] {}) {
+  const size_t before = ThreadCount();
+  size_t during = 0;
+  request.run_control.set_progress_callback(
+      [&](const util::RunProgress&) {
+        during = std::max(during, ThreadCount());
+        on_report();
+      });
+  *out = core::Miner(BaseConfig(), 4).Mine(db, request);
+  EXPECT_GT(during, 0u) << "no progress report";
+  return during > before ? during - before : 0;
+}
+
+TEST(ShardedMinerTest, MineThatFindsTheTeamTakenScansInlineIdentically) {
+  // Only a mine that starts alone gets a team. A second one, started
+  // while the first blocks in a progress report, builds none and scans
+  // inline: its result must still render like serial, and under a node
+  // budget it must stop where a solo sharded mine stops, since the
+  // inline path keeps the merge-barrier checkpoints. The first resumes
+  // once the second reports, so it too scans inline while both run and
+  // fans out again after; its result must render like serial as well.
+  synth::NamedDataset nd = synth::MakeUciLike("adult", /*seed=*/7);
+  const core::MinerConfig cfg = BaseConfig();
+  auto request = [&](uint64_t budget) {
+    core::MineRequest r = GroupRequest(nd.group_attr, nd.groups);
+    if (budget > 0) r.run_control.set_node_budget(budget);
+    return r;
+  };
+  auto serial = core::Miner(cfg).Mine(nd.db, request(0));
+  ASSERT_TRUE(serial.ok());
+
+  // 0 = no budget. Budgets 20, 60 and 300 stop this mine at a scan whose
+  // barrier checkpoint decides where it stops.
+  for (uint64_t budget : {0, 20, 60, 150, 300}) {
+    auto want = budget == 0 ? serial
+                            : core::Miner(cfg, 4).Mine(nd.db, request(budget));
+    ASSERT_TRUE(want.ok());
+    ASSERT_EQ(want->completion, budget == 0
+                                    ? core::Completion::kComplete
+                                    : core::Completion::kBudgetExhausted);
+
+    std::latch holding(1);
+    std::latch release(1);
+    bool first_report = true;
+    core::MineRequest hold = request(0);
+    hold.run_control.set_progress_callback([&](const util::RunProgress&) {
+      if (!first_report) return;
+      first_report = false;
+      holding.count_down();
+      release.wait();
+    });
+    util::StatusOr<core::MiningResult> held =
+        util::Status::Internal("not run");
+    std::thread holder(
+        [&] { held = core::Miner(cfg, 4).Mine(nd.db, hold); });
+    holding.wait();
+
+    util::StatusOr<core::MiningResult> second =
+        util::Status::Internal("not run");
+    bool released = false;
+    const size_t threads = MineCountingTeamThreads(
+        nd.db, request(budget), &second, [&] {
+          if (released) return;
+          released = true;
+          release.count_down();
+        });
+    if (!released) release.count_down();  // the second mine never reported
+    holder.join();
+
+    ASSERT_TRUE(second.ok()) << "budget " << budget;
+    EXPECT_EQ(threads, 0u) << "budget " << budget;
+    EXPECT_EQ(second->completion, want->completion) << "budget " << budget;
+    EXPECT_EQ(Render(second->contrasts), Render(want->contrasts))
+        << "budget " << budget;
+    EXPECT_EQ(second->counters.partitions_evaluated,
+              want->counters.partitions_evaluated)
+        << "budget " << budget;
+    ASSERT_TRUE(held.ok());
+    EXPECT_EQ(Render(held->contrasts), Render(serial->contrasts));
+  }
+}
+
+TEST(ShardedMinerTest, FailedOrCancelledMineReleasesTheTeam) {
+  // The team is min(shards, cores) wide, the mining thread included.
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  const size_t workers = std::min<size_t>(4, cores) - 1;
+  synth::NamedDataset nd = synth::MakeUciLike("adult", /*seed=*/7);
+  // A fresh request (and so a fresh RunControl) per mine.
+  auto plain = [&] { return GroupRequest(nd.group_attr, nd.groups); };
+  util::StatusOr<core::MiningResult> out = util::Status::Internal("unset");
+  ASSERT_EQ(MineCountingTeamThreads(nd.db, plain(), &out), workers);
+
+  core::MinerConfig bad = BaseConfig();
+  bad.alpha = 1.5;
+  EXPECT_FALSE(core::Miner(bad, 4).Mine(nd.db, plain()).ok());
+  EXPECT_EQ(MineCountingTeamThreads(nd.db, plain(), &out), workers)
+      << "after an invalid config";
+
+  EXPECT_FALSE(core::Miner(BaseConfig(), 4)
+                   .Mine(nd.db, GroupRequest("nope"))
+                   .ok());
+  EXPECT_EQ(MineCountingTeamThreads(nd.db, plain(), &out), workers)
+      << "after an unknown group";
+
+  core::MineRequest cancelled = GroupRequest(nd.group_attr, nd.groups);
+  cancelled.run_control.set_progress_callback(
+      [&cancelled](const util::RunProgress&) {
+        cancelled.run_control.Cancel();
+      });
+  auto stopped = core::Miner(BaseConfig(), 4).Mine(nd.db, cancelled);
+  ASSERT_TRUE(stopped.ok());
+  EXPECT_EQ(stopped->completion, core::Completion::kCancelled);
+  EXPECT_EQ(MineCountingTeamThreads(nd.db, plain(), &out), workers)
+      << "after a cancelled mine";
 }
 
 }  // namespace
