@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <thread>
 
 #include "discretize/fayyad.h"
 #include "discretize/mvd.h"
@@ -158,6 +159,81 @@ std::string JsonString(const std::string& s) {
 void AppendEntries(const std::vector<BenchJson::Entry>& entries,
                    const std::string& indent, std::string* out);
 
+// First line of `command`'s standard output without its newline; "" when
+// the command fails or prints nothing.
+std::string FirstLineOf(const char* command) {
+  std::FILE* pipe = popen(command, "r");
+  if (pipe == nullptr) return "";
+  char buf[512];
+  std::string line;
+  if (std::fgets(buf, sizeof(buf), pipe) != nullptr) line = buf;
+  if (pclose(pipe) != 0) return "";
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+// The checkout's commit, with "-dirty" when tracked files differ from it
+// (the numbers then come from code no commit holds); "unknown" outside a
+// git checkout.
+std::string CommitOfCheckout() {
+  std::string commit = FirstLineOf("git rev-parse --short HEAD 2>/dev/null");
+  if (commit.empty()) return "unknown";
+  if (!FirstLineOf("git status --porcelain --untracked-files=no 2>/dev/null")
+           .empty()) {
+    commit += "-dirty";
+  }
+  return commit;
+}
+
+// The "model name" line of /proc/cpuinfo, "unknown" where there is none.
+std::string CpuModel() {
+  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+  if (f == nullptr) return "unknown";
+  char buf[512];
+  std::string model = "unknown";
+  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
+    std::string line = buf;
+    if (line.rfind("model name", 0) != 0) continue;
+    size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    size_t begin = line.find_first_not_of(" \t", colon + 1);
+    size_t end = line.find_last_not_of(" \t\r\n");
+    if (begin != std::string::npos && end >= begin) {
+      model = line.substr(begin, end - begin + 1);
+    }
+    break;
+  }
+  std::fclose(f);
+  return model;
+}
+
+std::string Compiler() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+// Where a run's numbers came from: commit, CPU, cores, compiler and
+// build type, rendered as one JSON object.
+std::string ProvenanceJson() {
+  const std::string build_type = SDADCS_BUILD_TYPE;
+  std::vector<BenchJson::Entry> entries = {
+      {"commit", JsonString(CommitOfCheckout())},
+      {"cpu_model", JsonString(CpuModel())},
+      {"nproc", std::to_string(std::thread::hardware_concurrency())},
+      {"compiler", JsonString(Compiler())},
+      {"build_type", JsonString(build_type.empty() ? "none" : build_type)}};
+  std::string out = "{\n";
+  AppendEntries(entries, "    ", &out);
+  return out + "  }";
+}
+
 }  // namespace
 
 void BenchJson::Set(const std::string& key, double value) {
@@ -210,6 +286,7 @@ std::string BenchJson::Write() const {
   // trailing-comma bookkeeping.
   std::vector<std::string> members;
   members.push_back("  \"bench\": " + JsonString(name_));
+  members.push_back("  \"provenance\": " + ProvenanceJson());
   for (const Entry& e : entries_) {
     members.push_back("  " + JsonString(e.key) + ": " + e.rendered);
   }

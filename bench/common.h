@@ -69,7 +69,11 @@ void PrintPatterns(const Bench& b, const AlgoRun& run, size_t k);
 /// Machine-readable metrics sink for the bench binaries. Collects flat
 /// key/value metrics plus per-case metric groups, then serialises to
 /// `BENCH_<name>.json` in the working directory so driver scripts can
-/// diff runs without scraping stdout.
+/// diff runs without scraping stdout. Every file opens with a
+/// `provenance` object: the commit (`git rev-parse --short HEAD` of the
+/// working directory's checkout, "-dirty" when tracked files differ from
+/// it, "unknown" outside a checkout), the CPU model, `nproc`, the
+/// compiler and the build type.
 class BenchJson {
  public:
   explicit BenchJson(std::string name) : name_(std::move(name)) {}

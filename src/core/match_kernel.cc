@@ -138,105 +138,80 @@ __attribute__((target("avx2"))) inline uint32_t MatchBits8(
   return bits;
 }
 
-// Per-group tally of span rows matching the whole itemset. Counting adds
-// exact 1.0 increments, so lane order cannot affect the totals.
+// The branch-free commit of one vector lane: the row is always written
+// at `w`, and `w` and the lane's tally of the row's group advance by
+// `hit` (0 or 1). Survivors land in lane order, which is selection
+// order.
+inline size_t CommitLane(uint32_t r, uint32_t hit, const int16_t* groups,
+                         uint32_t* lane_tally, uint32_t* out, size_t w) {
+  out[w] = r;
+  lane_tally[static_cast<size_t>(groups[r] + 1)] += hit;
+  return w + hit;
+}
+
+// Per-group tally of span rows matching the whole itemset, 8 rows per
+// step into the 8 lanes' tallies.
 __attribute__((target("avx2"))) void CountMatchesSpanAvx2(
     const std::vector<ItemView>& views, uint32_t row_base,
-    const int16_t* groups, const uint32_t* rs, size_t n, double* counts) {
+    const int16_t* groups, const uint32_t* rs, size_t n,
+    const LaneTallies& tallies) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     uint32_t bits = MatchBits8(views, rs, i, row_base);
-    while (bits != 0) {
-      int lane = __builtin_ctz(bits);
-      bits &= bits - 1;
-      int16_t g = groups[rs[i + static_cast<size_t>(lane)]];
-      if (g >= 0) counts[g] += 1.0;
-    }
-  }
-  for (; i < n; ++i) {
-    uint32_t r = rs[i];
-    int16_t g = groups[r];
-    if (g < 0) continue;
-    if (MatchAll(views, r - row_base)) counts[g] += 1.0;
-  }
-}
-
-// 2x2 contingency of parts a/b within one group over one span, 8 rows
-// per iteration: the group mask gates the (much costlier) item gathers,
-// and the four cells fall out of popcounts over the three masks.
-// Accumulates into cnt[4] so per-span partials sum across the chunk
-// loop.
-__attribute__((target("avx2"))) void CountPartsSpanAvx2(
-    const std::vector<ItemView>& va, const std::vector<ItemView>& vb,
-    uint32_t row_base, const int16_t* groups, int group, const uint32_t* rs,
-    size_t n, uint64_t cnt[4]) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    uint32_t mg = 0;
     for (uint32_t lane = 0; lane < 8; ++lane) {
-      mg |= (groups[rs[i + lane]] == group ? 1u : 0u) << lane;
+      tallies.lane(lane)[static_cast<size_t>(groups[rs[i + lane]] + 1)] +=
+          (bits >> lane) & 1u;
     }
-    if (mg == 0) continue;
-    uint32_t ma = MatchBits8(va, rs, i, row_base);
-    uint32_t mb = MatchBits8(vb, rs, i, row_base);
-    cnt[3] += static_cast<uint64_t>(__builtin_popcount(ma & mb & mg));
-    cnt[2] += static_cast<uint64_t>(__builtin_popcount(ma & ~mb & mg));
-    cnt[1] += static_cast<uint64_t>(__builtin_popcount(~ma & mb & mg));
-    cnt[0] += static_cast<uint64_t>(__builtin_popcount(~ma & ~mb & mg));
   }
   for (; i < n; ++i) {
     uint32_t r = rs[i];
-    if (groups[r] != group) continue;
-    unsigned ma = MatchAll(va, r - row_base) ? 1u : 0u;
-    unsigned mb = MatchAll(vb, r - row_base) ? 1u : 0u;
-    ++cnt[(ma << 1) | mb];
+    if (MatchAll(views, r - row_base)) {
+      ++tallies.lane(0)[static_cast<size_t>(groups[r] + 1)];
+    }
   }
 }
 
-// 8 rows per iteration over one span: gather the chunk-local codes,
-// compare against the target, commit surviving lanes in ascending lane
-// order (= selection order) appending to `out`.
-__attribute__((target("avx2"))) void FilterCountCatSpanAvx2(
+// 8 rows per step over one span: gather the chunk-local codes, compare
+// against the target, commit every lane into `out`. Returns the number
+// of rows kept.
+__attribute__((target("avx2"))) size_t FilterCountCatSpanAvx2(
     const int32_t* codes, uint32_t row_base, int32_t code,
-    const int16_t* groups, const uint32_t* rs, size_t n,
-    std::vector<uint32_t>* out, double* counts) {
+    const int16_t* groups, const uint32_t* rs, size_t n, uint32_t* out,
+    const LaneTallies& tallies) {
   const __m256i target = _mm256_set1_epi32(code);
   const __m256i base = _mm256_set1_epi32(static_cast<int32_t>(row_base));
+  size_t w = 0;
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m256i idx = _mm256_sub_epi32(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rs + i)), base);
     __m256i c = _mm256_i32gather_epi32(codes, idx, 4);
-    int mask = _mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(c, target)));
-    while (mask != 0) {
-      int lane = __builtin_ctz(static_cast<unsigned>(mask));
-      mask &= mask - 1;
-      uint32_t r = rs[i + static_cast<size_t>(lane)];
-      out->push_back(r);
-      int16_t g = groups[r];
-      if (g >= 0) counts[g] += 1.0;
+    uint32_t mask = static_cast<uint32_t>(_mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(c, target))));
+    for (uint32_t lane = 0; lane < 8; ++lane) {
+      w = CommitLane(rs[i + lane], (mask >> lane) & 1u, groups,
+                     tallies.lane(lane), out, w);
     }
   }
   for (; i < n; ++i) {
     uint32_t r = rs[i];
-    if (codes[r - row_base] != code) continue;
-    out->push_back(r);
-    int16_t g = groups[r];
-    if (g >= 0) counts[g] += 1.0;
+    w = CommitLane(r, codes[r - row_base] == code ? 1u : 0u, groups,
+                   tallies.lane(0), out, w);
   }
+  return w;
 }
 
-// 4 rows per iteration over one span: gather the chunk-local values,
-// test lo < v <= hi (ordered compares, so NaN rejects like the scalar
-// path), commit in lane order appending to `out`.
-__attribute__((target("avx2"))) void FilterCountIntervalSpanAvx2(
+// 4 rows per step over one span: gather the chunk-local values, test
+// lo < v <= hi (ordered compares, so NaN rejects like the scalar path),
+// commit every lane into `out`. Returns the number of rows kept.
+__attribute__((target("avx2"))) size_t FilterCountIntervalSpanAvx2(
     const double* values, uint32_t row_base, double lo, double hi,
-    const int16_t* groups, const uint32_t* rs, size_t n,
-    std::vector<uint32_t>* out, double* counts) {
+    const int16_t* groups, const uint32_t* rs, size_t n, uint32_t* out,
+    const LaneTallies& tallies) {
   const __m256d vlo = _mm256_set1_pd(lo);
   const __m256d vhi = _mm256_set1_pd(hi);
   const __m128i base = _mm_set1_epi32(static_cast<int32_t>(row_base));
+  size_t w = 0;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m128i idx = _mm_sub_epi32(
@@ -244,35 +219,31 @@ __attribute__((target("avx2"))) void FilterCountIntervalSpanAvx2(
     __m256d v = _mm256_i32gather_pd(values, idx, 8);
     __m256d inside = _mm256_and_pd(_mm256_cmp_pd(v, vlo, _CMP_GT_OQ),
                                    _mm256_cmp_pd(v, vhi, _CMP_LE_OQ));
-    int mask = _mm256_movemask_pd(inside);
-    while (mask != 0) {
-      int lane = __builtin_ctz(static_cast<unsigned>(mask));
-      mask &= mask - 1;
-      uint32_t r = rs[i + static_cast<size_t>(lane)];
-      out->push_back(r);
-      int16_t g = groups[r];
-      if (g >= 0) counts[g] += 1.0;
+    uint32_t mask = static_cast<uint32_t>(_mm256_movemask_pd(inside));
+    for (uint32_t lane = 0; lane < 4; ++lane) {
+      w = CommitLane(rs[i + lane], (mask >> lane) & 1u, groups,
+                     tallies.lane(lane), out, w);
     }
   }
   for (; i < n; ++i) {
     uint32_t r = rs[i];
     double v = values[r - row_base];
-    if (!(v > lo && v <= hi)) continue;
-    out->push_back(r);
-    int16_t g = groups[r];
-    if (g >= 0) counts[g] += 1.0;
+    w = CommitLane(r, v > lo && v <= hi ? 1u : 0u, groups, tallies.lane(0),
+                   out, w);
   }
+  return w;
 }
 
-// 4 rows per iteration over one span: AND the self-ordered (non-NaN)
-// masks of every axis chunk. Most rows are fully present, so the commit
-// loop usually takes all four lanes.
-__attribute__((target("avx2"))) void FilterAllPresentSpanAvx2(
+// 4 rows per step over one span: AND the self-ordered (non-NaN) masks
+// of every axis chunk, commit every lane into `out`. Returns the number
+// of rows kept.
+__attribute__((target("avx2"))) size_t FilterAllPresentSpanAvx2(
     const std::vector<const double*>& cols, uint32_t row_base,
-    const int16_t* groups, const uint32_t* rs, size_t n,
-    std::vector<uint32_t>* out, double* counts) {
+    const int16_t* groups, const uint32_t* rs, size_t n, uint32_t* out,
+    const LaneTallies& tallies) {
   const __m256d all_ones = _mm256_castsi256_pd(_mm256_set1_epi32(-1));
   const __m128i base = _mm_set1_epi32(static_cast<int32_t>(row_base));
+  size_t w = 0;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m128i idx = _mm_sub_epi32(
@@ -282,31 +253,43 @@ __attribute__((target("avx2"))) void FilterAllPresentSpanAvx2(
       __m256d v = _mm256_i32gather_pd(col, idx, 8);
       present = _mm256_and_pd(present, _mm256_cmp_pd(v, v, _CMP_ORD_Q));
     }
-    int mask = _mm256_movemask_pd(present);
-    while (mask != 0) {
-      int lane = __builtin_ctz(static_cast<unsigned>(mask));
-      mask &= mask - 1;
-      uint32_t r = rs[i + static_cast<size_t>(lane)];
-      out->push_back(r);
-      int16_t g = groups[r];
-      if (g >= 0) counts[g] += 1.0;
+    uint32_t mask = static_cast<uint32_t>(_mm256_movemask_pd(present));
+    for (uint32_t lane = 0; lane < 4; ++lane) {
+      w = CommitLane(rs[i + lane], (mask >> lane) & 1u, groups,
+                     tallies.lane(lane), out, w);
     }
   }
   for (; i < n; ++i) {
     uint32_t r = rs[i];
     uint32_t local = r - row_base;
-    bool present = true;
+    uint32_t present = 1;
     for (const double* col : cols) {
       double v = col[local];
-      if (v != v) {
-        present = false;
-        break;
-      }
+      present &= v == v ? 1u : 0u;
     }
-    if (!present) continue;
-    out->push_back(r);
-    int16_t g = groups[r];
-    if (g >= 0) counts[g] += 1.0;
+    w = CommitLane(r, present, groups, tallies.lane(0), out, w);
+  }
+  return w;
+}
+
+// Lanes of the widest vector step.
+constexpr size_t kMaxLanes = 8;
+
+// Sizes the scratch compaction buffer for `n` rows (a lane writes at or
+// before its own row's position, so no slack is needed) and zeroes the
+// lane tallies of `num_groups` groups.
+LaneTallies PrepareFilter(size_t n, size_t num_groups, SplitScratch* scratch) {
+  if (scratch->row_ids.size() < n) scratch->row_ids.resize(n);
+  return LaneTallies(&scratch->tallies, kMaxLanes, num_groups + 1);
+}
+
+// Writes the lanes' group tallies into `gc` (slot 0, rows outside every
+// group, is dropped).
+void FoldTallies(const LaneTallies& tallies, size_t num_groups,
+                 GroupCounts* gc) {
+  gc->counts.resize(num_groups);
+  for (size_t g = 0; g < num_groups; ++g) {
+    gc->counts[g] = static_cast<double>(tallies.Sum(g + 1));
   }
 }
 
@@ -318,14 +301,13 @@ GroupCounts CountMatchesKernel(const data::Dataset& db,
                                const data::GroupInfo& gi,
                                const Itemset& itemset,
                                const data::Selection& sel,
-                               bool simd) {
+                               SplitScratch* scratch, bool simd) {
 #if defined(SDADCS_MATCH_KERNEL_X86)
   if (simd && data::Avx2Supported()) {
-    GroupCounts gc;
-    gc.counts.assign(gi.num_groups(), 0.0);
+    const size_t num_groups = static_cast<size_t>(gi.num_groups());
+    LaneTallies tallies(&scratch->tallies, kMaxLanes, num_groups + 1);
     const std::vector<ItemSpec> specs = SpecsOf(itemset);
     const int16_t* groups = gi.group_codes();
-    double* counts = gc.counts.data();
     data::ColumnChunks chunks = db.chunks();
     const uint32_t* rs = sel.rows().data();
     std::vector<data::PinnedChunk> pins;
@@ -335,13 +317,16 @@ GroupCounts CountMatchesKernel(const data::Dataset& db,
         [&](uint32_t chunk, size_t b, size_t e) {
           PinViews(chunks, specs, chunk, &pins, &views);
           CountMatchesSpanAvx2(views, chunks.layout().begin(chunk), groups,
-                               rs + b, e - b, counts);
+                               rs + b, e - b, tallies);
         });
+    GroupCounts gc;
+    FoldTallies(tallies, num_groups, &gc);
     return gc;
   }
 #endif
   // Scalar oracle: per-row Itemset::Matches through the column
   // accessors (which route through the chunk store on a paged dataset).
+  (void)scratch;
   return CountMatches(db, gi, itemset, sel);
 }
 
@@ -349,33 +334,37 @@ data::Selection FilterCountItemKernel(const data::Dataset& db,
                                       const data::GroupInfo& gi,
                                       const Item& item,
                                       const data::Selection& sel,
-                                      GroupCounts* gc, bool simd) {
+                                      GroupCounts* gc, SplitScratch* scratch,
+                                      bool simd) {
 #if defined(SDADCS_MATCH_KERNEL_X86)
   if (simd && data::Avx2Supported()) {
-    gc->counts.assign(gi.num_groups(), 0.0);
+    const size_t num_groups = static_cast<size_t>(gi.num_groups());
+    LaneTallies tallies = PrepareFilter(sel.size(), num_groups, scratch);
     const int16_t* groups = gi.group_codes();
-    double* counts = gc->counts.data();
     data::ColumnChunks chunks = db.chunks();
     const uint32_t* rs = sel.rows().data();
-    std::vector<uint32_t> out;
-    out.reserve(sel.size());
+    uint32_t* out = scratch->row_ids.data();
+    size_t kept = 0;
     data::ForEachChunkSpan(
         chunks.layout(), rs, sel.size(),
         [&](uint32_t chunk, size_t b, size_t e) {
           if (item.kind == Item::Kind::kCategorical) {
             data::PinnedChunk pin = chunks.Categorical(item.attr, chunk);
-            FilterCountCatSpanAvx2(pin.codes(), pin.row_base(), item.code,
-                                   groups, rs + b, e - b, &out, counts);
+            kept += FilterCountCatSpanAvx2(pin.codes(), pin.row_base(),
+                                           item.code, groups, rs + b, e - b,
+                                           out + kept, tallies);
           } else {
             data::PinnedChunk pin = chunks.Continuous(item.attr, chunk);
-            FilterCountIntervalSpanAvx2(pin.values(), pin.row_base(), item.lo,
-                                        item.hi, groups, rs + b, e - b, &out,
-                                        counts);
+            kept += FilterCountIntervalSpanAvx2(
+                pin.values(), pin.row_base(), item.lo, item.hi, groups,
+                rs + b, e - b, out + kept, tallies);
           }
         });
-    return data::Selection(std::move(out));
+    FoldTallies(tallies, num_groups, gc);
+    return data::Selection(std::vector<uint32_t>(out, out + kept));
   }
 #endif
+  (void)scratch;
   return FilterCountGroups(
       gi, sel, [&](uint32_t r) { return item.Matches(db, r); }, gc);
 }
@@ -384,16 +373,17 @@ data::Selection FilterAllPresentKernel(const data::Dataset& db,
                                        const data::GroupInfo& gi,
                                        const std::vector<int>& cont_attrs,
                                        const data::Selection& sel,
-                                       GroupCounts* gc, bool simd) {
+                                       GroupCounts* gc,
+                                       SplitScratch* scratch, bool simd) {
 #if defined(SDADCS_MATCH_KERNEL_X86)
   if (simd && data::Avx2Supported()) {
-    gc->counts.assign(gi.num_groups(), 0.0);
+    const size_t num_groups = static_cast<size_t>(gi.num_groups());
+    LaneTallies tallies = PrepareFilter(sel.size(), num_groups, scratch);
     const int16_t* groups = gi.group_codes();
-    double* counts = gc->counts.data();
     data::ColumnChunks chunks = db.chunks();
     const uint32_t* rs = sel.rows().data();
-    std::vector<uint32_t> out;
-    out.reserve(sel.size());
+    uint32_t* out = scratch->row_ids.data();
+    size_t kept = 0;
     std::vector<data::PinnedChunk> pins(cont_attrs.size());
     std::vector<const double*> cols(cont_attrs.size());
     data::ForEachChunkSpan(
@@ -403,12 +393,15 @@ data::Selection FilterAllPresentKernel(const data::Dataset& db,
             pins[a] = chunks.Continuous(cont_attrs[a], chunk);
             cols[a] = pins[a].values();
           }
-          FilterAllPresentSpanAvx2(cols, chunks.layout().begin(chunk), groups,
-                                   rs + b, e - b, &out, counts);
+          kept += FilterAllPresentSpanAvx2(cols, chunks.layout().begin(chunk),
+                                           groups, rs + b, e - b, out + kept,
+                                           tallies);
         });
-    return data::Selection(std::move(out));
+    FoldTallies(tallies, num_groups, gc);
+    return data::Selection(std::vector<uint32_t>(out, out + kept));
   }
 #endif
+  (void)scratch;
   return FilterCountGroups(
       gi, sel,
       [&](uint32_t r) {
@@ -418,54 +411,6 @@ data::Selection FilterAllPresentKernel(const data::Dataset& db,
         return true;
       },
       gc);
-}
-
-Contingency2x2 CountPartsInGroupKernel(const data::Dataset& db,
-                                       const data::GroupInfo& gi,
-                                       const Itemset& a, const Itemset& b,
-                                       int group, const data::Selection& sel,
-                                       bool simd) {
-  Contingency2x2 t;
-#if defined(SDADCS_MATCH_KERNEL_X86)
-  if (simd && data::Avx2Supported()) {
-    const std::vector<ItemSpec> sa = SpecsOf(a);
-    const std::vector<ItemSpec> sb = SpecsOf(b);
-    const int16_t* groups = gi.group_codes();
-    data::ColumnChunks chunks = db.chunks();
-    const uint32_t* rs = sel.rows().data();
-    uint64_t cnt[4] = {0, 0, 0, 0};
-    std::vector<data::PinnedChunk> pa, pb;
-    std::vector<ItemView> va, vb;
-    data::ForEachChunkSpan(
-        chunks.layout(), rs, sel.size(),
-        [&](uint32_t chunk, size_t beg, size_t end) {
-          PinViews(chunks, sa, chunk, &pa, &va);
-          PinViews(chunks, sb, chunk, &pb, &vb);
-          CountPartsSpanAvx2(va, vb, chunks.layout().begin(chunk), groups,
-                             group, rs + beg, end - beg, cnt);
-        });
-    t.n11 = static_cast<double>(cnt[3]);
-    t.n10 = static_cast<double>(cnt[2]);
-    t.n01 = static_cast<double>(cnt[1]);
-    t.n00 = static_cast<double>(cnt[0]);
-    return t;
-  }
-#endif
-  for (uint32_t r : sel) {
-    if (gi.group_of(r) != group) continue;
-    bool ma = a.Matches(db, r);
-    bool mb = b.Matches(db, r);
-    if (ma && mb) {
-      t.n11 += 1.0;
-    } else if (ma) {
-      t.n10 += 1.0;
-    } else if (mb) {
-      t.n01 += 1.0;
-    } else {
-      t.n00 += 1.0;
-    }
-  }
-  return t;
 }
 
 }  // namespace sdadcs::core

@@ -90,8 +90,8 @@ struct MiningResult {
 ///   auto result = miner.Mine(db, req);
 ///
 /// With more than one shard the same search fans every counting scan
-/// (group counts, item filters, match counts, recursive splits, 2x2
-/// part tables) across that many contiguous row ranges and merges the
+/// (item filters, the root filter, match counts, recursive splits)
+/// across that many contiguous row ranges and merges the
 /// partials before any statistic is read (DESIGN.md §12). Shards are
 /// ascending row ranges and counts are small-integer doubles, so the
 /// merged statistics, every pruning decision and the result are

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/match_kernel.h"
 #include "core/pruning.h"
-#include "core/shard_exec.h"
 #include "core/support.h"
 #include "stats/chi_squared.h"
 #include "stats/fisher.h"
@@ -15,17 +13,22 @@ namespace sdadcs::core {
 
 namespace {
 
-// Chi-square (or Fisher when sparse) test that parts `a` and `b` of a
-// pattern are positively dependent within group `g`.
-bool PartsDependentInGroup(MiningContext& ctx, const Itemset& a,
-                           const Itemset& b, int g, double alpha) {
-  const data::GroupInfo& gi = *ctx.gi;
-  Contingency2x2 ct =
-      CountPartsInGroupSharded(ctx, a, b, g, gi.base_selection());
-  const double n11 = ct.n11;  // a & b
-  const double n10 = ct.n10;  // a & !b
-  const double n01 = ct.n01;  // !a & b
-  const double n00 = ct.n00;
+// Chi-square (or Fisher when sparse) test that parts `a` and `b` of
+// `pattern` (a ∪ b) are positively dependent within group `g`. The 2x2
+// table of g's base rows follows from base counts: a row matches both
+// parts exactly when it matches the pattern, and every row of g falls in
+// one cell. The counts are exact small-integer doubles, so the table
+// equals a scan of the base rows bit for bit.
+bool PartsDependentInGroup(MiningContext& ctx, const Itemset& pattern,
+                           const Itemset& a, const Itemset& b, int g,
+                           double alpha) {
+  const double count_a = ctx.BaseCounts(a)[g];
+  const double count_b = ctx.BaseCounts(b)[g];
+  const double n11 = ctx.BaseCounts(pattern)[g];  // a & b
+  const double n10 = count_a - n11;               // a & !b
+  const double n01 = count_b - n11;               // !a & b
+  const double n00 =
+      static_cast<double>(ctx.gi->group_size(g)) - count_a - count_b + n11;
   double total = n11 + n10 + n01 + n00;
   if (total <= 0.0) return false;
   double expected = (n11 + n10) * (n11 + n01) / total;
@@ -83,7 +86,8 @@ bool IsProductive(MiningContext& ctx, const ContrastPattern& pattern) {
 
     // Significance: the parts must be genuinely dependent in the
     // dominant group, not just sampled high.
-    if (!PartsDependentInGroup(ctx, a, b, static_cast<int>(gx), alpha)) {
+    if (!PartsDependentInGroup(ctx, pattern.itemset, a, b,
+                               static_cast<int>(gx), alpha)) {
       return false;
     }
   }
@@ -92,7 +96,7 @@ bool IsProductive(MiningContext& ctx, const ContrastPattern& pattern) {
 
 ResidualTest::ResidualTest(MiningContext& ctx,
                            const std::vector<ContrastPattern>& patterns)
-    : ctx_(ctx), patterns_(patterns), counts_(patterns.size()) {}
+    : ctx_(ctx), patterns_(patterns) {}
 
 bool ResidualTest::IndependentlyProductive(size_t i) {
   const Itemset& general = patterns_[i].itemset;
@@ -104,8 +108,8 @@ bool ResidualTest::IndependentlyProductive(size_t i) {
     if (!special.Specializes(general)) continue;
     // Residual cover of i outside j must remain a significant contrast,
     // else i was "found only because of" the extra items of j.
-    std::vector<double> residual = Counts(i);
-    const std::vector<double>& inner = Counts(j);
+    std::vector<double> residual = ctx_.BaseCounts(general);
+    const std::vector<double>& inner = ctx_.BaseCounts(special);
     for (size_t g = 0; g < residual.size(); ++g) residual[g] -= inner[g];
     ++ctx_.counters->chi2_tests;
     stats::ChiSquaredResult res =
@@ -113,14 +117,6 @@ bool ResidualTest::IndependentlyProductive(size_t i) {
     if (!res.valid || res.p_value >= ctx_.cfg->alpha) return false;
   }
   return true;
-}
-
-const std::vector<double>& ResidualTest::Counts(size_t i) {
-  if (!counts_[i]) {
-    counts_[i] = CountMatchesSharded(ctx_, patterns_[i].itemset,
-                                     ctx_.gi->base_selection());
-  }
-  return counts_[i]->counts;
 }
 
 std::vector<ContrastPattern> FilterIndependentlyProductive(

@@ -2,7 +2,6 @@
 #define SDADCS_CORE_PRODUCTIVITY_H_
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "core/contrast.h"
@@ -29,9 +28,10 @@ bool IsProductive(MiningContext& ctx, const ContrastPattern& pattern);
 /// significant contrast (chi-square presence test at ctx.cfg->alpha).
 /// S's cover lies inside A's (Item::ContainedIn), so the residual's group
 /// counts are count(A) - count(S), exact on small-integer doubles: no
-/// cover is built, and a pattern's counts over the base selection are
-/// scanned only when a pair first needs them. Each evaluated pair adds
-/// one to ctx.counters->chi2_tests. `patterns` must outlive the test.
+/// cover is built, and a pattern's counts over the base selection come
+/// from the context's memo (MiningContext::BaseCounts), scanned only
+/// when a pair first needs them. Each evaluated pair adds one to
+/// ctx.counters->chi2_tests. `patterns` must outlive the test.
 class ResidualTest {
  public:
   ResidualTest(MiningContext& ctx,
@@ -42,11 +42,8 @@ class ResidualTest {
   bool IndependentlyProductive(size_t i);
 
  private:
-  const std::vector<double>& Counts(size_t i);
-
   MiningContext& ctx_;
   const std::vector<ContrastPattern>& patterns_;
-  std::vector<std::optional<GroupCounts>> counts_;
 };
 
 /// Independent-productivity post-filter: drops every pattern the

@@ -131,19 +131,33 @@ double MiningContext::ChiCritical(double alpha, int dof) {
   return value;
 }
 
-const std::vector<double>& MiningContext::BaseSupports(
+const MiningContext::BaseStats& MiningContext::BaseEntry(
     const Itemset& itemset) {
-  std::string key = itemset.Key();
-  auto it = base_supports_.find(key);
-  if (it != base_supports_.end()) return it->second;
-  GroupCounts gc = CountMatchesSharded(*this, itemset, gi->base_selection());
-  return base_supports_.emplace(std::move(key), gc.Supports(*gi))
-      .first->second;
+  auto [it, inserted] = base_stats_.try_emplace(itemset.Key());
+  if (inserted) {
+    GroupCounts gc =
+        CountMatchesSharded(*this, itemset, gi->base_selection());
+    it->second.supports = gc.Supports(*gi);
+    it->second.counts = std::move(gc.counts);
+  }
+  return it->second;
 }
 
-void MiningContext::RememberBaseSupports(const Itemset& itemset,
-                                         std::vector<double> supports) {
-  base_supports_.emplace(itemset.Key(), std::move(supports));
+const std::vector<double>& MiningContext::BaseCounts(const Itemset& itemset) {
+  return BaseEntry(itemset).counts;
+}
+
+const std::vector<double>& MiningContext::BaseSupports(
+    const Itemset& itemset) {
+  return BaseEntry(itemset).supports;
+}
+
+void MiningContext::RememberBaseCounts(const Itemset& itemset,
+                                       const std::vector<double>& counts) {
+  auto [it, inserted] = base_stats_.try_emplace(itemset.Key());
+  if (!inserted) return;
+  it->second.counts = counts;
+  it->second.supports = GroupCounts{counts}.Supports(*gi);
 }
 
 SdadCall MakeRootCall(const MiningContext& ctx, const Itemset& cat_items,
@@ -180,7 +194,8 @@ SdadCall MakeRootCall(const MiningContext& ctx, const Itemset& cat_items,
 }
 
 std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
-                                       const SdadCall& call) {
+                                       const SdadCall& call,
+                                       const std::vector<double>* cuts) {
   const MinerConfig& cfg = *ctx.cfg;
   MiningCounters& counters = *ctx.counters;
   // Cancellation checkpoint before the split: the fused split+count
@@ -197,10 +212,13 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
   // Split the space and count the children in one pass: each row's cell
   // is computed and its group counted together (SplitAndCount; FindCombs
   // + CountGroups, its per-cell reference, lives on as the test oracle).
-  const std::vector<double> cuts =
-      PartitionCuts(*ctx.db, call.space, cfg.split, &ctx.split_scratch.values,
-                    &ctx.split_scratch.select, ctx.simd);
-  SplitResult split = SplitAndCountSharded(ctx, call.space, cuts);
+  const std::vector<double> split_cuts =
+      cuts != nullptr
+          ? *cuts
+          : PartitionCuts(*ctx.db, call.space, cfg.split,
+                          &ctx.split_scratch.values,
+                          &ctx.split_scratch.select, ctx.simd);
+  SplitResult split = SplitAndCountSharded(ctx, call.space, split_cuts);
   const std::vector<Space>& cells = split.cells;
   if (cells.empty()) return {};
 

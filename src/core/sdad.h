@@ -65,21 +65,33 @@ struct MiningContext {
   /// alpha, so distinct alphas never share an entry.
   double ChiCritical(double alpha, int dof);
 
-  /// Per-group supports of `itemset` over the base selection, from the
-  /// run's memo keyed by Itemset::Key(); a miss counts once with
+  /// Per-group match counts of `itemset` over the base selection, from
+  /// the run's memo keyed by Itemset::Key(); a miss counts once with
   /// CountMatchesSharded. The productivity and redundancy tests ask for
-  /// the same sub-itemsets pattern after pattern. The reference stays
+  /// the same sub-itemsets pattern after pattern, and the productivity
+  /// test's 2x2 tables follow from these counts. The reference stays
   /// valid for the context's lifetime.
+  const std::vector<double>& BaseCounts(const Itemset& itemset);
+
+  /// The same memo entry's supports, counts[g] / |g|.
   const std::vector<double>& BaseSupports(const Itemset& itemset);
 
-  /// Seeds the memo with supports the search already computed over the
-  /// base selection (counts are exact, so a seed equals a recount).
-  void RememberBaseSupports(const Itemset& itemset,
-                            std::vector<double> supports);
+  /// Seeds the memo with counts the search already computed over the
+  /// base selection (counts are exact, so a seed equals a recount). An
+  /// itemset already in the memo keeps its entry.
+  void RememberBaseCounts(const Itemset& itemset,
+                          const std::vector<double>& counts);
 
  private:
+  /// One base-support memo entry.
+  struct BaseStats {
+    std::vector<double> counts;
+    std::vector<double> supports;
+  };
+  const BaseStats& BaseEntry(const Itemset& itemset);
+
   std::map<std::pair<double, int>, double> chi_critical_cache_;
-  std::unordered_map<std::string, std::vector<double>> base_supports_;
+  std::unordered_map<std::string, BaseStats> base_stats_;
 };
 
 /// Per-call arguments of Algorithm 1 beyond the shared context.
@@ -108,9 +120,13 @@ struct SdadCall {
 /// estimates whether to go deeper, and at level 1 merges contiguous
 /// statistically-similar cells (smallest hyper-volume first). Returns
 /// the contrast patterns found in this region (possibly empty — the
-/// caller then considers the region itself).
-std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
-                                       const SdadCall& call);
+/// caller then considers the region itself). `cuts`, when given, is
+/// partition(ca) of call.space exactly as PartitionCuts computes it (the
+/// lattice search passes the root cuts it memoizes); the recursion's
+/// child calls compute their own.
+std::vector<ContrastPattern> RunSdadCs(
+    MiningContext& ctx, const SdadCall& call,
+    const std::vector<double>* cuts = nullptr);
 
 /// Builds the root SdadCall for a search-tree node: rows are the base
 /// selection filtered by `cat_items` and by non-missingness on every

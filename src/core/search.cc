@@ -186,10 +186,22 @@ const LatticeSearch::ItemCover& LatticeSearch::BaseCover(const Item& item) {
   if (inserted) {
     cover.rows = FilterCountItemSharded(ctx_, item, ctx_.gi->base_selection(),
                                         &cover.counts);
-    ctx_.RememberBaseSupports(Itemset({item}),
-                              cover.counts.Supports(*ctx_.gi));
+    ctx_.RememberBaseCounts(Itemset({item}), cover.counts.counts);
   }
   return cover;
+}
+
+double LatticeSearch::RootCut(const std::string& rows_key,
+                              const data::Selection& rows,
+                              const AxisBound& bound) {
+  auto [it, inserted] =
+      root_cuts_.try_emplace(std::make_pair(rows_key, bound.attr));
+  if (inserted) {
+    it->second = PartitionCut(*ctx_.db, rows, bound, ctx_.cfg->split,
+                              &ctx_.split_scratch.values,
+                              &ctx_.split_scratch.select, ctx_.simd);
+  }
+  return it->second;
 }
 
 void LatticeSearch::EnumerateCategorical(const std::vector<int>& cat_attrs,
@@ -228,8 +240,7 @@ void LatticeSearch::EnumerateCategorical(const std::vector<int>& cat_attrs,
     } else {
       scanned.rows =
           FilterCountItemSharded(ctx_, item, rows, &scanned.counts);
-      ctx_.RememberBaseSupports(candidate,
-                                scanned.counts.Supports(*ctx_.gi));
+      ctx_.RememberBaseCounts(candidate, scanned.counts.counts);
     }
     // Partial-itemset minimum deviation: supports only shrink as items
     // are added, so a below-δ prefix can be abandoned outright.
@@ -338,18 +349,19 @@ void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
   call.level = 1;
   call.parent_measure = 0.0;
   call.space.bounds.reserve(cont_attrs.size());
-  bool any_missing = false;
+  // The root filter drops rows missing a continuous attribute. Only the
+  // attributes some analysis row misses (recorded by the root-bounds
+  // pass) can drop one; without any, the filter would keep `rows` whole,
+  // so the prefix's rows and counts are reused.
+  std::vector<int> missing_attrs;
   for (int attr : cont_attrs) {
     auto it = ctx_.root_bounds.find(attr);
     SDADCS_CHECK(it != ctx_.root_bounds.end());
     call.space.bounds.push_back({attr, it->second.lo, it->second.hi});
-    any_missing = any_missing || it->second.any_missing;
+    if (it->second.any_missing) missing_attrs.push_back(attr);
   }
-  // The root filter drops rows missing a continuous attribute. When no
-  // analysis row misses one (recorded by the root-bounds pass), it
-  // would keep `rows` whole, so the prefix's rows and counts are reused.
   GroupCounts root_counts;
-  if (any_missing) {
+  if (!missing_attrs.empty()) {
     call.space.rows =
         FilterAllPresentSharded(ctx_, cont_attrs, rows, &root_counts);
   } else {
@@ -357,6 +369,17 @@ void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
     root_counts = counts;
   }
   if (call.space.rows.empty()) return;
+  // The root rows are the prefix's cover minus the rows missing one of
+  // `missing_attrs`, so those two name the row set.
+  std::string rows_key = cat_items.Key();
+  for (int attr : missing_attrs) {
+    rows_key += "|present " + std::to_string(attr);
+  }
+  std::vector<double> cuts;
+  cuts.reserve(call.space.bounds.size());
+  for (const AxisBound& bound : call.space.bounds) {
+    cuts.push_back(RootCut(rows_key, call.space.rows, bound));
+  }
   call.outer_db_size = static_cast<double>(call.space.rows.size());
   call.parent_supports = root_counts.Supports(*ctx_.gi);
   call.parent_diff = SupportDifference(call.parent_supports);
@@ -365,7 +388,7 @@ void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
   const uint64_t evaluated_before = counters.partitions_evaluated;
   const uint64_t kills_before = MonotoneKills(counters);
 
-  std::vector<ContrastPattern> patterns = RunSdadCs(ctx_, call);
+  std::vector<ContrastPattern> patterns = RunSdadCs(ctx_, call, &cuts);
 
   const uint64_t evaluated = counters.partitions_evaluated - evaluated_before;
   const uint64_t kills = MonotoneKills(counters) - kills_before;
@@ -374,7 +397,7 @@ void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
   for (ContrastPattern& p : patterns) {
     // A pattern's counts are those of its itemset over the base
     // selection: its interval items imply the root filter.
-    ctx_.RememberBaseSupports(p.itemset, p.supports);
+    ctx_.RememberBaseCounts(p.itemset, p.counts);
     if (ctx_.cfg->ProductivityFilterOn() && p.itemset.size() >= 2 &&
         !IsProductive(ctx_, p)) {
       ++counters.unproductive;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -54,8 +55,9 @@ std::vector<std::vector<int>> BuildLevelFrontier(
 /// Scans are reused within one run, never across runs: each single
 /// categorical item's cover of the base selection is computed once
 /// (BaseCover), every prefix's group counts travel down the
-/// enumeration with its rows, and the supports the search computes seed
-/// the context's base-support memo (MiningContext::BaseSupports).
+/// enumeration with its rows, each root-space axis is cut once per row
+/// set (RootCut), and the counts the search computes seed the context's
+/// base-support memo (MiningContext::BaseCounts).
 class LatticeSearch {
  public:
   /// `ctx` must outlive the search and have all pointers set.
@@ -105,6 +107,16 @@ class LatticeSearch {
   /// per base row per categorical attribute.
   const ItemCover& BaseCover(const Item& item);
 
+  /// partition(ca) of one root-space axis, computed on first request and
+  /// kept for the run. `rows_key` names the root rows: the categorical
+  /// prefix, plus the continuous attributes whose missing values the
+  /// root filter dropped. `bound` is the attribute's root bound, fixed
+  /// for the run, so the key decides the cut. Most root cuts repeat:
+  /// every combination over the same prefix splits the same rows on
+  /// each of its attributes.
+  double RootCut(const std::string& rows_key, const data::Selection& rows,
+                 const AxisBound& bound);
+
   /// Invokes the run's progress callback, if any.
   void ReportProgress(int level, uint64_t done, uint64_t total) const;
 
@@ -121,6 +133,8 @@ class LatticeSearch {
   uint64_t progress_total_ = 0;
   /// BaseCover's memo, keyed by (attribute, value code).
   std::map<std::pair<int, int32_t>, ItemCover> base_covers_;
+  /// RootCut's memo, keyed by (rows key, attribute).
+  std::map<std::pair<std::string, int>, double> root_cuts_;
   /// TopK::version() at the last improved report; a report is flagged
   /// improved only when the top-k advanced past it.
   mutable uint64_t last_improved_version_ = 0;

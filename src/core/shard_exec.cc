@@ -163,8 +163,9 @@ GroupCounts CountMatchesSharded(MiningContext& ctx, const Itemset& itemset,
                                 const data::Selection& sel) {
   return FanOut(
       ctx, sel, [&] { return AttrsOf(itemset); },
-      [&](const data::Selection& rows, SplitScratch*) {
-        return CountMatchesKernel(*ctx.db, *ctx.gi, itemset, rows, ctx.simd);
+      [&](const data::Selection& rows, SplitScratch* scratch) {
+        return CountMatchesKernel(*ctx.db, *ctx.gi, itemset, rows, scratch,
+                                  ctx.simd);
       },
       MergeCounts);
 }
@@ -174,10 +175,10 @@ data::Selection FilterCountItemSharded(MiningContext& ctx, const Item& item,
                                        GroupCounts* gc) {
   Filtered out = FanOut(
       ctx, sel, [&] { return std::vector<int>{item.attr}; },
-      [&](const data::Selection& rows, SplitScratch*) {
+      [&](const data::Selection& rows, SplitScratch* scratch) {
         Filtered f;
         f.rows = FilterCountItemKernel(*ctx.db, *ctx.gi, item, rows,
-                                       &f.counts, ctx.simd);
+                                       &f.counts, scratch, ctx.simd);
         return f;
       },
       MergeFiltered);
@@ -191,10 +192,10 @@ data::Selection FilterAllPresentSharded(MiningContext& ctx,
                                         GroupCounts* gc) {
   Filtered out = FanOut(
       ctx, sel, [&] { return cont_attrs; },
-      [&](const data::Selection& rows, SplitScratch*) {
+      [&](const data::Selection& rows, SplitScratch* scratch) {
         Filtered f;
         f.rows = FilterAllPresentKernel(*ctx.db, *ctx.gi, cont_attrs, rows,
-                                        &f.counts, ctx.simd);
+                                        &f.counts, scratch, ctx.simd);
         return f;
       },
       MergeFiltered);
@@ -218,32 +219,6 @@ SplitResult SplitAndCountSharded(MiningContext& ctx, const Space& space,
                              ctx.simd);
       },
       MergeSplitCells);
-}
-
-Contingency2x2 CountPartsInGroupSharded(MiningContext& ctx, const Itemset& a,
-                                        const Itemset& b, int group,
-                                        const data::Selection& sel) {
-  return FanOut(
-      ctx, sel,
-      [&] {
-        std::vector<int> attrs = AttrsOf(a);
-        for (int attr : AttrsOf(b)) attrs.push_back(attr);
-        return attrs;
-      },
-      [&](const data::Selection& rows, SplitScratch*) {
-        return CountPartsInGroupKernel(*ctx.db, *ctx.gi, a, b, group, rows,
-                                       ctx.simd);
-      },
-      [](const std::vector<Contingency2x2>& parts) {
-        Contingency2x2 sum;
-        for (const Contingency2x2& part : parts) {
-          sum.n11 += part.n11;
-          sum.n10 += part.n10;
-          sum.n01 += part.n01;
-          sum.n00 += part.n00;
-        }
-        return sum;
-      });
 }
 
 }  // namespace sdadcs::core

@@ -100,11 +100,6 @@ data::Selection FilterAllPresentSharded(MiningContext& ctx,
 SplitResult SplitAndCountSharded(MiningContext& ctx, const Space& space,
                                  const std::vector<double>& cuts);
 
-/// CountPartsInGroupKernel with shard fan-out.
-Contingency2x2 CountPartsInGroupSharded(MiningContext& ctx, const Itemset& a,
-                                        const Itemset& b, int group,
-                                        const data::Selection& sel);
-
 }  // namespace sdadcs::core
 
 #endif  // SDADCS_CORE_SHARD_EXEC_H_

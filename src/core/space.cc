@@ -28,6 +28,46 @@ double MeanOnAxis(const data::Dataset& db, int attr,
 
 }  // namespace
 
+double PartitionCut(const data::Dataset& db, const data::Selection& rows,
+                    const AxisBound& b, SplitKind kind,
+                    std::vector<double>* scratch,
+                    data::SelectScratch* select_scratch, bool simd) {
+  constexpr double kNoCut = std::numeric_limits<double>::quiet_NaN();
+  if (simd && kind == SplitKind::kMedian && scratch != nullptr &&
+      select_scratch != nullptr) {
+    // Vectorized path. The SDAD invariants (rows inside (lo, hi] on
+    // every axis, no missing values) make the feasibility check
+    // algebraic: the left half (lo, m] always holds the median element
+    // itself once m > lo, and the right half is non-empty exactly when
+    // some value exceeds the cut — which the gather pass's max answers
+    // without a second scan.
+    double mx;
+    double m = data::MedianInSelectionFast(db, b.attr, rows, scratch,
+                                           select_scratch, &mx);
+    bool splittable = !std::isnan(m) && m < b.hi && m > b.lo && mx > m;
+    return splittable ? m : kNoCut;
+  }
+  double m = kind == SplitKind::kMedian
+                 ? data::MedianInSelection(db, b.attr, rows, scratch)
+                 : MeanOnAxis(db, b.attr, rows);
+  if (std::isnan(m) || m >= b.hi || m <= b.lo) {
+    return kNoCut;  // not splittable two ways inside (lo, hi]
+  }
+  // Both sides (lo, m] and (m, hi] must be non-empty. The lower median
+  // guarantees a non-empty left side; the mean guarantees neither.
+  const data::ContinuousColumn& col = db.continuous(b.attr);
+  bool has_left = false;
+  bool has_right = false;
+  for (uint32_t r : rows) {
+    double v = col.value(r);
+    if (std::isnan(v)) continue;
+    if (v > m && v <= b.hi) has_right = true;
+    if (v > b.lo && v <= m) has_left = true;
+    if (has_left && has_right) break;
+  }
+  return has_left && has_right ? m : kNoCut;
+}
+
 std::vector<double> PartitionCuts(const data::Dataset& db,
                                   const Space& space, SplitKind kind,
                                   std::vector<double>* scratch,
@@ -35,47 +75,9 @@ std::vector<double> PartitionCuts(const data::Dataset& db,
                                   bool simd) {
   std::vector<double> cuts;
   cuts.reserve(space.bounds.size());
-  const bool fast = simd && kind == SplitKind::kMedian &&
-                    scratch != nullptr && select_scratch != nullptr;
   for (const AxisBound& b : space.bounds) {
-    if (fast) {
-      // Vectorized path. The SDAD invariants (rows inside (lo, hi] on
-      // every axis, no missing values) make the feasibility check
-      // algebraic: the left half (lo, m] always holds the median
-      // element itself once m > lo, and the right half is non-empty
-      // exactly when some value exceeds the cut — which the gather
-      // pass's max answers without a second scan.
-      double mx;
-      double m = data::MedianInSelectionFast(db, b.attr, space.rows, scratch,
-                                             select_scratch, &mx);
-      bool splittable = !std::isnan(m) && m < b.hi && m > b.lo && mx > m;
-      cuts.push_back(splittable ? m
-                                : std::numeric_limits<double>::quiet_NaN());
-      continue;
-    }
-    double m = kind == SplitKind::kMedian
-                   ? data::MedianInSelection(db, b.attr, space.rows, scratch)
-                   : MeanOnAxis(db, b.attr, space.rows);
-    if (std::isnan(m) || m >= b.hi || m <= b.lo) {
-      // Not splittable two ways inside (lo, hi].
-      cuts.push_back(std::numeric_limits<double>::quiet_NaN());
-      continue;
-    }
-    // Both sides (lo, m] and (m, hi] must be non-empty. The lower median
-    // guarantees a non-empty left side; the mean guarantees neither.
-    const data::ContinuousColumn& col = db.continuous(b.attr);
-    bool has_left = false;
-    bool has_right = false;
-    for (uint32_t r : space.rows) {
-      double v = col.value(r);
-      if (std::isnan(v)) continue;
-      if (v > m && v <= b.hi) has_right = true;
-      if (v > b.lo && v <= m) has_left = true;
-      if (has_left && has_right) break;
-    }
-    cuts.push_back(has_left && has_right
-                       ? m
-                       : std::numeric_limits<double>::quiet_NaN());
+    cuts.push_back(PartitionCut(db, space.rows, b, kind, scratch,
+                                select_scratch, simd));
   }
   return cuts;
 }

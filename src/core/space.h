@@ -56,6 +56,17 @@ std::vector<double> PartitionCuts(
     std::vector<double>* scratch = nullptr,
     data::SelectScratch* select_scratch = nullptr, bool simd = false);
 
+/// One axis of PartitionCuts: the cut of `bound`'s attribute over
+/// `rows`, NaN when the axis cannot split two ways inside (lo, hi]. The
+/// cut depends on nothing but the rows, the attribute and its bounds, so
+/// a caller holding several spaces with the same rows and bounds on an
+/// axis (the lattice search's root spaces) computes it once.
+double PartitionCut(const data::Dataset& db, const data::Selection& rows,
+                    const AxisBound& bound, SplitKind kind,
+                    std::vector<double>* scratch = nullptr,
+                    data::SelectScratch* select_scratch = nullptr,
+                    bool simd = false);
+
 /// PartitionCuts with the paper's default, the median.
 std::vector<double> PartitionMedians(const data::Dataset& db,
                                      const Space& space);

@@ -30,8 +30,8 @@ struct AxisView {
 // Pass 1 of SplitAndCount over one chunk span `rows[0..n)` (global row
 // ids, all inside the chunk starting at row_base): classify each row
 // into its cell (or drop it), append survivors to the scratch row/cell
-// arrays and accumulate cell sizes and per-group counts. Factored out so
-// the vectorized kernel can reuse it for the tail rows.
+// arrays and accumulate cell sizes and per-group counts. The scalar
+// oracle of Pass1Avx2.
 void Pass1Scalar(const uint32_t* rows, size_t n, uint32_t row_base,
                  const AxisView* axes, size_t k, const int16_t* groups,
                  size_t num_groups, SplitScratch* scratch) {
@@ -62,51 +62,80 @@ void Pass1Scalar(const uint32_t* rows, size_t n, uint32_t row_base,
 
 #if SDADCS_SPLIT_KERNEL_X86
 
-// AVX2 pass 1 over one chunk span: four rows per iteration. The gather
-// indices are rebased to the chunk (row - row_base) so the value pointer
-// is never biased outside its buffer. Only the interval comparisons run
-// vectorized — values are gathered per axis and tested with ordered
-// predicates (_CMP_GT_OQ / _CMP_LE_OQ reject NaN exactly like the scalar
-// `!(v > lo && v <= hi)` test). Surviving lanes are then committed one
-// by one *in row order* with the same scalar scatter/count arithmetic as
-// Pass1Scalar, so the output is byte-identical by construction.
-__attribute__((target("avx2"))) void Pass1Avx2(
-    const uint32_t* rows, size_t n, uint32_t row_base, const AxisView* axes,
-    size_t k, const int16_t* groups, size_t num_groups,
-    SplitScratch* scratch) {
-  const __m128i base = _mm_set1_epi32(static_cast<int32_t>(row_base));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128i rid = _mm_sub_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + i)), base);
-    unsigned inside = 0xFu;   // lane l bit set = row i+l inside so far
-    unsigned cell_bits[4] = {0, 0, 0, 0};
-    for (size_t bit = 0; bit < k && inside != 0; ++bit) {
-      const AxisView& a = axes[bit];
-      __m256d v = _mm256_i32gather_pd(a.values, rid, 8);
-      __m256d in_lo = _mm256_cmp_pd(v, _mm256_set1_pd(a.lo), _CMP_GT_OQ);
-      __m256d in_hi = _mm256_cmp_pd(v, _mm256_set1_pd(a.hi), _CMP_LE_OQ);
-      inside &= static_cast<unsigned>(
-          _mm256_movemask_pd(_mm256_and_pd(in_lo, in_hi)));
-      unsigned gt_cut = static_cast<unsigned>(_mm256_movemask_pd(
-          _mm256_cmp_pd(v, _mm256_set1_pd(a.cut), _CMP_GT_OQ)));
-      for (int lane = 0; lane < 4; ++lane) {
-        cell_bits[lane] |= ((gt_cut >> lane) & 1u) << bit;
-      }
-    }
+// Rows of one vector step: four row ids and which of them are real (the
+// last step of a span pads with its first row).
+struct Step4 {
+  const uint32_t* rows;
+  unsigned valid;
+};
+
+// One AVX2 step of pass 1 over four rows. The gather indices are
+// rebased to the chunk (row - row_base) so the value pointer is never
+// biased outside its buffer. Values are gathered per axis and tested
+// with ordered predicates (_CMP_GT_OQ / _CMP_LE_OQ reject NaN exactly
+// like the scalar `!(v > lo && v <= hi)` test). Every lane is then
+// committed without a branch: its row and cell are written at `w`, and
+// `w` and the lane's (cell, group) tally advance by its inside bit, so
+// survivors land in row order. Returns the new write position.
+__attribute__((target("avx2"), always_inline)) inline size_t Pass1Step(
+    Step4 step, uint32_t row_base, const AxisView* axes, size_t k,
+    const int16_t* groups, size_t slots_per_cell, uint32_t* out_rows,
+    uint32_t* out_cells, const LaneTallies& tallies, size_t w) {
+  __m128i rid = _mm_sub_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(step.rows)),
+      _mm_set1_epi32(static_cast<int32_t>(row_base)));
+  unsigned inside = step.valid;  // lane l bit set = row l inside so far
+  unsigned cell_bits[4] = {0, 0, 0, 0};
+  for (size_t bit = 0; bit < k && inside != 0; ++bit) {
+    const AxisView& a = axes[bit];
+    __m256d v = _mm256_i32gather_pd(a.values, rid, 8);
+    __m256d in_lo = _mm256_cmp_pd(v, _mm256_set1_pd(a.lo), _CMP_GT_OQ);
+    __m256d in_hi = _mm256_cmp_pd(v, _mm256_set1_pd(a.hi), _CMP_LE_OQ);
+    inside &= static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_and_pd(in_lo, in_hi)));
+    unsigned gt_cut = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_cmp_pd(v, _mm256_set1_pd(a.cut), _CMP_GT_OQ)));
     for (int lane = 0; lane < 4; ++lane) {
-      if (((inside >> lane) & 1u) == 0) continue;
-      uint32_t r = rows[i + lane];
-      uint32_t cell = cell_bits[lane];
-      scratch->row_ids.push_back(r);
-      scratch->row_cells.push_back(cell);
-      ++scratch->cell_sizes[cell];
-      int16_t g = groups[r];
-      if (g >= 0) scratch->counts[cell * num_groups + g] += 1.0;
+      cell_bits[lane] |= ((gt_cut >> lane) & 1u) << bit;
     }
   }
-  Pass1Scalar(rows + i, n - i, row_base, axes, k, groups, num_groups,
-              scratch);
+  for (int lane = 0; lane < 4; ++lane) {
+    const uint32_t r = step.rows[lane];
+    const uint32_t cell = cell_bits[lane];
+    const uint32_t hit = (inside >> lane) & 1u;
+    out_rows[w] = r;
+    out_cells[w] = cell;
+    w += hit;
+    tallies.lane(lane)[cell * slots_per_cell +
+                       static_cast<size_t>(groups[r] + 1)] += hit;
+  }
+  return w;
+}
+
+// AVX2 pass 1 over one chunk span `rows[0..n)`, four rows per step:
+// writes survivors at out_rows/out_cells[0..) and returns their number.
+// The arrays need one entry of slack past the span's rows, which the
+// padding lanes of a last step may write (and not keep).
+__attribute__((target("avx2"))) size_t Pass1Avx2(
+    const uint32_t* rows, size_t n, uint32_t row_base, const AxisView* axes,
+    size_t k, const int16_t* groups, size_t slots_per_cell,
+    uint32_t* out_rows, uint32_t* out_cells, const LaneTallies& tallies) {
+  size_t w = 0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    w = Pass1Step({rows + i, 0xFu}, row_base, axes, k, groups,
+                  slots_per_cell, out_rows, out_cells, tallies, w);
+  }
+  if (i < n) {
+    uint32_t padded[4];
+    for (size_t lane = 0; lane < 4; ++lane) {
+      padded[lane] = rows[i + lane < n ? i + lane : i];
+    }
+    const unsigned valid = (1u << (n - i)) - 1u;
+    w = Pass1Step({padded, valid}, row_base, axes, k, groups, slots_per_cell,
+                  out_rows, out_cells, tallies, w);
+  }
+  return w;
 }
 
 #endif  // SDADCS_SPLIT_KERNEL_X86
@@ -134,17 +163,30 @@ SplitResult SplitAndCount(const data::Dataset& db, const data::GroupInfo& gi,
   // current span; rows are committed in selection order across spans, so
   // the chunked loop produces byte-identical output to the monolithic
   // one.
-  scratch->row_ids.clear();
-  scratch->row_cells.clear();
-  scratch->row_ids.reserve(space.rows.size());
-  scratch->row_cells.reserve(space.rows.size());
-  scratch->cell_sizes.assign(num_cells, 0);
-  scratch->counts.assign(num_cells * num_groups, 0.0);
   const int16_t* groups = gi.group_codes();
-
   const uint32_t* rows = space.rows.rows().data();
   const size_t n = space.rows.size();
-  const bool vectorized = simd && data::Avx2Supported();
+  const bool vectorized =
+      SDADCS_SPLIT_KERNEL_X86 && simd && data::Avx2Supported();
+  scratch->cell_sizes.assign(num_cells, 0);
+  scratch->counts.assign(num_cells * num_groups, 0.0);
+  // Slot 0 of each cell's tallies takes rows outside every group.
+  const size_t slots_per_cell = num_groups + 1;
+  if (vectorized) {
+    // The filter kernels size row_ids too, so each buffer is checked.
+    for (std::vector<uint32_t>* buffer :
+         {&scratch->row_ids, &scratch->row_cells}) {
+      if (buffer->size() < n + 1) buffer->resize(n + 1);
+    }
+  } else {
+    scratch->row_ids.clear();
+    scratch->row_cells.clear();
+    scratch->row_ids.reserve(n);
+    scratch->row_cells.reserve(n);
+  }
+  LaneTallies tallies(&scratch->tallies, vectorized ? 4 : 0,
+                      vectorized ? num_cells * slots_per_cell : 0);
+  size_t kept = 0;
   data::ColumnChunks chunks = db.chunks();
   data::ForEachChunkSpan(
       chunks.layout(), rows, n, [&](uint32_t chunk, size_t b, size_t e) {
@@ -161,24 +203,39 @@ SplitResult SplitAndCount(const data::Dataset& db, const data::GroupInfo& gi,
         const uint32_t row_base = pins[0].row_base();
 #if SDADCS_SPLIT_KERNEL_X86
         if (vectorized) {
-          Pass1Avx2(rows + b, e - b, row_base, axes, k, groups, num_groups,
-                    scratch);
-        } else {
-          Pass1Scalar(rows + b, e - b, row_base, axes, k, groups, num_groups,
-                      scratch);
+          kept += Pass1Avx2(rows + b, e - b, row_base, axes, k, groups,
+                            slots_per_cell, scratch->row_ids.data() + kept,
+                            scratch->row_cells.data() + kept, tallies);
+          return;
         }
-#else
+#endif
         Pass1Scalar(rows + b, e - b, row_base, axes, k, groups, num_groups,
                     scratch);
-#endif
       });
-  (void)vectorized;
+  if (vectorized) {
+    for (size_t cell = 0; cell < num_cells; ++cell) {
+      uint64_t size = 0;
+      for (size_t slot = 0; slot < slots_per_cell; ++slot) {
+        const uint64_t c = tallies.Sum(cell * slots_per_cell + slot);
+        size += c;
+        if (slot > 0) {
+          scratch->counts[cell * num_groups + slot - 1] =
+              static_cast<double>(c);
+        }
+      }
+      scratch->cell_sizes[cell] = static_cast<uint32_t>(size);
+    }
+  } else {
+    kept = scratch->row_ids.size();
+  }
 
-  // Pass 2 — materialize the cells in mask order. Scattering rows in
-  // selection order keeps every cell's row vector sorted.
+  // Pass 2 — materialize the cells in mask order. Each cell's row vector
+  // is allocated at its exact size and filled through a raw write
+  // pointer; scattering rows in selection order keeps it sorted.
   out.cells.resize(num_cells);
   out.counts.resize(num_cells);
   std::vector<std::vector<uint32_t>> cell_rows(num_cells);
+  std::vector<uint32_t*> cell_end(num_cells);
   for (size_t mask = 0; mask < num_cells; ++mask) {
     Space& cell = out.cells[mask];
     cell.bounds = space.bounds;
@@ -190,13 +247,16 @@ SplitResult SplitAndCount(const data::Dataset& db, const data::GroupInfo& gi,
         cell.bounds[axis].hi = cuts[axis];  // left half (lo, m]
       }
     }
-    cell_rows[mask].reserve(scratch->cell_sizes[mask]);
+    cell_rows[mask].resize(scratch->cell_sizes[mask]);
+    cell_end[mask] = cell_rows[mask].data();
     out.counts[mask].counts.assign(
         scratch->counts.begin() + mask * num_groups,
         scratch->counts.begin() + (mask + 1) * num_groups);
   }
-  for (size_t i = 0; i < scratch->row_ids.size(); ++i) {
-    cell_rows[scratch->row_cells[i]].push_back(scratch->row_ids[i]);
+  const uint32_t* kept_rows = scratch->row_ids.data();
+  const uint32_t* kept_cells = scratch->row_cells.data();
+  for (size_t i = 0; i < kept; ++i) {
+    *cell_end[kept_cells[i]]++ = kept_rows[i];
   }
   for (size_t mask = 0; mask < num_cells; ++mask) {
     out.cells[mask].rows = data::Selection(std::move(cell_rows[mask]));

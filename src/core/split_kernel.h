@@ -26,7 +26,11 @@ struct SplitScratch {
   std::vector<double> values;
   /// Partition ping-pong buffers for the vectorized quickselect.
   data::SelectScratch select;
-  /// Per surviving parent row: the row id, in selection order.
+  /// Per surviving parent row: the row id, in selection order. The
+  /// vectorized split and filter kernels size it to the input selection
+  /// (the split kernel plus one entry of slack) before the scan and
+  /// compact into it by position; the filters then copy their rows out
+  /// at exact size.
   std::vector<uint32_t> row_ids;
   /// Parallel to row_ids: the row's cell index (bit b set = right half
   /// of splittable axis b).
@@ -35,6 +39,44 @@ struct SplitScratch {
   std::vector<uint32_t> cell_sizes;
   /// Flattened per-cell, per-group counts (num_cells * num_groups).
   std::vector<double> counts;
+  /// Lane-private tallies of the vectorized kernels (LaneTallies).
+  std::vector<uint32_t> tallies;
+};
+
+/// Commit-step counters of the vectorized kernels: `lanes` private
+/// copies of `slots` uint32_t tallies carved from a scratch buffer, so
+/// one lane's increment never waits on another lane's store. A kernel
+/// keeps one slot per group code + 1 (slot 0 takes rows outside every
+/// group), per cell for the split kernel, and folds the tallies into its
+/// double counts after the scan: the totals are exact integers, so they
+/// are the same doubles a row-by-row `+= 1.0` gives. Past
+/// kMaxPrivateSlots slots the lanes share one copy, which is just as
+/// exact.
+class LaneTallies {
+ public:
+  static constexpr size_t kMaxPrivateSlots = 4096;
+
+  LaneTallies(std::vector<uint32_t>* buffer, size_t lanes, size_t slots)
+      : lanes_(lanes), stride_(slots <= kMaxPrivateSlots ? slots : 0) {
+    buffer->assign(stride_ == 0 ? slots : lanes * slots, 0);
+    data_ = buffer->data();
+  }
+
+  /// Lane `l`'s copy of the slots.
+  uint32_t* lane(size_t l) const { return data_ + l * stride_; }
+
+  /// Slot `s` summed over the lanes.
+  uint64_t Sum(size_t s) const {
+    if (stride_ == 0) return data_[s];
+    uint64_t sum = 0;
+    for (size_t l = 0; l < lanes_; ++l) sum += data_[l * stride_ + s];
+    return sum;
+  }
+
+ private:
+  uint32_t* data_;
+  size_t lanes_;
+  size_t stride_;
 };
 
 /// Output of the fused partition kernel: the child cells of one
@@ -54,11 +96,13 @@ struct SplitResult {
 /// when no axis is splittable. Bit-identical to the naive pipeline:
 /// cells come out in the same mask order with the same rows and counts.
 ///
-/// `simd` runs the per-row interval tests on AVX2 (scalar on hosts
-/// without it); false runs the scalar oracle. Only the comparisons are
-/// vectorized — row scatter and count accumulation run in row order with
-/// identical arithmetic — so both paths yield byte-identical output; the
-/// scan-kernel and differential tests pin this.
+/// `simd` runs pass 1 on AVX2 (scalar on hosts without it); false runs
+/// the scalar oracle. The vector path commits rows without a branch —
+/// every lane is written, the write position advances by the lane's
+/// inside bit — and tallies groups in LaneTallies, so rows keep
+/// selection order and counts stay exact: both paths yield
+/// byte-identical output, which the scan-kernel and differential tests
+/// pin.
 SplitResult SplitAndCount(const data::Dataset& db, const data::GroupInfo& gi,
                           const Space& space, const std::vector<double>& cuts,
                           SplitScratch* scratch, bool simd);

@@ -41,7 +41,8 @@ GroupCounts CountGroups(const data::GroupInfo& gi,
 /// Fused filter + group count: one scan of `sel` both collects the rows
 /// satisfying `pred` (order preserved) and accumulates their per-group
 /// counts into `*gc`. Replaces the Selection::Filter-then-CountGroups
-/// double scan at every call site that needs both.
+/// double scan at every call site that needs both. The returned
+/// selection holds no spare capacity.
 template <typename Pred>
 data::Selection FilterCountGroups(const data::GroupInfo& gi,
                                   const data::Selection& sel, Pred&& pred,
@@ -56,6 +57,7 @@ data::Selection FilterCountGroups(const data::GroupInfo& gi,
     int16_t g = groups[r];
     if (g >= 0) gc->counts[g] += 1.0;
   }
+  rows.shrink_to_fit();  // callers may keep the selection for a run
   return data::Selection(std::move(rows));
 }
 

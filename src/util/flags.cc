@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <optional>
 
 #include "util/string_util.h"
 
@@ -45,18 +47,17 @@ std::string Flags::Get(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
-double Flags::GetDouble(const std::string& name, double fallback) const {
+Status Flags::GetNumber(const std::string& name, double* out) const {
   auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  auto v = ParseDouble(it->second);
-  return v.has_value() ? *v : fallback;
-}
-
-int Flags::GetInt(const std::string& name, int fallback) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  auto v = ParseInt(it->second);
-  return v.has_value() ? static_cast<int>(*v) : fallback;
+  if (it == values_.end()) return Status::OK();
+  std::optional<double> v = ParseDouble(it->second);
+  if (!v.has_value() || !std::isfinite(*v)) {
+    return Status::InvalidArgument("--" + name +
+                                   " must be a finite number, got '" +
+                                   it->second + "'");
+  }
+  *out = *v;
+  return Status::OK();
 }
 
 Status Flags::ParseCount(const std::string& name, uint64_t min, uint64_t max,

@@ -35,9 +35,11 @@ class Flags {
   std::string Get(const std::string& name,
                   const std::string& fallback = "") const;
 
-  /// Numeric accessors fall back when the flag is absent or unparsable.
-  double GetDouble(const std::string& name, double fallback) const;
-  int GetInt(const std::string& name, int fallback) const;
+  /// Checked real number: `*out` is left alone when the flag is absent
+  /// and set when the whole value parses as a finite number
+  /// (util::ParseDouble); anything else is an InvalidArgument naming the
+  /// flag.
+  Status GetNumber(const std::string& name, double* out) const;
 
   /// Checked count: `*out` is left alone when the flag is absent and set
   /// when it is a plain decimal integer in [min, max] (max capped at what

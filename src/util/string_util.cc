@@ -46,20 +46,12 @@ std::optional<double> ParseDouble(std::string_view s) {
   std::string t(Trim(s));
   if (t.empty()) return std::nullopt;
   char* end = nullptr;
-  errno = 0;
   double v = std::strtod(t.c_str(), &end);
   if (end != t.c_str() + t.size()) return std::nullopt;
-  if (errno == ERANGE && !std::isinf(v)) return std::nullopt;
-  return v;
-}
-
-std::optional<long long> ParseInt(std::string_view s) {
-  std::string t(Trim(s));
-  if (t.empty()) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(t.c_str(), &end, 10);
-  if (end != t.c_str() + t.size() || errno == ERANGE) return std::nullopt;
+  // ERANGE is not an error here: strtod still returns the nearest double
+  // (a subnormal or zero on underflow, an infinity on overflow), and a
+  // writer printing a subnormal with %.17g emits such a literal. Callers
+  // that cannot take an infinity reject it themselves.
   return v;
 }
 

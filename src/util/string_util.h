@@ -21,11 +21,11 @@ std::string Join(const std::vector<std::string>& parts,
 
 /// Parses a double, requiring the whole (trimmed) string to be consumed.
 /// Returns nullopt for empty strings or trailing garbage. Accepts
-/// "nan"/"inf" in any case.
+/// "nan"/"inf" in any case. A literal outside the double range parses to
+/// the nearest double: a subnormal or zero when it underflows, an
+/// infinity when it overflows.
 std::optional<double> ParseDouble(std::string_view s);
 
-/// Parses a base-10 integer, whole-string, no leading '+' quirks.
-std::optional<long long> ParseInt(std::string_view s);
 
 /// Lower-cases ASCII characters.
 std::string ToLower(std::string_view s);

@@ -3,11 +3,16 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/search.h"
 #include "core/support.h"
 #include "stats/chi_squared.h"
+#include "stats/contingency.h"
+#include "stats/fisher.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -65,6 +70,7 @@ class Harness {
   }
 
   MiningContext& ctx() { return ctx_; }
+  TopK& topk() { return topk_; }
   const data::Dataset& db() const { return db_; }
   const data::GroupInfo& gi() const { return *gi_; }
 
@@ -111,6 +117,205 @@ TEST(IsProductiveTest, IndependentConjunctionIsNot) {
   Harness h(MakeDb(false));
   ContrastPattern p = h.PatternFor(h.BothHits());
   EXPECT_FALSE(IsProductive(h.ctx(), p));
+}
+
+// Attributes of the missing-value data below, after the group (0).
+constexpr int kU = 1;
+constexpr int kV = 2;
+constexpr int kZ = 3;
+constexpr int kW = 4;
+
+// Two categorical (u, v) and two continuous (z, w) attributes, each
+// missing in about a tenth of the rows. Within group a, v follows u and
+// z rises with u; w is noise.
+data::Dataset MakeMissingDb() {
+  data::DatasetBuilder b;
+  b.AddCategorical("g");
+  b.AddCategorical("u");
+  b.AddCategorical("v");
+  b.AddContinuous("z");
+  b.AddContinuous("w");
+  util::Rng rng(41);
+  for (int i = 0; i < 3000; ++i) {
+    const bool in_a = i % 2 == 0;
+    b.AppendCategorical(0, in_a ? "a" : "b");
+    const bool u_hit = rng.Bernoulli(in_a ? 0.5 : 0.3);
+    const bool v_hit = in_a ? rng.Bernoulli(u_hit ? 0.8 : 0.2)
+                            : rng.Bernoulli(0.35);
+    const double z = in_a && u_hit ? rng.Uniform(3.0, 10.0)
+                                   : rng.Uniform(0.0, 10.0);
+    for (auto [attr, hit] : {std::pair{kU, u_hit}, std::pair{kV, v_hit}}) {
+      if (rng.Bernoulli(0.1)) {
+        b.AppendMissing(attr);
+      } else {
+        b.AppendCategorical(attr, hit ? "hit" : "miss");
+      }
+    }
+    for (auto [attr, value] :
+         {std::pair{kZ, z}, std::pair{kW, rng.Uniform(0.0, 10.0)}}) {
+      if (rng.Bernoulli(0.1)) {
+        b.AppendMissing(attr);
+      } else {
+        b.AppendContinuous(attr, value);
+      }
+    }
+  }
+  auto db = std::move(b).Build();
+  SDADCS_CHECK(db.ok());
+  return std::move(db).value();
+}
+
+// IsProductive's verdict and its count of dependence tests, computed
+// without any memo: supports by CountMatches, and every 2x2 table by
+// looping the base rows of the dominant group with Itemset::Matches.
+struct OracleVerdict {
+  bool productive = true;
+  uint64_t tests = 0;
+};
+
+OracleVerdict OracleIsProductive(const data::Dataset& db,
+                                 const data::GroupInfo& gi, double alpha,
+                                 const ContrastPattern& pattern) {
+  OracleVerdict out;
+  const size_t n = pattern.itemset.size();
+  if (n < 2) return out;
+  size_t gx = 0;
+  size_t gy = 0;
+  for (size_t g = 1; g < pattern.supports.size(); ++g) {
+    if (pattern.supports[g] > pattern.supports[gx]) gx = g;
+    if (pattern.supports[g] < pattern.supports[gy]) gy = g;
+  }
+  auto supports = [&](const Itemset& is) {
+    return CountMatches(db, gi, is, gi.base_selection()).Supports(gi);
+  };
+  const uint32_t full = (1u << n) - 1;
+  for (uint32_t mask = 1; mask < full; mask += 2) {
+    std::vector<Item> part_a;
+    for (size_t i = 0; i < n; ++i) {
+      if (mask & (1u << i)) part_a.push_back(pattern.itemset.item(i));
+    }
+    const Itemset a(std::move(part_a));
+    const Itemset b = pattern.itemset.Complement(a);
+    const std::vector<double> sa = supports(a);
+    const std::vector<double> sb = supports(b);
+    if (pattern.diff <= sa[gx] * sb[gx] - sa[gy] * sb[gy]) {
+      out.productive = false;
+      return out;
+    }
+    double cell[2][2] = {{0.0, 0.0}, {0.0, 0.0}};  // [!a/a][!b/b]
+    for (uint32_t r : gi.base_selection()) {
+      if (gi.group_of(r) != static_cast<int>(gx)) continue;
+      cell[a.Matches(db, r) ? 1 : 0][b.Matches(db, r) ? 1 : 0] += 1.0;
+    }
+    const double n11 = cell[1][1];
+    const double n10 = cell[1][0];
+    const double n01 = cell[0][1];
+    const double n00 = cell[0][0];
+    const double total = n11 + n10 + n01 + n00;
+    if (total <= 0.0 || n11 <= (n11 + n10) * (n11 + n01) / total) {
+      out.productive = false;
+      return out;
+    }
+    stats::ContingencyTable t(2, 2);
+    t.set_cell(0, 0, n11);
+    t.set_cell(0, 1, n10);
+    t.set_cell(1, 0, n01);
+    t.set_cell(1, 1, n00);
+    ++out.tests;
+    bool dependent;
+    if (t.MinExpected() < 5.0) {
+      dependent = stats::FisherExactGreater(static_cast<long long>(n11),
+                                            static_cast<long long>(n10),
+                                            static_cast<long long>(n01),
+                                            static_cast<long long>(n00)) <
+                  alpha;
+    } else {
+      stats::ChiSquaredResult res = stats::ChiSquaredTest(t);
+      dependent = res.valid && res.p_value < alpha;
+    }
+    if (!dependent) {
+      out.productive = false;
+      return out;
+    }
+  }
+  return out;
+}
+
+// Every 2- and 3-item pattern over u, v, z and w (one item per
+// attribute, two values or halves each).
+std::vector<Itemset> MissingDbPatterns(const data::Dataset& db) {
+  std::vector<std::vector<Item>> by_attr;
+  for (int attr : {kU, kV}) {
+    by_attr.push_back(
+        {Item::Categorical(attr, db.categorical(attr).CodeOf("hit")),
+         Item::Categorical(attr, db.categorical(attr).CodeOf("miss"))});
+  }
+  for (int attr : {kZ, kW}) {
+    by_attr.push_back(
+        {Item::Interval(attr, -1.0, 5.0), Item::Interval(attr, 5.0, 11.0)});
+  }
+  std::vector<Itemset> out;
+  const size_t num_attrs = by_attr.size();
+  for (uint32_t attrs = 0; attrs < (1u << num_attrs); ++attrs) {
+    const int size = __builtin_popcount(attrs);
+    if (size < 2 || size > 3) continue;
+    for (uint32_t pick = 0; pick < (1u << size); ++pick) {
+      std::vector<Item> items;
+      int bit = 0;
+      for (size_t k = 0; k < num_attrs; ++k) {
+        if ((attrs & (1u << k)) == 0) continue;
+        items.push_back(by_attr[k][(pick >> bit++) & 1u]);
+      }
+      out.push_back(Itemset(std::move(items)));
+    }
+  }
+  return out;
+}
+
+// The 2x2 tables IsProductive derives from memoized counts equal the
+// tables a row loop builds, missing values included (a missing value
+// matches no item, so its row falls in a "not" cell): same verdict, same
+// number of dependence tests, on both kernel paths, with a cold memo
+// (ClassifyPatterns' case) and with one a search has seeded.
+TEST(IsProductiveTest, AgreesWithRowLoopOracleOnMissingValues) {
+  for (bool simd : {false, true}) {
+    for (bool seeded : {false, true}) {
+      SCOPED_TRACE(std::string(simd ? "simd" : "scalar") +
+                   (seeded ? " seeded" : " cold"));
+      Harness h(MakeMissingDb());
+      h.ctx().simd = simd;
+      std::vector<ContrastPattern> patterns;
+      for (const Itemset& is : MissingDbPatterns(h.db())) {
+        patterns.push_back(h.PatternFor(is));
+      }
+      if (seeded) {
+        // The search case: a lattice search seeds the memo with the
+        // counts it computed (item covers, prefixes, SDAD-CS cells)
+        // before any check below reads it, and its patterns join them.
+        for (int attr : {kZ, kW}) {
+          h.ctx().root_bounds[attr] = ComputeRootBounds(
+              h.db(), attr, h.gi().base_selection());
+        }
+        LatticeSearch(h.ctx()).Run({kU, kV, kZ, kW});
+        for (const ContrastPattern& p : h.topk().Sorted()) {
+          if (p.itemset.size() >= 2) patterns.push_back(p);
+        }
+      }
+      size_t productive = 0;
+      for (const ContrastPattern& p : patterns) {
+        const OracleVerdict want =
+            OracleIsProductive(h.db(), h.gi(), h.ctx().cfg->alpha, p);
+        const uint64_t before = h.ctx().counters->chi2_tests;
+        const bool got = IsProductive(h.ctx(), p);
+        EXPECT_EQ(got, want.productive) << p.itemset.Key();
+        EXPECT_EQ(h.ctx().counters->chi2_tests - before, want.tests)
+            << p.itemset.Key();
+        if (got) ++productive;
+      }
+      EXPECT_GT(productive, 0u);
+      EXPECT_LT(productive, patterns.size());
+    }
+  }
 }
 
 TEST(IsRedundantAgainstSubsetsTest, FunctionalDependencyDetected) {

@@ -1,7 +1,7 @@
-// The five counting-scan kernels on both paths: the scalar oracle
+// The four counting-scan kernels on both paths: the scalar oracle
 // (simd=false) and the vectorized path (simd=true) must return identical
-// rows and counts. On a host without AVX2 both calls run scalar and the
-// comparison holds trivially.
+// rows and counts, and the filters exact-size selections. On a host
+// without AVX2 both calls run scalar and the comparison holds trivially.
 
 #include <set>
 #include <string>
@@ -71,88 +71,104 @@ data::Selection RandomRows(util::Rng* rng, size_t k) {
   return data::Selection(std::vector<uint32_t>(rows.begin(), rows.end()));
 }
 
-TEST(ScanKernelTest, ScalarAndVectorizedPathsMatch) {
-  data::Dataset db = MakeMixed(31);
-  // Two of the three groups: rows of "g1" sit in the selections with
-  // group code -1 and must count nowhere on either path.
-  auto gi = data::GroupInfo::CreateForValues(db, kGroup, {"g0", "g2"});
-  ASSERT_TRUE(gi.ok());
+// A filter output holds no spare capacity: the run may keep it (the
+// search's per-item covers live for the whole mine).
+void ExpectExactSize(const data::Selection& sel) {
+  EXPECT_EQ(sel.rows().capacity(), sel.size());
+}
+
+// Runs every scan kernel over `sel` on both paths, each path reusing its
+// own scratch across calls, and expects identical rows and counts.
+void ExpectPathsMatch(const data::Dataset& db, const data::GroupInfo& gi,
+                      const data::Selection& sel, SplitScratch* scalar_scratch,
+                      SplitScratch* simd_scratch) {
   const int32_t v1 = db.categorical(kC0).CodeOf("v1");
   const int32_t v2 = db.categorical(kC1).CodeOf("v2");
   const Item cat0 = Item::Categorical(kC0, v1);
   const Item cat1 = Item::Categorical(kC1, v2);
   const Item band0 = Item::Interval(kX0, -2.0, 3.0);
   const Item band1 = Item::Interval(kX1, -5.0, 0.0);
-  const std::vector<Itemset> itemsets = {
-      Itemset({cat0}), Itemset({band0}), Itemset({cat0, band1}),
-      Itemset({cat0, cat1, band0, band1})};
+  for (const Itemset& is :
+       {Itemset({cat0}), Itemset({band0}), Itemset({cat0, band1}),
+        Itemset({cat0, cat1, band0, band1})}) {
+    EXPECT_EQ(CountMatchesKernel(db, gi, is, sel, scalar_scratch, false).counts,
+              CountMatchesKernel(db, gi, is, sel, simd_scratch, true).counts)
+        << is.Key();
+  }
+  for (const Item& item : {cat0, cat1, band0, band1}) {
+    GroupCounts scalar_gc;
+    GroupCounts simd_gc;
+    data::Selection scalar = FilterCountItemKernel(db, gi, item, sel,
+                                                   &scalar_gc, scalar_scratch,
+                                                   false);
+    data::Selection simd = FilterCountItemKernel(db, gi, item, sel, &simd_gc,
+                                                 simd_scratch, true);
+    EXPECT_EQ(scalar.rows(), simd.rows());
+    EXPECT_EQ(scalar_gc.counts, simd_gc.counts);
+    ExpectExactSize(scalar);
+    ExpectExactSize(simd);
+  }
+  for (const std::vector<int>& attrs :
+       {std::vector<int>{kX0}, std::vector<int>{kX0, kX1}}) {
+    GroupCounts scalar_gc;
+    GroupCounts simd_gc;
+    data::Selection scalar = FilterAllPresentKernel(
+        db, gi, attrs, sel, &scalar_gc, scalar_scratch, false);
+    data::Selection simd = FilterAllPresentKernel(db, gi, attrs, sel,
+                                                  &simd_gc, simd_scratch, true);
+    EXPECT_EQ(scalar.rows(), simd.rows());
+    EXPECT_EQ(scalar_gc.counts, simd_gc.counts);
+    ExpectExactSize(scalar);
+    ExpectExactSize(simd);
+  }
+  // Rows missing an axis or outside its bounds drop out of every cell on
+  // both paths.
+  Space space;
+  space.bounds = {{kX0, -4.0, 5.0}, {kX1, -5.0, 5.0}};
+  space.rows = sel;
+  const std::vector<double> cuts = {0.0, 1.0};
+  SplitResult scalar =
+      SplitAndCount(db, gi, space, cuts, scalar_scratch, false);
+  SplitResult simd = SplitAndCount(db, gi, space, cuts, simd_scratch, true);
+  ASSERT_EQ(scalar.cells.size(), 4u);
+  ASSERT_EQ(simd.cells.size(), 4u);
+  for (size_t c = 0; c < scalar.cells.size(); ++c) {
+    EXPECT_EQ(scalar.cells[c].rows.rows(), simd.cells[c].rows.rows());
+    EXPECT_EQ(scalar.counts[c].counts, simd.counts[c].counts);
+    ExpectExactSize(scalar.cells[c].rows);
+    ExpectExactSize(simd.cells[c].rows);
+  }
+}
 
+TEST(ScanKernelTest, ScalarAndVectorizedPathsMatch) {
+  data::Dataset db = MakeMixed(31);
+  // Two of the three groups leave the rows of "g1" in the selections
+  // with group code -1, which must count nowhere on either path; all
+  // three leave no such row.
+  auto two = data::GroupInfo::CreateForValues(db, kGroup, {"g0", "g2"});
+  auto three = data::GroupInfo::CreateForValues(db, kGroup, {"g0", "g1", "g2"});
+  ASSERT_TRUE(two.ok());
+  ASSERT_TRUE(three.ok());
+
+  // Sizes off the 4- and 8-row vector widths, shrinking and then growing,
+  // so each path's one scratch sees a smaller selection after a larger.
   util::Rng rng(5);
   std::vector<data::Selection> selections;
-  for (size_t k : {1, 7, 13, 203, 1021}) {
+  for (size_t k : {1021, 203, 13, 1, 7, 1500}) {
     selections.push_back(RandomRows(&rng, k));
   }
   selections.push_back(data::Selection::All(kRows));
 
-  for (size_t chunk_rows : {7, 4096}) {
-    db.SetChunkRows(chunk_rows);
-    for (const data::Selection& sel : selections) {
-      SCOPED_TRACE("chunk_rows " + std::to_string(chunk_rows) + " rows " +
-                   std::to_string(sel.size()));
-      for (const Itemset& is : itemsets) {
-        EXPECT_EQ(CountMatchesKernel(db, *gi, is, sel, false).counts,
-                  CountMatchesKernel(db, *gi, is, sel, true).counts)
-            << is.Key();
-      }
-      for (const Item& item : {cat0, cat1, band0, band1}) {
-        GroupCounts scalar_gc;
-        GroupCounts simd_gc;
-        EXPECT_EQ(
-            FilterCountItemKernel(db, *gi, item, sel, &scalar_gc, false)
-                .rows(),
-            FilterCountItemKernel(db, *gi, item, sel, &simd_gc, true).rows());
-        EXPECT_EQ(scalar_gc.counts, simd_gc.counts);
-      }
-      for (const std::vector<int>& attrs :
-           {std::vector<int>{kX0}, std::vector<int>{kX0, kX1}}) {
-        GroupCounts scalar_gc;
-        GroupCounts simd_gc;
-        EXPECT_EQ(
-            FilterAllPresentKernel(db, *gi, attrs, sel, &scalar_gc, false)
-                .rows(),
-            FilterAllPresentKernel(db, *gi, attrs, sel, &simd_gc, true)
-                .rows());
-        EXPECT_EQ(scalar_gc.counts, simd_gc.counts);
-      }
-      for (int group : {0, 1}) {
-        const Itemset a({cat0, band1});
-        const Itemset b({cat1, band0});
-        Contingency2x2 scalar =
-            CountPartsInGroupKernel(db, *gi, a, b, group, sel, false);
-        Contingency2x2 simd =
-            CountPartsInGroupKernel(db, *gi, a, b, group, sel, true);
-        EXPECT_EQ(scalar.n11, simd.n11);
-        EXPECT_EQ(scalar.n10, simd.n10);
-        EXPECT_EQ(scalar.n01, simd.n01);
-        EXPECT_EQ(scalar.n00, simd.n00);
-      }
-      // Rows missing an axis or outside its bounds drop out of every
-      // cell on both paths.
-      Space space;
-      space.bounds = {{kX0, -4.0, 5.0}, {kX1, -5.0, 5.0}};
-      space.rows = sel;
-      const std::vector<double> cuts = {0.0, 1.0};
-      SplitScratch scalar_scratch;
-      SplitScratch simd_scratch;
-      SplitResult scalar =
-          SplitAndCount(db, *gi, space, cuts, &scalar_scratch, false);
-      SplitResult simd =
-          SplitAndCount(db, *gi, space, cuts, &simd_scratch, true);
-      ASSERT_EQ(scalar.cells.size(), 4u);
-      ASSERT_EQ(simd.cells.size(), 4u);
-      for (size_t c = 0; c < scalar.cells.size(); ++c) {
-        EXPECT_EQ(scalar.cells[c].rows.rows(), simd.cells[c].rows.rows());
-        EXPECT_EQ(scalar.counts[c].counts, simd.counts[c].counts);
+  SplitScratch scalar_scratch;
+  SplitScratch simd_scratch;
+  for (const data::GroupInfo* gi : {&*two, &*three}) {
+    for (size_t chunk_rows : {7, 4096}) {
+      db.SetChunkRows(chunk_rows);
+      for (const data::Selection& sel : selections) {
+        SCOPED_TRACE("groups " + std::to_string(gi->num_groups()) +
+                     " chunk_rows " + std::to_string(chunk_rows) + " rows " +
+                     std::to_string(sel.size()));
+        ExpectPathsMatch(db, *gi, sel, &scalar_scratch, &simd_scratch);
       }
     }
   }

@@ -1,11 +1,14 @@
 #include "core/search.h"
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/support.h"
 #include "util/logging.h"
+#include "util/random.h"
 #include "synth/simulated.h"
 
 namespace sdadcs::core {
@@ -116,6 +119,146 @@ TEST(LatticeSearchTest, RunHonorsMaxDepth) {
   search.Run({1, 2});
   for (const ContrastPattern& p : h.topk().Sorted()) {
     EXPECT_LE(p.itemset.size(), 2u);
+  }
+}
+
+// Attributes of the scan-reuse data: the group, a categorical c and two
+// continuous x and y.
+constexpr int kReuseC = 1;
+constexpr int kReuseX = 2;
+constexpr int kReuseY = 3;
+
+// Two groups that differ only where c = "p", and there by an XOR of
+// x <= 50 and y <= 5 (so every root cut shows in the patterns' bounds);
+// with `y_missing`, a fifth of the rows miss y, so the root
+// filter of a combination holding y drops rows that (x) alone keeps.
+data::Dataset MakeReuseData(bool y_missing) {
+  static const char* const kValues[] = {"p", "q", "r"};
+  util::Rng rng(17);
+  data::DatasetBuilder b;
+  b.AddCategorical("g");
+  b.AddCategorical("c");
+  b.AddContinuous("x");
+  b.AddContinuous("y");
+  for (int i = 0; i < 2400; ++i) {
+    const double x = rng.Uniform(0.0, 100.0);
+    const double y = rng.Uniform(0.0, 10.0);
+    const char* c = kValues[rng.NextBelow(3)];
+    double p_a = 0.5;
+    if (c == kValues[0]) p_a = (x <= 50.0) == (y <= 5.0) ? 0.9 : 0.1;
+    b.AppendCategorical(0, rng.Bernoulli(p_a) ? "a" : "b");
+    b.AppendCategorical(kReuseC, c);
+    b.AppendContinuous(kReuseX, x);
+    if (y_missing && rng.Bernoulli(0.2)) {
+      b.AppendMissing(kReuseY);
+    } else {
+      b.AppendContinuous(kReuseY, y);
+    }
+  }
+  auto db = std::move(b).Build();
+  SDADCS_CHECK(db.ok());
+  return std::move(db).value();
+}
+
+// What mining one combination produced: its top-k (itemset keys, which
+// carry every interval bound, with counts) and its counters.
+struct ComboOutcome {
+  std::vector<std::string> patterns;
+  MiningCounters counters;
+};
+
+// A context over a borrowed dataset whose per-combination state (prune
+// table, top-k, counters) is fresh for each Mine call, while the
+// context's and the search's run memos persist across calls.
+class ReuseHarness {
+ public:
+  ReuseHarness(const data::Dataset& db, bool simd) {
+    auto gi = data::GroupInfo::Create(db, 0);
+    SDADCS_CHECK(gi.ok());
+    gi_ = std::make_unique<data::GroupInfo>(std::move(gi).value());
+    ctx_.db = &db;
+    ctx_.gi = gi_.get();
+    ctx_.cfg = &cfg_;
+    ctx_.simd = simd;
+    ctx_.group_sizes = GroupSizes(*gi_);
+    for (int attr : {kReuseX, kReuseY}) {
+      ctx_.root_bounds[attr] =
+          ComputeRootBounds(db, attr, gi_->base_selection());
+    }
+  }
+
+  MiningContext& ctx() { return ctx_; }
+
+  ComboOutcome Mine(LatticeSearch* search, const std::vector<int>& combo) {
+    PruneTable table;
+    TopK topk(100, cfg_.delta);
+    ComboOutcome out;
+    ctx_.prune_table = &table;
+    ctx_.topk = &topk;
+    ctx_.counters = &out.counters;
+    search->MineCombo(combo);
+    for (const ContrastPattern& p : topk.Sorted()) {
+      std::string line = p.itemset.Key();
+      for (double c : p.counts) line += " " + std::to_string(c);
+      out.patterns.push_back(std::move(line));
+    }
+    ctx_.prune_table = nullptr;
+    ctx_.topk = nullptr;
+    ctx_.counters = nullptr;
+    return out;
+  }
+
+ private:
+  MinerConfig cfg_;
+  std::unique_ptr<data::GroupInfo> gi_;
+  MiningContext ctx_;
+};
+
+void ExpectSameCounters(const MiningCounters& a, const MiningCounters& b) {
+  EXPECT_EQ(a.partitions_evaluated, b.partitions_evaluated);
+  EXPECT_EQ(a.sdad_calls, b.sdad_calls);
+  EXPECT_EQ(a.pruned_lookup, b.pruned_lookup);
+  EXPECT_EQ(a.pruned_min_support, b.pruned_min_support);
+  EXPECT_EQ(a.pruned_low_expected, b.pruned_low_expected);
+  EXPECT_EQ(a.pruned_redundant, b.pruned_redundant);
+  EXPECT_EQ(a.pruned_pure, b.pruned_pure);
+  EXPECT_EQ(a.pruned_oe_measure, b.pruned_oe_measure);
+  EXPECT_EQ(a.pruned_oe_chi2, b.pruned_oe_chi2);
+  EXPECT_EQ(a.unproductive, b.unproductive);
+  EXPECT_EQ(a.merges, b.merges);
+  EXPECT_EQ(a.chi2_tests, b.chi2_tests);
+}
+
+// The run memos (item covers, root-axis cuts, base counts) carry values
+// from one combination to the next. Mining (x), then (x, y), then
+// (c, x, y) with one search must give each combination exactly what a
+// fresh search gives it: a root cut of x is reused only over the same
+// rows, which (x, y) does not share with (x) when y misses values, and
+// no categorical prefix shares with the empty one.
+TEST(LatticeSearchTest, ReusedSearchMinesEachComboLikeAFreshOne) {
+  const std::vector<std::vector<int>> combos = {
+      {kReuseX}, {kReuseX, kReuseY}, {kReuseC, kReuseX, kReuseY}};
+  for (bool y_missing : {false, true}) {
+    const data::Dataset db = MakeReuseData(y_missing);
+    for (bool simd : {false, true}) {
+      ReuseHarness shared(db, simd);
+      LatticeSearch search(shared.ctx());
+      size_t patterns = 0;
+      for (const std::vector<int>& combo : combos) {
+        SCOPED_TRACE("y_missing " + std::to_string(y_missing) + " simd " +
+                     std::to_string(simd) + " combo of " +
+                     std::to_string(combo.size()));
+        ComboOutcome reused = shared.Mine(&search, combo);
+        ReuseHarness fresh(db, simd);
+        LatticeSearch fresh_search(fresh.ctx());
+        ComboOutcome alone = fresh.Mine(&fresh_search, combo);
+        EXPECT_GT(alone.counters.partitions_evaluated, 0u);
+        patterns += alone.patterns.size();
+        EXPECT_EQ(reused.patterns, alone.patterns);
+        ExpectSameCounters(reused.counters, alone.counters);
+      }
+      EXPECT_GT(patterns, 0u);
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include "data/csv.h"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +87,40 @@ TEST(CsvTest, FiniteTwinOfInfiniteLoads) {
   ASSERT_TRUE(db.ok()) << db.status().message();
   ASSERT_TRUE(db->is_continuous(1));
   EXPECT_EQ(db->continuous(1).value(1), -1e300);
+}
+
+// A literal below the smallest normal double still names a number: one
+// such value must not turn the whole column categorical.
+TEST(CsvTest, SubnormalKeepsTheColumnContinuous) {
+  auto db = ReadCsvString("g,x\na,1.5\nb,2.5\na,1e-310\nb,3\n");
+  ASSERT_TRUE(db.ok()) << db.status().message();
+  ASSERT_TRUE(db->is_continuous(1));
+  EXPECT_EQ(db->continuous(1).value(2), 1e-310);
+  EXPECT_EQ(std::fpclassify(db->continuous(1).value(2)), FP_SUBNORMAL);
+  // And a literal that underflows to zero reads as zero.
+  auto zero = ReadCsvString("g,x\na,1\nb,1e-400\n");
+  ASSERT_TRUE(zero.ok());
+  ASSERT_TRUE(zero->is_continuous(1));
+  EXPECT_EQ(zero->continuous(1).value(1), 0.0);
+}
+
+TEST(CsvTest, SubnormalSurvivesAWriteReadRoundTrip) {
+  const double smallest = std::numeric_limits<double>::denorm_min();
+  DatasetBuilder b;
+  const int g = b.AddCategorical("g");
+  const int x = b.AddContinuous("x");
+  b.AppendCategorical(g, "a");
+  b.AppendContinuous(x, smallest);
+  b.AppendCategorical(g, "b");
+  b.AppendContinuous(x, 2.0);
+  auto db = std::move(b).Build();
+  ASSERT_TRUE(db.ok());
+  std::string text = WriteCsvString(*db);
+  auto back = ReadCsvString(text);
+  ASSERT_TRUE(back.ok()) << back.status().message() << "\n" << text;
+  ASSERT_TRUE(back->is_continuous(1)) << text;
+  EXPECT_EQ(back->continuous(1).value(0), smallest) << text;
+  EXPECT_EQ(back->continuous(1).value(1), 2.0);
 }
 
 TEST(CsvTest, RejectsEmptyAndHeaderOnly) {

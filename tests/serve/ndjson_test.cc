@@ -22,6 +22,21 @@ TEST(JsonParseTest, Scalars) {
   EXPECT_EQ(JsonValue::Parse("\"hi\"")->AsString(), "hi");
 }
 
+// A literal below the smallest normal double is a number, not a
+// "malformed number": the writer emits one for a subnormal value.
+TEST(JsonParseTest, SubnormalNumbersParse) {
+  auto tiny = JsonValue::Parse("1e-310");
+  ASSERT_TRUE(tiny.ok()) << tiny.status().message();
+  EXPECT_EQ(tiny->AsNumber(), 1e-310);
+  const double smallest = std::numeric_limits<double>::denorm_min();
+  auto back = JsonValue::Parse(JsonNumber(smallest));
+  ASSERT_TRUE(back.ok()) << JsonNumber(smallest);
+  EXPECT_EQ(back->AsNumber(), smallest);
+  auto field = JsonValue::Parse(R"({"alpha":1e-320})");
+  ASSERT_TRUE(field.ok()) << field.status().message();
+  EXPECT_GT(field->GetNumber("alpha", 0.0), 0.0);
+}
+
 TEST(JsonParseTest, ObjectAndTypedAccessors) {
   auto v = JsonValue::Parse(
       R"({"op":"mine","rows":4096,"warm":true,"alpha":0.05,)"

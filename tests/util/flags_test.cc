@@ -20,7 +20,9 @@ TEST(FlagsTest, PositionalsAndValues) {
   EXPECT_EQ(f->positional(),
             (std::vector<std::string>{"mine", "data.csv"}));
   EXPECT_EQ(f->Get("group"), "outcome");
-  EXPECT_EQ(f->GetInt("depth", 1), 3);
+  int depth = 1;
+  ASSERT_TRUE(f->GetCount("depth", &depth).ok());
+  EXPECT_EQ(depth, 3);
 }
 
 TEST(FlagsTest, BooleanFlagConsumesNoValue) {
@@ -33,7 +35,9 @@ TEST(FlagsTest, BooleanFlagConsumesNoValue) {
 TEST(FlagsTest, EqualsForm) {
   auto f = ParseAll({"--delta=0.25", "--groups=a,b"});
   ASSERT_TRUE(f.ok());
-  EXPECT_DOUBLE_EQ(f->GetDouble("delta", 0.0), 0.25);
+  double delta = 0.0;
+  ASSERT_TRUE(f->GetNumber("delta", &delta).ok());
+  EXPECT_DOUBLE_EQ(delta, 0.25);
   EXPECT_EQ(f->GetList("groups"),
             (std::vector<std::string>{"a", "b"}));
 }
@@ -48,14 +52,59 @@ TEST(FlagsTest, BareDoubleDashIsError) {
   EXPECT_FALSE(f.ok());
 }
 
-TEST(FlagsTest, FallbacksOnAbsentOrGarbage) {
-  auto f = ParseAll({"--depth", "abc"});
+TEST(FlagsTest, FallbacksOnAbsent) {
+  auto f = ParseAll({"--depth", "3"});
   ASSERT_TRUE(f.ok());
-  EXPECT_EQ(f->GetInt("depth", 7), 7);
-  EXPECT_EQ(f->GetInt("missing", 9), 9);
-  EXPECT_DOUBLE_EQ(f->GetDouble("missing", 0.5), 0.5);
+  int count = 9;
+  ASSERT_TRUE(f->GetCount("missing", &count).ok());
+  EXPECT_EQ(count, 9);
+  double number = 0.5;
+  ASSERT_TRUE(f->GetNumber("missing", &number).ok());
+  EXPECT_DOUBLE_EQ(number, 0.5);
   EXPECT_EQ(f->Get("missing", "dft"), "dft");
   EXPECT_TRUE(f->GetList("missing").empty());
+}
+
+TEST(FlagsTest, NumberStoresAFiniteValue) {
+  auto f = ParseAll({"--alpha", "0.01", "--delta", " 1e-1 ", "--tiny",
+                     "1e-310", "--neg", "-2"});
+  ASSERT_TRUE(f.ok());
+  double alpha = 0.05;
+  ASSERT_TRUE(f->GetNumber("alpha", &alpha).ok());
+  EXPECT_DOUBLE_EQ(alpha, 0.01);
+  double delta = 0.0;
+  ASSERT_TRUE(f->GetNumber("delta", &delta).ok());
+  EXPECT_DOUBLE_EQ(delta, 0.1);
+  // A literal that underflows to a subnormal is still a number.
+  double tiny = 1.0;
+  ASSERT_TRUE(f->GetNumber("tiny", &tiny).ok());
+  EXPECT_GT(tiny, 0.0);
+  EXPECT_LT(tiny, 1e-300);
+  double neg = 0.0;
+  ASSERT_TRUE(f->GetNumber("neg", &neg).ok());
+  EXPECT_DOUBLE_EQ(neg, -2.0);
+}
+
+TEST(FlagsTest, NumberRejectsGarbageAndNonFiniteNamingTheFlag) {
+  auto f = ParseAll({"--alpha", "abc", "--delta", "0.1x", "--validate",
+                     "inf", "--diverse", "nan", "--top", ""});
+  ASSERT_TRUE(f.ok());
+  for (const char* name : {"alpha", "delta", "validate", "diverse", "top"}) {
+    double value = 0.25;
+    Status status = f->GetNumber(name, &value);
+    EXPECT_FALSE(status.ok()) << name;
+    EXPECT_NE(status.message().find(std::string("--") + name),
+              std::string::npos)
+        << status.message();
+    EXPECT_DOUBLE_EQ(value, 0.25);  // untouched on error
+  }
+  double alpha = 0.05;
+  EXPECT_NE(f->GetNumber("alpha", &alpha).message().find("'abc'"),
+            std::string::npos);
+  // A count flag given garbage is an error too, never the default.
+  int depth = 2;
+  EXPECT_FALSE(ParseAll({"--depth", "abc"})->GetCount("depth", &depth).ok());
+  EXPECT_EQ(depth, 2);
 }
 
 TEST(FlagsTest, CountStoresAnInRangeIntegerAndKeepsTheDefaultWhenAbsent) {
@@ -119,7 +168,9 @@ TEST(FlagsTest, CountRejectsGarbageNegativesAndOverflowNamingTheFlag) {
 TEST(FlagsTest, LaterValueWins) {
   auto f = ParseAll({"--depth", "2", "--depth", "5"});
   ASSERT_TRUE(f.ok());
-  EXPECT_EQ(f->GetInt("depth", 0), 5);
+  int depth = 0;
+  ASSERT_TRUE(f->GetCount("depth", &depth).ok());
+  EXPECT_EQ(depth, 5);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include "util/string_util.h"
 
+#include <cmath>
+#include <optional>
+
 #include <gtest/gtest.h>
 
 namespace sdadcs::util {
@@ -44,11 +47,17 @@ TEST(ParseDoubleTest, RejectsGarbage) {
   EXPECT_FALSE(ParseDouble("1.5 2").has_value());
 }
 
-TEST(ParseIntTest, ParsesAndRejects) {
-  EXPECT_EQ(*ParseInt("42"), 42);
-  EXPECT_EQ(*ParseInt("-7"), -7);
-  EXPECT_FALSE(ParseInt("4.2").has_value());
-  EXPECT_FALSE(ParseInt("").has_value());
+TEST(ParseDoubleTest, OutOfRangeLiteralsParseToTheNearestDouble) {
+  // Underflow: a subnormal, or zero past the smallest one.
+  std::optional<double> tiny = ParseDouble("1e-310");
+  ASSERT_TRUE(tiny.has_value());
+  EXPECT_GT(*tiny, 0.0);
+  EXPECT_EQ(std::fpclassify(*tiny), FP_SUBNORMAL);
+  ASSERT_TRUE(ParseDouble("-1e-400").has_value());
+  EXPECT_EQ(*ParseDouble("-1e-400"), 0.0);
+  // Overflow: an infinity, which callers that cannot take one reject.
+  ASSERT_TRUE(ParseDouble("1e400").has_value());
+  EXPECT_TRUE(std::isinf(*ParseDouble("1e400")));
 }
 
 TEST(ToLowerTest, LowersAscii) {

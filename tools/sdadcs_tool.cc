@@ -34,9 +34,12 @@
 //   --deadline-ms N     wall-clock budget; on expiry the run drains and
 //                       the best-so-far patterns are printed
 //   --node-budget N     stop after evaluating ~N partitions/itemsets
-//                       (these two, --threads, --window-rows, --bins,
-//                       --shards, --chunk-rows and --max-resident-bytes
-//                       exit 2 on a bad count)
+//                       (these two, --depth, --top, --sample, --repeat,
+//                       --threads, --window-rows, --bins, --shards,
+//                       --chunk-rows and --max-resident-bytes exit 2 on
+//                       a bad count; --delta, --alpha, --validate and
+//                       --diverse exit 2 on anything but a finite
+//                       number)
 //   --anytime           stream monotonically-improving best-so-far
 //                       "partial:" lines to stderr while the exhaustive
 //                       run completes (final results on stdout are
@@ -123,6 +126,19 @@ T CountFlag(const Flags& args, const std::string& name, T fallback = 0,
   return value;
 }
 
+// A checked real-number flag (Flags::GetNumber), `fallback` when absent;
+// anything but a finite number exits 2 naming the flag.
+double NumberFlag(const Flags& args, const std::string& name,
+                  double fallback) {
+  double value = fallback;
+  sdadcs::util::Status status = args.GetNumber(name, &value);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.message().c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 // Applies --deadline-ms / --node-budget to the global control and
 // returns a copy (copies share state, so SIGINT still reaches it).
 sdadcs::util::RunControl RunControlFromArgs(const Flags& args) {
@@ -158,10 +174,10 @@ int Usage() {
 
 sdadcs::core::MinerConfig ConfigFromArgs(const Flags& args) {
   sdadcs::core::MinerConfig cfg;
-  cfg.max_depth = args.GetInt("depth", 2);
-  cfg.delta = args.GetDouble("delta", 0.1);
-  cfg.alpha = args.GetDouble("alpha", 0.05);
-  cfg.top_k = args.GetInt("top", 100);
+  cfg.max_depth = CountFlag<int>(args, "depth", 2);
+  cfg.delta = NumberFlag(args, "delta", 0.1);
+  cfg.alpha = NumberFlag(args, "alpha", 0.05);
+  cfg.top_k = CountFlag<int>(args, "top", 100);
   // The string-level enum parsers are shared with the wire protocol, so
   // the CLI and the servers accept the same names and reject with the
   // same taxonomy ("invalid_argument[measure]: ...").
@@ -270,7 +286,7 @@ int RunMine(const Flags& args, const sdadcs::data::Dataset& db) {
   }
 
   if (args.Has("sample")) {
-    size_t n = static_cast<size_t>(args.GetInt("sample", 10000));
+    size_t n = CountFlag<size_t>(args, "sample", 10000);
     auto sampled = sdadcs::data::SampleGroups(*gi, n, 29);
     if (!sampled.ok()) {
       std::fprintf(stderr, "%s\n", sampled.status().ToString().c_str());
@@ -282,7 +298,7 @@ int RunMine(const Flags& args, const sdadcs::data::Dataset& db) {
   }
 
   if (args.Has("validate")) {
-    double frac = args.GetDouble("validate", 0.7);
+    double frac = NumberFlag(args, "validate", 0.7);
     auto split = sdadcs::core::MakeHoldoutSplit(db, *gi, frac, 17);
     if (!split.ok()) {
       std::fprintf(stderr, "%s\n", split.status().ToString().c_str());
@@ -314,7 +330,7 @@ int RunMine(const Flags& args, const sdadcs::data::Dataset& db) {
   sdadcs::core::MineRequest request;
   request.groups = &*gi;
   request.run_control = control;
-  const int repeat = std::max(1, static_cast<int>(args.GetInt("repeat", 1)));
+  const int repeat = std::max(1, CountFlag<int>(args, "repeat", 1));
   sdadcs::util::StatusOr<sdadcs::core::MiningResult> result =
       sdadcs::util::Status::Internal("no mining iteration ran");
   for (int i = 0; i < repeat; ++i) {
@@ -339,7 +355,7 @@ int RunMine(const Flags& args, const sdadcs::data::Dataset& db) {
     return 1;
   }
   if (args.Has("diverse")) {
-    double j = args.GetDouble("diverse", 0.5);
+    double j = NumberFlag(args, "diverse", 0.5);
     size_t before = result->contrasts.size();
     result->contrasts =
         sdadcs::core::SelectDiverse(db, *gi, result->contrasts, j);
