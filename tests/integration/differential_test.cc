@@ -491,6 +491,77 @@ TEST(DifferentialTest, PreparedPathByteIdenticalToBaseline) {
   }
 }
 
+TEST(DifferentialTest, PaperDepthGoldensHoldOnSerialNpAndParallel) {
+  // The goldens above mine at depth 2, where no candidate has more than
+  // two items and the prune table probes at most three attribute
+  // subsets per lookup. These run at the paper's depth 5, so lookups
+  // probe up to 31 subsets of 5-item candidates and every memo sees
+  // deep itemsets. Three legs: serial; NP (meaningfulness and
+  // optimistic pruning off, as bench_depth5_paper_settings runs it);
+  // and the level-parallel engine on 4 threads, whose workers chain
+  // their prune tables to a pooled parent and merge into it after every
+  // level. Beside the rendered output each leg pins its partition and
+  // prune-table hit counts, so a lookup that answers differently shows
+  // even where the top-k would hide it.
+  struct Golden {
+    const char* name;
+    const char* leg;
+    size_t patterns;
+    uint64_t hash;
+    uint64_t partitions;
+    uint64_t pruned_lookup;
+  };
+  const Golden kGolden[] = {
+      {"breast", "serial", 27u, 0x3b481c9b1db9b66aULL, 18082u, 16343u},
+      {"breast", "np", 100u, 0xd0628827dd823552ULL, 63246u, 0u},
+      {"breast", "parallel", 27u, 0x3b481c9b1db9b66aULL, 18082u, 16343u},
+      {"mammography", "serial", 9u, 0xd4e17eba9bbbd295ULL, 788u, 481u},
+      {"mammography", "np", 87u, 0xd6144b219d725325ULL, 1170u, 0u},
+      {"mammography", "parallel", 9u, 0xd4e17eba9bbbd295ULL, 788u, 481u},
+      {"transfusion", "serial", 7u, 0xab3632eabc712362ULL, 436u, 284u},
+      {"transfusion", "np", 30u, 0x1b365ab74fd82012ULL, 704u, 0u},
+      {"transfusion", "parallel", 7u, 0xab3632eabc712362ULL, 436u, 284u},
+      {"adult", "serial", 21u, 0x40db30498c64e5d5ULL, 4233u, 3598u},
+      {"adult", "np", 100u, 0xb3965b10a40c5475ULL, 41018u, 0u},
+      {"adult", "parallel", 21u, 0x40db30498c64e5d5ULL, 4233u, 3598u},
+  };
+  for (const Golden& golden : kGolden) {
+    synth::NamedDataset nd = synth::MakeUciLike(golden.name, /*seed=*/7);
+    auto attr = nd.db.schema().IndexOf(nd.group_attr);
+    ASSERT_TRUE(attr.ok());
+    auto gi = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
+    ASSERT_TRUE(gi.ok());
+
+    MinerConfig cfg;  // the paper's settings: depth 5, top 100
+    ASSERT_EQ(cfg.max_depth, 5);
+    const std::string leg = golden.leg;
+    util::StatusOr<core::MiningResult> result =
+        util::Status::Internal("unset");
+    if (leg == "parallel") {
+      auto parsed = engine::ParseEngine("parallel");
+      ASSERT_TRUE(parsed.ok());
+      engine::EngineOptions opts;
+      opts.parallel_threads = 4;
+      result = engine::Mine(*parsed, cfg, opts, nd.db, GroupsRequest(*gi));
+    } else {
+      if (leg == "np") {
+        cfg.meaningful_pruning = false;
+        cfg.optimistic_pruning = false;
+      }
+      result = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
+    }
+    ASSERT_TRUE(result.ok()) << leg << " on " << golden.name;
+    EXPECT_EQ(result->contrasts.size(), golden.patterns)
+        << leg << " on " << golden.name;
+    EXPECT_EQ(Fnv1a(RenderResult(result->contrasts)), golden.hash)
+        << leg << " on " << golden.name;
+    EXPECT_EQ(result->counters.partitions_evaluated, golden.partitions)
+        << leg << " on " << golden.name;
+    EXPECT_EQ(result->counters.pruned_lookup, golden.pruned_lookup)
+        << leg << " on " << golden.name;
+  }
+}
+
 TEST(DifferentialTest, EveryRegistryEngineReturnsWellFormedResults) {
   // Every engine of the table must honour the shared epilogue contract
   // on real mixed data: an OK result, completion
