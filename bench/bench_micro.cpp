@@ -166,8 +166,7 @@ void BM_PruneTableLookup(benchmark::State& state) {
   for (int i = 0; i < 500; ++i) {
     double lo = rng.Uniform(0.0, 50.0);
     table.Insert(core::Itemset({core::Item::Interval(
-                     static_cast<int>(rng.NextBelow(8)), lo, lo + 5.0)}),
-                 core::PruneReason::kMinSupport);
+        static_cast<int>(rng.NextBelow(8)), lo, lo + 5.0)}));
   }
   core::Itemset probe({core::Item::Interval(3, 10.0, 12.0),
                        core::Item::Interval(6, 20.0, 22.0)});
@@ -447,6 +446,52 @@ void AddShardedColdMineCases(bench::BenchJson* json, bool smoke) {
       json->SetCase("patterns",
                     static_cast<uint64_t>(serial.contrasts.size()));
     }
+  }
+}
+
+// Cold mine at the paper's depth 5: a serial mine of the small synthetic
+// ionosphere and breast data with the Section 5 settings. The depth-2
+// cases above are scan-bound; at depth 5 most of a mine is lattice
+// bookkeeping (prune-table lookups and the per-run memos), so this case
+// is where that cost shows. A point reports the median and min/max over
+// the reps.
+void AddDepth5ColdMineCases(bench::BenchJson* json, bool smoke) {
+  const int reps = smoke ? 3 : 9;
+  const core::MinerConfig cfg = bench::PaperConfig(/*depth=*/5);
+  std::printf("\n== cold mine at depth 5, serial (median [min, max] of %d) "
+              "==\n",
+              reps);
+  for (const char* name : {"ionosphere", "breast"}) {
+    bench::Bench b = bench::Load(name);
+    core::MineRequest req;
+    req.groups = &b.gi;
+    std::vector<double> secs;
+    core::MiningResult result;
+    for (int rep = 0; rep < reps; ++rep) {
+      util::WallTimer timer;
+      util::StatusOr<core::MiningResult> mined =
+          core::Miner(cfg).Mine(b.nd.db, req);
+      secs.push_back(timer.Seconds());
+      SDADCS_CHECK(mined.ok());
+      result = std::move(*mined);
+    }
+    const Spread spread = SpreadOf(secs);
+    std::printf("%-11s %5zu rows: %.4fs [%.4f, %.4f] | %llu partitions, "
+                "%zu patterns\n",
+                name, b.nd.db.num_rows(), spread.median, spread.min,
+                spread.max,
+                static_cast<unsigned long long>(
+                    result.counters.partitions_evaluated),
+                result.contrasts.size());
+
+    json->BeginCase(std::string("cold_mine_depth5_") + name);
+    json->SetCase("rows", static_cast<uint64_t>(b.nd.db.num_rows()));
+    json->SetCase("reps", static_cast<uint64_t>(reps));
+    json->SetCase("median_seconds", spread.median);
+    json->SetCase("min_seconds", spread.min);
+    json->SetCase("max_seconds", spread.max);
+    json->SetCase("partitions", result.counters.partitions_evaluated);
+    json->SetCase("patterns", static_cast<uint64_t>(result.contrasts.size()));
   }
 }
 
@@ -752,6 +797,7 @@ void RunKernelComparison(bool smoke) {
   json.Set("min_speedup", min_speedup);
   AddColdMineCases(&json, smoke);
   AddShardedColdMineCases(&json, smoke);
+  AddDepth5ColdMineCases(&json, smoke);
   AddChunkedColdMineCase(&json, smoke);
   AddServedColdMineCase(&json, smoke);
   json.Write();

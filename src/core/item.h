@@ -1,6 +1,7 @@
 #ifndef SDADCS_CORE_ITEM_H_
 #define SDADCS_CORE_ITEM_H_
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -51,19 +52,28 @@ struct Item {
   /// stays pruned in its sub-regions.
   bool ContainedIn(const Item& general) const;
 
-  /// Canonical machine string, stable across runs (prune-table keys).
+  /// Canonical machine string, stable across runs; orders output ties.
   std::string Key() const;
 
   /// Human-readable rendering, e.g. "18 < age <= 26" or
   /// "occupation = Prof-specialty".
   std::string ToString(const data::Dataset& db) const;
 
+  /// Equal exactly when the Key() strings are: interval bounds compare
+  /// bit for bit, so -0.0 and 0.0 are different bounds.
   friend bool operator==(const Item& a, const Item& b) {
     if (a.attr != b.attr || a.kind != b.kind) return false;
     if (a.kind == Kind::kCategorical) return a.code == b.code;
-    return a.lo == b.lo && a.hi == b.hi;
+    return std::bit_cast<uint64_t>(a.lo) == std::bit_cast<uint64_t>(b.lo) &&
+           std::bit_cast<uint64_t>(a.hi) == std::bit_cast<uint64_t>(b.hi);
   }
 };
+
+/// Folds `v` into the running hash `h`; the itemset hash and the prune
+/// index's bucket hash are built from it.
+inline uint64_t HashMix(uint64_t h, uint64_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
 
 /// Orders items by attribute, then kind, then value — the canonical
 /// order inside an itemset.

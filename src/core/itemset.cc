@@ -1,9 +1,9 @@
 #include "core/itemset.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace sdadcs::core {
 
@@ -73,22 +73,6 @@ bool Itemset::Specializes(const Itemset& other) const {
   return true;
 }
 
-std::vector<Itemset> Itemset::ProperSubsets() const {
-  std::vector<Itemset> out;
-  const size_t n = items_.size();
-  if (n < 2) return out;
-  SDADCS_CHECK(n < 20);  // the search tree is depth-limited; guard anyway
-  const uint32_t full = (1u << n) - 1;
-  for (uint32_t mask = 1; mask < full; ++mask) {
-    std::vector<Item> items;
-    for (size_t i = 0; i < n; ++i) {
-      if (mask & (1u << i)) items.push_back(items_[i]);
-    }
-    out.emplace_back(std::move(items));
-  }
-  return out;
-}
-
 Itemset Itemset::Complement(const Itemset& subset) const {
   std::vector<Item> items;
   for (const Item& it : items_) {
@@ -106,21 +90,6 @@ std::string Itemset::Key() const {
   return key;
 }
 
-std::string Itemset::AttributeSignature() const {
-  std::string sig;
-  for (const Item& it : items_) {
-    if (!sig.empty()) sig += ',';
-    if (it.kind == Item::Kind::kCategorical) {
-      // Categorical items participate in containment only via equality,
-      // so the concrete code is part of the signature.
-      sig += util::StrFormat("%d=%d", it.attr, it.code);
-    } else {
-      sig += util::StrFormat("%d:R", it.attr);
-    }
-  }
-  return sig;
-}
-
 std::string Itemset::ToString(const data::Dataset& db) const {
   if (items_.empty()) return "{}";
   std::string out;
@@ -132,3 +101,21 @@ std::string Itemset::ToString(const data::Dataset& db) const {
 }
 
 }  // namespace sdadcs::core
+
+size_t std::hash<sdadcs::core::Itemset>::operator()(
+    const sdadcs::core::Itemset& itemset) const {
+  using sdadcs::core::HashMix;
+  using sdadcs::core::Item;
+  uint64_t h = 0;
+  for (const Item& it : itemset.items()) {
+    h = HashMix(h, static_cast<uint64_t>(it.attr));
+    h = HashMix(h, static_cast<uint64_t>(it.kind));
+    if (it.kind == Item::Kind::kCategorical) {
+      h = HashMix(h, static_cast<uint64_t>(it.code));
+    } else {
+      h = HashMix(h, std::bit_cast<uint64_t>(it.lo));
+      h = HashMix(h, std::bit_cast<uint64_t>(it.hi));
+    }
+  }
+  return static_cast<size_t>(h);
+}

@@ -1,6 +1,7 @@
 #ifndef SDADCS_CORE_ITEMSET_H_
 #define SDADCS_CORE_ITEMSET_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -50,22 +51,12 @@ class Itemset {
   /// of this itemset — i.e. this itemset is a specialization of `other`.
   bool Specializes(const Itemset& other) const;
 
-  /// All non-empty proper subsets (2^n - 2 of them). n is small (the
-  /// search tree is stunted at depth 5), so this is cheap; used by the
-  /// productivity check which inspects every binary partition.
-  std::vector<Itemset> ProperSubsets() const;
-
   /// Complement of `subset` within this itemset (items not in subset).
   Itemset Complement(const Itemset& subset) const;
 
-  /// Canonical key for hashing / prune tables.
+  /// Canonical machine string, equal for equal itemsets. Breaks ties
+  /// where output is ordered; containers key on the Itemset itself.
   std::string Key() const;
-
-  /// Signature of the attribute set only (which attributes are
-  /// constrained, and how), ignoring the concrete values/bounds. Groups
-  /// prune-table entries so containment checks only scan entries over the
-  /// same attributes.
-  std::string AttributeSignature() const;
 
   /// "item1 and item2 and ..." (or "{}" when empty).
   std::string ToString(const data::Dataset& db) const;
@@ -79,5 +70,13 @@ class Itemset {
 };
 
 }  // namespace sdadcs::core
+
+/// Hashes what Itemset equality compares: each item's attribute, kind and
+/// code or bound bits. Keys the run's memos, the top-k and the beam's
+/// duplicate sets.
+template <>
+struct std::hash<sdadcs::core::Itemset> {
+  size_t operator()(const sdadcs::core::Itemset& itemset) const;
+};
 
 #endif  // SDADCS_CORE_ITEMSET_H_

@@ -8,65 +8,55 @@
 
 namespace sdadcs::core {
 
-const char* PruneReasonName(PruneReason reason) {
-  switch (reason) {
-    case PruneReason::kMinSupport:
-      return "min_support";
-    case PruneReason::kLowExpected:
-      return "low_expected";
-    case PruneReason::kRedundant:
-      return "redundant";
-    case PruneReason::kPure:
-      return "pure";
-    case PruneReason::kChiBound:
-      return "chi_bound";
+namespace {
+
+// Folds the part of `it` that containment must match exactly into `h`.
+uint64_t BucketMix(uint64_t h, const Item& it) {
+  h = HashMix(h, static_cast<uint64_t>(it.attr));
+  h = HashMix(h, static_cast<uint64_t>(it.kind));
+  if (it.kind == Item::Kind::kCategorical) {
+    h = HashMix(h, static_cast<uint64_t>(it.code));
   }
-  return "unknown";
+  return h;
 }
 
-void PruneTable::Insert(const Itemset& itemset, PruneReason reason) {
-  buckets_[itemset.AttributeSignature()].push_back({itemset, reason});
+}  // namespace
+
+void PruneTable::Insert(const Itemset& itemset) {
+  // An empty entry would prune every candidate, but no probe reaches it.
+  SDADCS_CHECK(!itemset.empty());
+  uint64_t h = 0;
+  for (const Item& it : itemset.items()) h = BucketMix(h, it);
+  buckets_[h].push_back(itemset);
   ++num_entries_;
 }
 
 void PruneTable::MergeFrom(const PruneTable& other) {
-  for (const auto& [sig, entries] : other.buckets_) {
-    std::vector<Entry>& mine = buckets_[sig];
+  for (const auto& [h, entries] : other.buckets_) {
+    std::vector<Itemset>& mine = buckets_[h];
     mine.insert(mine.end(), entries.begin(), entries.end());
     num_entries_ += entries.size();
   }
 }
 
 bool PruneTable::CanPrune(const Itemset& candidate) const {
-  PruneReason unused;
-  return CanPrune(candidate, &unused);
-}
-
-bool PruneTable::CanPrune(const Itemset& candidate,
-                          PruneReason* reason) const {
-  if (parent_ != nullptr && parent_->CanPrune(candidate, reason)) {
-    return true;
-  }
+  if (parent_ != nullptr && parent_->CanPrune(candidate)) return true;
   if (buckets_.empty()) return false;
   const size_t n = candidate.size();
-  if (n == 0) return false;
   SDADCS_CHECK(n < 20);
-  // Every non-empty attribute subset of the candidate identifies a
-  // bucket of potential generalizations.
+  // An entry the candidate specializes constrains a subset of its
+  // attributes with equal kinds and codes, so it sits in the bucket of
+  // that subset's mask.
   const uint32_t full = (1u << n) - 1;
   for (uint32_t mask = 1; mask <= full; ++mask) {
-    std::vector<Item> items;
+    uint64_t h = 0;
     for (size_t i = 0; i < n; ++i) {
-      if (mask & (1u << i)) items.push_back(candidate.item(i));
+      if (mask & (1u << i)) h = BucketMix(h, candidate.item(i));
     }
-    Itemset subset(std::move(items));
-    auto it = buckets_.find(subset.AttributeSignature());
+    auto it = buckets_.find(h);
     if (it == buckets_.end()) continue;
-    for (const Entry& entry : it->second) {
-      if (subset.Specializes(entry.itemset)) {
-        *reason = entry.reason;
-        return true;
-      }
+    for (const Itemset& entry : it->second) {
+      if (candidate.Specializes(entry)) return true;
     }
   }
   return false;

@@ -1,7 +1,7 @@
 #ifndef SDADCS_CORE_PRUNING_H_
 #define SDADCS_CORE_PRUNING_H_
 
-#include <string>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -11,36 +11,26 @@
 
 namespace sdadcs::core {
 
-/// Why an itemset (or region) entered the prune table.
-enum class PruneReason {
-  /// Support below δ in every group: no specialization can be large.
-  kMinSupport,
-  /// Expected contingency count below 5: the significance test is
-  /// unreliable here and only gets worse in sub-regions.
-  kLowExpected,
-  /// Support difference statistically identical to a subset's (Eqs.
-  /// 14-16): the region adds nothing; supersets would be redundant too.
-  kRedundant,
-  /// PR = 1: the region is pure. It *is* reported as a contrast, but
-  /// adding further items cannot improve on purity — any extension is
-  /// redundant (the toddler/adult height example of Section 4.3).
-  kPure,
-  /// The optimistic chi-square bound shows no specialization can be
-  /// significant (STUCCO's chi-square bound rule); the itemset itself
-  /// was already evaluated, only extensions are blocked.
-  kChiBound,
-};
-
-const char* PruneReasonName(PruneReason reason);
-
 /// The lookup table of Algorithm 1 (Line 7). Entries are itemsets whose
 /// entire region was ruled out; a candidate is prunable when it
-/// *specializes* any stored entry — equal categorical items and interval
-/// containment — because every stored reason is monotone under
-/// specialization.
+/// *specializes* a stored entry — equal categorical items and interval
+/// containment. No entry records which rule put it there, because every
+/// rule is monotone under specialization: support below δ in every group
+/// and an expected contingency count below 5 only shrink in a sub-region;
+/// a region whose support difference is statistically identical to a
+/// subset's (Eqs. 14-16) makes every extension redundant too; a pure
+/// region (PR = 1) is reported, but no extension can improve on purity
+/// (the toddler/adult height example of Section 4.3); and under STUCCO's
+/// optimistic chi-square bound no specialization can be significant, so
+/// only the already-evaluated region's extensions are blocked.
+/// MiningCounters counts each rule's hits.
 ///
-/// Entries are bucketed by attribute signature so a lookup only scans
-/// entries over a subset of the candidate's attributes.
+/// Entries are bucketed by a hash of what containment must match
+/// exactly: each item's attribute, kind and categorical code. A lookup
+/// hashes the items each of the candidate's 2^n - 1 subset masks selects,
+/// without building the subset, and tests the candidate against every
+/// entry of each bucket found. A hash collision costs one more
+/// containment test, never a different answer.
 class PruneTable {
  public:
   PruneTable() = default;
@@ -52,16 +42,13 @@ class PruneTable {
   /// be mutated while workers hold it.
   void set_parent(const PruneTable* parent) { parent_ = parent; }
 
-  /// Records that `itemset`'s whole region is pruned for `reason`.
-  void Insert(const Itemset& itemset, PruneReason reason);
+  /// Records that `itemset`'s whole region is pruned. `itemset` must not
+  /// be empty.
+  void Insert(const Itemset& itemset);
 
-  /// True if `candidate` specializes any stored entry. The candidate's
-  /// own attribute subsets are enumerated (the tree depth caps the
-  /// itemset size, so this is at most 2^5 - 1 bucket probes).
+  /// True if `candidate` specializes any stored entry: one bucket probe
+  /// per non-empty subset of its items, 31 at the paper's depth 5.
   bool CanPrune(const Itemset& candidate) const;
-
-  /// Like CanPrune but reports the matching reason.
-  bool CanPrune(const Itemset& candidate, PruneReason* reason) const;
 
   size_t size() const { return num_entries_; }
 
@@ -70,12 +57,8 @@ class PruneTable {
   void MergeFrom(const PruneTable& other);
 
  private:
-  struct Entry {
-    Itemset itemset;
-    PruneReason reason;
-  };
   const PruneTable* parent_ = nullptr;
-  std::unordered_map<std::string, std::vector<Entry>> buckets_;
+  std::unordered_map<uint64_t, std::vector<Itemset>> buckets_;
   size_t num_entries_ = 0;
 };
 

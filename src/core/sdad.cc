@@ -133,7 +133,7 @@ double MiningContext::ChiCritical(double alpha, int dof) {
 
 const MiningContext::BaseStats& MiningContext::BaseEntry(
     const Itemset& itemset) {
-  auto [it, inserted] = base_stats_.try_emplace(itemset.Key());
+  auto [it, inserted] = base_stats_.try_emplace(itemset);
   if (inserted) {
     GroupCounts gc =
         CountMatchesSharded(*this, itemset, gi->base_selection());
@@ -154,7 +154,7 @@ const std::vector<double>& MiningContext::BaseSupports(
 
 void MiningContext::RememberBaseCounts(const Itemset& itemset,
                                        const std::vector<double>& counts) {
-  auto [it, inserted] = base_stats_.try_emplace(itemset.Key());
+  auto [it, inserted] = base_stats_.try_emplace(itemset);
   if (!inserted) return;
   it->second.counts = counts;
   it->second.supports = GroupCounts{counts}.Supports(*gi);
@@ -250,17 +250,13 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
     // Minimum deviation size: no group reaches delta -> nothing large can
     // come out of this region.
     if (BelowMinimumDeviation(supports, cfg.delta)) {
-      if (cfg.meaningful_pruning) {
-        ctx.prune_table->Insert(itemset, PruneReason::kMinSupport);
-      }
+      if (cfg.meaningful_pruning) ctx.prune_table->Insert(itemset);
       ++counters.pruned_min_support;
       continue;
     }
     // Expected occurrence below 5: no reliable test here or deeper.
     if (LowExpectedCount(gc.counts, ctx.group_sizes)) {
-      if (cfg.meaningful_pruning) {
-        ctx.prune_table->Insert(itemset, PruneReason::kLowExpected);
-      }
+      if (cfg.meaningful_pruning) ctx.prune_table->Insert(itemset);
       ++counters.pruned_low_expected;
       continue;
     }
@@ -270,7 +266,7 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
         StatisticallySameDifference(diff, call.parent_diff,
                                     call.parent_supports, ctx.group_sizes,
                                     cfg.alpha)) {
-      ctx.prune_table->Insert(itemset, PruneReason::kRedundant);
+      ctx.prune_table->Insert(itemset);
       ++counters.pruned_redundant;
       continue;
     }
@@ -281,7 +277,7 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
     if (pure && cfg.PureSpacePruningOn()) {
       // A pure space cannot be improved; extensions are redundant
       // (Section 4.3). Report it, never refine or extend it.
-      ctx.prune_table->Insert(itemset, PruneReason::kPure);
+      ctx.prune_table->Insert(itemset);
       ++counters.pruned_pure;
       can_recurse = false;
     }

@@ -2,7 +2,6 @@
 #define SDADCS_CORE_SDAD_H_
 
 #include <map>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -66,7 +65,7 @@ struct MiningContext {
   double ChiCritical(double alpha, int dof);
 
   /// Per-group match counts of `itemset` over the base selection, from
-  /// the run's memo keyed by Itemset::Key(); a miss counts once with
+  /// the run's memo keyed by the itemset; a miss counts once with
   /// CountMatchesSharded. The productivity and redundancy tests ask for
   /// the same sub-itemsets pattern after pattern, and the productivity
   /// test's 2x2 tables follow from these counts. The reference stays
@@ -91,7 +90,7 @@ struct MiningContext {
   const BaseStats& BaseEntry(const Itemset& itemset);
 
   std::map<std::pair<double, int>, double> chi_critical_cache_;
-  std::unordered_map<std::string, BaseStats> base_stats_;
+  std::unordered_map<Itemset, BaseStats> base_stats_;
 };
 
 /// Per-call arguments of Algorithm 1 beyond the shared context.

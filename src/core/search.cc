@@ -1,6 +1,7 @@
 #include "core/search.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "core/anytime.h"
@@ -191,11 +192,10 @@ const LatticeSearch::ItemCover& LatticeSearch::BaseCover(const Item& item) {
   return cover;
 }
 
-double LatticeSearch::RootCut(const std::string& rows_key,
+double LatticeSearch::RootCut(const Itemset& root,
                               const data::Selection& rows,
                               const AxisBound& bound) {
-  auto [it, inserted] =
-      root_cuts_.try_emplace(std::make_pair(rows_key, bound.attr));
+  auto [it, inserted] = root_cuts_[root].try_emplace(bound.attr);
   if (inserted) {
     it->second = PartitionCut(*ctx_.db, rows, bound, ctx_.cfg->split,
                               &ctx_.split_scratch.values,
@@ -246,9 +246,7 @@ void LatticeSearch::EnumerateCategorical(const std::vector<int>& cat_attrs,
     // are added, so a below-δ prefix can be abandoned outright.
     if (BelowMinimumDeviation(cover->counts.Supports(*ctx_.gi),
                               ctx_.cfg->delta)) {
-      if (ctx_.cfg->meaningful_pruning) {
-        ctx_.prune_table->Insert(candidate, PruneReason::kMinSupport);
-      }
+      if (ctx_.cfg->meaningful_pruning) ctx_.prune_table->Insert(candidate);
       ++ctx_.counters->pruned_min_support;
       continue;
     }
@@ -275,16 +273,12 @@ void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
   const double alpha_level = cfg.AlphaForLevel(level);
 
   if (BelowMinimumDeviation(supports, cfg.delta)) {
-    if (cfg.meaningful_pruning) {
-      ctx_.prune_table->Insert(itemset, PruneReason::kMinSupport);
-    }
+    if (cfg.meaningful_pruning) ctx_.prune_table->Insert(itemset);
     ++counters.pruned_min_support;
     return;
   }
   if (LowExpectedCount(gc.counts, ctx_.group_sizes)) {
-    if (cfg.meaningful_pruning) {
-      ctx_.prune_table->Insert(itemset, PruneReason::kLowExpected);
-    }
+    if (cfg.meaningful_pruning) ctx_.prune_table->Insert(itemset);
     ++counters.pruned_low_expected;
     return;
   }
@@ -295,7 +289,7 @@ void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
       if (StatisticallySameDifference(diff, SupportDifference(sub_supports),
                                       sub_supports, ctx_.group_sizes,
                                       cfg.alpha)) {
-        ctx_.prune_table->Insert(itemset, PruneReason::kRedundant);
+        ctx_.prune_table->Insert(itemset);
         ++counters.pruned_redundant;
         return;
       }
@@ -304,14 +298,14 @@ void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
   *alive = true;
 
   if (cfg.PureSpacePruningOn() && purity >= 1.0 && gc.total() > 0.0) {
-    ctx_.prune_table->Insert(itemset, PruneReason::kPure);
+    ctx_.prune_table->Insert(itemset);
     ++counters.pruned_pure;
   } else if (cfg.ChiBoundPruningOn()) {
     // STUCCO chi-square bound: no specialization can reach significance.
     const int dof = ctx_.gi->num_groups() - 1;
     double critical = ctx_.ChiCritical(cfg.AlphaForLevel(level + 1), dof);
     if (MaxChildChiSquared(gc.counts, ctx_.group_sizes) < critical) {
-      ctx_.prune_table->Insert(itemset, PruneReason::kChiBound);
+      ctx_.prune_table->Insert(itemset);
       ++counters.pruned_oe_chi2;
     }
   }
@@ -370,15 +364,18 @@ void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
   }
   if (call.space.rows.empty()) return;
   // The root rows are the prefix's cover minus the rows missing one of
-  // `missing_attrs`, so those two name the row set.
-  std::string rows_key = cat_items.Key();
+  // `missing_attrs`, so those two name the row set: the prefix's items
+  // plus an unbounded interval on each attribute of `missing_attrs`.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<Item> root_items = cat_items.items();
   for (int attr : missing_attrs) {
-    rows_key += "|present " + std::to_string(attr);
+    root_items.push_back(Item::Interval(attr, -kInf, kInf));
   }
+  const Itemset root(std::move(root_items));
   std::vector<double> cuts;
   cuts.reserve(call.space.bounds.size());
   for (const AxisBound& bound : call.space.bounds) {
-    cuts.push_back(RootCut(rows_key, call.space.rows, bound));
+    cuts.push_back(RootCut(root, call.space.rows, bound));
   }
   call.outer_db_size = static_cast<double>(call.space.rows.size());
   call.parent_supports = root_counts.Supports(*ctx_.gi);

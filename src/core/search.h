@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -108,13 +108,13 @@ class LatticeSearch {
   const ItemCover& BaseCover(const Item& item);
 
   /// partition(ca) of one root-space axis, computed on first request and
-  /// kept for the run. `rows_key` names the root rows: the categorical
-  /// prefix, plus the continuous attributes whose missing values the
-  /// root filter dropped. `bound` is the attribute's root bound, fixed
-  /// for the run, so the key decides the cut. Most root cuts repeat:
-  /// every combination over the same prefix splits the same rows on
-  /// each of its attributes.
-  double RootCut(const std::string& rows_key, const data::Selection& rows,
+  /// kept for the run. `root` names the root rows: the categorical
+  /// prefix, plus an unbounded interval on each continuous attribute
+  /// whose missing values the root filter dropped. `bound` is the
+  /// attribute's root bound, fixed for the run, so the name decides the
+  /// cut. Most root cuts repeat: every combination over the same prefix
+  /// splits the same rows on each of its attributes.
+  double RootCut(const Itemset& root, const data::Selection& rows,
                  const AxisBound& bound);
 
   /// Invokes the run's progress callback, if any.
@@ -133,8 +133,8 @@ class LatticeSearch {
   uint64_t progress_total_ = 0;
   /// BaseCover's memo, keyed by (attribute, value code).
   std::map<std::pair<int, int32_t>, ItemCover> base_covers_;
-  /// RootCut's memo, keyed by (rows key, attribute).
-  std::map<std::pair<std::string, int>, double> root_cuts_;
+  /// RootCut's memo: per root row set, the cut of each attribute.
+  std::unordered_map<Itemset, std::map<int, double>> root_cuts_;
   /// TopK::version() at the last improved report; a report is flagged
   /// improved only when the top-k advanced past it.
   mutable uint64_t last_improved_version_ = 0;

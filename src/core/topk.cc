@@ -12,15 +12,14 @@ bool HeapGreater(const ContrastPattern& a, const ContrastPattern& b) {
 }  // namespace
 
 bool TopK::Insert(const ContrastPattern& pattern) {
-  std::string key = pattern.itemset.Key();
-  if (keys_.count(key) > 0) return false;
+  if (keys_.count(pattern.itemset) > 0) return false;
   if (patterns_.size() >= k_) {
     if (pattern.measure <= patterns_.front().measure) return false;
-    keys_.erase(patterns_.front().itemset.Key());
+    keys_.erase(patterns_.front().itemset);
     std::pop_heap(patterns_.begin(), patterns_.end(), HeapGreater);
     patterns_.pop_back();
   }
-  keys_.insert(std::move(key));
+  keys_.insert(pattern.itemset);
   patterns_.push_back(pattern);
   std::push_heap(patterns_.begin(), patterns_.end(), HeapGreater);
   best_measure_ = std::max(best_measure_, pattern.measure);

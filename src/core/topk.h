@@ -1,7 +1,6 @@
 #ifndef SDADCS_CORE_TOPK_H_
 #define SDADCS_CORE_TOPK_H_
 
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -50,7 +49,7 @@ class TopK {
   double best_measure_ = 0.0;
   uint64_t version_ = 0;
   std::vector<ContrastPattern> patterns_;  // kept as a min-heap on measure
-  std::unordered_set<std::string> keys_;
+  std::unordered_set<Itemset> keys_;
 };
 
 }  // namespace sdadcs::core

@@ -113,7 +113,7 @@ std::vector<Subgroup> BeamSubgroupDiscovery::Discover(
 
   // Best subgroups across all levels, deduplicated by description.
   std::vector<Candidate> best;
-  std::unordered_set<std::string> seen;
+  std::unordered_set<Itemset> seen;
 
   for (int depth = 1; depth <= config_.max_depth; ++depth) {
     std::vector<Candidate> level;
@@ -149,8 +149,7 @@ std::vector<Subgroup> BeamSubgroupDiscovery::Discover(
           }
           Candidate cand;
           cand.description = member.description.WithItem(item);
-          std::string key = cand.description.Key();
-          if (seen.count(key) > 0) continue;
+          if (seen.count(cand.description) > 0) continue;
           cand.cover = core::FilterCountGroups(
               gi, member.cover,
               [&](uint32_t r) { return item.Matches(db, r); }, &cand.counts);
@@ -164,7 +163,7 @@ std::vector<Subgroup> BeamSubgroupDiscovery::Discover(
           if (stats != nullptr) ++stats->descriptions_evaluated;
           cand.quality =
               core::WRAcc(cand.counts.counts, group_sizes, target_group);
-          seen.insert(std::move(key));
+          seen.insert(cand.description);
           level.push_back(std::move(cand));
         }
       }
@@ -211,17 +210,16 @@ std::vector<core::ContrastPattern> BeamSubgroupDiscovery::DiscoverContrasts(
     core::MeasureKind measure, BeamStats* stats,
     const util::RunControl* control) const {
   RunState run = control != nullptr ? RunState(*control) : RunState();
-  std::unordered_map<std::string, core::ContrastPattern> pooled;
+  std::unordered_map<Itemset, core::ContrastPattern> pooled;
   for (int g = 0; g < gi.num_groups(); ++g) {
     if (run.CheckNow()) break;
     for (Subgroup& sg : Discover(db, gi, g, stats, control)) {
-      std::string key = sg.description.Key();
-      if (pooled.count(key) > 0) continue;
-      core::ContrastPattern p;
+      auto [it, inserted] = pooled.try_emplace(sg.description);
+      if (!inserted) continue;
+      core::ContrastPattern& p = it->second;
       p.itemset = std::move(sg.description);
       p.counts = std::move(sg.counts);
       p.ComputeStats(gi, measure);
-      pooled.emplace(std::move(key), std::move(p));
     }
   }
   if (stats != nullptr && stats->completion == core::Completion::kComplete) {

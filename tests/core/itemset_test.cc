@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
 namespace sdadcs::core {
 namespace {
 
@@ -85,23 +91,6 @@ TEST(ItemsetTest, SpecializesFailsOnDisjointIntervals) {
   EXPECT_FALSE(b.Specializes(a));
 }
 
-TEST(ItemsetTest, ProperSubsetsCount) {
-  Itemset s({Item::Interval(0, 0, 5), Item::Interval(1, 0, 5),
-             Item::Categorical(2, 0)});
-  std::vector<Itemset> subs = s.ProperSubsets();
-  EXPECT_EQ(subs.size(), 6u);  // 2^3 - 2
-  for (const Itemset& sub : subs) {
-    EXPECT_GT(sub.size(), 0u);
-    EXPECT_LT(sub.size(), 3u);
-    EXPECT_TRUE(sub.size() == 1 || sub.size() == 2);
-  }
-}
-
-TEST(ItemsetTest, ProperSubsetsOfSingletonEmpty) {
-  Itemset s({Item::Categorical(0, 1)});
-  EXPECT_TRUE(s.ProperSubsets().empty());
-}
-
 TEST(ItemsetTest, ComplementPartitions) {
   Itemset s({Item::Interval(0, 0, 5), Item::Categorical(2, 0)});
   Itemset a({Item::Interval(0, 0, 5)});
@@ -118,15 +107,44 @@ TEST(ItemsetTest, KeyDeterministicAndDistinct) {
   EXPECT_NE(a.Key(), c.Key());
 }
 
-TEST(ItemsetTest, AttributeSignatureIgnoresBounds) {
-  Itemset a({Item::Interval(0, 0, 5)});
-  Itemset b({Item::Interval(0, 2, 3)});
-  EXPECT_EQ(a.AttributeSignature(), b.AttributeSignature());
-  Itemset c({Item::Categorical(0, 1)});
-  EXPECT_NE(a.AttributeSignature(), c.AttributeSignature());
-  // Categorical signature includes the code (containment is equality).
-  Itemset d({Item::Categorical(0, 2)});
-  EXPECT_NE(c.AttributeSignature(), d.AttributeSignature());
+TEST(ItemsetTest, HashSetMembersAreDistinctKeys) {
+  // Containers key on the itemset itself, so equality (and the hash that
+  // goes with it) must mean exactly Key() equality: 1-ulp neighbours and
+  // -0.0 beside 0.0 are different bounds, a categorical item ignores the
+  // interval fields, and item order does not matter.
+  const double one = 1.0;
+  const double above = std::nextafter(one, 2.0);
+  const double below = std::nextafter(one, 0.0);
+  const double bounds[] = {-0.0, 0.0, below, one, above};
+  std::vector<Itemset> all;
+  for (double lo : bounds) {
+    for (double hi : bounds) {
+      all.push_back(Itemset({Item::Interval(0, lo, hi)}));
+      all.push_back(Itemset({Item::Interval(0, lo, hi),
+                             Item::Categorical(2, 1)}));
+      all.push_back(Itemset({Item::Categorical(2, 1),
+                             Item::Interval(0, lo, hi)}));
+      all.push_back(Itemset({Item::Interval(1, lo, hi)}));
+    }
+  }
+  Item odd = Item::Categorical(2, 1);
+  odd.lo = -0.0;
+  odd.hi = above;
+  all.push_back(Itemset({odd}));
+  all.push_back(Itemset({Item::Categorical(2, 1)}));
+  all.push_back(Itemset({Item::Categorical(2, 0)}));
+  all.push_back(Itemset());
+
+  std::unordered_set<Itemset> set(all.begin(), all.end());
+  std::set<std::string> keys;
+  for (const Itemset& s : all) keys.insert(s.Key());
+  EXPECT_EQ(set.size(), keys.size());
+  EXPECT_EQ(keys.size(), 5u * 5u * 3u + 3u);
+  for (const Itemset& a : all) {
+    for (const Itemset& b : all) {
+      EXPECT_EQ(a == b, a.Key() == b.Key()) << a.Key() << " vs " << b.Key();
+    }
+  }
 }
 
 TEST(ItemsetTest, ToStringJoinsWithAnd) {

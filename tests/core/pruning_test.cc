@@ -2,22 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
+#include <vector>
+
+#include "util/random.h"
+
 namespace sdadcs::core {
 namespace {
 
 TEST(PruneTableTest, ExactMatchPrunes) {
   PruneTable table;
   Itemset entry({Item::Categorical(0, 1)});
-  table.Insert(entry, PruneReason::kMinSupport);
-  PruneReason reason;
-  EXPECT_TRUE(table.CanPrune(entry, &reason));
-  EXPECT_EQ(reason, PruneReason::kMinSupport);
+  table.Insert(entry);
+  EXPECT_TRUE(table.CanPrune(entry));
   EXPECT_EQ(table.size(), 1u);
 }
 
 TEST(PruneTableTest, SupersetOfPrunedEntryIsPruned) {
   PruneTable table;
-  table.Insert(Itemset({Item::Categorical(0, 1)}), PruneReason::kPure);
+  table.Insert(Itemset({Item::Categorical(0, 1)}));
   Itemset candidate(
       {Item::Categorical(0, 1), Item::Interval(2, 0.0, 5.0)});
   EXPECT_TRUE(table.CanPrune(candidate));
@@ -25,8 +30,7 @@ TEST(PruneTableTest, SupersetOfPrunedEntryIsPruned) {
 
 TEST(PruneTableTest, SubIntervalOfPrunedRegionIsPruned) {
   PruneTable table;
-  table.Insert(Itemset({Item::Interval(1, 0.0, 10.0)}),
-               PruneReason::kMinSupport);
+  table.Insert(Itemset({Item::Interval(1, 0.0, 10.0)}));
   EXPECT_TRUE(table.CanPrune(Itemset({Item::Interval(1, 2.0, 5.0)})));
   // Overlapping-but-not-contained interval must NOT be pruned.
   EXPECT_FALSE(table.CanPrune(Itemset({Item::Interval(1, 5.0, 12.0)})));
@@ -34,15 +38,14 @@ TEST(PruneTableTest, SubIntervalOfPrunedRegionIsPruned) {
 
 TEST(PruneTableTest, DifferentCategoricalValueNotPruned) {
   PruneTable table;
-  table.Insert(Itemset({Item::Categorical(0, 1)}), PruneReason::kPure);
+  table.Insert(Itemset({Item::Categorical(0, 1)}));
   EXPECT_FALSE(table.CanPrune(Itemset({Item::Categorical(0, 2)})));
 }
 
 TEST(PruneTableTest, MixedContainment) {
   PruneTable table;
   table.Insert(
-      Itemset({Item::Categorical(0, 3), Item::Interval(1, 0.0, 4.0)}),
-      PruneReason::kRedundant);
+      Itemset({Item::Categorical(0, 3), Item::Interval(1, 0.0, 4.0)}));
   // Specialization in both items -> pruned.
   EXPECT_TRUE(table.CanPrune(Itemset({Item::Categorical(0, 3),
                                       Item::Interval(1, 1.0, 2.0),
@@ -59,25 +62,86 @@ TEST(PruneTableTest, EmptyTableNeverPrunes) {
 
 TEST(PruneTableTest, ParentChainConsulted) {
   PruneTable parent;
-  parent.Insert(Itemset({Item::Categorical(0, 1)}),
-                PruneReason::kMinSupport);
+  parent.Insert(Itemset({Item::Categorical(0, 1)}));
   PruneTable child;
   child.set_parent(&parent);
   EXPECT_TRUE(child.CanPrune(Itemset({Item::Categorical(0, 1)})));
   // Inserts stay local: parent unaffected.
-  child.Insert(Itemset({Item::Categorical(0, 2)}), PruneReason::kPure);
+  child.Insert(Itemset({Item::Categorical(0, 2)}));
   EXPECT_FALSE(parent.CanPrune(Itemset({Item::Categorical(0, 2)})));
   EXPECT_TRUE(child.CanPrune(Itemset({Item::Categorical(0, 2)})));
 }
 
 TEST(PruneTableTest, MergeFromAddsEntries) {
   PruneTable a;
-  a.Insert(Itemset({Item::Categorical(0, 1)}), PruneReason::kPure);
+  a.Insert(Itemset({Item::Categorical(0, 1)}));
   PruneTable b;
-  b.Insert(Itemset({Item::Categorical(1, 0)}), PruneReason::kRedundant);
+  b.Insert(Itemset({Item::Categorical(1, 0)}));
   a.MergeFrom(b);
   EXPECT_EQ(a.size(), 2u);
   EXPECT_TRUE(a.CanPrune(Itemset({Item::Categorical(1, 0)})));
+}
+
+TEST(PruneTableTest, CanPruneMatchesBruteForceContainment) {
+  // The bucket index must answer exactly what a scan of every entry
+  // answers, for one table, for a child chained to a parent, and for a
+  // table merged from two. Attributes 0-2 are categorical and 3-5
+  // continuous; bounds come from a small pool with shared endpoints,
+  // -0.0 beside 0.0 and both infinities, so equal, nested, touching and
+  // empty intervals all occur.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kBounds[] = {-kInf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, kInf};
+  util::Rng rng(21);
+  auto random_itemset = [&](size_t size) {
+    std::vector<uint32_t> attrs = rng.Permutation(6);
+    std::vector<Item> items;
+    for (size_t i = 0; i < size; ++i) {
+      const int attr = static_cast<int>(attrs[i]);
+      if (attr < 3) {
+        items.push_back(Item::Categorical(attr, rng.NextBelow(2)));
+        continue;
+      }
+      double lo = kBounds[rng.NextBelow(std::size(kBounds))];
+      double hi = kBounds[rng.NextBelow(std::size(kBounds))];
+      if (hi < lo) std::swap(lo, hi);
+      items.push_back(Item::Interval(attr, lo, hi));
+    }
+    return Itemset(std::move(items));
+  };
+  size_t pruned = 0;
+  size_t kept = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    PruneTable table;
+    PruneTable parent;
+    PruneTable child;
+    child.set_parent(&parent);
+    PruneTable merged;
+    PruneTable delta;
+    std::vector<Itemset> entries;
+    const int64_t num_entries = rng.UniformInt(0, 30);
+    for (int64_t e = 0; e < num_entries; ++e) {
+      Itemset entry = random_itemset(1 + rng.NextBelow(3));
+      table.Insert(entry);
+      (e % 2 == 0 ? parent : child).Insert(entry);
+      (e % 2 == 0 ? merged : delta).Insert(entry);
+      entries.push_back(std::move(entry));
+    }
+    merged.MergeFrom(delta);
+    ASSERT_EQ(merged.size(), entries.size());
+    for (int c = 0; c < 40; ++c) {
+      Itemset candidate = random_itemset(1 + rng.NextBelow(5));
+      const bool want = std::any_of(
+          entries.begin(), entries.end(),
+          [&](const Itemset& e) { return candidate.Specializes(e); });
+      ASSERT_EQ(table.CanPrune(candidate), want) << candidate.Key();
+      ASSERT_EQ(child.CanPrune(candidate), want) << candidate.Key();
+      ASSERT_EQ(merged.CanPrune(candidate), want) << candidate.Key();
+      ++(want ? pruned : kept);
+    }
+  }
+  // Both answers must be common, or the comparison proves little.
+  EXPECT_GT(pruned, 1000u);
+  EXPECT_GT(kept, 1000u);
 }
 
 TEST(BelowMinimumDeviationTest, AllBelowDelta) {
@@ -112,12 +176,6 @@ TEST(StatisticallySameDifferenceTest, WidthShrinksWithSampleSize) {
                                           {200, 200}, 0.05));
   EXPECT_FALSE(StatisticallySameDifference(diff_curr, diff_sub, supports,
                                            {100000, 100000}, 0.05));
-}
-
-TEST(PruneReasonNameTest, Stable) {
-  EXPECT_STREQ(PruneReasonName(PruneReason::kMinSupport), "min_support");
-  EXPECT_STREQ(PruneReasonName(PruneReason::kPure), "pure");
-  EXPECT_STREQ(PruneReasonName(PruneReason::kChiBound), "chi_bound");
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "common/requests.h"
@@ -25,7 +27,8 @@ using engine::Engines;
 using engine::ParseEngine;
 
 using test_support::GroupsRequest;
-using test_support::ThreadCount;
+using test_support::NewThreadsSince;
+using test_support::ThreadIds;
 
 // A small mixed dataset with an unmistakable planted contrast: group
 // "a" concentrates in x <= 50 and carries tag "t0".
@@ -133,16 +136,18 @@ TEST(EngineRegistryTest, ParameterizedShardedNameCreatesEngine) {
     EngineOptions opts;
     opts.shard_count = option;
     core::MineRequest request = GroupsRequest(*gi);
-    const size_t before = ThreadCount();
+    const std::set<std::string> before = ThreadIds();
     size_t during = 0;
+    bool reported = false;
     request.run_control.set_progress_callback(
         [&](const util::RunProgress&) {
-          during = std::max(during, ThreadCount());
+          reported = true;
+          during = std::max(during, NewThreadsSince(before));
         });
     auto result = engine::Mine(*spec, MinerConfig(), opts, db, request);
     EXPECT_TRUE(result.ok()) << name;
-    EXPECT_GE(during, before) << name << ": no progress report";
-    return during - before;
+    EXPECT_TRUE(reported) << name << ": no progress report";
+    return during;
   };
   // A two-shard team is min(2, cores) wide, the mining thread included.
   const size_t workers =

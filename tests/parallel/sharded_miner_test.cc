@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <functional>
 #include <latch>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -23,7 +24,8 @@ namespace sdadcs::parallel {
 namespace {
 
 using test_support::GroupRequest;
-using test_support::ThreadCount;
+using test_support::NewThreadsSince;
+using test_support::ThreadIds;
 
 core::MinerConfig BaseConfig() {
   core::MinerConfig cfg;
@@ -236,16 +238,18 @@ size_t MineCountingTeamThreads(
     const data::Dataset& db, core::MineRequest request,
     util::StatusOr<core::MiningResult>* out,
     const std::function<void()>& on_report = [] {}) {
-  const size_t before = ThreadCount();
+  const std::set<std::string> before = ThreadIds();
   size_t during = 0;
+  bool reported = false;
   request.run_control.set_progress_callback(
       [&](const util::RunProgress&) {
-        during = std::max(during, ThreadCount());
+        reported = true;
+        during = std::max(during, NewThreadsSince(before));
         on_report();
       });
   *out = core::Miner(BaseConfig(), 4).Mine(db, request);
-  EXPECT_GT(during, 0u) << "no progress report";
-  return during > before ? during - before : 0;
+  EXPECT_TRUE(reported) << "no progress report";
+  return during;
 }
 
 TEST(ShardedMinerTest, MineThatFindsTheTeamTakenScansInlineIdentically) {
