@@ -134,8 +134,8 @@ struct MinerConfig {
 
   /// Range-checks every field and names the offending one in the error
   /// message (e.g. "alpha must be in (0, 1), got 1.5"). Every engine
-  /// entry point — Miner, ParallelMiner, WindowMiner and the beam
-  /// baseline — validates through this before mining.
+  /// entry point — Miner, WindowMiner and the beam baseline — validates
+  /// through this before mining.
   util::Status Validate() const;
 
   /// Stable 64-bit hash of every field — each one can change the mined

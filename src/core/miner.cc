@@ -1,7 +1,6 @@
 #include "core/miner.h"
 
 #include <algorithm>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -9,40 +8,10 @@
 #include "core/pruning.h"
 #include "core/search.h"
 #include "core/shard_exec.h"
-#include "core/split_kernel.h"
 #include "core/topk.h"
-#include "data/shard.h"
 #include "engine/session.h"
-#include "util/fork_join_team.h"
 
 namespace sdadcs::core {
-
-namespace {
-
-// The row-shard fan-out of one multi-shard mine: the plan, a team no
-// wider than the plan or the host (for a mine that started alone, see
-// RunningMine), and one split scratch per shard (the split kernel's
-// scratch is single-owner, and shards run concurrently).
-struct ShardFanOut {
-  ShardFanOut(size_t rows, size_t shards, bool with_team)
-      : plan(rows, shards), scratches(plan.num_shards()) {
-    if (with_team) {
-      team.emplace(std::min<size_t>(
-          plan.num_shards(),
-          std::max(1u, std::thread::hardware_concurrency())));
-    }
-    exec.plan = &plan;
-    exec.team = team ? &*team : nullptr;
-    exec.scratches = &scratches;
-  }
-
-  data::ShardPlan plan;
-  std::optional<util::ForkJoinTeam> team;
-  std::vector<SplitScratch> scratches;
-  ShardExec exec;
-};
-
-}  // namespace
 
 double MiningResult::MeanSupportDifference(size_t k) const {
   if (contrasts.empty()) return 0.0;
@@ -90,25 +59,21 @@ util::StatusOr<MiningResult> Miner::Mine(const data::Dataset& db,
                                          const MineRequest& request) const {
   // Prologue (validation, group/attribute resolution, root bounds) and
   // epilogue (sort, independently-productive filter, completion) are the
-  // shared engine session; only the search strategy lives here. Declared
-  // first, `running` ends last: the team has joined before it goes.
-  const RunningMine running;
+  // shared engine session; only the search strategy lives here.
   util::StatusOr<engine::MiningSession> session =
       engine::MiningSession::Begin(db, config_, request);
   if (!session.ok()) return session.status();
+  // Registers the mine as running; declared before the search's state,
+  // it ends after it.
+  const ShardExec shards(db.num_rows(), num_shards_);
 
   PruneTable prune_table;
   TopK topk(static_cast<size_t>(config_.top_k), config_.delta);
   MiningCounters counters;
   MiningContext ctx = session->MakeContext(&prune_table, &topk, &counters);
-
-  // The fan-out exists only for a multi-shard mine; the search itself
-  // is oblivious to how its counting scans execute.
-  std::optional<ShardFanOut> fan_out;
-  if (num_shards_ > 1) {
-    fan_out.emplace(db.num_rows(), num_shards_, running.started_alone());
-    ctx.shards = &fan_out->exec;
-  }
+  // Only a multi-shard mine fans out; the search itself is oblivious to
+  // how its counting scans execute.
+  if (num_shards_ > 1) ctx.shards = &shards;
 
   LatticeSearch(ctx).Run(session->attributes());
   return session->Finalize(topk.Sorted(), counters, ctx.run.completion());

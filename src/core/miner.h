@@ -21,8 +21,7 @@ namespace sdadcs::core {
 
 /// One mining request: which groups to contrast and how the run is
 /// controlled. The single argument of every engine's Mine(db, request)
-/// entry point (Miner at any shard count, ParallelMiner, WindowMiner
-/// passes, beam).
+/// entry point (Miner at any shard count, WindowMiner passes, beam).
 ///
 ///   MineRequest req;
 ///   req.group_attr = "class";
@@ -89,19 +88,21 @@ struct MiningResult {
 ///   req.group_values = {"Doctorate", "Bachelors"};
 ///   auto result = miner.Mine(db, req);
 ///
-/// With more than one shard the same search fans every counting scan
-/// (item filters, the root filter, match counts, recursive splits)
-/// across that many contiguous row ranges and merges the
-/// partials before any statistic is read (DESIGN.md §12). Shards are
-/// ascending row ranges and counts are small-integer doubles, so the
-/// merged statistics, every pruning decision and the result are
-/// byte-identical to the one-shard mine for every shard count — which
-/// is why the count lives in EngineOptions, outside the request key.
-/// The request's RunControl is also checked at every fan-out merge
-/// barrier. The shards run on a team of min(shards, cores) threads, the
-/// calling thread included, and only while no other Miner mine runs in
-/// the process; otherwise the scans run on the calling thread alone
-/// (RunningMine, core/shard_exec.h).
+/// With more than one shard the mine runs on a team of min(shards,
+/// cores) threads, the calling thread included, in one of two ways per
+/// level of the search (DESIGN.md §12). A level with many combinations
+/// mines them on the team at once and commits them in frontier order
+/// (LatticeSearch). A narrower one mines one combination at a time and
+/// fans every counting scan (item filters, the root filter, match
+/// counts, recursive splits) across that many contiguous row ranges,
+/// merging the partials before any statistic is read. Either way the
+/// result, every counter and every progress report are byte-identical
+/// to the one-shard mine for every shard count, which is why the count
+/// lives in EngineOptions, outside the request key. The request's
+/// RunControl is also checked at every fan-out merge barrier. The
+/// process has one team, which serves one mine at a time; a mine
+/// without it runs on the calling thread alone until it can take it
+/// over (ShardExec, core/shard_exec.h).
 class Miner {
  public:
   /// `shards == 0` resolves to std::thread::hardware_concurrency() (at

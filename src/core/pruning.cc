@@ -1,6 +1,7 @@
 #include "core/pruning.h"
 
 #include <cmath>
+#include <utility>
 
 #include "stats/contingency.h"
 #include "stats/normal.h"
@@ -22,25 +23,16 @@ uint64_t BucketMix(uint64_t h, const Item& it) {
 
 }  // namespace
 
-void PruneTable::Insert(const Itemset& itemset) {
+void PruneTable::Insert(Itemset itemset) {
   // An empty entry would prune every candidate, but no probe reaches it.
   SDADCS_CHECK(!itemset.empty());
   uint64_t h = 0;
   for (const Item& it : itemset.items()) h = BucketMix(h, it);
-  buckets_[h].push_back(itemset);
+  buckets_[h].push_back(std::move(itemset));
   ++num_entries_;
 }
 
-void PruneTable::MergeFrom(const PruneTable& other) {
-  for (const auto& [h, entries] : other.buckets_) {
-    std::vector<Itemset>& mine = buckets_[h];
-    mine.insert(mine.end(), entries.begin(), entries.end());
-    num_entries_ += entries.size();
-  }
-}
-
 bool PruneTable::CanPrune(const Itemset& candidate) const {
-  if (parent_ != nullptr && parent_->CanPrune(candidate)) return true;
   if (buckets_.empty()) return false;
   const size_t n = candidate.size();
   SDADCS_CHECK(n < 20);

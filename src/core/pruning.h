@@ -35,16 +35,9 @@ class PruneTable {
  public:
   PruneTable() = default;
 
-  /// Chains a read-only parent table: lookups consult the parent first,
-  /// inserts stay local. Lets parallel workers share pooled knowledge
-  /// without copying it, and lets the pool absorb only each worker's
-  /// delta afterwards. The parent must outlive this table and must not
-  /// be mutated while workers hold it.
-  void set_parent(const PruneTable* parent) { parent_ = parent; }
-
   /// Records that `itemset`'s whole region is pruned. `itemset` must not
   /// be empty.
-  void Insert(const Itemset& itemset);
+  void Insert(Itemset itemset);
 
   /// True if `candidate` specializes any stored entry: one bucket probe
   /// per non-empty subset of its items, 31 at the paper's depth 5.
@@ -52,12 +45,7 @@ class PruneTable {
 
   size_t size() const { return num_entries_; }
 
-  /// Appends every entry of `other` (duplicates tolerated) — used by the
-  /// level-parallel miner to pool pruning knowledge between levels.
-  void MergeFrom(const PruneTable& other);
-
  private:
-  const PruneTable* parent_ = nullptr;
   std::unordered_map<uint64_t, std::vector<Itemset>> buckets_;
   size_t num_entries_ = 0;
 };

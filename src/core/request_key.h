@@ -10,10 +10,10 @@
 namespace sdadcs::core {
 
 /// Which mining engine answers a request. Every kind is a distinct
-/// cache universe: even engines that run the same search (serial vs.
-/// level-parallel, which loses some cross-subtree pruning) can return
+/// cache universe: engines that run different searches can return
 /// different — still correct — result lists, so they never share a
-/// cache entry. The numeric values are part of the RequestKey hash and
+/// cache entry (serial and parallel keep apart too, though their bytes
+/// are equal). The numeric values are part of the RequestKey hash and
 /// must never be reordered; new kinds append. Names, descriptions and
 /// dispatch live in the one engine table (engine/registry.h).
 enum class EngineKind {

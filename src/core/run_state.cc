@@ -39,7 +39,9 @@ bool RunState::Flush() {
   uint64_t nodes = pending_nodes_;
   pending_nodes_ = 0;
   pending_weight_ = 0;
-  reason_ = control_.Charge(nodes, util::RunControl::Clock::now());
+  const auto now = util::RunControl::Clock::now();
+  if (defer_) deferred_ += nodes;
+  reason_ = defer_ ? control_.Check(now) : control_.Charge(nodes, now);
   return reason_ != util::StopReason::kNone;
 }
 

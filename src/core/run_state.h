@@ -2,6 +2,7 @@
 #define SDADCS_CORE_RUN_STATE_H_
 
 #include <cstdint>
+#include <utility>
 
 #include "util/run_control.h"
 
@@ -61,6 +62,16 @@ class RunState {
   /// boundaries). Flushes any pending node charges.
   bool CheckNow();
 
+  /// A team member's state: its flushes check every limit but charge
+  /// nothing, adding their nodes to TakeDeferred()'s count instead, for
+  /// the mining thread to charge with ChargeDeferred at the commit.
+  void DeferCharges() { defer_ = true; }
+  uint64_t TakeDeferred() { return std::exchange(deferred_, 0); }
+  bool ChargeDeferred(uint64_t nodes) {
+    pending_nodes_ += nodes;
+    return CheckNow();
+  }
+
   bool stopped() const { return reason_ != util::StopReason::kNone; }
   util::StopReason reason() const { return reason_; }
   Completion completion() const { return CompletionFromStop(reason_); }
@@ -85,6 +96,8 @@ class RunState {
   uint64_t pending_nodes_ = 0;
   uint64_t pending_weight_ = 0;
   util::StopReason reason_ = util::StopReason::kNone;
+  bool defer_ = false;
+  uint64_t deferred_ = 0;
 };
 
 }  // namespace sdadcs::core

@@ -122,6 +122,26 @@ bool SameProfile(const ContrastPattern& a, const ContrastPattern& b) {
 
 }  // namespace
 
+bool MiningContext::BelowThreshold(double oe) {
+  const bool below = oe <= topk->threshold();
+  if (!topk_is_copy) return below;
+  if (combo.thresholds.size() <= combo.offered.size()) {
+    combo.thresholds.resize(combo.offered.size() + 1);
+  }
+  ComboLog::ThresholdRange& range = combo.thresholds[combo.offered.size()];
+  if (below) {
+    range.at_least = std::max(range.at_least, oe);
+  } else {
+    range.below = std::min(range.below, oe);
+  }
+  return below;
+}
+
+void MiningContext::Offer(const ContrastPattern& pattern) {
+  topk->Insert(pattern);
+  if (topk_is_copy) combo.offered.push_back(pattern);
+}
+
 double MiningContext::ChiCritical(double alpha, int dof) {
   const std::pair<double, int> key(alpha, dof);
   auto it = chi_critical_cache_.find(key);
@@ -250,13 +270,13 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
     // Minimum deviation size: no group reaches delta -> nothing large can
     // come out of this region.
     if (BelowMinimumDeviation(supports, cfg.delta)) {
-      if (cfg.meaningful_pruning) ctx.prune_table->Insert(itemset);
+      if (cfg.meaningful_pruning) ctx.FilePrune(itemset);
       ++counters.pruned_min_support;
       continue;
     }
     // Expected occurrence below 5: no reliable test here or deeper.
     if (LowExpectedCount(gc.counts, ctx.group_sizes)) {
-      if (cfg.meaningful_pruning) ctx.prune_table->Insert(itemset);
+      if (cfg.meaningful_pruning) ctx.FilePrune(itemset);
       ++counters.pruned_low_expected;
       continue;
     }
@@ -266,7 +286,7 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
         StatisticallySameDifference(diff, call.parent_diff,
                                     call.parent_supports, ctx.group_sizes,
                                     cfg.alpha)) {
-      ctx.prune_table->Insert(itemset);
+      ctx.FilePrune(itemset);
       ++counters.pruned_redundant;
       continue;
     }
@@ -277,7 +297,7 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
     if (pure && cfg.PureSpacePruningOn()) {
       // A pure space cannot be improved; extensions are redundant
       // (Section 4.3). Report it, never refine or extend it.
-      ctx.prune_table->Insert(itemset);
+      ctx.FilePrune(itemset);
       ++counters.pruned_pure;
       can_recurse = false;
     }
@@ -300,7 +320,7 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
         in.group_sizes = ctx.group_sizes;
         oe = OptimisticMeasure(in);
       }
-      if (oe <= ctx.topk->threshold()) {
+      if (ctx.BelowThreshold(oe)) {
         ++counters.pruned_oe_measure;
         can_recurse = false;
       }

@@ -1,6 +1,7 @@
 #ifndef SDADCS_CORE_SDAD_H_
 #define SDADCS_CORE_SDAD_H_
 
+#include <limits>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -18,18 +19,44 @@
 
 namespace sdadcs::core {
 
-struct ShardExec;
+class ShardExec;
+
+/// What mining one attribute combination did that takes effect only
+/// when it commits (LatticeSearch, DESIGN.md §12).
+struct ComboLog {
+  /// The thresholds [at_least, below) under which the optimistic-
+  /// estimate tests made at one point come out as they did.
+  struct ThresholdRange {
+    double at_least = -std::numeric_limits<double>::infinity();
+    double below = std::numeric_limits<double>::infinity();
+  };
+
+  /// Entries for the prune table, which takes them when the level ends:
+  /// within a level every combination reads it as the level began.
+  std::vector<Itemset> prune_entries;
+  /// Kept only when the top-k is a copy (MiningContext::topk_is_copy):
+  /// the patterns offered to it in order, and per count of patterns
+  /// offered before them, the range of the tests' threshold.
+  std::vector<ContrastPattern> offered;
+  std::vector<ThresholdRange> thresholds;
+};
 
 /// Shared state of one mining run, threaded through the search tree and
-/// every SDAD-CS recursion. Not thread-safe: parallel workers each get
-/// their own context.
+/// every SDAD-CS recursion. Not thread-safe: each thread that mines
+/// gets its own context.
 struct MiningContext {
   const data::Dataset* db = nullptr;
   const data::GroupInfo* gi = nullptr;
   const MinerConfig* cfg = nullptr;
+  /// Read-only while a level mines: new entries go to `combo` first.
   PruneTable* prune_table = nullptr;
   TopK* topk = nullptr;
+  /// Whether `topk` is a team member's copy of the run's top-k, whose
+  /// offers and threshold tests `combo` must record for the commit.
+  bool topk_is_copy = false;
   MiningCounters* counters = nullptr;
+  /// The deferred effects of the combination being mined.
+  ComboLog combo;
   /// Run the scan and median kernels on their vectorized path (scalar
   /// anyway on a host without AVX2); false runs the scalar oracle. Both
   /// return the same bytes. MiningSession::MakeContext sets it once per
@@ -46,8 +73,8 @@ struct MiningContext {
   /// SDAD-CS recursion.
   SplitScratch split_scratch;
   /// Shard fan-out state (core/shard_exec.h), set only by a Miner with
-  /// more than one shard. Null = every counting scan runs inline on
-  /// this thread.
+  /// more than one shard on the context of its mining thread. Null =
+  /// every counting scan runs inline on this thread.
   /// Decision logic never reads this: the sharded counting wrappers
   /// return merged statistics bit-identical to an inline scan, so the
   /// search is oblivious to how its scans were executed.
@@ -57,6 +84,18 @@ struct MiningContext {
   /// granularity (one per evaluated partition or itemset), never inside
   /// the split-kernel inner loops.
   RunState run;
+
+  /// Files `itemset` for the prune table (ComboLog::prune_entries).
+  void FilePrune(const Itemset& itemset) {
+    combo.prune_entries.push_back(itemset);
+  }
+
+  /// The optimistic-estimate test of Algorithm 1: true when `oe` cannot
+  /// beat the top-k threshold. Recorded in ComboLog::thresholds.
+  bool BelowThreshold(double oe);
+
+  /// Offers `pattern` to the top-k. Recorded in ComboLog::offered.
+  void Offer(const ContrastPattern& pattern);
 
   /// Memoized chi-square critical values: the inverse survival function
   /// costs ~13 µs per evaluation (bisection) and the same handful of

@@ -1,21 +1,35 @@
 #include "core/search.h"
 
 #include <algorithm>
+#include <atomic>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <set>
 
-#include "core/anytime.h"
 #include "core/match_kernel.h"
 #include "core/optimistic.h"
 #include "core/productivity.h"
 #include "core/shard_exec.h"
 #include "core/support.h"
 #include "stats/chi_squared.h"
+#include "util/fork_join_team.h"
 #include "util/logging.h"
 
 namespace sdadcs::core {
 
 namespace {
+
+// A level mines its combinations on the team when it has at least this
+// many per member. Fewer leave members idle behind the slowest
+// combination, and the level's scans are row-sharded instead.
+constexpr size_t kTeamCombosPerMember = 4;
+
+// Combinations per member of one batch on the team. Members claim a
+// batch's combinations one at a time and wait for each other only at
+// its end; a larger batch waits less on its slowest member, while its
+// later combinations mine against an older top-k.
+constexpr size_t kBatchCombosPerMember = 16;
 
 // Total regions killed by monotone rules so far — used to decide whether
 // a combination produced anything worth extending.
@@ -24,7 +38,137 @@ uint64_t MonotoneKills(const MiningCounters& c) {
          c.pruned_redundant + c.pruned_pure;
 }
 
+// The candidate list one level of the lattice evaluates, in order:
+// GenerateLevelCandidates under the per-level cap (overflow charged to
+// counters->truncated_candidates), cheapest first.
+std::vector<std::vector<int>> BuildLevelFrontier(
+    const data::Dataset& db, const MinerConfig& cfg, int level,
+    const std::vector<int>& attrs,
+    const std::vector<std::vector<int>>& alive_prev,
+    MiningCounters* counters) {
+  std::vector<std::vector<int>> candidates =
+      GenerateLevelCandidates(level, attrs, alive_prev);
+  const size_t cap = cfg.max_candidates_per_level;
+  if (cap > 0 && candidates.size() > cap) {
+    counters->truncated_candidates += candidates.size() - cap;
+    candidates.resize(cap);
+  }
+  // Cheap-first ordering: combinations with fewer continuous attributes
+  // are single-scan STUCCO enumerations (or smaller SDAD spaces), so
+  // running them first establishes a top-k threshold before the
+  // expensive recursive-split combinations — more optimistic pruning,
+  // and the first anytime partial arrives within milliseconds. Applied
+  // after the candidate cap so the evaluated SET is unchanged; the
+  // stable sort keeps the order deterministic.
+  auto num_cont = [&db](const std::vector<int>& combo) {
+    size_t c = 0;
+    for (int a : combo) {
+      if (db.is_continuous(a)) ++c;
+    }
+    return c;
+  };
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [&num_cont](const std::vector<int>& a,
+                               const std::vector<int>& b) {
+                     return num_cont(a) < num_cont(b);
+                   });
+  return candidates;
+}
+
+// A combination mined on a team member, held until it commits.
+struct TeamResult {
+  bool alive = false;
+  // Checkpoints passed, for the node budget (RunState::DeferCharges).
+  uint64_t nodes = 0;
+  MiningCounters counters;
+  ComboLog log;
+};
+
+// Applies a combination's top-k offers to the run's top-k exactly as if
+// it had mined against it, and returns true. Returns false, with the
+// top-k untouched, when one of its threshold tests would have come out
+// otherwise against it: the combination must be mined again. The tests
+// depend on the top-k through nothing else.
+bool ReplayOffers(const ComboLog& log, TopK* topk) {
+  // Offers move the threshold, so they replay on a copy; without any,
+  // the ranges are checked against the run's top-k itself.
+  std::optional<TopK> copy;
+  if (!log.offered.empty()) copy = *topk;
+  const TopK& replay = copy ? *copy : *topk;
+  const size_t steps = std::max(log.thresholds.size(), log.offered.size());
+  for (size_t m = 0; m < steps; ++m) {
+    if (m < log.thresholds.size() &&
+        !(log.thresholds[m].at_least <= replay.threshold() &&
+          replay.threshold() < log.thresholds[m].below)) {
+      return false;
+    }
+    if (m < log.offered.size()) copy->Insert(log.offered[m]);
+  }
+  if (copy) *topk = std::move(*copy);
+  return true;
+}
+
 }  // namespace
+
+// One member of the team a wide level mines on: a context of its own
+// (split scratch, memos, per-combination counters, scans inline) over a
+// copy of the run's top-k, and a search with memos of its own.
+struct LatticeSearch::Member {
+  explicit Member(const LatticeSearch& run)
+      : ctx(run.ctx_),
+        topk(*run.ctx_.topk),
+        copied_at(run.ctx_.topk->version()) {
+    ctx.topk = &topk;
+    ctx.topk_is_copy = true;
+    ctx.counters = &counters;
+    ctx.shards = nullptr;
+    ctx.combo = ComboLog();
+    ctx.run = RunState(run.ctx_.run.control());
+    ctx.run.DeferCharges();
+    search = std::make_unique<LatticeSearch>(ctx);
+    search->base_covers_ = run.base_covers_;
+    search->root_cuts_ = run.root_cuts_;
+  }
+  Member(const Member&) = delete;
+  Member& operator=(const Member&) = delete;
+
+  // Mines `combo` into `out` against a copy of `run_topk`, which is
+  // copied again only when it changed or this member inserted into it.
+  void Mine(const TopK& run_topk, const std::vector<int>& combo,
+            TeamResult* out) {
+    if (topk.version() != copied_at || copied_at != run_topk.version()) {
+      topk = run_topk;
+      copied_at = run_topk.version();
+    }
+    counters = MiningCounters();
+    out->alive = search->Mine(combo);
+    out->nodes = ctx.run.TakeDeferred();
+    out->counters = counters;
+    out->log = std::move(ctx.combo);
+    ctx.combo = ComboLog();
+  }
+
+  MiningContext ctx;
+  TopK topk;
+  // The run's TopK::version() when `topk` was copied from it.
+  uint64_t copied_at;
+  MiningCounters counters;
+  std::unique_ptr<LatticeSearch> search;
+};
+
+// One level of the search: its frontier and what its committed
+// combinations left.
+struct LatticeSearch::Level {
+  int number = 0;
+  std::vector<std::vector<int>> candidates;
+  size_t committed = 0;
+  std::vector<std::vector<int>> alive;
+  std::vector<Itemset> prune_entries;
+};
+
+LatticeSearch::LatticeSearch(MiningContext& ctx) : ctx_(ctx) {}
+
+LatticeSearch::~LatticeSearch() = default;
 
 std::vector<std::vector<int>> GenerateLevelCandidates(
     int level, const std::vector<int>& attrs,
@@ -62,105 +206,144 @@ std::vector<std::vector<int>> GenerateLevelCandidates(
   return candidates;
 }
 
-std::vector<std::vector<int>> BuildLevelFrontier(
-    const data::Dataset& db, const MinerConfig& cfg, int level,
-    const std::vector<int>& attrs,
-    const std::vector<std::vector<int>>& alive_prev, bool cheap_first,
-    MiningCounters* counters) {
-  std::vector<std::vector<int>> candidates =
-      GenerateLevelCandidates(level, attrs, alive_prev);
-  const size_t cap = cfg.max_candidates_per_level;
-  if (cap > 0 && candidates.size() > cap) {
-    counters->truncated_candidates += candidates.size() - cap;
-    candidates.resize(cap);
-  }
-  if (cheap_first) {
-    // Cheap-first ordering: combinations with fewer continuous
-    // attributes are single-scan STUCCO enumerations (or smaller SDAD
-    // spaces), so running them first establishes a top-k threshold
-    // before the expensive recursive-split combinations — more
-    // optimistic pruning, and the first anytime partial arrives within
-    // milliseconds. Applied after the candidate cap so the evaluated
-    // SET is unchanged; the stable sort keeps the order deterministic,
-    // so results are identical across runs and kernels (up to top-k
-    // boundary ties, which the goldens pin).
-    auto num_cont = [&db](const std::vector<int>& combo) {
-      size_t c = 0;
-      for (int a : combo) {
-        if (db.is_continuous(a)) ++c;
-      }
-      return c;
-    };
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&num_cont](const std::vector<int>& a,
-                                 const std::vector<int>& b) {
-                       return num_cont(a) < num_cont(b);
-                     });
-  }
-  return candidates;
-}
-
 void LatticeSearch::Run(const std::vector<int>& attrs) {
   const int max_depth =
       std::min<int>(ctx_.cfg->max_depth, static_cast<int>(attrs.size()));
   std::vector<std::vector<int>> alive_prev;
 
   for (int level = 1; level <= max_depth; ++level) {
-    std::vector<std::vector<int>> candidates =
-        BuildLevelFrontier(*ctx_.db, *ctx_.cfg, level, attrs, alive_prev,
-                           /*cheap_first=*/true, ctx_.counters);
-    if (candidates.empty()) break;
+    Level lv;
+    lv.number = level;
+    lv.candidates = BuildLevelFrontier(*ctx_.db, *ctx_.cfg, level, attrs,
+                                       alive_prev, ctx_.counters);
+    const size_t n = lv.candidates.size();
+    if (n == 0) break;
     // Candidate generation for a wide level is itself non-trivial work;
     // re-check the limits before committing to the level.
     if (ctx_.run.CheckNow()) {
-      ctx_.counters->abandoned_candidates += candidates.size();
+      ctx_.counters->abandoned_candidates += n;
       break;
     }
-    ReportProgress(level, 0, candidates.size());
+    ReportProgress(level, 0, n);
 
-    std::vector<std::vector<int>> alive_cur;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (ctx_.run.stopped()) {
-        ctx_.counters->abandoned_candidates += candidates.size() - i;
-        break;
+    const size_t width =
+        ctx_.shards != nullptr ? ctx_.shards->team_width() : 0;
+    if (width > 1 && n >= kTeamCombosPerMember * width) {
+      MineLevelOnTeam(&lv);
+    } else {
+      for (const std::vector<int>& combo : lv.candidates) {
+        if (ctx_.run.CheckNow()) break;
+        MineInline(combo, &lv);
       }
-      progress_level_ = level;
-      progress_done_ = i;
-      progress_total_ = candidates.size();
-      if (MineCombo(candidates[i])) alive_cur.push_back(candidates[i]);
-      ReportProgress(level, i + 1, candidates.size());
     }
+    ctx_.counters->abandoned_candidates += n - lv.committed;
     if (ctx_.run.stopped()) break;
-    std::sort(alive_cur.begin(), alive_cur.end());
-    alive_prev = std::move(alive_cur);
+    for (Itemset& entry : lv.prune_entries) {
+      ctx_.prune_table->Insert(std::move(entry));
+    }
+    std::sort(lv.alive.begin(), lv.alive.end());
+    alive_prev = std::move(lv.alive);
     if (alive_prev.empty()) break;
   }
 }
 
+void LatticeSearch::MineInline(const std::vector<int>& combo, Level* level) {
+  // Mined against the run's own top-k and counters, which hold its
+  // offers and counts already.
+  const bool alive = Mine(combo);
+  Commit(combo, alive, &ctx_.combo.prune_entries, level);
+}
+
+void LatticeSearch::MineLevelOnTeam(Level* level) {
+  const size_t n = level->candidates.size();
+  std::vector<TeamResult> results;
+  while (level->committed < n && !ctx_.run.CheckNow()) {
+    // Without the team (another mine holds it, or leaves it too few
+    // cores) the level mines here until it is back.
+    size_t width = 0;
+    util::ForkJoinTeam* team = ctx_.shards->AvailableTeam(&width);
+    if (team == nullptr) {
+      MineInline(level->candidates[level->committed], level);
+      continue;
+    }
+    while (members_.size() < width) {
+      members_.push_back(std::make_unique<Member>(*this));
+    }
+    // Every member mines against the run's top-k as it stands now.
+    const size_t first = level->committed;
+    const size_t batch = std::min(n - first, kBatchCombosPerMember * width);
+    results.assign(batch, TeamResult());
+    std::atomic<size_t> next{0};
+    team->Run(width, [&](size_t slot) {
+      Member& member = *members_[slot];
+      for (size_t i = next.fetch_add(1);
+           i < batch && !member.ctx.run.CheckNow();
+           i = next.fetch_add(1)) {
+        member.Mine(*ctx_.topk, level->candidates[first + i], &results[i]);
+      }
+    });
+    for (size_t i = 0; i < batch; ++i) {
+      // After a stop, nothing commits that the stop may have cut short.
+      if (ctx_.run.CheckNow()) return;
+      const std::vector<int>& combo = level->candidates[first + i];
+      TeamResult& result = results[i];
+      // Nodes the budget covers would not stop an inline mine either;
+      // a combination whose nodes it does not cover is mined again here,
+      // to stop where an inline mine stops.
+      if (ctx_.run.control().Covers(result.nodes) &&
+          ReplayOffers(result.log, ctx_.topk)) {
+        ctx_.run.ChargeDeferred(result.nodes);
+        ctx_.counters->Add(result.counters);
+        Commit(combo, result.alive, &result.log.prune_entries, level);
+      } else {
+        // Mined again on this thread, against the run's top-k.
+        MineInline(combo, level);
+      }
+    }
+  }
+}
+
+void LatticeSearch::Commit(const std::vector<int>& combo, bool alive,
+                           std::vector<Itemset>* prune_entries,
+                           Level* level) {
+  level->prune_entries.insert(level->prune_entries.end(),
+                              std::make_move_iterator(prune_entries->begin()),
+                              std::make_move_iterator(prune_entries->end()));
+  prune_entries->clear();
+  if (alive) level->alive.push_back(combo);
+  ++level->committed;
+  ReportProgress(level->number, level->committed, level->candidates.size());
+}
+
 void LatticeSearch::ReportProgress(int level, uint64_t done,
-                                   uint64_t total) const {
+                                   uint64_t total) {
   if (!ctx_.run.control().has_progress_callback()) return;
   util::RunProgress progress;
   progress.level = level;
   progress.candidates_done = done;
   progress.candidates_total = total;
   progress.topk_threshold = ctx_.topk->threshold();
-  FillProgressFromTopK(ctx_.run.control(), *ctx_.topk,
-                       &last_improved_version_, &progress);
+  progress.patterns_found = ctx_.topk->size();
+  progress.best_measure = ctx_.topk->best_measure();
+  progress.topk_version = ctx_.topk->version();
+  if (ctx_.run.control().wants_anytime() &&
+      progress.topk_version != last_improved_version_) {
+    progress.improved = true;
+    last_improved_version_ = progress.topk_version;
+  }
   ctx_.run.control().ReportProgress(progress);
 }
 
-void LatticeSearch::MaybeReportInsert() const {
-  // Only fires when there is an improvement to stream: anytime runs
-  // with an advanced top-k. Keeps the callback cadence bounded by the
-  // number of top-k improvements, not by leaf count.
-  if (!ctx_.run.control().wants_anytime()) return;
-  if (!ctx_.run.control().has_progress_callback()) return;
-  if (ctx_.topk->version() == last_improved_version_) return;
-  ReportProgress(progress_level_, progress_done_, progress_total_);
+bool LatticeSearch::MineCombo(const std::vector<int>& combo) {
+  const bool alive = Mine(combo);
+  for (Itemset& entry : ctx_.combo.prune_entries) {
+    ctx_.prune_table->Insert(std::move(entry));
+  }
+  ctx_.combo = ComboLog();
+  return alive;
 }
 
-bool LatticeSearch::MineCombo(const std::vector<int>& combo) {
+bool LatticeSearch::Mine(const std::vector<int>& combo) {
   std::vector<int> cat_attrs;
   std::vector<int> cont_attrs;
   for (int a : combo) {
@@ -177,6 +360,9 @@ bool LatticeSearch::MineCombo(const std::vector<int>& combo) {
   bool alive = false;
   EnumerateCategorical(cat_attrs, cont_attrs, 0, Itemset(),
                        ctx_.gi->base_selection(), base_counts, &alive);
+  // Every combination ends with its nodes charged, so how many it
+  // charges does not depend on where its predecessors left off.
+  (void)ctx_.run.CheckNow();
   return alive;
 }
 
@@ -246,7 +432,7 @@ void LatticeSearch::EnumerateCategorical(const std::vector<int>& cat_attrs,
     // are added, so a below-δ prefix can be abandoned outright.
     if (BelowMinimumDeviation(cover->counts.Supports(*ctx_.gi),
                               ctx_.cfg->delta)) {
-      if (ctx_.cfg->meaningful_pruning) ctx_.prune_table->Insert(candidate);
+      if (ctx_.cfg->meaningful_pruning) ctx_.FilePrune(candidate);
       ++ctx_.counters->pruned_min_support;
       continue;
     }
@@ -273,12 +459,12 @@ void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
   const double alpha_level = cfg.AlphaForLevel(level);
 
   if (BelowMinimumDeviation(supports, cfg.delta)) {
-    if (cfg.meaningful_pruning) ctx_.prune_table->Insert(itemset);
+    if (cfg.meaningful_pruning) ctx_.FilePrune(itemset);
     ++counters.pruned_min_support;
     return;
   }
   if (LowExpectedCount(gc.counts, ctx_.group_sizes)) {
-    if (cfg.meaningful_pruning) ctx_.prune_table->Insert(itemset);
+    if (cfg.meaningful_pruning) ctx_.FilePrune(itemset);
     ++counters.pruned_low_expected;
     return;
   }
@@ -289,7 +475,7 @@ void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
       if (StatisticallySameDifference(diff, SupportDifference(sub_supports),
                                       sub_supports, ctx_.group_sizes,
                                       cfg.alpha)) {
-        ctx_.prune_table->Insert(itemset);
+        ctx_.FilePrune(itemset);
         ++counters.pruned_redundant;
         return;
       }
@@ -298,14 +484,14 @@ void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
   *alive = true;
 
   if (cfg.PureSpacePruningOn() && purity >= 1.0 && gc.total() > 0.0) {
-    ctx_.prune_table->Insert(itemset);
+    ctx_.FilePrune(itemset);
     ++counters.pruned_pure;
   } else if (cfg.ChiBoundPruningOn()) {
     // STUCCO chi-square bound: no specialization can reach significance.
     const int dof = ctx_.gi->num_groups() - 1;
     double critical = ctx_.ChiCritical(cfg.AlphaForLevel(level + 1), dof);
     if (MaxChildChiSquared(gc.counts, ctx_.group_sizes) < critical) {
-      ctx_.prune_table->Insert(itemset);
+      ctx_.FilePrune(itemset);
       ++counters.pruned_oe_chi2;
     }
   }
@@ -327,8 +513,7 @@ void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
     ++counters.unproductive;
     return;
   }
-  ctx_.topk->Insert(pattern);
-  MaybeReportInsert();
+  ctx_.Offer(pattern);
 }
 
 void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
@@ -400,9 +585,8 @@ void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
       ++counters.unproductive;
       continue;
     }
-    ctx_.topk->Insert(p);
+    ctx_.Offer(p);
   }
-  MaybeReportInsert();
 }
 
 }  // namespace sdadcs::core

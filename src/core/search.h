@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,30 +15,10 @@ namespace sdadcs::core {
 /// Apriori-style candidate generation over attribute sets: size-`level`
 /// combinations of `attrs` all of whose size-(level-1) subsets appear in
 /// `alive_prev` (which must be sorted). For level 1 every singleton is a
-/// candidate. Shared by the serial LatticeSearch and the level-parallel
-/// miner (Section 6).
+/// candidate.
 std::vector<std::vector<int>> GenerateLevelCandidates(
     int level, const std::vector<int>& attrs,
     const std::vector<std::vector<int>>& alive_prev);
-
-/// Level-synchronous frontier API: the candidate list one level of the
-/// lattice actually evaluates, in evaluation order. Wraps
-/// GenerateLevelCandidates with the two deterministic frontier policies
-/// every engine shares — the per-level candidate cap
-/// (cfg.max_candidates_per_level, overflow charged to
-/// counters->truncated_candidates) and, with `cheap_first` set, the
-/// stable cheap-first ordering (fewest continuous attributes first, so
-/// a top-k threshold exists before the expensive recursive splits).
-/// core::Miner consumes the frontier in this order on one coordinator
-/// at every shard count; the level-parallel engine deals the same frontier
-/// (cheap_first = false, its workers interleave anyway) across threads.
-/// Pure frontier generation: no mining, no pruning — pruning decisions
-/// happen downstream, off merged statistics only.
-std::vector<std::vector<int>> BuildLevelFrontier(
-    const data::Dataset& db, const MinerConfig& cfg, int level,
-    const std::vector<int>& attrs,
-    const std::vector<std::vector<int>>& alive_prev, bool cheap_first,
-    MiningCounters* counters);
 
 /// Level-wise search over attribute combinations (Figure 1). The paper
 /// adopts Webb & Zhang's ordering because it maximizes pruning with less
@@ -45,12 +26,20 @@ std::vector<std::vector<int>> BuildLevelFrontier(
 /// pruning power by (a) generating a size-L attribute combination only
 /// when all its size-(L-1) sub-combinations were "alive" (produced at
 /// least one region not killed by a monotone rule), and (b) consulting
-/// the shared prune table before any candidate itemset or space is
-/// expanded, so information discovered early in a level suppresses work
-/// later in the same and deeper levels.
+/// the prune table before any candidate itemset or space is expanded,
+/// so information discovered in one level suppresses work in the deeper
+/// ones. Purely categorical combinations are enumerated STUCCO-style;
+/// any combination containing a continuous attribute is handed to
+/// SDAD-CS.
 ///
-/// Purely categorical combinations are enumerated STUCCO-style; any
-/// combination containing a continuous attribute is handed to SDAD-CS.
+/// Combinations commit in frontier order, and each reads the prune
+/// table as it stood when its level began (ComboLog). A level with many
+/// combinations per member of the context's team (ShardExec) mines
+/// them on the team, each member against a copy of the top-k, and any
+/// whose threshold tests the committed top-k would answer otherwise is
+/// mined again; other levels mine one combination at a time. The
+/// result, the counters and the progress reports (sent at each commit,
+/// from the mining thread) equal a one-thread mine's (DESIGN.md §12).
 ///
 /// Scans are reused within one run, never across runs: each single
 /// categorical item's cover of the base selection is computed once
@@ -61,24 +50,43 @@ std::vector<std::vector<int>> BuildLevelFrontier(
 class LatticeSearch {
  public:
   /// `ctx` must outlive the search and have all pointers set.
-  explicit LatticeSearch(MiningContext& ctx) : ctx_(ctx) {}
+  explicit LatticeSearch(MiningContext& ctx);
+  ~LatticeSearch();
 
   /// Mines every combination of `attrs` (attribute indices, group
   /// attribute excluded by the caller) up to cfg.max_depth, feeding the
   /// context's top-k list.
   void Run(const std::vector<int>& attrs);
 
-  /// Exposed for testing: mines one attribute combination; returns true
-  /// if the combination stays alive for extension.
+  /// Exposed for testing: mines one attribute combination on this thread
+  /// and files its prune entries; returns true if the combination stays
+  /// alive for extension.
   bool MineCombo(const std::vector<int>& combo);
 
  private:
+  struct Member;
+  struct Level;
+
   /// Rows of the base selection matching one item, with their
   /// per-group counts.
   struct ItemCover {
     data::Selection rows;
     GroupCounts counts;
   };
+
+  /// Mines `combo` against the context, leaving its deferred effects in
+  /// the context's ComboLog. Returns aliveness.
+  bool Mine(const std::vector<int>& combo);
+
+  /// The two ways of mining one level, both committing in frontier
+  /// order; MineInline mines and commits one combination on this thread.
+  void MineLevelOnTeam(Level* level);
+  void MineInline(const std::vector<int>& combo, Level* level);
+
+  /// Files a combination's prune entries with its level's, records its
+  /// aliveness and sends its progress report.
+  void Commit(const std::vector<int>& combo, bool alive,
+              std::vector<Itemset>* prune_entries, Level* level);
 
   /// `rows` is the cover of `prefix` within the base selection and
   /// `counts` its per-group counts.
@@ -117,27 +125,21 @@ class LatticeSearch {
   double RootCut(const Itemset& root, const data::Selection& rows,
                  const AxisBound& bound);
 
-  /// Invokes the run's progress callback, if any.
-  void ReportProgress(int level, uint64_t done, uint64_t total) const;
-
-  /// Reports mid-combo when anytime streaming is on and the top-k has
-  /// advanced since the last improved report, so a freshly inserted pattern
-  /// reaches the stream without waiting for the combination to finish.
-  void MaybeReportInsert() const;
+  /// Invokes the run's progress callback, if any, with the top-k's
+  /// best-so-far fields; `improved` is set on anytime runs whose top-k
+  /// changed since the last improved report.
+  void ReportProgress(int level, uint64_t done, uint64_t total);
 
   MiningContext& ctx_;
-  /// Level-loop position, captured so mid-combo reports carry the same
-  /// progress coordinates the end-of-combo report would.
-  int progress_level_ = 0;
-  uint64_t progress_done_ = 0;
-  uint64_t progress_total_ = 0;
   /// BaseCover's memo, keyed by (attribute, value code).
   std::map<std::pair<int, int32_t>, ItemCover> base_covers_;
   /// RootCut's memo: per root row set, the cut of each attribute.
   std::unordered_map<Itemset, std::map<int, double>> root_cuts_;
   /// TopK::version() at the last improved report; a report is flagged
   /// improved only when the top-k advanced past it.
-  mutable uint64_t last_improved_version_ = 0;
+  uint64_t last_improved_version_ = 0;
+  /// Team members, made at the first level mined on the team.
+  std::vector<std::unique_ptr<Member>> members_;
 };
 
 }  // namespace sdadcs::core

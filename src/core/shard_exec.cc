@@ -1,7 +1,11 @@
 #include "core/shard_exec.h"
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <thread>
 #include <utility>
 
 #include "data/chunks.h"
@@ -12,8 +16,13 @@ namespace sdadcs::core {
 
 namespace {
 
-// Mines registered by RunningMine.
-std::atomic<int> running_mines{0};
+// The running mines (one ShardExec each), the process's team, and the
+// mine the team serves (null while it is free).
+std::mutex team_mu;
+std::atomic<size_t> running_mines{0};
+std::unique_ptr<util::ForkJoinTeam> process_team;  // guarded by team_mu
+std::atomic<const ShardExec*> team_holder{nullptr};
+const size_t kCores = std::max(1u, std::thread::hardware_concurrency());
 
 // A filter kernel's output: the matching rows and their group counts.
 struct Filtered {
@@ -45,7 +54,7 @@ Space SliceOf(const Space& space, const data::ShardRange& range) {
 // task per shard: each holds the chunks of the columns `attrs()` names
 // pinned over the shard's rows (a residency hint for paged datasets),
 // runs `scan` over its slice with the shard's scratch, and `merge` folds
-// the per-shard results, in plan order, into one. A mine without a
+// the per-shard results, in plan order, into one. A mine without the
 // team, or one that shares the process with another running mine, scans
 // inline instead; both take the checkpoint at the merge barrier, so a
 // stop lands at the same scan either way. The checkpoint charges no
@@ -54,23 +63,24 @@ template <typename Input, typename Attrs, typename Scan, typename Merge>
 auto FanOut(MiningContext& ctx, const Input& input, const Attrs& attrs,
             const Scan& scan, const Merge& merge) {
   const ShardExec* ex = ctx.shards;
-  if (ex == nullptr || ex->plan == nullptr || ex->plan->num_shards() < 2 ||
-      RowsOf(input).size() < ex->min_fanout_rows) {
+  if (ex == nullptr || ex->plan().num_shards() < 2 ||
+      RowsOf(input).size() < ShardExec::kMinFanoutRows) {
     return scan(input, &ctx.split_scratch);
   }
-  if (ex->team == nullptr || running_mines.load() > 1) {
+  size_t width = 0;
+  util::ForkJoinTeam* team = ex->AvailableTeam(&width);
+  if (team == nullptr || running_mines.load() > 1) {
     auto whole = scan(input, &ctx.split_scratch);
     (void)ctx.run.CheckNow();
     return whole;
   }
-  const size_t n = ex->plan->num_shards();
-  SDADCS_CHECK(ex->scratches != nullptr && ex->scratches->size() >= n);
+  const size_t n = ex->plan().num_shards();
   const std::vector<int> pinned = attrs();
   std::vector<decltype(scan(input, &ctx.split_scratch))> parts(n);
-  ex->team->Run(n, [&](size_t i) {
-    const data::ShardRange& range = ex->plan->range(i);
+  team->Run(n, [&](size_t i) {
+    const data::ShardRange& range = ex->plan().range(i);
     data::ChunkPinSet hint(*ctx.db, pinned, range.begin_row, range.end_row);
-    parts[i] = scan(SliceOf(input, range), &(*ex->scratches)[i]);
+    parts[i] = scan(SliceOf(input, range), ex->scratch(i));
   });
   (void)ctx.run.CheckNow();
   return merge(std::move(parts));
@@ -154,10 +164,39 @@ std::vector<int> AttrsOf(const Itemset& is) {
 
 }  // namespace
 
-RunningMine::RunningMine()
-    : started_alone_(running_mines.fetch_add(1) == 0) {}
+ShardExec::ShardExec(size_t rows, size_t shards)
+    : plan_(rows, shards), scratches_(plan_.num_shards()) {
+  std::lock_guard<std::mutex> lock(team_mu);
+  running_mines.fetch_add(1);
+  const size_t width = plan_.num_shards();
+  if (width < 2) return;
+  if (process_team == nullptr) {
+    process_team =
+        std::make_unique<util::ForkJoinTeam>(std::min(width, kCores));
+    team_holder.store(this);
+  }
+  team_ = process_team.get();
+  team_width_ = std::min(width, team_->width());
+}
 
-RunningMine::~RunningMine() { running_mines.fetch_sub(1); }
+ShardExec::~ShardExec() {
+  const ShardExec* self = this;
+  team_holder.compare_exchange_strong(self, nullptr);
+  std::lock_guard<std::mutex> lock(team_mu);
+  if (running_mines.fetch_sub(1) == 1) process_team.reset();
+}
+
+util::ForkJoinTeam* ShardExec::AvailableTeam(size_t* width) const {
+  if (team_ == nullptr) return nullptr;
+  const ShardExec* holder = team_holder.load();
+  if (holder != this && (holder != nullptr ||
+                         !team_holder.compare_exchange_strong(holder, this))) {
+    return nullptr;
+  }
+  const size_t others = running_mines.load() - 1;
+  *width = std::min(team_width_, kCores > others ? kCores - others : 0);
+  return *width >= 2 ? team_ : nullptr;
+}
 
 GroupCounts CountMatchesSharded(MiningContext& ctx, const Itemset& itemset,
                                 const data::Selection& sel) {

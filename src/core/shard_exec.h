@@ -17,11 +17,11 @@ class ForkJoinTeam;
 
 namespace sdadcs::core {
 
-/// Shard fan-out state of one mining run: the static row partition, the
-/// fork-join team the counting scans fan across, and one SplitScratch
-/// per shard (kernel scratch is single-owner — see split_kernel.h). Hung
-/// off MiningContext by a multi-shard core::Miner; null there = serial
-/// counting.
+/// Shard fan-out state of one core::Miner mine, which it registers as
+/// running in this process for its lifetime: the static row partition,
+/// one SplitScratch per shard (kernel scratch is single-owner — see
+/// split_kernel.h) and the process's team. Hung off MiningContext by a
+/// multi-shard mine; null there = serial counting.
 ///
 /// The contract that keeps results byte-identical to serial for every
 /// shard count: shards are contiguous ascending row ranges, every kernel
@@ -31,40 +31,42 @@ namespace sdadcs::core {
 /// is exact. Only counting scans fan out; every *decision* (pruning,
 /// recursion, ordering) stays on the coordinator and only ever reads
 /// merged statistics.
-struct ShardExec {
-  const data::ShardPlan* plan = nullptr;
-  /// The team the shards run on, the mining thread included; any member
-  /// may run any shard. Null for a mine that did not start alone
-  /// (RunningMine): every scan then runs inline, still with a checkpoint
-  /// at each barrier.
-  util::ForkJoinTeam* team = nullptr;
-  /// One scratch per shard, indexed by shard id.
-  std::vector<SplitScratch>* scratches = nullptr;
+///
+/// The process has one team, alive while any mine runs: a multi-shard
+/// mine builds it (min(shards, cores) wide) when none exists. It serves
+/// one mine at a time until that mine ends, so a mine started beside
+/// another takes it over when the other ends. Members spin between
+/// tasks and need cores of their own: while other mines run, the team
+/// lends one member fewer per other mine and fans out no row scans. A
+/// mine without it mines inline, byte-identically.
+class ShardExec {
+ public:
+  ShardExec(size_t rows, size_t shards);
+  ~ShardExec();
+
+  ShardExec(const ShardExec&) = delete;
+  ShardExec& operator=(const ShardExec&) = delete;
+
+  const data::ShardPlan& plan() const { return plan_; }
+  SplitScratch* scratch(size_t shard) const { return &scratches_[shard]; }
+
+  /// min(shards, team width), the mining thread included; 0 = no team.
+  size_t team_width() const { return team_width_; }
+
+  /// The team this mine may use now, and in `*width` how many of its
+  /// members (at least 2): null when it serves another mine, or while
+  /// other mines leave it under two cores.
+  util::ForkJoinTeam* AvailableTeam(size_t* width) const;
+
   /// Selections smaller than this run the plain kernel inline: the
   /// per-task overhead of a fan-out dwarfs a small scan.
-  size_t min_fanout_rows = 4096;
-};
-
-/// Registers one core::Miner mine as running in this process, for the
-/// object's lifetime. Team members spin between fan-outs, so they need
-/// cores of their own: a multi-shard mine builds its team only when it
-/// starts as the process's only running mine (so at most one team
-/// exists at a time), and it fans out only while no other mine runs.
-/// Otherwise its scans run inline, which the contract above makes
-/// byte-identical.
-class RunningMine {
- public:
-  RunningMine();
-  ~RunningMine();
-
-  RunningMine(const RunningMine&) = delete;
-  RunningMine& operator=(const RunningMine&) = delete;
-
-  /// True when no other mine was running as this one started.
-  bool started_alone() const { return started_alone_; }
+  static constexpr size_t kMinFanoutRows = 4096;
 
  private:
-  bool started_alone_;
+  data::ShardPlan plan_;
+  mutable std::vector<SplitScratch> scratches_;
+  util::ForkJoinTeam* team_ = nullptr;
+  size_t team_width_ = 0;
 };
 
 /// Counting scans with shard fan-out. Each calls its kernel directly on
@@ -74,8 +76,8 @@ class RunningMine {
 /// (counts sum, rows concatenate, split cells merge by position), then
 /// flushes a RunState checkpoint at the merge barrier (CheckNow) so
 /// cancel / deadline / budget stops are observed between fan-outs and
-/// the coordinator drains its partial top-k cleanly. Without a team, or
-/// while another mine runs, the scan runs inline over the whole
+/// the coordinator drains its partial top-k cleanly. Without the team,
+/// or while another mine runs, the scan runs inline over the whole
 /// selection and the same checkpoint follows it. Every kernel runs the
 /// path MiningContext::simd names.
 

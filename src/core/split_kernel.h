@@ -18,9 +18,9 @@ namespace sdadcs::core {
 /// then recycled, so the inner loop stops allocating per call.
 ///
 /// Ownership rule: a SplitScratch belongs to exactly one mining thread
-/// (parallel workers each own their context and therefore their
-/// scratch). Its buffers are dead between kernel calls — no kernel
-/// output may alias them.
+/// (team members each own their context and therefore their scratch).
+/// Its buffers are dead between kernel calls — no kernel output may
+/// alias them.
 struct SplitScratch {
   /// Gather buffer for median/quantile computation (PartitionCuts).
   std::vector<double> values;

@@ -5,7 +5,6 @@
 #include "discretize/fayyad.h"
 #include "discretize/mvd.h"
 #include "discretize/srikant.h"
-#include "parallel/parallel_miner.h"
 #include "stream/window_miner.h"
 #include "subgroup/beam.h"
 
@@ -19,7 +18,10 @@ using core::EngineKind;
 // case to Mine().
 constexpr EngineRow kEngines[] = {
     {EngineKind::kSerial, "serial", "single-threaded SDAD-CS lattice search"},
-    {EngineKind::kParallel, "parallel", "level-parallel SDAD-CS (Section 6)"},
+    {EngineKind::kParallel, "parallel",
+     "SDAD-CS on a thread team (Section 6): a wide level's combinations "
+     "in parallel, a narrow level's row scans sharded (byte-identical to "
+     "serial)"},
     {EngineKind::kBeam, "beam",
      "beam-search subgroup discovery (Cortana-style baseline)"},
     {EngineKind::kBinnedFayyad, "binned:fayyad",
@@ -34,8 +36,8 @@ constexpr EngineRow kEngines[] = {
     {EngineKind::kWindow, "window",
      "serial SDAD-CS over the most recent rows only"},
     {EngineKind::kSharded, "sharded",
-     "shard-merge SDAD-CS: serial decision order, row-sharded counting "
-     "(byte-identical to serial)"},
+     "the parallel engine under its width's name: sharded:<n> runs on n "
+     "shards (byte-identical to serial)"},
 };
 
 constexpr char kAutoName[] = "auto";
@@ -102,12 +104,10 @@ util::StatusOr<core::MiningResult> Mine(const EngineSpec& spec,
           "resolve it from the dataset's row count");
     case EngineKind::kSerial:
       return core::Miner(config).Mine(db, request);
+    case EngineKind::kParallel:
     case EngineKind::kSharded:
       return core::Miner(config, spec.shard_count != 0 ? spec.shard_count
                                                        : options.shard_count)
-          .Mine(db, request);
-    case EngineKind::kParallel:
-      return parallel::ParallelMiner(config, options.parallel_threads)
           .Mine(db, request);
     case EngineKind::kBeam: {
       // The beam mapping carries only the shared knobs; validating the

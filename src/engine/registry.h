@@ -15,19 +15,16 @@ namespace sdadcs::engine {
 /// Engine knobs that are deployment decisions rather than mining
 /// semantics — they never enter the request fingerprint.
 struct EngineOptions {
-  /// Worker threads of the level-parallel engine (0 = hardware
-  /// concurrency).
-  size_t parallel_threads = 0;
   /// Rows of the tail window the "window" engine mines (0 = the whole
   /// dataset).
   size_t window_rows = 0;
   /// Bin count of the binned:equal_width / binned:equal_freq engines
   /// (at least 1).
   int equal_bins = 10;
-  /// Row shards of the shard-merge engine when the spec carries no
+  /// Width of the parallel and sharded engines when the spec carries no
   /// "sharded:<n>" count (0 = hardware concurrency). Deployment knob
-  /// only: the sharded engine's results are byte-identical to serial for
-  /// every count, so this never enters the request fingerprint.
+  /// only: their results are byte-identical to serial for every count,
+  /// so this never enters the request fingerprint.
   size_t shard_count = 0;
 };
 
@@ -47,10 +44,9 @@ struct EngineRow {
 std::span<const EngineRow> Engines();
 
 /// A parsed engine name: the kind plus the shard count "sharded:<n>"
-/// carries. Like EngineOptions::parallel_threads the count is an
-/// execution knob, not request identity (results are byte-identical for
-/// every n), so it rides next to the kind and never reaches the
-/// RequestKey.
+/// carries. Like EngineOptions::shard_count the count is an execution
+/// knob, not request identity (results are byte-identical for every n),
+/// so it rides next to the kind and never reaches the RequestKey.
 struct EngineSpec {
   core::EngineKind kind = core::EngineKind::kAuto;
   /// Shard count of "sharded:<n>"; 0 = none given (Mine falls back to
@@ -66,7 +62,8 @@ util::StatusOr<EngineSpec> ParseEngine(const std::string& name);
 /// The table name of `kind` ("auto" for kAuto).
 const char* EngineName(core::EngineKind kind);
 
-/// Runs `spec`'s miner over `db`. An explicit "sharded:<n>" count beats
+/// Runs `spec`'s miner over `db`. The parallel and sharded rows run
+/// core::Miner on the shard team; an explicit "sharded:<n>" count beats
 /// `options.shard_count`. Same contract as core::Miner::Mine: an expired
 /// deadline, cancellation or exhausted budget drains into a sorted
 /// best-so-far result with the matching completion, and errors are

@@ -22,10 +22,9 @@ namespace sdadcs::engine {
 
 /// The shared prologue and epilogue of every mining engine — the one
 /// place the setup and finalize logic lives (the SDAD-CS lattice miner
-/// at any shard count, level-parallel, beam subgroup discovery,
-/// pre-binned and window engines all run between Begin() and
-/// Finalize()). Neither end mines anything itself, so an engine's
-/// search runs exactly once per request.
+/// at any shard count, beam subgroup discovery, pre-binned and window
+/// engines all run between Begin() and Finalize()). Neither end mines
+/// anything itself, so an engine's search runs exactly once per request.
 ///
 /// Begin() validates the config, resolves the request's groups
 /// (request.groups wins over group_attr/group_values), resolves the
@@ -86,10 +85,9 @@ class MiningSession {
 
   /// Wires a MiningContext over this session's shared read-only state
   /// with the given per-run mutable pieces, and sets its kernel choice
-  /// (MiningContext::simd) from the host default. Each worker thread of a
-  /// parallel engine makes its own context (MiningContext is not
-  /// thread-safe); the contexts' RunStates all observe the session's
-  /// RunControl.
+  /// (MiningContext::simd) from the host default. MiningContext is not
+  /// thread-safe: a team member mines on a copy of the mining thread's
+  /// context, whose RunState observes the same RunControl.
   core::MiningContext MakeContext(core::PruneTable* prune_table,
                                   core::TopK* topk,
                                   core::MiningCounters* counters) const;

@@ -22,6 +22,12 @@ core::MineRequest BuildRequest(const MineCall& call,
 
 }  // namespace
 
+core::EngineKind ResolveEngine(core::EngineKind requested, size_t rows) {
+  if (requested != core::EngineKind::kAuto) return requested;
+  return rows >= kAutoParallelRows ? core::EngineKind::kParallel
+                                   : core::EngineKind::kSerial;
+}
+
 const char* VerdictToString(Verdict verdict) {
   switch (verdict) {
     case Verdict::kOk:
@@ -81,14 +87,6 @@ util::StatusOr<std::shared_ptr<const ServedDataset>> Server::Dataset(
   return registry_.Get(name);
 }
 
-core::EngineKind Server::ResolveEngine(core::EngineKind requested,
-                                       size_t rows) const {
-  if (requested != core::EngineKind::kAuto) return requested;
-  return rows >= options_.parallel_threshold_rows
-             ? core::EngineKind::kParallel
-             : core::EngineKind::kSerial;
-}
-
 void Server::ApplyServerLimits(util::RunControl* control) const {
   if (options_.default_deadline_ms > 0 && !control->has_deadline()) {
     control->set_deadline_after(
@@ -111,7 +109,6 @@ util::StatusOr<core::MiningResult> Server::RunEngine(
   // "sharded:<n>" count and the server's shard_count meet in
   // engine::Mine, which applies the precedence rule.
   engine::EngineOptions opts;
-  opts.parallel_threads = options_.parallel_threads;
   opts.window_rows = options_.window_rows;
   opts.equal_bins = options_.equal_bins;
   opts.shard_count = options_.shard_count;
@@ -298,6 +295,11 @@ bool Server::TryCacheHit(const MineCall& call, MineOutcome* out) {
   return true;
 }
 
+const std::vector<std::string> kServerOptionFlags = {
+    "max-concurrent", "queue",       "cache-capacity", "memory-budget-mb",
+    "deadline-ms",    "node-budget", "window-rows",    "equal-bins",
+    "shards",         "chunk-rows",  "max-resident-bytes"};
+
 util::StatusOr<ServerOptions> ServerOptionsFromFlags(const util::Flags& flags) {
   ServerOptions o;
   size_t budget_mb = o.dataset_memory_budget >> 20;
@@ -309,8 +311,6 @@ util::StatusOr<ServerOptions> ServerOptionsFromFlags(const util::Flags& flags) {
            flags.GetCount("deadline-ms", &o.default_deadline_ms,
                           util::kMaxDeadlineMs),
            flags.GetCount("node-budget", &o.default_node_budget),
-           flags.GetCount("threads", &o.parallel_threads),
-           flags.GetCount("parallel-threshold", &o.parallel_threshold_rows),
            flags.GetCount("window-rows", &o.window_rows),
            flags.GetCount("equal-bins", &o.equal_bins, UINT64_MAX,
                           /*min=*/1),

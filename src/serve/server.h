@@ -21,6 +21,15 @@ class Flags;
 
 namespace sdadcs::serve {
 
+/// Rows from which kAuto resolves to the parallel engine.
+inline constexpr size_t kAutoParallelRows = 100000;
+
+/// Resolves kAuto for a dataset of `rows` rows: the parallel engine from
+/// kAutoParallelRows rows on, the serial one below. Both give the same
+/// bytes, so the rule only decides whether a mine spends a thread team.
+/// Any other kind comes back as is.
+core::EngineKind ResolveEngine(core::EngineKind requested, size_t rows);
+
 /// Knobs of the in-process serving layer. Defaults suit tests and the
 /// CLI; a deployment tunes them from flags.
 struct ServerOptions {
@@ -37,17 +46,12 @@ struct ServerOptions {
   /// limits always win; these only bound the unlimited.
   int64_t default_deadline_ms = 0;
   uint64_t default_node_budget = 0;
-  /// kAuto engine resolution: datasets with at least this many rows mine
-  /// on the level-parallel engine, smaller ones serially.
-  size_t parallel_threshold_rows = 100000;
-  /// Worker threads of the parallel engine (0 = hardware concurrency).
-  size_t parallel_threads = 0;
   /// Tail rows the "window" engine mines (0 = the whole dataset).
   size_t window_rows = 0;
   /// Bin count of the binned:equal_width / binned:equal_freq engines
   /// (at least 1).
   int equal_bins = 10;
-  /// Row shards of the shard-merge engine when the request does not
+  /// Width of the parallel and sharded engines when the request does not
   /// carry its own "sharded:<n>" count (0 = hardware concurrency).
   size_t shard_count = 0;
   /// Chunked data layer: chunk geometry override for every loaded
@@ -57,19 +61,22 @@ struct ServerOptions {
   /// results are byte-identical either way, so neither knob is keyed.
   size_t chunk_rows = 0;
   size_t max_resident_bytes = 0;
-  // parallel_threads / window_rows / equal_bins / shard_count are
-  // deployment-wide constants, not per-request knobs, so they stay out
-  // of the request key: within one server process a key can never alias
-  // two different effective configurations. (shard_count additionally
-  // never changes results — sharded mining is byte-identical to serial.)
+  // window_rows / equal_bins / shard_count are deployment-wide
+  // constants, not per-request knobs, so they stay out of the request
+  // key: within one server process a key can never alias two different
+  // effective configurations. (shard_count additionally never changes
+  // results — the parallel engine is byte-identical to serial.)
 };
 
-/// ServerOptions from the flags both servers take (--max-concurrent,
+/// The flags both servers take for ServerOptions: --max-concurrent,
 /// --queue, --cache-capacity, --memory-budget-mb, --deadline-ms,
-/// --node-budget, --threads, --parallel-threshold, --window-rows,
-/// --equal-bins, --shards, --chunk-rows, --max-resident-bytes), each a
-/// checked util::Flags::GetCount (--equal-bins at least 1); absent flags
-/// keep the defaults.
+/// --node-budget, --window-rows, --equal-bins, --shards, --chunk-rows
+/// and --max-resident-bytes.
+extern const std::vector<std::string> kServerOptionFlags;
+
+/// ServerOptions from kServerOptionFlags, each a checked
+/// util::Flags::GetCount (--equal-bins at least 1); absent flags keep
+/// the defaults.
 util::StatusOr<ServerOptions> ServerOptionsFromFlags(const util::Flags& flags);
 
 /// One mining request against a registered dataset.
@@ -194,9 +201,6 @@ class Server {
   ServerStats Stats() const;
 
  private:
-  /// Resolves kAuto against the dataset size.
-  core::EngineKind ResolveEngine(core::EngineKind requested,
-                                 size_t rows) const;
   /// Applies the server-wide default deadline / node budget to a request
   /// that set none. Copies of a RunControl share state, so the caller's
   /// handle observes the stamped limits too (documented contract).

@@ -10,7 +10,12 @@
 namespace sdadcs::util {
 
 StatusOr<Flags> Flags::Parse(int argc, const char* const* argv,
+                             const std::vector<std::string>& value_flags,
                              const std::vector<std::string>& boolean_flags) {
+  auto listed = [](const std::vector<std::string>& names,
+                   const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -23,14 +28,18 @@ StatusOr<Flags> Flags::Parse(int argc, const char* const* argv,
       return Status::InvalidArgument("bare '--' is not a valid flag");
     }
     // "--name=value" form.
-    size_t eq = name.find('=');
+    const size_t eq = name.find('=');
+    std::string value;
     if (eq != std::string::npos) {
-      flags.values_[name.substr(0, eq)] = name.substr(eq + 1);
-      continue;
+      value = name.substr(eq + 1);
+      name.resize(eq);
     }
-    if (std::find(boolean_flags.begin(), boolean_flags.end(), name) !=
-        boolean_flags.end()) {
-      flags.values_[name] = "";
+    const bool boolean = listed(boolean_flags, name);
+    if (!boolean && !listed(value_flags, name)) {
+      return Status::InvalidArgument("unknown flag --" + name);
+    }
+    if (eq != std::string::npos || boolean) {
+      flags.values_[name] = std::move(value);
       continue;
     }
     if (i + 1 >= argc) {

@@ -16,14 +16,17 @@ namespace sdadcs::util {
 ///
 ///   <command> <positional...> --name value --bool-flag
 ///
-/// Flags start with "--"; a flag listed in `boolean_flags` consumes no
-/// value. Unknown flags are accepted (the caller decides what it
-/// understands); a value-flag at the end of the line without its value
-/// is an error.
+/// Flags start with "--". A tool names every flag it understands: a
+/// flag listed in `boolean_flags` consumes no value, one listed in
+/// `value_flags` takes the next argument (or "--name=value"). Any other
+/// flag is an InvalidArgument naming it, so a misspelt or retired flag
+/// fails loudly instead of being dropped; so is a value flag at the end
+/// of the line without its value.
 class Flags {
  public:
-  /// Parses argv[1..). `boolean_flags` names the value-less flags.
+  /// Parses argv[1..).
   static StatusOr<Flags> Parse(int argc, const char* const* argv,
+                               const std::vector<std::string>& value_flags,
                                const std::vector<std::string>& boolean_flags);
 
   /// Positional arguments in order (command, paths, ...).

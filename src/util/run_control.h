@@ -85,8 +85,7 @@ class RunControl {
   RunControl& set_progress_callback(ProgressFn fn);
   /// Requests anytime result streaming: engines flag
   /// RunProgress::improved on reports whose top-k changed since the last
-  /// flagged one (the lattice search also reports right after each top-k
-  /// insert). Off by default.
+  /// flagged one. Off by default.
   RunControl& set_anytime(bool anytime);
 
   /// Requests cooperative cancellation; every engine loop drains at its
@@ -109,6 +108,13 @@ class RunControl {
   /// Checks cancellation, deadline and prior budget exhaustion without
   /// charging new work.
   StopReason Check(Clock::time_point now) const;
+
+  /// Whether Charge(nodes) would leave the budget unexhausted (always
+  /// true without a budget).
+  bool Covers(uint64_t nodes) const {
+    return !shared_->has_budget ||
+           shared_->budget_remaining.load() >= static_cast<int64_t>(nodes);
+  }
 
   void ReportProgress(const RunProgress& progress) const;
   bool has_progress_callback() const;

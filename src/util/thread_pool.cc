@@ -1,8 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 
 namespace sdadcs::util {
 
@@ -57,20 +55,6 @@ void ThreadPool::WorkerLoop() {
       if (--in_flight_ == 0) all_done_.notify_all();
     }
   }
-}
-
-void ParallelFor(ThreadPool& pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  size_t num_blocks = std::min(n, pool.num_threads() * 4);
-  size_t block = (n + num_blocks - 1) / num_blocks;
-  for (size_t start = 0; start < n; start += block) {
-    size_t end = std::min(n, start + block);
-    pool.Submit([&fn, start, end] {
-      for (size_t i = start; i < end; ++i) fn(i);
-    });
-  }
-  pool.Wait();
 }
 
 }  // namespace sdadcs::util

@@ -11,9 +11,9 @@
 
 namespace sdadcs::util {
 
-/// Fixed-size worker pool used by the level-parallel miner (Section 6 of
-/// the paper). Tasks are plain std::function<void()>; exceptions must not
-/// escape a task (the library does not use exceptions).
+/// Fixed-size worker pool: the serving dispatcher's executor. Tasks are
+/// plain std::function<void()>; exceptions must not escape a task (the
+/// library does not use exceptions).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -44,11 +44,6 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };
-
-/// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-/// Indices are dealt in contiguous blocks for cache friendliness.
-void ParallelFor(ThreadPool& pool, size_t n,
-                 const std::function<void(size_t)>& fn);
 
 }  // namespace sdadcs::util
 

@@ -60,32 +60,9 @@ TEST(PruneTableTest, EmptyTableNeverPrunes) {
   EXPECT_FALSE(table.CanPrune(Itemset({Item::Categorical(0, 0)})));
 }
 
-TEST(PruneTableTest, ParentChainConsulted) {
-  PruneTable parent;
-  parent.Insert(Itemset({Item::Categorical(0, 1)}));
-  PruneTable child;
-  child.set_parent(&parent);
-  EXPECT_TRUE(child.CanPrune(Itemset({Item::Categorical(0, 1)})));
-  // Inserts stay local: parent unaffected.
-  child.Insert(Itemset({Item::Categorical(0, 2)}));
-  EXPECT_FALSE(parent.CanPrune(Itemset({Item::Categorical(0, 2)})));
-  EXPECT_TRUE(child.CanPrune(Itemset({Item::Categorical(0, 2)})));
-}
-
-TEST(PruneTableTest, MergeFromAddsEntries) {
-  PruneTable a;
-  a.Insert(Itemset({Item::Categorical(0, 1)}));
-  PruneTable b;
-  b.Insert(Itemset({Item::Categorical(1, 0)}));
-  a.MergeFrom(b);
-  EXPECT_EQ(a.size(), 2u);
-  EXPECT_TRUE(a.CanPrune(Itemset({Item::Categorical(1, 0)})));
-}
-
 TEST(PruneTableTest, CanPruneMatchesBruteForceContainment) {
   // The bucket index must answer exactly what a scan of every entry
-  // answers, for one table, for a child chained to a parent, and for a
-  // table merged from two. Attributes 0-2 are categorical and 3-5
+  // answers. Attributes 0-2 are categorical and 3-5
   // continuous; bounds come from a small pool with shared endpoints,
   // -0.0 beside 0.0 and both infinities, so equal, nested, touching and
   // empty intervals all occur.
@@ -112,30 +89,20 @@ TEST(PruneTableTest, CanPruneMatchesBruteForceContainment) {
   size_t kept = 0;
   for (int trial = 0; trial < 200; ++trial) {
     PruneTable table;
-    PruneTable parent;
-    PruneTable child;
-    child.set_parent(&parent);
-    PruneTable merged;
-    PruneTable delta;
     std::vector<Itemset> entries;
     const int64_t num_entries = rng.UniformInt(0, 30);
     for (int64_t e = 0; e < num_entries; ++e) {
       Itemset entry = random_itemset(1 + rng.NextBelow(3));
       table.Insert(entry);
-      (e % 2 == 0 ? parent : child).Insert(entry);
-      (e % 2 == 0 ? merged : delta).Insert(entry);
       entries.push_back(std::move(entry));
     }
-    merged.MergeFrom(delta);
-    ASSERT_EQ(merged.size(), entries.size());
+    ASSERT_EQ(table.size(), entries.size());
     for (int c = 0; c < 40; ++c) {
       Itemset candidate = random_itemset(1 + rng.NextBelow(5));
       const bool want = std::any_of(
           entries.begin(), entries.end(),
           [&](const Itemset& e) { return candidate.Specializes(e); });
       ASSERT_EQ(table.CanPrune(candidate), want) << candidate.Key();
-      ASSERT_EQ(child.CanPrune(candidate), want) << candidate.Key();
-      ASSERT_EQ(merged.CanPrune(candidate), want) << candidate.Key();
       ++(want ? pruned : kept);
     }
   }

@@ -40,9 +40,15 @@ class Harness {
   PruneTable& table() { return table_; }
   MiningCounters& counters() { return counters_; }
 
+  // Runs SDAD-CS and files the run's prune entries, as a commit does.
   std::vector<ContrastPattern> Run(const std::vector<int>& cont_attrs) {
     SdadCall call = MakeRootCall(ctx_, Itemset(), cont_attrs);
-    return RunSdadCs(ctx_, call);
+    std::vector<ContrastPattern> patterns = RunSdadCs(ctx_, call);
+    for (const Itemset& entry : ctx_.combo.prune_entries) {
+      table_.Insert(entry);
+    }
+    ctx_.combo = ComboLog();
+    return patterns;
   }
 
  private:

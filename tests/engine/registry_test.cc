@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/requests.h"
 #include "common/threads.h"
@@ -14,6 +17,7 @@
 #include "data/dataset.h"
 #include "data/group_info.h"
 #include "engine/registry.h"
+#include "synth/uci_like.h"
 #include "util/random.h"
 
 namespace sdadcs {
@@ -26,6 +30,7 @@ using engine::EngineRow;
 using engine::Engines;
 using engine::ParseEngine;
 
+using test_support::GroupRequest;
 using test_support::GroupsRequest;
 using test_support::NewThreadsSince;
 using test_support::ThreadIds;
@@ -156,9 +161,100 @@ TEST(EngineRegistryTest, ParameterizedShardedNameCreatesEngine) {
   // An explicit "sharded:<n>" beats EngineOptions::shard_count...
   EXPECT_EQ(team_threads("sharded:1", 2), 0u);
   EXPECT_EQ(team_threads("sharded:2", 1), workers);
-  // ...and bare "sharded" takes the option.
+  // ...and bare "sharded" takes the option, as "parallel" does.
   EXPECT_EQ(team_threads("sharded", 2), workers);
   EXPECT_EQ(team_threads("sharded", 1), 0u);
+  EXPECT_EQ(team_threads("parallel", 2), workers);
+  EXPECT_EQ(team_threads("parallel", 1), 0u);
+}
+
+// Everything a progress report carries, one report per line.
+std::string RenderReports(const std::vector<util::RunProgress>& reports) {
+  std::string out;
+  char buf[256];
+  for (const util::RunProgress& p : reports) {
+    std::snprintf(buf, sizeof(buf),
+                  "level=%d done=%llu/%llu threshold=%.17g patterns=%llu "
+                  "best=%.17g version=%llu improved=%d\n",
+                  p.level, static_cast<unsigned long long>(p.candidates_done),
+                  static_cast<unsigned long long>(p.candidates_total),
+                  p.topk_threshold,
+                  static_cast<unsigned long long>(p.patterns_found),
+                  p.best_measure,
+                  static_cast<unsigned long long>(p.topk_version),
+                  p.improved ? 1 : 0);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(EngineRegistryTest, MultiThreadEnginesStreamAnytimeReportsInOrder) {
+  // Every row that mines on more than one thread, streaming anytime
+  // partials. Each report must come on the calling thread, name a level
+  // of the search, and never move the best-so-far backwards; the whole
+  // report sequence and the result equal the serial engine's.
+  synth::NamedDataset nd = synth::MakeUciLike("adult", /*seed=*/7);
+  MinerConfig cfg;
+  cfg.max_depth = 3;
+  cfg.top_k = 20;
+  EngineOptions opts;
+  opts.shard_count = 4;
+  auto mine = [&](EngineKind kind, std::vector<util::RunProgress>* reports) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mu;
+    core::MineRequest request = GroupRequest("education");
+    request.run_control.set_anytime(true);
+    request.run_control.set_progress_callback(
+        [&](const util::RunProgress& p) {
+          std::lock_guard<std::mutex> lock(mu);
+          EXPECT_EQ(std::this_thread::get_id(), caller)
+              << engine::EngineName(kind) << " reported off the calling thread";
+          reports->push_back(p);
+        });
+    auto result = engine::Mine({kind}, cfg, opts, nd.db, request);
+    EXPECT_TRUE(result.ok()) << engine::EngineName(kind);
+    return result;
+  };
+  std::vector<util::RunProgress> serial_reports;
+  auto serial = mine(EngineKind::kSerial, &serial_reports);
+  ASSERT_TRUE(serial.ok());
+
+  size_t engines = 0;
+  for (const EngineRow& row : Engines()) {
+    if (row.kind != EngineKind::kParallel && row.kind != EngineKind::kSharded) {
+      continue;
+    }
+    ++engines;
+    std::vector<util::RunProgress> reports;
+    auto result = mine(row.kind, &reports);
+    ASSERT_TRUE(result.ok()) << row.name;
+    ASSERT_FALSE(reports.empty()) << row.name;
+    size_t improved = 0;
+    for (size_t i = 0; i < reports.size(); ++i) {
+      const util::RunProgress& p = reports[i];
+      EXPECT_GE(p.level, 1) << row.name << " report " << i;
+      if (p.improved) ++improved;
+      if (i == 0) continue;
+      const util::RunProgress& prev = reports[i - 1];
+      EXPECT_GE(p.patterns_found, prev.patterns_found)
+          << row.name << " report " << i;
+      EXPECT_GE(p.best_measure, prev.best_measure)
+          << row.name << " report " << i;
+      EXPECT_GE(p.topk_version, prev.topk_version)
+          << row.name << " report " << i;
+    }
+    EXPECT_GT(improved, 0u) << row.name;
+    EXPECT_EQ(RenderReports(reports), RenderReports(serial_reports))
+        << row.name;
+    ASSERT_EQ(result->contrasts.size(), serial->contrasts.size()) << row.name;
+    for (size_t i = 0; i < serial->contrasts.size(); ++i) {
+      EXPECT_EQ(result->contrasts[i].itemset, serial->contrasts[i].itemset)
+          << row.name << " rank " << i;
+      EXPECT_EQ(result->contrasts[i].counts, serial->contrasts[i].counts)
+          << row.name << " rank " << i;
+    }
+  }
+  EXPECT_EQ(engines, 2u);
 }
 
 TEST(EngineRegistryTest, UnknownNameIsInvalidArgumentListingEveryName) {
@@ -210,7 +306,7 @@ TEST(EngineRegistryTest, EveryEngineMinesTheSameRequest) {
   MinerConfig cfg;
   cfg.max_depth = 2;
   EngineOptions opts;
-  opts.parallel_threads = 2;
+  opts.shard_count = 2;
   opts.window_rows = 0;
 
   for (const EngineRow& entry : Engines()) {

@@ -496,13 +496,14 @@ TEST(DifferentialTest, PaperDepthGoldensHoldOnSerialNpAndParallel) {
   // two items and the prune table probes at most three attribute
   // subsets per lookup. These run at the paper's depth 5, so lookups
   // probe up to 31 subsets of 5-item candidates and every memo sees
-  // deep itemsets. Three legs: serial; NP (meaningfulness and
+  // deep itemsets. Four legs: serial; NP (meaningfulness and
   // optimistic pruning off, as bench_depth5_paper_settings runs it);
-  // and the level-parallel engine on 4 threads, whose workers chain
-  // their prune tables to a pooled parent and merge into it after every
-  // level. Beside the rendered output each leg pins its partition and
-  // prune-table hit counts, so a lookup that answers differently shows
-  // even where the top-k would hide it.
+  // and both through the parallel engine on 4 members, which mines a
+  // wide level's combinations on its team and commits them in frontier
+  // order, to the serial legs' values. Beside
+  // the rendered output each leg pins its partition and prune-table hit
+  // counts, so a lookup that answers differently shows even where the
+  // top-k would hide it.
   struct Golden {
     const char* name;
     const char* leg;
@@ -515,15 +516,19 @@ TEST(DifferentialTest, PaperDepthGoldensHoldOnSerialNpAndParallel) {
       {"breast", "serial", 27u, 0x3b481c9b1db9b66aULL, 18082u, 16343u},
       {"breast", "np", 100u, 0xd0628827dd823552ULL, 63246u, 0u},
       {"breast", "parallel", 27u, 0x3b481c9b1db9b66aULL, 18082u, 16343u},
+      {"breast", "np parallel", 100u, 0xd0628827dd823552ULL, 63246u, 0u},
       {"mammography", "serial", 9u, 0xd4e17eba9bbbd295ULL, 788u, 481u},
       {"mammography", "np", 87u, 0xd6144b219d725325ULL, 1170u, 0u},
       {"mammography", "parallel", 9u, 0xd4e17eba9bbbd295ULL, 788u, 481u},
+      {"mammography", "np parallel", 87u, 0xd6144b219d725325ULL, 1170u, 0u},
       {"transfusion", "serial", 7u, 0xab3632eabc712362ULL, 436u, 284u},
       {"transfusion", "np", 30u, 0x1b365ab74fd82012ULL, 704u, 0u},
       {"transfusion", "parallel", 7u, 0xab3632eabc712362ULL, 436u, 284u},
+      {"transfusion", "np parallel", 30u, 0x1b365ab74fd82012ULL, 704u, 0u},
       {"adult", "serial", 21u, 0x40db30498c64e5d5ULL, 4233u, 3598u},
       {"adult", "np", 100u, 0xb3965b10a40c5475ULL, 41018u, 0u},
       {"adult", "parallel", 21u, 0x40db30498c64e5d5ULL, 4233u, 3598u},
+      {"adult", "np parallel", 100u, 0xb3965b10a40c5475ULL, 41018u, 0u},
   };
   for (const Golden& golden : kGolden) {
     synth::NamedDataset nd = synth::MakeUciLike(golden.name, /*seed=*/7);
@@ -537,17 +542,17 @@ TEST(DifferentialTest, PaperDepthGoldensHoldOnSerialNpAndParallel) {
     const std::string leg = golden.leg;
     util::StatusOr<core::MiningResult> result =
         util::Status::Internal("unset");
-    if (leg == "parallel") {
+    if (leg == "np" || leg == "np parallel") {
+      cfg.meaningful_pruning = false;
+      cfg.optimistic_pruning = false;
+    }
+    if (leg == "parallel" || leg == "np parallel") {
       auto parsed = engine::ParseEngine("parallel");
       ASSERT_TRUE(parsed.ok());
       engine::EngineOptions opts;
-      opts.parallel_threads = 4;
+      opts.shard_count = 4;
       result = engine::Mine(*parsed, cfg, opts, nd.db, GroupsRequest(*gi));
     } else {
-      if (leg == "np") {
-        cfg.meaningful_pruning = false;
-        cfg.optimistic_pruning = false;
-      }
       result = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
     }
     ASSERT_TRUE(result.ok()) << leg << " on " << golden.name;
@@ -580,7 +585,7 @@ TEST(DifferentialTest, EveryRegistryEngineReturnsWellFormedResults) {
     cfg.max_depth = 2;
     cfg.top_k = 50;
     engine::EngineOptions opts;
-    opts.parallel_threads = 2;
+    opts.shard_count = 2;
     opts.window_rows = 0;  // window engine: whole dataset
 
     for (const engine::EngineRow& entry : engine::Engines()) {

@@ -6,6 +6,8 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -52,10 +54,37 @@ std::string Render(const std::vector<core::ContrastPattern>& patterns) {
   return out;
 }
 
+// Every counter of a run by name, so a mismatch names its field.
+std::vector<std::pair<std::string, uint64_t>> CountersOf(
+    const core::MiningCounters& c) {
+  return {{"partitions_evaluated", c.partitions_evaluated},
+          {"sdad_calls", c.sdad_calls},
+          {"pruned_lookup", c.pruned_lookup},
+          {"pruned_min_support", c.pruned_min_support},
+          {"pruned_low_expected", c.pruned_low_expected},
+          {"pruned_redundant", c.pruned_redundant},
+          {"pruned_pure", c.pruned_pure},
+          {"pruned_oe_measure", c.pruned_oe_measure},
+          {"pruned_oe_chi2", c.pruned_oe_chi2},
+          {"unproductive", c.unproductive},
+          {"not_independently_productive", c.not_independently_productive},
+          {"merges", c.merges},
+          {"chi2_tests", c.chi2_tests},
+          {"truncated_candidates", c.truncated_candidates},
+          {"abandoned_candidates", c.abandoned_candidates}};
+}
+
+// Rendered patterns, every counter and the completion agree.
+void ExpectSameRun(const core::MiningResult& got,
+                   const core::MiningResult& want, const std::string& label) {
+  EXPECT_EQ(Render(got.contrasts), Render(want.contrasts)) << label;
+  EXPECT_EQ(CountersOf(got.counters), CountersOf(want.counters)) << label;
+  EXPECT_EQ(got.completion, want.completion) << label;
+}
+
 TEST(ShardedMinerTest, ByteIdenticalToSerialIncludingCounters) {
-  // Stronger than the pattern-set equality the level-parallel miner can
-  // promise: the sharded coordinator replays the serial decision order
-  // exactly, so rendered output AND node counters must match.
+  // The team replays the serial decision order exactly, so rendered
+  // output AND node counters must match.
   synth::ScalingOptions opt;
   opt.rows = 12000;
   opt.continuous_features = 6;
@@ -164,32 +193,137 @@ void ExpectSortedByMeasure(const std::vector<core::ContrastPattern>& ps) {
   }
 }
 
-TEST(ShardedMinerTest, CancelAtMergeBarrierDrainsSortedPartials) {
-  // Cancel lands while shard fan-outs are in flight; the coordinator
-  // observes it at the next merge-barrier checkpoint, the level drains,
-  // and the partial top-k comes back sorted with completion kCancelled.
-  synth::NamedDataset sc = BigDataset();
-  core::MinerConfig cfg = BaseConfig();
-  cfg.max_depth = 3;
+// Data wide enough that level 2 (120 combinations) mines on a team of
+// up to four members. Its top 10 changes under combinations in flight
+// often enough that some must be mined again.
+synth::NamedDataset WideDataset() {
+  synth::ScalingOptions opt;
+  opt.rows = 4000;
+  opt.continuous_features = 12;
+  opt.categorical_features = 4;
+  return synth::MakeScalingDataset(opt);
+}
 
-  util::RunControl control;
-  core::MineRequest request;
-  request.group_attr = sc.group_attr;
-  request.run_control = control;
+// Data narrow and tall enough that level 1 (9 combinations) mines one
+// combination at a time with its scans row-sharded.
+synth::NamedDataset NarrowDataset() {
+  synth::ScalingOptions opt;
+  opt.rows = 12000;
+  opt.continuous_features = 6;
+  opt.categorical_features = 3;
+  return synth::MakeScalingDataset(opt);
+}
 
-  util::StatusOr<core::MiningResult> result =
-      util::Status::Internal("not run");
-  std::thread worker([&] {
-    result = core::Miner(cfg, 4).Mine(sc.db, request);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  util::WallTimer unblock;
-  control.Cancel();
-  worker.join();
-  EXPECT_LT(unblock.Seconds(), 0.1);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->completion, core::Completion::kCancelled);
-  ExpectSortedByMeasure(result->contrasts);
+TEST(ShardedMinerTest, CombosOnTheTeamByteIdenticalToSerialIncludingCounters) {
+  // A wide level's combinations mine on the team, each member against a
+  // copy of the top-k, and commit in frontier order; a combination whose
+  // threshold tests the committed top-k would answer otherwise is mined
+  // again. The shapes: perfbench's (level 1 row-sharded, level 2 on the
+  // team) at two seeds, the wide data at top 10 — also without
+  // meaningful pruning, without it and optimistic pruning, and under
+  // the Surprising measure, whose bound the threshold tests read —, and
+  // adult's education contrast at depth 3.
+  struct Shape {
+    std::string name;
+    synth::NamedDataset nd;
+    core::MineRequest request;
+    core::MinerConfig cfg;
+  };
+  std::vector<Shape> shapes;
+  for (uint64_t seed : {1u, 2u}) {
+    synth::ScalingOptions opt;
+    opt.rows = 20000;
+    opt.continuous_features = 6;
+    opt.categorical_features = 2;
+    opt.seed = seed;
+    Shape shape{"perfbench seed " + std::to_string(seed),
+                synth::MakeScalingDataset(opt),
+                GroupRequest("batch", {"Normal", "Anomalous"}), BaseConfig()};
+    shape.cfg.top_k = 10;
+    shapes.push_back(std::move(shape));
+  }
+  for (const std::string variant : {"", "np", "np no-oe", "surprising"}) {
+    synth::NamedDataset nd = WideDataset();
+    core::MineRequest request = GroupRequest(nd.group_attr);
+    Shape shape{"wide top 10 " + variant, std::move(nd), request,
+                BaseConfig()};
+    shape.cfg.top_k = 10;
+    shape.cfg.meaningful_pruning = variant != "np" && variant != "np no-oe";
+    shape.cfg.optimistic_pruning = variant != "np no-oe";
+    if (variant == "surprising") {
+      shape.cfg.measure = core::MeasureKind::kSurprising;
+    }
+    shapes.push_back(std::move(shape));
+  }
+  {
+    Shape shape{"adult education", synth::MakeUciLike("adult", /*seed=*/7),
+                GroupRequest("education"), BaseConfig()};
+    shape.cfg.max_depth = 3;
+    shape.cfg.top_k = 20;
+    shapes.push_back(std::move(shape));
+  }
+  for (const Shape& shape : shapes) {
+    auto serial = core::Miner(shape.cfg).Mine(shape.nd.db, shape.request);
+    ASSERT_TRUE(serial.ok()) << shape.name;
+    ASSERT_EQ(serial->completion, core::Completion::kComplete);
+    for (size_t shards : {1u, 2u, 4u, 8u}) {
+      auto team =
+          core::Miner(shape.cfg, shards).Mine(shape.nd.db, shape.request);
+      ASSERT_TRUE(team.ok()) << shape.name;
+      ExpectSameRun(*team, *serial,
+                    shape.name + ", " + std::to_string(shards) + " shards");
+    }
+  }
+}
+
+// Mines `nd` with `shards` shards under a fresh RunControl, cancelling
+// from the progress report that says `done` combinations of `level`
+// have committed.
+util::StatusOr<core::MiningResult> MineCancelledAtReport(
+    const synth::NamedDataset& nd, size_t shards, int level, uint64_t done,
+    uint64_t* level_total) {
+  core::MineRequest request = GroupRequest(nd.group_attr);
+  request.run_control.set_progress_callback(
+      [&request, level, done, level_total](const util::RunProgress& p) {
+        if (p.level != level || p.candidates_done != done) return;
+        *level_total = p.candidates_total;
+        request.run_control.Cancel();
+      });
+  return core::Miner(BaseConfig(), shards).Mine(nd.db, request);
+}
+
+// A cancel from a progress report stops a mine at a fixed amount of
+// work, whatever the host's speed: the combinations committed before
+// the report stand, and nothing commits after it — not even the
+// combinations the team had in flight. The rest of the level counts as
+// abandoned, and the partial result equals a serial mine's cancelled
+// from the same report, counters included.
+void ExpectCancelStopsAtTheReport(const synth::NamedDataset& nd, int level,
+                                  uint64_t done) {
+  uint64_t serial_total = 0;
+  auto serial = MineCancelledAtReport(nd, 1, level, done, &serial_total);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_GT(serial_total, done);
+  for (size_t shards : {2u, 4u}) {
+    const std::string label = std::to_string(shards) + " shards";
+    uint64_t total = 0;
+    auto team = MineCancelledAtReport(nd, shards, level, done, &total);
+    ASSERT_TRUE(team.ok()) << label;
+    EXPECT_EQ(team->completion, core::Completion::kCancelled) << label;
+    ExpectSortedByMeasure(team->contrasts);
+    EXPECT_EQ(team->counters.abandoned_candidates, total - done) << label;
+    ExpectSameRun(*team, *serial, label);
+  }
+}
+
+TEST(ShardedMinerTest, CancelOnATeamLevelCommitsNothingAfterTheReport) {
+  // Level 2 of the wide data mines on the team in batches of up to 64
+  // combinations, so the cancel lands with the rest of a batch mined.
+  ExpectCancelStopsAtTheReport(WideDataset(), /*level=*/2, /*done=*/40);
+}
+
+TEST(ShardedMinerTest, CancelOnARowShardedLevelCommitsNothingAfterTheReport) {
+  ExpectCancelStopsAtTheReport(NarrowDataset(), /*level=*/1, /*done=*/4);
 }
 
 TEST(ShardedMinerTest, DeadlineDrainsSortedPartialsWithCompletion) {
@@ -253,13 +387,15 @@ size_t MineCountingTeamThreads(
 }
 
 TEST(ShardedMinerTest, MineThatFindsTheTeamTakenScansInlineIdentically) {
-  // Only a mine that starts alone gets a team. A second one, started
-  // while the first blocks in a progress report, builds none and scans
-  // inline: its result must still render like serial, and under a node
-  // budget it must stop where a solo sharded mine stops, since the
-  // inline path keeps the merge-barrier checkpoints. The first resumes
-  // once the second reports, so it too scans inline while both run and
-  // fans out again after; its result must render like serial as well.
+  // The process has one team. A second mine, started while the first
+  // holds it and blocks in a progress report, builds none and mines
+  // inline (or takes the team over if the first ends first): its result
+  // must still render like serial, and under a node budget it must stop
+  // where a solo sharded mine stops, since the inline path keeps the
+  // merge-barrier checkpoints and a combination mined on the team is
+  // charged whole at its commit. The first resumes once the second
+  // reports, so it mines on fewer members and scans inline while both
+  // run; its result must render like serial as well.
   synth::NamedDataset nd = synth::MakeUciLike("adult", /*seed=*/7);
   const core::MinerConfig cfg = BaseConfig();
   auto request = [&](uint64_t budget) {
@@ -270,9 +406,10 @@ TEST(ShardedMinerTest, MineThatFindsTheTeamTakenScansInlineIdentically) {
   auto serial = core::Miner(cfg).Mine(nd.db, request(0));
   ASSERT_TRUE(serial.ok());
 
-  // 0 = no budget. Budgets 20, 60 and 300 stop this mine at a scan whose
-  // barrier checkpoint decides where it stops.
-  for (uint64_t budget : {0, 20, 60, 150, 300}) {
+  // 0 = no budget. Budgets 20 and 60 stop this mine at a scan whose
+  // barrier checkpoint decides where it stops; 300, 600 and 1000 stop it
+  // in level 2, which a solo mine mines on the team.
+  for (uint64_t budget : {0, 20, 60, 150, 300, 600, 1000}) {
     auto want = budget == 0 ? serial
                             : core::Miner(cfg, 4).Mine(nd.db, request(budget));
     ASSERT_TRUE(want.ok());
@@ -318,6 +455,37 @@ TEST(ShardedMinerTest, MineThatFindsTheTeamTakenScansInlineIdentically) {
         << "budget " << budget;
     ASSERT_TRUE(held.ok());
     EXPECT_EQ(Render(held->contrasts), Render(serial->contrasts));
+  }
+}
+
+TEST(ShardedMinerTest, ConcurrentMinesShareTheTeamAndMatchSerial) {
+  // Two mines at once: the one holding the team mines on one member
+  // fewer, the other mines inline and takes the team over when the
+  // first ends. Each must equal its serial mine, counters included.
+  synth::NamedDataset nd = WideDataset();
+  std::vector<core::MinerConfig> cfgs(2, BaseConfig());
+  cfgs[1].top_k = 10;
+  std::vector<util::StatusOr<core::MiningResult>> serial;
+  for (const core::MinerConfig& cfg : cfgs) {
+    serial.push_back(
+        core::Miner(cfg).Mine(nd.db, GroupRequest(nd.group_attr)));
+    ASSERT_TRUE(serial.back().ok());
+  }
+  for (int round = 0; round < 3; ++round) {
+    std::vector<util::StatusOr<core::MiningResult>> got(
+        2, util::Status::Internal("not run"));
+    auto mine = [&](size_t i) {
+      got[i] = core::Miner(cfgs[i], 4).Mine(nd.db, GroupRequest(nd.group_attr));
+    };
+    std::thread other(mine, 1);
+    mine(0);
+    other.join();
+    for (size_t i = 0; i < 2; ++i) {
+      ASSERT_TRUE(got[i].ok()) << "mine " << i;
+      ExpectSameRun(*got[i], *serial[i],
+                    "round " + std::to_string(round) + ", mine " +
+                        std::to_string(i));
+    }
   }
 }
 

@@ -219,8 +219,8 @@ TEST(DispatcherTest, SeedSampleIsIgnoredAndCannotPoisonThePlainKey) {
 
 util::Flags MustParseFlags(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "sdadcs_serve");
-  auto flags =
-      util::Flags::Parse(static_cast<int>(argv.size()), argv.data(), {});
+  auto flags = util::Flags::Parse(static_cast<int>(argv.size()), argv.data(),
+                                  kServerOptionFlags, {});
   EXPECT_TRUE(flags.ok());
   return *flags;
 }
@@ -232,8 +232,7 @@ TEST(ServerOptionsFromFlagsTest, DefaultsMatchServerOptions) {
   EXPECT_EQ(options->max_concurrent_runs, defaults.max_concurrent_runs);
   EXPECT_EQ(options->max_queue, defaults.max_queue);
   EXPECT_EQ(options->result_cache_capacity, defaults.result_cache_capacity);
-  EXPECT_EQ(options->parallel_threshold_rows,
-            defaults.parallel_threshold_rows);
+  EXPECT_EQ(options->shard_count, defaults.shard_count);
   EXPECT_EQ(options->equal_bins, defaults.equal_bins);
   EXPECT_EQ(options->max_resident_bytes, 0u);
 }

@@ -302,31 +302,50 @@ TEST(ServerTest, ServerDefaultsOnlyBoundTheUnlimited) {
   EXPECT_EQ(free_run.result->completion, core::Completion::kComplete);
 }
 
+TEST(ServerTest, AutoResolvesByRowCount) {
+  using core::EngineKind;
+  EXPECT_EQ(ResolveEngine(EngineKind::kAuto, kAutoParallelRows - 1),
+            EngineKind::kSerial);
+  EXPECT_EQ(ResolveEngine(EngineKind::kAuto, kAutoParallelRows),
+            EngineKind::kParallel);
+  for (EngineKind kind : {EngineKind::kSerial, EngineKind::kParallel,
+                          EngineKind::kSharded, EngineKind::kBeam}) {
+    EXPECT_EQ(ResolveEngine(kind, 1), kind);
+    EXPECT_EQ(ResolveEngine(kind, kAutoParallelRows), kind);
+  }
+}
+
 TEST(ServerTest, EngineResolutionAndDistinctCacheUniverses) {
   ServerOptions options;
-  options.parallel_threshold_rows = 100;  // breast (699 rows) goes parallel
-  options.parallel_threads = 2;
+  options.shard_count = 2;
   Server server(options);
   ASSERT_TRUE(server.Load("breast", "synth:breast").ok());
 
+  // Breast has 699 rows, below the auto rule's threshold.
   MineCall auto_call = BreastCall();
-  MineOutcome parallel_out = server.Mine(auto_call);
-  ASSERT_EQ(parallel_out.verdict, Verdict::kOk);
-  EXPECT_EQ(parallel_out.engine, core::EngineKind::kParallel);
-
-  // An explicit serial request is a different cache universe: it must
-  // run, not hit the parallel entry.
-  MineCall serial_call = BreastCall();
-  serial_call.engine = core::EngineKind::kSerial;
-  MineOutcome serial_out = server.Mine(serial_call);
+  MineOutcome serial_out = server.Mine(auto_call);
   ASSERT_EQ(serial_out.verdict, Verdict::kOk);
   EXPECT_EQ(serial_out.engine, core::EngineKind::kSerial);
-  EXPECT_EQ(serial_out.cache, CacheStatus::kMiss);
+
+  // An explicit parallel request is a different cache universe: it must
+  // run, not hit the serial entry, and it finds the same patterns.
+  MineCall parallel_call = BreastCall();
+  parallel_call.engine = core::EngineKind::kParallel;
+  MineOutcome parallel_out = server.Mine(parallel_call);
+  ASSERT_EQ(parallel_out.verdict, Verdict::kOk);
+  EXPECT_EQ(parallel_out.engine, core::EngineKind::kParallel);
+  EXPECT_EQ(parallel_out.cache, CacheStatus::kMiss);
   EXPECT_EQ(server.Stats().runs_started, 2u);
+  ASSERT_EQ(parallel_out.result->contrasts.size(),
+            serial_out.result->contrasts.size());
+  for (size_t i = 0; i < serial_out.result->contrasts.size(); ++i) {
+    EXPECT_EQ(parallel_out.result->contrasts[i].itemset,
+              serial_out.result->contrasts[i].itemset);
+  }
 
   // Both warm paths hit their own entries.
   EXPECT_EQ(server.Mine(auto_call).cache, CacheStatus::kHit);
-  EXPECT_EQ(server.Mine(serial_call).cache, CacheStatus::kHit);
+  EXPECT_EQ(server.Mine(parallel_call).cache, CacheStatus::kHit);
   EXPECT_EQ(server.Stats().runs_started, 2u);
 }
 
@@ -335,7 +354,7 @@ TEST(ServerTest, EveryRegistryEngineIsServableWithItsOwnRequestKey) {
   // succeed, and each engine must land in its own cache universe: all
   // the RequestKeys stamped on the outcomes are pairwise distinct.
   ServerOptions options;
-  options.parallel_threads = 2;
+  options.shard_count = 2;
   options.window_rows = 200;
   Server server(options);
   ASSERT_TRUE(server.Load("breast", "synth:breast").ok());

@@ -7,10 +7,18 @@
 namespace sdadcs::util {
 namespace {
 
+// Every value flag these tests pass.
+const std::vector<std::string> kValueFlags = {
+    "group",  "depth", "delta",      "groups", "alpha",
+    "tiny",   "neg",   "validate",   "diverse", "top",
+    "shards", "queue", "chunk-rows", "repeat", "budget",
+    "cap",    "max-resident-bytes"};
+
 StatusOr<Flags> ParseAll(std::vector<const char*> argv,
                          std::vector<std::string> booleans = {"np"}) {
   argv.insert(argv.begin(), "tool");
-  return Flags::Parse(static_cast<int>(argv.size()), argv.data(), booleans);
+  return Flags::Parse(static_cast<int>(argv.size()), argv.data(), kValueFlags,
+                      booleans);
 }
 
 TEST(FlagsTest, PositionalsAndValues) {
@@ -50,6 +58,33 @@ TEST(FlagsTest, MissingValueIsError) {
 TEST(FlagsTest, BareDoubleDashIsError) {
   auto f = ParseAll({"--"});
   EXPECT_FALSE(f.ok());
+}
+
+TEST(FlagsTest, UnknownFlagIsErrorNamingIt) {
+  // A misspelt flag must not be dropped in favour of the default it
+  // meant to override, in either form and wherever it appears.
+  for (std::vector<const char*> argv :
+       {std::vector<const char*>{"mine", "data.csv", "--deph", "1"},
+        std::vector<const char*>{"--deph=1", "mine"},
+        std::vector<const char*>{"--depth", "3", "--deph"},
+        std::vector<const char*>{"--np", "--deph", "1", "--depth", "3"}}) {
+    auto f = ParseAll(argv);
+    ASSERT_FALSE(f.ok());
+    EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(f.status().message().find("--deph"), std::string::npos)
+        << f.status().message();
+  }
+}
+
+TEST(FlagsTest, FlagsKnownOnlyAsBooleanOrValueKeepTheirKind) {
+  // A name a tool lists as boolean never swallows the next argument,
+  // and the same name is unknown to a tool that does not list it.
+  auto f = ParseAll({"--np", "data.csv"});
+  ASSERT_TRUE(f.ok());
+  EXPECT_EQ(f->positional(), (std::vector<std::string>{"data.csv"}));
+  auto no_booleans = ParseAll({"--np", "data.csv"}, /*booleans=*/{});
+  ASSERT_FALSE(no_booleans.ok());
+  EXPECT_NE(no_booleans.status().message().find("--np"), std::string::npos);
 }
 
 TEST(FlagsTest, FallbacksOnAbsent) {
@@ -123,7 +158,7 @@ TEST(FlagsTest, CountStoresAnInRangeIntegerAndKeepsTheDefaultWhenAbsent) {
 
 TEST(FlagsTest, CountRejectsGarbageNegativesAndOverflowNamingTheFlag) {
   auto f = ParseAll({"--shards", "abc", "--chunk-rows", "-1", "--queue",
-                     "4294987296", "--threads", "2.0", "--budget", "1e6",
+                     "4294987296", "--repeat", "2.0", "--budget", "1e6",
                      "--cap", "10"});
   ASSERT_TRUE(f.ok());
   size_t shards = 3;
@@ -148,8 +183,8 @@ TEST(FlagsTest, CountRejectsGarbageNegativesAndOverflowNamingTheFlag) {
   EXPECT_TRUE(f->GetCount("queue", &wide).ok());
   EXPECT_EQ(wide, 4294987296u);
 
-  size_t threads = 0;
-  EXPECT_FALSE(f->GetCount("threads", &threads).ok());
+  size_t repeat = 0;
+  EXPECT_FALSE(f->GetCount("repeat", &repeat).ok());
   uint64_t budget = 0;
   EXPECT_FALSE(f->GetCount("budget", &budget).ok());
 

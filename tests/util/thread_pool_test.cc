@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -54,29 +53,6 @@ TEST(ThreadPoolTest, DestructorJoinsCleanly) {
     pool.Wait();
   }
   EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ParallelForTest, VisitsEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> visits(1000);
-  ParallelFor(pool, visits.size(),
-              [&visits](size_t i) { visits[i].fetch_add(1); });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(ParallelForTest, ZeroIterations) {
-  ThreadPool pool(2);
-  ParallelFor(pool, 0, [](size_t) { FAIL(); });
-  SUCCEED();
-}
-
-TEST(ParallelForTest, MoreItemsThanThreads) {
-  ThreadPool pool(2);
-  std::atomic<long> sum{0};
-  ParallelFor(pool, 10000, [&sum](size_t i) {
-    sum.fetch_add(static_cast<long>(i));
-  });
-  EXPECT_EQ(sum.load(), 10000L * 9999L / 2);
 }
 
 }  // namespace

@@ -6,8 +6,7 @@
 //                 [--executor-backlog N] [--tenant-quota N]
 //                 [--max-concurrent N] [--queue N] [--cache-capacity N]
 //                 [--memory-budget-mb N] [--deadline-ms N]
-//                 [--node-budget N] [--threads N]
-//                 [--parallel-threshold ROWS] [--window-rows N]
+//                 [--node-budget N] [--window-rows N]
 //                 [--equal-bins N] [--shards N]
 //                 [--chunk-rows N] [--max-resident-bytes N]
 //
@@ -16,8 +15,8 @@
 // so scripts can wait for readiness and read the port in one step.
 //
 // Every flag but --host and --port-file takes a decimal integer its
-// setting can hold (--equal-bins at least 1); anything else exits 2
-// naming the flag. Frames go to
+// setting can hold (--equal-bins at least 1); anything else, and any
+// other flag, exits 2 naming the flag. Frames go to
 // the op dispatcher sdadcs_serve runs on stdin (serve/dispatcher.h);
 // connections are pipelined, replies correlated by "id".
 //
@@ -28,6 +27,7 @@
 #include <csignal>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "serve/net_server.h"
 #include "serve/server.h"
@@ -50,7 +50,14 @@ int main(int argc, char** argv) {
   using sdadcs::serve::NetServerOptions;
   using sdadcs::serve::Server;
 
-  auto flags = sdadcs::util::Flags::Parse(argc, argv, {});
+  std::vector<std::string> value_flags = {
+      "host", "port", "port-file", "max-connections", "executor-threads",
+      "executor-backlog", "tenant-quota"};
+  value_flags.insert(value_flags.end(),
+                     sdadcs::serve::kServerOptionFlags.begin(),
+                     sdadcs::serve::kServerOptionFlags.end());
+  auto flags = sdadcs::util::Flags::Parse(argc, argv, value_flags,
+                                          /*boolean_flags=*/{});
   if (!flags.ok()) {
     std::fprintf(stderr, "sdadcs_netd: %s\n",
                  flags.status().message().c_str());

@@ -4,13 +4,13 @@
 //
 //   ./sdadcs_serve [--max-concurrent N] [--queue N] [--cache-capacity N]
 //                  [--memory-budget-mb N] [--deadline-ms N]
-//                  [--node-budget N] [--threads N]
-//                  [--parallel-threshold ROWS] [--window-rows N]
+//                  [--node-budget N] [--window-rows N]
 //                  [--equal-bins N] [--shards N]
 //                  [--chunk-rows N] [--max-resident-bytes N]
 //
 // Each flag takes a decimal integer its setting can hold (--equal-bins
-// at least 1); anything else exits 2 naming the flag. One request per input line, for example
+// at least 1); anything else, and any other flag, exits 2 naming the
+// flag. One request per input line, for example
 //
 //   {"op":"load","name":"d1","spec":"synth:scaling:20000"}
 //   {"op":"mine","dataset":"d1","group":"batch","config":{"depth":2}}
@@ -49,7 +49,8 @@ class StdoutSession : public sdadcs::serve::Session {
 int main(int argc, char** argv) {
   using sdadcs::serve::Dispatcher;
 
-  auto flags = sdadcs::util::Flags::Parse(argc, argv, /*boolean_flags=*/{});
+  auto flags = sdadcs::util::Flags::Parse(
+      argc, argv, sdadcs::serve::kServerOptionFlags, /*boolean_flags=*/{});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 2;

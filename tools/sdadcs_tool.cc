@@ -16,9 +16,10 @@
 //                       (default serial); --engine list prints the
 //                       table. `auto` is the servers' row-count rule,
 //                       so here it is a usage error (exit 2).
-//                       --threads, --window-rows, --bins (at least 1)
-//                       and --shards tune the parallel/window/binned/
-//                       sharded engines
+//                       --window-rows, --bins (at least 1) and --shards
+//                       tune the window/binned/parallel engines
+//                       (parallel and sharded run --shards members, 0 =
+//                       one per core; sharded:<n> names its own count)
 //   --groups a,b        contrast exactly these two group values
 //   --depth N           max items per pattern          (default 2)
 //   --delta D           minimum support difference     (default 0.1)
@@ -35,11 +36,10 @@
 //                       the best-so-far patterns are printed
 //   --node-budget N     stop after evaluating ~N partitions/itemsets
 //                       (these two, --depth, --top, --sample, --repeat,
-//                       --threads, --window-rows, --bins, --shards,
-//                       --chunk-rows and --max-resident-bytes exit 2 on
-//                       a bad count; --delta, --alpha, --validate and
-//                       --diverse exit 2 on anything but a finite
-//                       number)
+//                       --window-rows, --bins, --shards, --chunk-rows
+//                       and --max-resident-bytes exit 2 on a bad count;
+//                       --delta, --alpha, --validate and --diverse exit
+//                       2 on anything but a finite number)
 //   --anytime           stream monotonically-improving best-so-far
 //                       "partial:" lines to stderr while the exhaustive
 //                       run completes (final results on stdout are
@@ -66,6 +66,8 @@
 //   --method M          fayyad | mvd | srikant | equal_width | equal_freq
 //   --bins N            bin count for the unsupervised methods (at
 //                       least 1; exit 2 otherwise)
+//
+// Any flag not listed here exits 2 naming it.
 
 #include <algorithm>
 #include <csignal>
@@ -100,6 +102,15 @@
 namespace {
 
 using sdadcs::util::Flags;
+
+// Every flag the header above lists.
+const std::vector<std::string> kValueFlags = {
+    "group",       "groups",      "engine", "depth",  "delta",
+    "alpha",       "measure",     "top",    "format", "validate",
+    "sample",      "diverse",     "repeat", "shards", "window-rows",
+    "deadline-ms", "node-budget", "bins",   "method", "chunk-rows",
+    "max-resident-bytes"};
+const std::vector<std::string> kBooleanFlags = {"np", "anytime"};
 
 // The run control every mining command runs under. SIGINT cancels it:
 // RunControl::Cancel is a lock-free atomic store, safe from a signal
@@ -246,7 +257,6 @@ int RunMine(const Flags& args, const sdadcs::data::Dataset& db) {
   // Every --engine value goes through the one engine-name parser the
   // servers use; the default is the serial reference engine.
   sdadcs::engine::EngineOptions eopts;
-  eopts.parallel_threads = CountFlag<size_t>(args, "threads");
   eopts.window_rows = CountFlag<size_t>(args, "window-rows");
   eopts.equal_bins = CountFlag<int>(args, "bins", 10, UINT64_MAX, /*min=*/1);
   eopts.shard_count = CountFlag<size_t>(args, "shards");
@@ -468,7 +478,7 @@ int RunOneVsRest(const Flags& args, const sdadcs::data::Dataset& db) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags = Flags::Parse(argc, argv, /*boolean_flags=*/{"np", "anytime"});
+  auto flags = Flags::Parse(argc, argv, kValueFlags, kBooleanFlags);
   if (flags.ok() && flags->Get("engine") == "list") {
     // `--engine list` prints the engine table — the rows the servers
     // expose through the "engines" wire op.
