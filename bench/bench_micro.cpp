@@ -360,8 +360,8 @@ Spread SpreadOf(std::vector<double> secs) {
 }
 
 // Sharded cold mine, swept over rows x shards: the one-shard miner
-// against the same miner on 2 and 4 row shards, at 20k and 60k rows, so
-// the crossover where sharding starts to pay shows on the scoreboard.
+// against the same miner on teams of 2 and 4, at 20k and 60k rows, so
+// the crossover where the team starts to pay shows on the scoreboard.
 // Each rep mines serial and then every shard count back to back, so a
 // host slowdown reaches all of them alike; a point reports the median
 // and min/max over the reps. Sharding's contract is byte-identity, so

@@ -7,7 +7,7 @@
 
 #include "core/pruning.h"
 #include "core/search.h"
-#include "core/shard_exec.h"
+#include "core/team_lease.h"
 #include "core/topk.h"
 #include "engine/session.h"
 
@@ -65,15 +65,14 @@ util::StatusOr<MiningResult> Miner::Mine(const data::Dataset& db,
   if (!session.ok()) return session.status();
   // Registers the mine as running; declared before the search's state,
   // it ends after it.
-  const ShardExec shards(db.num_rows(), num_shards_);
+  const TeamLease team(num_shards_);
 
   PruneTable prune_table;
   TopK topk(static_cast<size_t>(config_.top_k), config_.delta);
   MiningCounters counters;
   MiningContext ctx = session->MakeContext(&prune_table, &topk, &counters);
-  // Only a multi-shard mine fans out; the search itself is oblivious to
-  // how its counting scans execute.
-  if (num_shards_ > 1) ctx.shards = &shards;
+  // Only a multi-shard mine mines on the team.
+  if (num_shards_ > 1) ctx.team = &team;
 
   LatticeSearch(ctx).Run(session->attributes());
   return session->Finalize(topk.Sorted(), counters, ctx.run.completion());

@@ -89,25 +89,21 @@ struct MiningResult {
 ///   auto result = miner.Mine(db, req);
 ///
 /// With more than one shard the mine runs on a team of min(shards,
-/// cores) threads, the calling thread included, in one of two ways per
-/// level of the search (DESIGN.md §12). A level with many combinations
-/// mines them on the team at once and commits them in frontier order
-/// (LatticeSearch). A narrower one mines one combination at a time and
-/// fans every counting scan (item filters, the root filter, match
-/// counts, recursive splits) across that many contiguous row ranges,
-/// merging the partials before any statistic is read. Either way the
+/// cores) threads, the calling thread included (DESIGN.md §12): every
+/// level of the search with at least two combinations mines them on the
+/// team at once and commits them in frontier order (LatticeSearch). The
 /// result, every counter and every progress report are byte-identical
 /// to the one-shard mine for every shard count, which is why the count
-/// lives in EngineOptions, outside the request key. The request's
-/// RunControl is also checked at every fan-out merge barrier. The
-/// process has one team, which serves one mine at a time; a mine
-/// without it runs on the calling thread alone until it can take it
-/// over (ShardExec, core/shard_exec.h).
+/// lives in EngineOptions, outside the request key. The process has one
+/// team, which serves one mine at a time; a mine without it runs on the
+/// calling thread alone until it can take it over (TeamLease,
+/// core/team_lease.h).
 class Miner {
  public:
-  /// `shards == 0` resolves to std::thread::hardware_concurrency() (at
-  /// least 1); num_shards() reports the resolved value. One shard mines
-  /// on the calling thread alone.
+  /// `shards` is the team width: 0 resolves to
+  /// std::thread::hardware_concurrency() (at least 1), and num_shards()
+  /// reports the resolved value. One shard mines on the calling thread
+  /// alone.
   explicit Miner(MinerConfig config, size_t shards = 1);
 
   const MinerConfig& config() const { return config_; }

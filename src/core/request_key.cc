@@ -55,6 +55,10 @@ RequestKey CanonicalRequestKey(uint64_t dataset_fingerprint,
   h = MixString(h, group_attr);
   h = MixU64(h, group_values.size());
   for (const std::string& v : group_values) h = MixString(h, v);
+  // The byte-identical engines share kSerial's universe.
+  if (engine == EngineKind::kParallel || engine == EngineKind::kSharded) {
+    engine = EngineKind::kSerial;
+  }
   h = MixU64(h, static_cast<uint64_t>(engine));
   RequestKey key;
   key.lo = h;

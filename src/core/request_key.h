@@ -9,13 +9,15 @@
 
 namespace sdadcs::core {
 
-/// Which mining engine answers a request. Every kind is a distinct
-/// cache universe: engines that run different searches can return
-/// different — still correct — result lists, so they never share a
-/// cache entry (serial and parallel keep apart too, though their bytes
-/// are equal). The numeric values are part of the RequestKey hash and
-/// must never be reordered; new kinds append. Names, descriptions and
-/// dispatch live in the one engine table (engine/registry.h).
+/// Which mining engine answers a request. Engines that run different
+/// searches can return different — still correct — result lists, so
+/// they never share a cache entry. kSerial, kParallel and kSharded run
+/// one search (core::Miner at any team width) and return the same
+/// bytes, so they are one cache universe: the request key hashes all
+/// three as kSerial. Every other kind is a universe of its own. The
+/// numeric values are part of the RequestKey hash and must never be
+/// reordered; new kinds append. Names, descriptions and dispatch live
+/// in the one engine table (engine/registry.h).
 enum class EngineKind {
   kAuto = 0,  ///< resolved per request from the dataset size
   kSerial,
@@ -27,7 +29,7 @@ enum class EngineKind {
   kBinnedSrikant,    ///< ... Srikant partial-completeness bins
   kBinnedEqualWidth, ///< ... equal-width bins
   kBinnedEqualFreq,  ///< ... equal-frequency bins
-  kSharded,          ///< shard-merge SDAD-CS (row-partitioned counting)
+  kSharded,          ///< kParallel under its team width's name
 };
 
 /// 128-bit canonical fingerprint of one mining request; the key of the
@@ -64,9 +66,10 @@ struct RequestKeyHash {
 ///   - the group spec: attribute name plus the ordered value list (order
 ///     matters — it fixes group numbering and therefore the sign of
 ///     support differences);
-///   - the resolved engine (kAuto must be resolved by the caller first;
-///     passing kAuto is a programming error the key does not hide — it
-///     hashes distinctly from both resolved kinds).
+///   - the resolved engine's cache universe (kSerial, kParallel and
+///     kSharded hash alike; kAuto must be resolved by the caller first —
+///     passing it is a programming error the key does not hide: it
+///     hashes distinctly from every resolved kind).
 ///
 /// RunControl (deadline / budget / cancellation) is deliberately NOT part
 /// of the key: limits shape *how far* a run gets, not what a complete run

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/match_kernel.h"
 #include "core/optimistic.h"
-#include "core/shard_exec.h"
 #include "core/support.h"
 #include "stats/chi_squared.h"
 #include "util/logging.h"
@@ -155,8 +155,8 @@ const MiningContext::BaseStats& MiningContext::BaseEntry(
     const Itemset& itemset) {
   auto [it, inserted] = base_stats_.try_emplace(itemset);
   if (inserted) {
-    GroupCounts gc =
-        CountMatchesSharded(*this, itemset, gi->base_selection());
+    GroupCounts gc = CountMatchesKernel(*db, *gi, itemset, gi->base_selection(),
+                                        &split_scratch, simd);
     it->second.supports = gc.Supports(*gi);
     it->second.counts = std::move(gc.counts);
   }
@@ -180,36 +180,48 @@ void MiningContext::RememberBaseCounts(const Itemset& itemset,
   it->second.supports = GroupCounts{counts}.Supports(*gi);
 }
 
-SdadCall MakeRootCall(const MiningContext& ctx, const Itemset& cat_items,
-                      const std::vector<int>& cont_attrs) {
+void MiningContext::TakeMemos(MiningContext* other) {
+  base_stats_.merge(other->base_stats_);
+  chi_critical_cache_.merge(other->chi_critical_cache_);
+}
+
+void MiningContext::CopyMemos(const MiningContext& other) {
+  base_stats_ = other.base_stats_;
+  chi_critical_cache_ = other.chi_critical_cache_;
+}
+
+SdadCall MakeRootCall(MiningContext& ctx, const Itemset& cat_items,
+                      const std::vector<int>& cont_attrs,
+                      const data::Selection& rows, const GroupCounts& counts,
+                      std::vector<int>* missing_attrs) {
   SdadCall call;
   call.cat_items = cat_items;
   call.cont_attrs = cont_attrs;
   call.level = 1;
   call.parent_measure = 0.0;  // "initially set to 0"
 
-  const data::Dataset& db = *ctx.db;
   call.space.bounds.reserve(cont_attrs.size());
+  std::vector<int> missing;
   for (int attr : cont_attrs) {
     auto it = ctx.root_bounds.find(attr);
     SDADCS_CHECK(it != ctx.root_bounds.end());
     call.space.bounds.push_back({attr, it->second.lo, it->second.hi});
+    if (it->second.any_missing) missing.push_back(attr);
   }
   GroupCounts root_counts;
-  call.space.rows = FilterCountGroups(
-      *ctx.gi, ctx.gi->base_selection(),
-      [&](uint32_t r) {
-        if (!cat_items.Matches(db, r)) return false;
-        for (int attr : cont_attrs) {
-          if (db.continuous(attr).is_missing(r)) return false;
-        }
-        return true;
-      },
-      &root_counts);
+  if (!missing.empty()) {
+    call.space.rows = FilterAllPresentKernel(*ctx.db, *ctx.gi, cont_attrs,
+                                             rows, &root_counts,
+                                             &ctx.split_scratch, ctx.simd);
+  } else {
+    call.space.rows = rows;
+    root_counts = counts;
+  }
   call.outer_db_size = static_cast<double>(call.space.rows.size());
 
   call.parent_supports = root_counts.Supports(*ctx.gi);
   call.parent_diff = SupportDifference(call.parent_supports);
+  if (missing_attrs != nullptr) *missing_attrs = std::move(missing);
   return call;
 }
 
@@ -238,7 +250,8 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
           : PartitionCuts(*ctx.db, call.space, cfg.split,
                           &ctx.split_scratch.values,
                           &ctx.split_scratch.select, ctx.simd);
-  SplitResult split = SplitAndCountSharded(ctx, call.space, split_cuts);
+  SplitResult split = SplitAndCount(*ctx.db, *ctx.gi, call.space, split_cuts,
+                                    &ctx.split_scratch, ctx.simd);
   const std::vector<Space>& cells = split.cells;
   if (cells.empty()) return {};
 

@@ -19,7 +19,7 @@
 
 namespace sdadcs::core {
 
-class ShardExec;
+class TeamLease;
 
 /// What mining one attribute combination did that takes effect only
 /// when it commits (LatticeSearch, DESIGN.md §12).
@@ -72,13 +72,11 @@ struct MiningContext {
   /// context (i.e. by one mining thread) and recycled across the whole
   /// SDAD-CS recursion.
   SplitScratch split_scratch;
-  /// Shard fan-out state (core/shard_exec.h), set only by a Miner with
-  /// more than one shard on the context of its mining thread. Null =
-  /// every counting scan runs inline on this thread.
-  /// Decision logic never reads this: the sharded counting wrappers
-  /// return merged statistics bit-identical to an inline scan, so the
-  /// search is oblivious to how its scans were executed.
-  const ShardExec* shards = nullptr;
+  /// The mine's lease on the process's team (core/team_lease.h), set
+  /// only by a Miner with more than one shard on the context of its
+  /// mining thread; LatticeSearch mines a level's combinations on the
+  /// team it grants. Null = every combination mines on this thread.
+  const TeamLease* team = nullptr;
   /// This thread's view of the run's deadline / cancellation / budget
   /// handle. Default-constructed = unlimited. Checkpoints sit at node
   /// granularity (one per evaluated partition or itemset), never inside
@@ -105,7 +103,7 @@ struct MiningContext {
 
   /// Per-group match counts of `itemset` over the base selection, from
   /// the run's memo keyed by the itemset; a miss counts once with
-  /// CountMatchesSharded. The productivity and redundancy tests ask for
+  /// CountMatchesKernel. The productivity and redundancy tests ask for
   /// the same sub-itemsets pattern after pattern, and the productivity
   /// test's 2x2 tables follow from these counts. The reference stays
   /// valid for the context's lifetime.
@@ -119,6 +117,14 @@ struct MiningContext {
   /// itemset already in the memo keeps its entry.
   void RememberBaseCounts(const Itemset& itemset,
                           const std::vector<double>& counts);
+
+  /// Moves the memo entries (base counts, chi-square critical values)
+  /// of `other` that this context lacks into this one. Entries are
+  /// exact, so it does not matter which context computed one.
+  void TakeMemos(MiningContext* other);
+
+  /// Replaces this context's memos with copies of `other`'s.
+  void CopyMemos(const MiningContext& other);
 
  private:
   /// One base-support memo entry.
@@ -166,11 +172,17 @@ std::vector<ContrastPattern> RunSdadCs(
     MiningContext& ctx, const SdadCall& call,
     const std::vector<double>* cuts = nullptr);
 
-/// Builds the root SdadCall for a search-tree node: rows are the base
-/// selection filtered by `cat_items` and by non-missingness on every
-/// continuous attribute; bounds are the attributes' root bounds.
-SdadCall MakeRootCall(const MiningContext& ctx, const Itemset& cat_items,
-                      const std::vector<int>& cont_attrs);
+/// Builds the root SdadCall for a search-tree node whose categorical
+/// prefix `cat_items` covers `rows` with per-group `counts`: its rows
+/// are `rows` minus those missing a value of `cont_attrs`, and its
+/// bounds are the attributes' root bounds. Only an attribute some
+/// analysis row misses (RootBounds::any_missing) can drop a row; when
+/// none does, `rows` and `counts` are reused unfiltered. The attributes
+/// that filtered go to `missing_attrs` when it is given.
+SdadCall MakeRootCall(MiningContext& ctx, const Itemset& cat_items,
+                      const std::vector<int>& cont_attrs,
+                      const data::Selection& rows, const GroupCounts& counts,
+                      std::vector<int>* missing_attrs = nullptr);
 
 /// The bottom-up merge phase (Lines 26-29), exposed for testing: sorts
 /// `patterns` by hyper-volume ascending and repeatedly merges pairs that

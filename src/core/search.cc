@@ -10,8 +10,8 @@
 #include "core/match_kernel.h"
 #include "core/optimistic.h"
 #include "core/productivity.h"
-#include "core/shard_exec.h"
 #include "core/support.h"
+#include "core/team_lease.h"
 #include "stats/chi_squared.h"
 #include "util/fork_join_team.h"
 #include "util/logging.h"
@@ -19,11 +19,6 @@
 namespace sdadcs::core {
 
 namespace {
-
-// A level mines its combinations on the team when it has at least this
-// many per member. Fewer leave members idle behind the slowest
-// combination, and the level's scans are row-sharded instead.
-constexpr size_t kTeamCombosPerMember = 4;
 
 // Combinations per member of one batch on the team. Members claim a
 // batch's combinations one at a time and wait for each other only at
@@ -110,9 +105,10 @@ bool ReplayOffers(const ComboLog& log, TopK* topk) {
 
 }  // namespace
 
-// One member of the team a wide level mines on: a context of its own
-// (split scratch, memos, per-combination counters, scans inline) over a
-// copy of the run's top-k, and a search with memos of its own.
+// One member of the team a level mines on: a context of its own (split
+// scratch, memos, per-combination counters) over a copy of the run's
+// top-k, and a search with memos of its own, which ShareMemos fills
+// with every thread's entries at each level's start.
 struct LatticeSearch::Member {
   explicit Member(const LatticeSearch& run)
       : ctx(run.ctx_),
@@ -121,7 +117,7 @@ struct LatticeSearch::Member {
     ctx.topk = &topk;
     ctx.topk_is_copy = true;
     ctx.counters = &counters;
-    ctx.shards = nullptr;
+    ctx.team = nullptr;
     ctx.combo = ComboLog();
     ctx.run = RunState(run.ctx_.run.control());
     ctx.run.DeferCharges();
@@ -225,17 +221,8 @@ void LatticeSearch::Run(const std::vector<int>& attrs) {
       break;
     }
     ReportProgress(level, 0, n);
-
-    const size_t width =
-        ctx_.shards != nullptr ? ctx_.shards->team_width() : 0;
-    if (width > 1 && n >= kTeamCombosPerMember * width) {
-      MineLevelOnTeam(&lv);
-    } else {
-      for (const std::vector<int>& combo : lv.candidates) {
-        if (ctx_.run.CheckNow()) break;
-        MineInline(combo, &lv);
-      }
-    }
+    ShareMemos();
+    MineLevel(&lv);
     ctx_.counters->abandoned_candidates += n - lv.committed;
     if (ctx_.run.stopped()) break;
     for (Itemset& entry : lv.prune_entries) {
@@ -254,27 +241,31 @@ void LatticeSearch::MineInline(const std::vector<int>& combo, Level* level) {
   Commit(combo, alive, &ctx_.combo.prune_entries, level);
 }
 
-void LatticeSearch::MineLevelOnTeam(Level* level) {
+void LatticeSearch::MineLevel(Level* level) {
   const size_t n = level->candidates.size();
   std::vector<TeamResult> results;
   while (level->committed < n && !ctx_.run.CheckNow()) {
-    // Without the team (another mine holds it, or leaves it too few
-    // cores) the level mines here until it is back.
+    // A level of one combination mines here, and so does a mine without
+    // the team (a serial mine; another mine holds it, or leaves it too
+    // few cores) until it is back.
     size_t width = 0;
-    util::ForkJoinTeam* team = ctx_.shards->AvailableTeam(&width);
+    util::ForkJoinTeam* team = n >= 2 && ctx_.team != nullptr
+                                   ? ctx_.team->AvailableTeam(&width)
+                                   : nullptr;
     if (team == nullptr) {
       MineInline(level->candidates[level->committed], level);
       continue;
     }
-    while (members_.size() < width) {
-      members_.push_back(std::make_unique<Member>(*this));
-    }
     // Every member mines against the run's top-k as it stands now.
     const size_t first = level->committed;
     const size_t batch = std::min(n - first, kBatchCombosPerMember * width);
+    const size_t slots = std::min(width, batch);
+    while (members_.size() < slots) {
+      members_.push_back(std::make_unique<Member>(*this));
+    }
     results.assign(batch, TeamResult());
     std::atomic<size_t> next{0};
-    team->Run(width, [&](size_t slot) {
+    team->Run(slots, [&](size_t slot) {
       Member& member = *members_[slot];
       for (size_t i = next.fetch_add(1);
            i < batch && !member.ctx.run.CheckNow();
@@ -300,6 +291,20 @@ void LatticeSearch::MineLevelOnTeam(Level* level) {
         MineInline(combo, level);
       }
     }
+  }
+}
+
+void LatticeSearch::ShareMemos() {
+  for (const std::unique_ptr<Member>& member : members_) {
+    LatticeSearch& other = *member->search;
+    base_covers_.merge(other.base_covers_);
+    for (auto& [root, cuts] : other.root_cuts_) root_cuts_[root].merge(cuts);
+    ctx_.TakeMemos(&member->ctx);
+  }
+  for (const std::unique_ptr<Member>& member : members_) {
+    member->search->base_covers_ = base_covers_;
+    member->search->root_cuts_ = root_cuts_;
+    member->ctx.CopyMemos(ctx_);
   }
 }
 
@@ -371,8 +376,9 @@ const LatticeSearch::ItemCover& LatticeSearch::BaseCover(const Item& item) {
       base_covers_.try_emplace(std::make_pair(item.attr, item.code));
   ItemCover& cover = it->second;
   if (inserted) {
-    cover.rows = FilterCountItemSharded(ctx_, item, ctx_.gi->base_selection(),
-                                        &cover.counts);
+    cover.rows = FilterCountItemKernel(*ctx_.db, *ctx_.gi, item,
+                                       ctx_.gi->base_selection(), &cover.counts,
+                                       &ctx_.split_scratch, ctx_.simd);
     ctx_.RememberBaseCounts(Itemset({item}), cover.counts.counts);
   }
   return cover;
@@ -424,8 +430,9 @@ void LatticeSearch::EnumerateCategorical(const std::vector<int>& cat_attrs,
     if (prefix.empty()) {
       cover = &BaseCover(item);
     } else {
-      scanned.rows =
-          FilterCountItemSharded(ctx_, item, rows, &scanned.counts);
+      scanned.rows = FilterCountItemKernel(*ctx_.db, *ctx_.gi, item, rows,
+                                           &scanned.counts,
+                                           &ctx_.split_scratch, ctx_.simd);
       ctx_.RememberBaseCounts(candidate, scanned.counts.counts);
     }
     // Partial-itemset minimum deviation: supports only shrink as items
@@ -522,31 +529,9 @@ void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
                                      const GroupCounts& counts,
                                      bool* alive) {
   if (ctx_.run.CheckPoint(RunState::NodeWeight(rows.size()))) return;
-  SdadCall call;
-  call.cat_items = cat_items;
-  call.cont_attrs = cont_attrs;
-  call.level = 1;
-  call.parent_measure = 0.0;
-  call.space.bounds.reserve(cont_attrs.size());
-  // The root filter drops rows missing a continuous attribute. Only the
-  // attributes some analysis row misses (recorded by the root-bounds
-  // pass) can drop one; without any, the filter would keep `rows` whole,
-  // so the prefix's rows and counts are reused.
   std::vector<int> missing_attrs;
-  for (int attr : cont_attrs) {
-    auto it = ctx_.root_bounds.find(attr);
-    SDADCS_CHECK(it != ctx_.root_bounds.end());
-    call.space.bounds.push_back({attr, it->second.lo, it->second.hi});
-    if (it->second.any_missing) missing_attrs.push_back(attr);
-  }
-  GroupCounts root_counts;
-  if (!missing_attrs.empty()) {
-    call.space.rows =
-        FilterAllPresentSharded(ctx_, cont_attrs, rows, &root_counts);
-  } else {
-    call.space.rows = rows;
-    root_counts = counts;
-  }
+  const SdadCall call =
+      MakeRootCall(ctx_, cat_items, cont_attrs, rows, counts, &missing_attrs);
   if (call.space.rows.empty()) return;
   // The root rows are the prefix's cover minus the rows missing one of
   // `missing_attrs`, so those two name the row set: the prefix's items
@@ -562,9 +547,6 @@ void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
   for (const AxisBound& bound : call.space.bounds) {
     cuts.push_back(RootCut(root, call.space.rows, bound));
   }
-  call.outer_db_size = static_cast<double>(call.space.rows.size());
-  call.parent_supports = root_counts.Supports(*ctx_.gi);
-  call.parent_diff = SupportDifference(call.parent_supports);
 
   MiningCounters& counters = *ctx_.counters;
   const uint64_t evaluated_before = counters.partitions_evaluated;

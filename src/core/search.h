@@ -33,13 +33,15 @@ std::vector<std::vector<int>> GenerateLevelCandidates(
 /// SDAD-CS.
 ///
 /// Combinations commit in frontier order, and each reads the prune
-/// table as it stood when its level began (ComboLog). A level with many
-/// combinations per member of the context's team (ShardExec) mines
-/// them on the team, each member against a copy of the top-k, and any
-/// whose threshold tests the committed top-k would answer otherwise is
-/// mined again; other levels mine one combination at a time. The
-/// result, the counters and the progress reports (sent at each commit,
-/// from the mining thread) equal a one-thread mine's (DESIGN.md §12).
+/// table as it stood when its level began (ComboLog). A level of two or
+/// more combinations mines them on the team the context's lease grants
+/// (TeamLease), each member against a copy of the top-k, and any whose
+/// threshold tests the committed top-k would answer otherwise is mined
+/// again on the mining thread. A level of one combination, and every
+/// level of a mine without the team, mines one combination at a time on
+/// the mining thread. The result, the counters and the progress reports
+/// (sent at each commit, from the mining thread) equal a one-thread
+/// mine's (DESIGN.md §12).
 ///
 /// Scans are reused within one run, never across runs: each single
 /// categorical item's cover of the base selection is computed once
@@ -78,10 +80,18 @@ class LatticeSearch {
   /// the context's ComboLog. Returns aliveness.
   bool Mine(const std::vector<int>& combo);
 
-  /// The two ways of mining one level, both committing in frontier
-  /// order; MineInline mines and commits one combination on this thread.
-  void MineLevelOnTeam(Level* level);
+  /// Mines one level's combinations, in batches on the team while the
+  /// mine holds it and one at a time on this thread otherwise, and
+  /// commits them in frontier order. MineInline mines and commits one
+  /// combination on this thread.
+  void MineLevel(Level* level);
   void MineInline(const std::vector<int>& combo, Level* level);
+
+  /// Gives this search every memo entry its team members computed, and
+  /// every member every entry this search holds, so a level reuses what
+  /// any thread computed in the levels before it. Memo entries are
+  /// exact, so results do not depend on who computed one.
+  void ShareMemos();
 
   /// Files a combination's prune entries with its level's, records its
   /// aliveness and sends its progress report.
@@ -138,7 +148,7 @@ class LatticeSearch {
   /// TopK::version() at the last improved report; a report is flagged
   /// improved only when the top-k advanced past it.
   uint64_t last_improved_version_ = 0;
-  /// Team members, made at the first level mined on the team.
+  /// Team members, made as the first batches that need them mine.
   std::vector<std::unique_ptr<Member>> members_;
 };
 

@@ -38,8 +38,7 @@ void ChunkStore::EvictUnpinnedLocked(size_t needed_bytes) const {
   }
 }
 
-ChunkStore::Slot* ChunkStore::EnsureLocked(int attr, uint32_t chunk,
-                                           bool enforce_cap) const {
+ChunkStore::Slot* ChunkStore::EnsureLocked(int attr, uint32_t chunk) const {
   uint64_t key = KeyOf(attr, chunk);
   auto it = slots_.find(key);
   if (it != slots_.end()) {
@@ -52,10 +51,6 @@ ChunkStore::Slot* ChunkStore::EnsureLocked(int attr, uint32_t chunk,
   // Evict-before-load: free cold chunks first so resident_bytes never
   // overshoots the cap while the pinned working set fits under it.
   EvictUnpinnedLocked(bytes);
-  if (enforce_cap && max_resident_bytes_ != 0 &&
-      stats_.resident_bytes + bytes > max_resident_bytes_) {
-    return nullptr;
-  }
   Slot slot;
   slot.buf = std::make_unique<char[]>(bytes);
   slot.bytes = bytes;
@@ -74,15 +69,7 @@ ChunkStore::Slot* ChunkStore::EnsureLocked(int attr, uint32_t chunk,
 
 const void* ChunkStore::Pin(int attr, uint32_t chunk) const {
   std::lock_guard<std::mutex> lock(mu_);
-  Slot* slot = EnsureLocked(attr, chunk, /*enforce_cap=*/false);
-  ++slot->pins;
-  return slot->buf.get();
-}
-
-const void* ChunkStore::TryPin(int attr, uint32_t chunk) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Slot* slot = EnsureLocked(attr, chunk, /*enforce_cap=*/true);
-  if (slot == nullptr) return nullptr;
+  Slot* slot = EnsureLocked(attr, chunk);
   ++slot->pins;
   return slot->buf.get();
 }
@@ -97,7 +84,7 @@ void ChunkStore::Unpin(int attr, uint32_t chunk) const {
 double ChunkStore::ValueAt(int attr, uint32_t row) const {
   std::lock_guard<std::mutex> lock(mu_);
   uint32_t chunk = static_cast<uint32_t>(layout_.chunk_of(row));
-  Slot* slot = EnsureLocked(attr, chunk, /*enforce_cap=*/false);
+  Slot* slot = EnsureLocked(attr, chunk);
   return reinterpret_cast<const double*>(
       slot->buf.get())[row - layout_.begin(chunk)];
 }
@@ -105,7 +92,7 @@ double ChunkStore::ValueAt(int attr, uint32_t row) const {
 int32_t ChunkStore::CodeAt(int attr, uint32_t row) const {
   std::lock_guard<std::mutex> lock(mu_);
   uint32_t chunk = static_cast<uint32_t>(layout_.chunk_of(row));
-  Slot* slot = EnsureLocked(attr, chunk, /*enforce_cap=*/false);
+  Slot* slot = EnsureLocked(attr, chunk);
   return reinterpret_cast<const int32_t*>(
       slot->buf.get())[row - layout_.begin(chunk)];
 }
@@ -151,25 +138,6 @@ PinnedChunk ColumnChunks::Categorical(int attr, uint32_t chunk) const {
   }
   return PinnedChunk::Resident(
       db_->categorical(attr).codes().data() + row_base, row_base, rows);
-}
-
-ChunkPinSet::ChunkPinSet(const Dataset& db, const std::vector<int>& attrs,
-                         uint32_t begin_row, uint32_t end_row) {
-  const ChunkStore* store = db.chunk_store();
-  if (store == nullptr || end_row <= begin_row) return;
-  const ChunkLayout& layout = store->layout();
-  size_t first = layout.chunk_of(begin_row);
-  size_t last = layout.chunk_of(end_row - 1);
-  pins_.reserve(attrs.size() * (last - first + 1));
-  for (int attr : attrs) {
-    for (size_t c = first; c <= last; ++c) {
-      const void* data = store->TryPin(attr, static_cast<uint32_t>(c));
-      if (data == nullptr) return;  // over budget: stop hinting
-      pins_.push_back(PinnedChunk::Paged(
-          store, attr, static_cast<uint32_t>(c), data, layout.begin(c),
-          static_cast<uint32_t>(layout.size(c))));
-    }
-  }
 }
 
 }  // namespace sdadcs::data

@@ -98,12 +98,6 @@ class ChunkStore {
   /// (the overage is visible in stats) rather than the scan aborting.
   const void* Pin(int attr, uint32_t chunk) const;
 
-  /// Like Pin, but declines (returns nullptr, no pin) when materializing
-  /// would exceed the cap even after evicting every unpinned chunk.
-  /// Anti-thrash residency hints (ChunkPinSet) use this so they never
-  /// push the store over budget.
-  const void* TryPin(int attr, uint32_t chunk) const;
-
   void Unpin(int attr, uint32_t chunk) const;
 
   /// Scalar cold-path accessors (discretizers, group resolution, report
@@ -133,9 +127,8 @@ class ChunkStore {
   size_t ChunkBytes(int attr, uint32_t chunk) const {
     return layout_.size(chunk) * sources_[static_cast<size_t>(attr)].elem_size;
   }
-  /// Returns the slot, materialized; `enforce_cap` declines (nullptr)
-  /// instead of overshooting the budget.
-  Slot* EnsureLocked(int attr, uint32_t chunk, bool enforce_cap) const;
+  /// Returns the slot, materialized.
+  Slot* EnsureLocked(int attr, uint32_t chunk) const;
   void EvictUnpinnedLocked(size_t needed_bytes) const;
 
   ChunkLayout layout_;
@@ -263,27 +256,6 @@ void ForEachChunkSpan(const ChunkLayout& layout, const uint32_t* rows,
     i = j;
   }
 }
-
-/// Best-effort residency hint for one shard task: pins every chunk of
-/// `attrs` intersecting the row range [begin_row, end_row) for the
-/// lifetime of the set, so consecutive kernel calls of the task reuse
-/// the same buffers instead of reloading them. Uses TryPin — the hint
-/// never pushes the store over its byte cap (kernels still hard-pin the
-/// spans they scan, so declining a hint costs throughput, not
-/// correctness). No-op for resident datasets.
-class ChunkPinSet {
- public:
-  ChunkPinSet() = default;
-  ChunkPinSet(const Dataset& db, const std::vector<int>& attrs,
-              uint32_t begin_row, uint32_t end_row);
-  ChunkPinSet(ChunkPinSet&&) noexcept = default;
-  ChunkPinSet& operator=(ChunkPinSet&&) noexcept = default;
-
-  size_t size() const { return pins_.size(); }
-
- private:
-  std::vector<PinnedChunk> pins_;
-};
 
 }  // namespace sdadcs::data
 

@@ -19,9 +19,8 @@ using core::EngineKind;
 constexpr EngineRow kEngines[] = {
     {EngineKind::kSerial, "serial", "single-threaded SDAD-CS lattice search"},
     {EngineKind::kParallel, "parallel",
-     "SDAD-CS on a thread team (Section 6): a wide level's combinations "
-     "in parallel, a narrow level's row scans sharded (byte-identical to "
-     "serial)"},
+     "SDAD-CS on a thread team (Section 6): each level's attribute "
+     "combinations mined in parallel (byte-identical to serial)"},
     {EngineKind::kBeam, "beam",
      "beam-search subgroup discovery (Cortana-style baseline)"},
     {EngineKind::kBinnedFayyad, "binned:fayyad",
@@ -36,8 +35,8 @@ constexpr EngineRow kEngines[] = {
     {EngineKind::kWindow, "window",
      "serial SDAD-CS over the most recent rows only"},
     {EngineKind::kSharded, "sharded",
-     "the parallel engine under its width's name: sharded:<n> runs on n "
-     "shards (byte-identical to serial)"},
+     "the parallel engine under its width's name: sharded:<n> runs a "
+     "team of n (byte-identical to serial)"},
 };
 
 constexpr char kAutoName[] = "auto";

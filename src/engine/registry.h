@@ -63,7 +63,7 @@ util::StatusOr<EngineSpec> ParseEngine(const std::string& name);
 const char* EngineName(core::EngineKind kind);
 
 /// Runs `spec`'s miner over `db`. The parallel and sharded rows run
-/// core::Miner on the shard team; an explicit "sharded:<n>" count beats
+/// core::Miner on the process's team; an explicit "sharded:<n>" count beats
 /// `options.shard_count`. Same contract as core::Miner::Mine: an expired
 /// deadline, cancellation or exhausted budget drains into a sorted
 /// best-so-far result with the matching completion, and errors are

@@ -123,8 +123,9 @@ struct MineOutcome {
   util::Status status;  ///< non-OK iff verdict == kError
   CacheStatus cache = CacheStatus::kMiss;
   core::EngineKind engine = core::EngineKind::kSerial;  ///< resolved
-  /// Canonical request key (dataset + config + groups + resolved
-  /// engine); zero only when the call failed before the dataset lookup.
+  /// Canonical request key (dataset + config + groups + the resolved
+  /// engine's cache universe); zero only when the call failed before
+  /// the dataset lookup.
   core::RequestKey key;
   std::shared_ptr<const core::MiningResult> result;     ///< null unless kOk
   /// The dataset generation the request resolved to (null when the

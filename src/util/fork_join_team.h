@@ -11,20 +11,20 @@
 
 namespace sdadcs::util {
 
-/// A fork-join team for short, back-to-back fan-outs: the row-shard
-/// scans of one multi-shard mine (DESIGN.md §12). The thread that calls
-/// Run is a member too; `width - 1` worker threads are the others.
-/// Members claim the indices of a fan-out one at a time, in ascending
-/// order, so a member the OS has not scheduled holds up only an index it
-/// already claimed. Between fan-outs a worker spins on the team's epoch
-/// for kSpinBudget and only then parks in atomic::wait, and a notify
-/// with no thread parked makes no system call, so a fan-out that
-/// follows the previous one within the budget starts and joins in user
-/// space. (A ThreadPool round trip pays a lock, a queue node and a
-/// futex wake per task.)
+/// A fork-join team for short, back-to-back fan-outs: the batches of
+/// attribute combinations one multi-shard mine mines at once (DESIGN.md
+/// §12). The thread that calls Run is a member too; `width - 1` worker
+/// threads are the others. Members claim the indices of a fan-out one
+/// at a time, in ascending order, so a member the OS has not scheduled
+/// holds up only an index it already claimed. Between fan-outs a worker
+/// spins on the team's epoch for kSpinBudget and only then parks in
+/// atomic::wait, and a notify with no thread parked makes no system
+/// call, so a fan-out that follows the previous one within the budget
+/// starts and joins in user space. (A ThreadPool round trip pays a
+/// lock, a queue node and a futex wake per task.)
 ///
 ///   ForkJoinTeam team(4);
-///   team.Run(7, [&](size_t i) { parts[i] = Scan(slice(i)); });
+///   team.Run(7, [&](size_t i) { results[i] = Mine(combos[i]); });
 ///
 /// One thread drives a team: Run is neither reentrant nor safe to call
 /// from two threads at once. Tasks must not throw (the library does not

@@ -126,15 +126,22 @@ TEST(RequestKeyTest, SeparatesEveryDimension) {
                                             EngineKind::kSerial);
   EXPECT_NE(base, ab);
   EXPECT_NE(ab, ba);
-  // Engine: serial and parallel are distinct cache universes, and an
-  // unresolved kAuto hashes apart from both.
+  // Engine: serial, parallel and sharded return the same bytes and are
+  // one cache universe; beam is another, and an unresolved kAuto hashes
+  // apart from both.
   const RequestKey parallel = CanonicalRequestKey(ds, config, "class", {},
                                                   EngineKind::kParallel);
+  const RequestKey sharded = CanonicalRequestKey(ds, config, "class", {},
+                                                 EngineKind::kSharded);
+  const RequestKey beam = CanonicalRequestKey(ds, config, "class", {},
+                                              EngineKind::kBeam);
   const RequestKey automatic = CanonicalRequestKey(ds, config, "class", {},
                                                    EngineKind::kAuto);
-  EXPECT_NE(base, parallel);
+  EXPECT_EQ(base, parallel);
+  EXPECT_EQ(base, sharded);
+  EXPECT_NE(base, beam);
   EXPECT_NE(base, automatic);
-  EXPECT_NE(parallel, automatic);
+  EXPECT_NE(beam, automatic);
 }
 
 TEST(RequestKeyTest, DatasetFingerprintSeparatesNameAndGeneration) {

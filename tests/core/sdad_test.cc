@@ -40,9 +40,14 @@ class Harness {
   PruneTable& table() { return table_; }
   MiningCounters& counters() { return counters_; }
 
+  // The base selection's counts: its per-group counts are the group
+  // sizes.
+  GroupCounts BaseCounts() const { return GroupCounts{GroupSizes(*gi_)}; }
+
   // Runs SDAD-CS and files the run's prune entries, as a commit does.
   std::vector<ContrastPattern> Run(const std::vector<int>& cont_attrs) {
-    SdadCall call = MakeRootCall(ctx_, Itemset(), cont_attrs);
+    SdadCall call = MakeRootCall(ctx_, Itemset(), cont_attrs,
+                                 gi_->base_selection(), BaseCounts());
     std::vector<ContrastPattern> patterns = RunSdadCs(ctx_, call);
     for (const Itemset& entry : ctx_.combo.prune_entries) {
       table_.Insert(entry);
@@ -161,10 +166,12 @@ TEST(SdadTest, CountersTrackEvaluations) {
   EXPECT_GE(h.counters().sdad_calls, 1u);
 }
 
-TEST(SdadTest, MakeRootCallFiltersMissingAndSetsParentStats) {
+TEST(SdadTest, MakeRootCallFiltersMissingRowsOnlyWhereAnAttributeHasThem) {
+  // x misses two values, y none.
   data::DatasetBuilder b;
   int g = b.AddCategorical("g");
   int x = b.AddContinuous("x");
+  int y = b.AddContinuous("y");
   for (int i = 0; i < 10; ++i) {
     b.AppendCategorical(g, i % 2 == 0 ? "a" : "b");
     if (i < 2) {
@@ -172,16 +179,39 @@ TEST(SdadTest, MakeRootCallFiltersMissingAndSetsParentStats) {
     } else {
       b.AppendContinuous(x, i);
     }
+    b.AppendContinuous(y, -i);
   }
   auto db = std::move(b).Build();
   ASSERT_TRUE(db.ok());
   MinerConfig cfg;
   Harness h(std::move(db).value(), cfg);
-  SdadCall call = MakeRootCall(h.ctx(), Itemset(), {1});
+  const data::Selection& base = h.ctx().gi->base_selection();
+
+  std::vector<int> missing_attrs;
+  SdadCall call = MakeRootCall(h.ctx(), Itemset(), {x, y}, base,
+                               h.BaseCounts(), &missing_attrs);
   EXPECT_EQ(call.space.rows.size(), 8u);  // 2 missing excluded
+  EXPECT_EQ(missing_attrs, std::vector<int>{x});
   EXPECT_DOUBLE_EQ(call.outer_db_size, 8.0);
-  EXPECT_EQ(call.parent_supports.size(), 2u);
+  // One of the dropped rows is in each group.
+  EXPECT_EQ(call.parent_supports, (std::vector<double>{0.8, 0.8}));
+  EXPECT_DOUBLE_EQ(call.parent_diff, 0.0);
   EXPECT_DOUBLE_EQ(call.parent_measure, 0.0);
+  ASSERT_EQ(call.space.bounds.size(), 2u);
+  EXPECT_EQ(call.space.bounds[0].attr, x);
+  EXPECT_EQ(call.space.bounds[1].attr, y);
+
+  // Without a missing value the prefix's cover and counts are the root's
+  // as given, unscanned.
+  const data::Selection prefix(std::vector<uint32_t>{0, 1, 2, 4});
+  const GroupCounts prefix_counts{{3.0, 1.0}};
+  call = MakeRootCall(h.ctx(), Itemset(), {y}, prefix, prefix_counts,
+                      &missing_attrs);
+  EXPECT_TRUE(missing_attrs.empty());
+  EXPECT_EQ(call.space.rows.rows(), prefix.rows());
+  EXPECT_DOUBLE_EQ(call.outer_db_size, 4.0);
+  EXPECT_EQ(call.parent_supports, (std::vector<double>{0.6, 0.2}));
+  EXPECT_DOUBLE_EQ(call.parent_diff, 0.4);
 }
 
 // The critical-value memo keys on the exact alpha: alphas below 1e-12,

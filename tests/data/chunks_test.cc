@@ -1,5 +1,6 @@
 #include "data/chunks.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -8,8 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
-#include "data/selection.h"
-#include "data/shard.h"
 #include "data/spill.h"
 #include "util/random.h"
 
@@ -81,29 +80,30 @@ TEST(ForEachChunkSpanTest, PartitionsSortedSelectionAtChunkSeams) {
                    [&](uint32_t, size_t, size_t) { FAIL(); });
 }
 
-TEST(ForEachChunkSpanTest, ShardSlicesComposeWithMisalignedChunkSeams) {
-  // Shard boundaries (rows/4 = 25) deliberately misaligned with chunk
-  // seams (7): slicing a selection by shard and then spanning each slice
-  // by chunk must cover the selection exactly once, with every span
-  // inside both its shard range and its chunk.
+TEST(ForEachChunkSpanTest, RowRangeSlicesComposeWithMisalignedChunkSeams) {
+  // Row ranges of 25 deliberately misaligned with chunk seams (7):
+  // slicing a selection by row range and then spanning each slice by
+  // chunk must cover the selection exactly once, with every span inside
+  // both its row range and its chunk.
   std::vector<uint32_t> picked;
   util::Rng rng(17);
   for (uint32_t r = 0; r < 100; ++r) {
     if (rng.Bernoulli(0.4)) picked.push_back(r);
   }
-  Selection sel(picked);
-  ShardPlan plan(100, 4);
   ChunkLayout layout(100, 7);
+  const uint32_t* rows_begin = picked.data();
+  const uint32_t* rows_end = rows_begin + picked.size();
   std::vector<uint32_t> rebuilt;
-  for (size_t s = 0; s < plan.num_shards(); ++s) {
-    const ShardRange& range = plan.range(s);
-    ShardView view = SliceSelection(sel, range);
-    ForEachChunkSpan(layout, view.rows, view.size,
+  for (uint32_t begin = 0; begin < 100; begin += 25) {
+    const uint32_t end = begin + 25;
+    const uint32_t* first = std::lower_bound(rows_begin, rows_end, begin);
+    const uint32_t* last = std::lower_bound(first, rows_end, end);
+    ForEachChunkSpan(layout, first, static_cast<size_t>(last - first),
                      [&](uint32_t chunk, size_t b, size_t e) {
                        for (size_t i = b; i < e; ++i) {
-                         uint32_t row = view.rows[i];
-                         EXPECT_GE(row, range.begin_row);
-                         EXPECT_LT(row, range.end_row);
+                         uint32_t row = first[i];
+                         EXPECT_GE(row, begin);
+                         EXPECT_LT(row, end);
                          EXPECT_EQ(layout.chunk_of(row), chunk);
                          rebuilt.push_back(row);
                        }
@@ -329,7 +329,7 @@ TEST(SpillTest, CodeOutsideTheDictionaryIsRejected) {
   EXPECT_TRUE(opened->categorical(0).is_missing(1));
 }
 
-TEST(ChunkStoreTest, CapEvictsUnpinnedBeforeLoadingAndTryPinDeclines) {
+TEST(ChunkStoreTest, CapEvictsUnpinnedBeforeLoadingAndPinOvershoots) {
   const size_t kRows = 64;  // chunk_rows 16 -> 4 chunks of 128 bytes each
   Dataset dense = MakeMixed(kRows);
   std::string path = SpillPath("cap");
@@ -350,12 +350,10 @@ TEST(ChunkStoreTest, CapEvictsUnpinnedBeforeLoadingAndTryPinDeclines) {
   EXPECT_EQ(store->stats().resident_bytes, 128u);
 
   // Second pin fits exactly; a third must evict — but everything is
-  // pinned, so Pin overshoots (never fails) while TryPin declines.
+  // pinned, so Pin overshoots (never fails).
   const void* c1 = store->Pin(2, 1);
   ASSERT_NE(c1, nullptr);
   EXPECT_EQ(store->stats().resident_bytes, 256u);
-  EXPECT_EQ(store->TryPin(2, 2), nullptr);
-  EXPECT_EQ(store->stats().loads, 2u);  // the decline loaded nothing
   const void* c2 = store->Pin(2, 2);
   ASSERT_NE(c2, nullptr);
   EXPECT_GT(store->stats().resident_bytes, opt.max_resident_bytes);
@@ -377,37 +375,6 @@ TEST(ChunkStoreTest, CapEvictsUnpinnedBeforeLoadingAndTryPinDeclines) {
   EXPECT_EQ(store->stats().resident_bytes, 0u);
   // Peak never lies: it must cover the 3-chunk overshoot above.
   EXPECT_GE(store->stats().peak_resident_bytes, 3 * 128u);
-  std::remove(path.c_str());
-}
-
-TEST(ChunkStoreTest, PinSetHintsRespectTheCapAndResidentIsNoOp) {
-  Dataset dense = MakeMixed(64);
-  // Resident dataset: the hint is a no-op.
-  EXPECT_EQ(ChunkPinSet(dense, {1, 2}, 0, 64).size(), 0u);
-
-  std::string path = SpillPath("pinset");
-  ASSERT_TRUE(WriteSpill(dense, path).ok());
-  SpillOptions opt;
-  opt.chunk_rows = 16;
-  opt.max_resident_bytes = 3 * 16 * sizeof(double);
-  auto paged = OpenSpill(path, opt);
-  ASSERT_TRUE(paged.ok());
-  {
-    // Rows [0, 32) of one attribute: two chunks, fits.
-    ChunkPinSet hint(*paged, {2}, 0, 32);
-    EXPECT_EQ(hint.size(), 2u);
-    EXPECT_LE(paged->chunk_store()->stats().resident_bytes,
-              opt.max_resident_bytes);
-    // The whole column would blow the cap: the hint stops early rather
-    // than overshoot.
-    ChunkPinSet greedy(*paged, {2}, 0, 64);
-    EXPECT_LT(greedy.size(), 4u);
-    EXPECT_LE(paged->chunk_store()->stats().resident_bytes,
-              opt.max_resident_bytes);
-  }
-  // Hints release their pins on destruction.
-  EXPECT_GT(paged->chunk_store()->TrimUnpinned(), 0u);
-  EXPECT_EQ(paged->chunk_store()->stats().resident_bytes, 0u);
   std::remove(path.c_str());
 }
 

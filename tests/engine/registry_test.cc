@@ -4,13 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/reports.h"
 #include "common/requests.h"
 #include "common/threads.h"
 #include "core/request_key.h"
@@ -32,6 +32,7 @@ using engine::ParseEngine;
 
 using test_support::GroupRequest;
 using test_support::GroupsRequest;
+using test_support::RenderReports;
 using test_support::NewThreadsSince;
 using test_support::ThreadIds;
 
@@ -166,26 +167,6 @@ TEST(EngineRegistryTest, ParameterizedShardedNameCreatesEngine) {
   EXPECT_EQ(team_threads("sharded", 1), 0u);
   EXPECT_EQ(team_threads("parallel", 2), workers);
   EXPECT_EQ(team_threads("parallel", 1), 0u);
-}
-
-// Everything a progress report carries, one report per line.
-std::string RenderReports(const std::vector<util::RunProgress>& reports) {
-  std::string out;
-  char buf[256];
-  for (const util::RunProgress& p : reports) {
-    std::snprintf(buf, sizeof(buf),
-                  "level=%d done=%llu/%llu threshold=%.17g patterns=%llu "
-                  "best=%.17g version=%llu improved=%d\n",
-                  p.level, static_cast<unsigned long long>(p.candidates_done),
-                  static_cast<unsigned long long>(p.candidates_total),
-                  p.topk_threshold,
-                  static_cast<unsigned long long>(p.patterns_found),
-                  p.best_measure,
-                  static_cast<unsigned long long>(p.topk_version),
-                  p.improved ? 1 : 0);
-    out += buf;
-  }
-  return out;
 }
 
 TEST(EngineRegistryTest, MultiThreadEnginesStreamAnytimeReportsInOrder) {

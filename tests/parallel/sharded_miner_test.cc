@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/reports.h"
 #include "common/requests.h"
 #include "common/threads.h"
 #include "core/contrast.h"
@@ -27,6 +28,7 @@ namespace {
 
 using test_support::GroupRequest;
 using test_support::NewThreadsSince;
+using test_support::RenderReports;
 using test_support::ThreadIds;
 
 core::MinerConfig BaseConfig() {
@@ -109,8 +111,8 @@ TEST(ShardedMinerTest, ByteIdenticalToSerialIncludingCounters) {
 }
 
 TEST(ShardedMinerTest, MoreShardsThanRowsStillExact) {
-  // ShardPlan caps the shard count at the row count; surplus shards
-  // simply vanish instead of producing empty-range corner cases.
+  // A shard count far past the rows and the cores builds a team only
+  // min(shards, cores) wide, which mines like serial.
   data::Dataset db = synth::MakeSimulated3(300);
   auto serial = core::Miner(BaseConfig()).Mine(db, GroupRequest("Group"));
   auto sharded =
@@ -142,10 +144,11 @@ TEST(ShardedMinerTest, InvalidConfigAndUnknownGroupRejected) {
 }
 
 TEST(ShardedMinerTest, CappedResidencyShardedMineMatchesDenseSerial) {
-  // The paged backend under shard fan-out: four shards pin and release
-  // mmap-backed chunks from pool threads at once while the cap forces
-  // evictions. Output must match the dense serial mine byte for byte,
-  // the mine must really page, and residency must stay under the cap.
+  // The paged backend under the team: four members mine combinations at
+  // once, each pinning and releasing the mmap-backed chunks its scans
+  // touch, while the cap forces evictions. Output must match the dense
+  // serial mine byte for byte, the mine must really page, and residency
+  // must stay under the cap.
   core::MinerConfig cfg = BaseConfig();
   cfg.top_k = 50;
   for (const char* name : {"adult", "shuttle"}) {
@@ -176,9 +179,8 @@ TEST(ShardedMinerTest, CappedResidencyShardedMineMatchesDenseSerial) {
   }
 }
 
-// A dataset big enough that (a) counting scans actually fan out (rows
-// past the min-fanout floor) and (b) the full run takes far longer than
-// the stop round-trips asserted below.
+// A dataset big enough that the full run takes far longer than the stop
+// round-trips asserted below.
 synth::NamedDataset BigDataset() {
   synth::ScalingOptions opt;
   opt.rows = 20000;
@@ -204,8 +206,8 @@ synth::NamedDataset WideDataset() {
   return synth::MakeScalingDataset(opt);
 }
 
-// Data narrow and tall enough that level 1 (9 combinations) mines one
-// combination at a time with its scans row-sharded.
+// Data narrow and tall enough that level 1 (9 combinations) mines on
+// the team in one batch.
 synth::NamedDataset NarrowDataset() {
   synth::ScalingOptions opt;
   opt.rows = 12000;
@@ -218,8 +220,8 @@ TEST(ShardedMinerTest, CombosOnTheTeamByteIdenticalToSerialIncludingCounters) {
   // A wide level's combinations mine on the team, each member against a
   // copy of the top-k, and commit in frontier order; a combination whose
   // threshold tests the committed top-k would answer otherwise is mined
-  // again. The shapes: perfbench's (level 1 row-sharded, level 2 on the
-  // team) at two seeds, the wide data at top 10 — also without
+  // again. The shapes: perfbench's (8 combinations on level 1, 28 on
+  // level 2) at two seeds, the wide data at top 10 — also without
   // meaningful pruning, without it and optimistic pruning, and under
   // the Surprising measure, whose bound the threshold tests read —, and
   // adult's education contrast at depth 3.
@@ -276,6 +278,81 @@ TEST(ShardedMinerTest, CombosOnTheTeamByteIdenticalToSerialIncludingCounters) {
   }
 }
 
+// Mines `nd` under `cfg` with `shards` shards, streaming anytime
+// progress reports into `reports`.
+util::StatusOr<core::MiningResult> MineRecordingReports(
+    const synth::NamedDataset& nd, const core::MinerConfig& cfg,
+    size_t shards, std::vector<util::RunProgress>* reports) {
+  core::MineRequest request = GroupRequest(nd.group_attr, nd.groups);
+  request.run_control.set_anytime(true);
+  request.run_control.set_progress_callback(
+      [reports](const util::RunProgress& p) { reports->push_back(p); });
+  return core::Miner(cfg, shards).Mine(nd.db, request);
+}
+
+// The combinations of each level, in level order, as the reports that
+// open the levels announce them.
+std::vector<uint64_t> LevelSizes(
+    const std::vector<util::RunProgress>& reports) {
+  std::vector<uint64_t> sizes;
+  for (const util::RunProgress& p : reports) {
+    if (p.candidates_done == 0) sizes.push_back(p.candidates_total);
+  }
+  return sizes;
+}
+
+TEST(ShardedMinerTest, NarrowLevelsOnTheTeamMatchSerialIncludingReports) {
+  // Levels with no more combinations than a team has members mine on
+  // the team as well, and a level of one combination mines inline. The
+  // shapes: two continuous attributes at depth 2, and transfusion's four
+  // at depth 4, both at top 2, whose threshold moves within a level, so
+  // some combinations fail the replay check and are mined again inline.
+  // Patterns, every counter and the whole sequence of progress reports
+  // must equal serial's.
+  struct Shape {
+    std::string name;
+    synth::NamedDataset nd;
+    core::MinerConfig cfg;
+    std::vector<uint64_t> level_sizes;
+  };
+  std::vector<Shape> shapes;
+  {
+    synth::ScalingOptions opt;
+    opt.rows = 20000;
+    opt.continuous_features = 2;
+    opt.categorical_features = 0;
+    Shape shape{"scaling 2 continuous", synth::MakeScalingDataset(opt),
+                BaseConfig(), {2, 1}};
+    shape.cfg.top_k = 2;
+    shapes.push_back(std::move(shape));
+  }
+  {
+    Shape shape{"transfusion", synth::MakeUciLike("transfusion", /*seed=*/7),
+                BaseConfig(), {4, 6, 4, 1}};
+    shape.cfg.max_depth = 4;
+    shape.cfg.top_k = 2;
+    shapes.push_back(std::move(shape));
+  }
+  for (const Shape& shape : shapes) {
+    std::vector<util::RunProgress> serial_reports;
+    auto serial =
+        MineRecordingReports(shape.nd, shape.cfg, 1, &serial_reports);
+    ASSERT_TRUE(serial.ok()) << shape.name;
+    ASSERT_EQ(serial->completion, core::Completion::kComplete);
+    ASSERT_EQ(LevelSizes(serial_reports), shape.level_sizes) << shape.name;
+    for (size_t shards : {2u, 4u, 8u}) {
+      const std::string label =
+          shape.name + ", " + std::to_string(shards) + " shards";
+      std::vector<util::RunProgress> reports;
+      auto team = MineRecordingReports(shape.nd, shape.cfg, shards, &reports);
+      ASSERT_TRUE(team.ok()) << label;
+      ExpectSameRun(*team, *serial, label);
+      EXPECT_EQ(RenderReports(reports), RenderReports(serial_reports))
+          << label;
+    }
+  }
+}
+
 // Mines `nd` with `shards` shards under a fresh RunControl, cancelling
 // from the progress report that says `done` combinations of `level`
 // have committed.
@@ -322,7 +399,8 @@ TEST(ShardedMinerTest, CancelOnATeamLevelCommitsNothingAfterTheReport) {
   ExpectCancelStopsAtTheReport(WideDataset(), /*level=*/2, /*done=*/40);
 }
 
-TEST(ShardedMinerTest, CancelOnARowShardedLevelCommitsNothingAfterTheReport) {
+TEST(ShardedMinerTest, CancelOnANarrowLevelCommitsNothingAfterTheReport) {
+  // Level 1 of the narrow data mines on the team in one batch of 9.
   ExpectCancelStopsAtTheReport(NarrowDataset(), /*level=*/1, /*done=*/4);
 }
 
@@ -391,11 +469,10 @@ TEST(ShardedMinerTest, MineThatFindsTheTeamTakenScansInlineIdentically) {
   // holds it and blocks in a progress report, builds none and mines
   // inline (or takes the team over if the first ends first): its result
   // must still render like serial, and under a node budget it must stop
-  // where a solo sharded mine stops, since the inline path keeps the
-  // merge-barrier checkpoints and a combination mined on the team is
-  // charged whole at its commit. The first resumes once the second
-  // reports, so it mines on fewer members and scans inline while both
-  // run; its result must render like serial as well.
+  // where a solo sharded mine stops, since a combination mined on the
+  // team is charged whole at its commit or mined again inline. The first
+  // resumes once the second reports, so it mines on fewer members while
+  // both run; its result must render like serial as well.
   synth::NamedDataset nd = synth::MakeUciLike("adult", /*seed=*/7);
   const core::MinerConfig cfg = BaseConfig();
   auto request = [&](uint64_t budget) {
@@ -406,9 +483,9 @@ TEST(ShardedMinerTest, MineThatFindsTheTeamTakenScansInlineIdentically) {
   auto serial = core::Miner(cfg).Mine(nd.db, request(0));
   ASSERT_TRUE(serial.ok());
 
-  // 0 = no budget. Budgets 20 and 60 stop this mine at a scan whose
-  // barrier checkpoint decides where it stops; 300, 600 and 1000 stop it
-  // in level 2, which a solo mine mines on the team.
+  // 0 = no budget. Budgets 20 and 60 stop this mine on level 1 (13
+  // combinations), 150 to 1000 on level 2 (78); a solo mine mines both
+  // on the team.
   for (uint64_t budget : {0, 20, 60, 150, 300, 600, 1000}) {
     auto want = budget == 0 ? serial
                             : core::Miner(cfg, 4).Mine(nd.db, request(budget));

@@ -315,7 +315,7 @@ TEST(ServerTest, AutoResolvesByRowCount) {
   }
 }
 
-TEST(ServerTest, EngineResolutionAndDistinctCacheUniverses) {
+TEST(ServerTest, EngineResolutionAndOneCacheUniverseForTheMinerEngines) {
   ServerOptions options;
   options.shard_count = 2;
   Server server(options);
@@ -326,39 +326,43 @@ TEST(ServerTest, EngineResolutionAndDistinctCacheUniverses) {
   MineOutcome serial_out = server.Mine(auto_call);
   ASSERT_EQ(serial_out.verdict, Verdict::kOk);
   EXPECT_EQ(serial_out.engine, core::EngineKind::kSerial);
+  EXPECT_EQ(serial_out.cache, CacheStatus::kMiss);
 
-  // An explicit parallel request is a different cache universe: it must
-  // run, not hit the serial entry, and it finds the same patterns.
+  // serial, parallel and sharded return the same bytes, so an explicit
+  // parallel request hits the auto -> serial entry: it keeps its engine
+  // name and key, and runs nothing.
   MineCall parallel_call = BreastCall();
   parallel_call.engine = core::EngineKind::kParallel;
   MineOutcome parallel_out = server.Mine(parallel_call);
   ASSERT_EQ(parallel_out.verdict, Verdict::kOk);
   EXPECT_EQ(parallel_out.engine, core::EngineKind::kParallel);
-  EXPECT_EQ(parallel_out.cache, CacheStatus::kMiss);
-  EXPECT_EQ(server.Stats().runs_started, 2u);
-  ASSERT_EQ(parallel_out.result->contrasts.size(),
-            serial_out.result->contrasts.size());
-  for (size_t i = 0; i < serial_out.result->contrasts.size(); ++i) {
-    EXPECT_EQ(parallel_out.result->contrasts[i].itemset,
-              serial_out.result->contrasts[i].itemset);
-  }
+  EXPECT_EQ(parallel_out.cache, CacheStatus::kHit);
+  EXPECT_EQ(parallel_out.key, serial_out.key);
+  EXPECT_EQ(parallel_out.result, serial_out.result);
+  EXPECT_EQ(server.Stats().runs_started, 1u);
 
-  // Both warm paths hit their own entries.
+  // Both warm paths keep hitting the one entry.
   EXPECT_EQ(server.Mine(auto_call).cache, CacheStatus::kHit);
   EXPECT_EQ(server.Mine(parallel_call).cache, CacheStatus::kHit);
-  EXPECT_EQ(server.Stats().runs_started, 2u);
+  EXPECT_EQ(server.Stats().runs_started, 1u);
 }
 
-TEST(ServerTest, EveryRegistryEngineIsServableWithItsOwnRequestKey) {
+TEST(ServerTest, EveryRegistryEngineIsServableUnderItsCacheUniverseKey) {
   // The same dataset + config served through each engine of the table must
-  // succeed, and each engine must land in its own cache universe: all
-  // the RequestKeys stamped on the outcomes are pairwise distinct.
+  // succeed. serial, parallel and sharded (core::Miner at any width)
+  // share one cache universe, so they stamp one key and only the first
+  // of them runs; every other engine lands in its own universe, with a
+  // key distinct from all the others.
   ServerOptions options;
   options.shard_count = 2;
   options.window_rows = 200;
   Server server(options);
   ASSERT_TRUE(server.Load("breast", "synth:breast").ok());
 
+  const std::set<core::EngineKind> miner_kinds = {
+      core::EngineKind::kSerial, core::EngineKind::kParallel,
+      core::EngineKind::kSharded};
+  std::set<std::string> miner_keys;
   std::set<std::string> keys;
   size_t engines = 0;
   for (const engine::EngineRow& entry : engine::Engines()) {
@@ -371,12 +375,23 @@ TEST(ServerTest, EveryRegistryEngineIsServableWithItsOwnRequestKey) {
     ASSERT_NE(out.result, nullptr) << entry.name;
     EXPECT_EQ(out.result->completion, core::Completion::kComplete)
         << entry.name;
-    EXPECT_TRUE(keys.insert(out.key.ToString()).second)
-        << entry.name << " collided on key " << out.key.ToString();
+    if (miner_kinds.count(entry.kind) > 0) {
+      EXPECT_EQ(out.cache, miner_keys.empty() ? CacheStatus::kMiss
+                                              : CacheStatus::kHit)
+          << entry.name;
+      miner_keys.insert(out.key.ToString());
+      keys.insert(out.key.ToString());
+    } else {
+      EXPECT_EQ(out.cache, CacheStatus::kMiss) << entry.name;
+      EXPECT_TRUE(keys.insert(out.key.ToString()).second)
+          << entry.name << " collided on key " << out.key.ToString();
+    }
     ++engines;
   }
-  EXPECT_EQ(keys.size(), engines);
-  EXPECT_EQ(server.Stats().runs_started, engines);
+  EXPECT_EQ(miner_keys.size(), 1u);
+  const size_t universes = engines - miner_kinds.size() + 1;
+  EXPECT_EQ(keys.size(), universes);
+  EXPECT_EQ(server.Stats().runs_started, universes);
 
   // Warm re-serve through a distinct engine hits that engine's entry.
   MineCall beam_call = BreastCall();
@@ -384,7 +399,7 @@ TEST(ServerTest, EveryRegistryEngineIsServableWithItsOwnRequestKey) {
   MineOutcome warm = server.Mine(beam_call);
   ASSERT_EQ(warm.verdict, Verdict::kOk);
   EXPECT_EQ(warm.cache, CacheStatus::kHit);
-  EXPECT_EQ(server.Stats().runs_started, engines);
+  EXPECT_EQ(server.Stats().runs_started, universes);
 }
 
 TEST(ServerTest, PreparedArtifactsReusedAcrossCacheMisses) {
