@@ -27,6 +27,7 @@
 #include "core/support.h"
 #include "core/topk.h"
 #include "data/chunks.h"
+#include "data/csv.h"
 #include "data/group_info.h"
 #include "data/order_stats.h"
 #include "data/prepared.h"
@@ -357,6 +358,64 @@ Spread SpreadOf(std::vector<double> secs) {
   const double median =
       n % 2 == 1 ? secs[n / 2] : 0.5 * (secs[n / 2 - 1] + secs[n / 2]);
   return {median, secs.front(), secs.back()};
+}
+
+// CSV ingest: data::ReadCsvString over synth scaling tables written
+// once by WriteCsvString — perfbench's input shape (20000 rows: the
+// group column, 6 continuous and 2 categorical features) and, in full
+// mode, 200000 rows x 45 columns (40 continuous, 4 categorical). A point
+// reports the median, min and max wall seconds over the reps, MB/s at
+// the median, the rows and the dataset's MemoryUsage().
+void AddCsvIngestCases(bench::BenchJson* json, bool smoke) {
+  struct Shape {
+    size_t rows;
+    int continuous;
+    int categorical;
+    int reps;
+  };
+  std::vector<Shape> shapes = {{20000, 6, 2, smoke ? 5 : 21}};
+  if (!smoke) shapes.push_back({200000, 40, 4, 7});
+
+  std::printf("\n== CSV ingest: ReadCsvString (median [min, max]) ==\n");
+  for (const Shape& shape : shapes) {
+    synth::ScalingOptions opt;
+    opt.rows = shape.rows;
+    opt.continuous_features = shape.continuous;
+    opt.categorical_features = shape.categorical;
+    const synth::NamedDataset nd = synth::MakeScalingDataset(opt);
+    const std::string text = data::WriteCsvString(nd.db);
+    std::vector<double> secs;
+    size_t memory = 0;
+    size_t rows = 0;
+    for (int rep = 0; rep < shape.reps; ++rep) {
+      util::WallTimer timer;
+      util::StatusOr<data::Dataset> db = data::ReadCsvString(text);
+      secs.push_back(timer.Seconds());
+      SDADCS_CHECK(db.ok());
+      SDADCS_CHECK(db->num_attributes() == nd.db.num_attributes());
+      memory = db->MemoryUsage();
+      rows = db->num_rows();
+    }
+    const Spread spread = SpreadOf(secs);
+    const double mb = static_cast<double>(text.size()) / 1e6;
+    const double mb_per_sec = spread.median > 0.0 ? mb / spread.median : 0.0;
+    const std::string name = "csv_ingest_" + std::to_string(rows) + "x" +
+                             std::to_string(nd.db.num_attributes());
+    std::printf("%s: %.4fs [%.4f, %.4f] | %.1f MB at %.0f MB/s | "
+                "MemoryUsage %zu bytes\n",
+                name.c_str(), spread.median, spread.min, spread.max, mb,
+                mb_per_sec, memory);
+    json->BeginCase(name);
+    json->SetCase("rows", static_cast<uint64_t>(rows));
+    json->SetCase("columns", static_cast<uint64_t>(nd.db.num_attributes()));
+    json->SetCase("reps", static_cast<uint64_t>(shape.reps));
+    json->SetCase("text_bytes", static_cast<uint64_t>(text.size()));
+    json->SetCase("median_seconds", spread.median);
+    json->SetCase("min_seconds", spread.min);
+    json->SetCase("max_seconds", spread.max);
+    json->SetCase("mb_per_sec", mb_per_sec);
+    json->SetCase("memory_usage_bytes", static_cast<uint64_t>(memory));
+  }
 }
 
 // Sharded cold mine, swept over rows x shards: the one-shard miner
@@ -800,6 +859,7 @@ void RunKernelComparison(bool smoke) {
   AddDepth5ColdMineCases(&json, smoke);
   AddChunkedColdMineCase(&json, smoke);
   AddServedColdMineCase(&json, smoke);
+  AddCsvIngestCases(&json, smoke);
   json.Write();
 }
 

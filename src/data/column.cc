@@ -4,17 +4,17 @@
 
 namespace sdadcs::data {
 
-int32_t CategoricalColumn::CodeOf(const std::string& value) const {
+int32_t CategoricalColumn::CodeOf(std::string_view value) const {
   auto it = index_.find(value);
   return it == index_.end() ? kMissingCode : it->second;
 }
 
-int32_t CategoricalColumn::Intern(const std::string& value) {
+int32_t CategoricalColumn::Intern(std::string_view value) {
   auto it = index_.find(value);
   if (it != index_.end()) return it->second;
   int32_t code = static_cast<int32_t>(dictionary_.size());
-  dictionary_.push_back(value);
-  index_.emplace(value, code);
+  dictionary_.emplace_back(value);
+  index_.emplace(dictionary_.back(), code);
   return code;
 }
 

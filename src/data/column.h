@@ -3,8 +3,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -46,14 +48,14 @@ class CategoricalColumn {
   const std::string& ValueOf(int32_t code) const { return dictionary_[code]; }
 
   /// Code for `value`, or kMissingCode if the value has never been seen.
-  int32_t CodeOf(const std::string& value) const;
+  int32_t CodeOf(std::string_view value) const;
 
   /// Interns `value` (adding it to the dictionary if new) and returns
-  /// its code.
-  int32_t Intern(const std::string& value);
+  /// its code. Only a new value allocates.
+  int32_t Intern(std::string_view value);
 
   /// Appends a value, interning it.
-  void Append(const std::string& value) { codes_.push_back(Intern(value)); }
+  void Append(std::string_view value) { codes_.push_back(Intern(value)); }
 
   /// Appends a pre-interned code (kMissingCode allowed).
   void AppendCode(int32_t code) { codes_.push_back(code); }
@@ -79,9 +81,18 @@ class CategoricalColumn {
   size_t MemoryUsage() const;
 
  private:
+  // Hashes std::string and std::string_view alike, so a lookup by view
+  // builds no string.
+  struct ViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<int32_t> codes_;
   std::vector<std::string> dictionary_;
-  std::unordered_map<std::string, int32_t> index_;
+  std::unordered_map<std::string, int32_t, ViewHash, std::equal_to<>> index_;
   const ChunkStore* store_ = nullptr;  // paged mode; null = resident
   int attr_ = -1;
   size_t rows_ = 0;

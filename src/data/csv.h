@@ -2,6 +2,7 @@
 #define SDADCS_DATA_CSV_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/dataset.h"
@@ -25,14 +26,24 @@ struct CsvOptions {
 };
 
 /// Parses CSV text into a Dataset, inferring each column's type: a column
-/// where every non-missing field parses as a number becomes continuous,
-/// otherwise categorical. An infinite number in a continuous column
-/// (`inf`, `-inf`, or a literal that overflows such as `1e999`) is an
-/// InvalidArgument naming its row, column and field.
-util::StatusOr<Dataset> ReadCsvString(const std::string& text,
+/// where every non-missing field parses as a number (util::ParseDouble)
+/// and at least one does becomes continuous, otherwise categorical.
+/// Lines end at '\n' and lose one '\r' before it; blank lines are
+/// skipped. Fields follow RFC-4180 quoting within one line; unquoted
+/// fields are trimmed. The first fault in this order is reported, as an
+/// InvalidArgument: an unterminated quoted field on any line, no rows, a
+/// header only, a row of the wrong width, a header naming a column twice,
+/// and an infinite number in a continuous column (`inf`, `-inf`, or a
+/// literal that overflows such as `1e999`), named by row, column and
+/// field. The text is walked twice: once parsing number columns into
+/// place, once interning the categorical ones; no per-field string is
+/// built.
+util::StatusOr<Dataset> ReadCsvString(std::string_view text,
                                       const CsvOptions& options = {});
 
-/// Reads and parses a CSV file.
+/// Reads a CSV file into one buffer and parses it with ReadCsvString. A
+/// path that cannot be opened or read (a directory, say) is an IoError
+/// naming it.
 util::StatusOr<Dataset> ReadCsvFile(const std::string& path,
                                     const CsvOptions& options = {});
 

@@ -64,8 +64,8 @@ size_t Dataset::MemoryUsage() const {
 
 int DatasetBuilder::AddCategorical(const std::string& name) {
   util::Status st = ds_.schema_.Add(name, AttributeType::kCategorical);
-  if (!st.ok() && deferred_error_.ok()) {
-    deferred_error_ = st;
+  if (!st.ok()) {
+    if (deferred_error_.ok()) deferred_error_ = st;
     return -1;
   }
   ds_.categorical_.push_back(std::make_unique<CategoricalColumn>());
@@ -75,8 +75,8 @@ int DatasetBuilder::AddCategorical(const std::string& name) {
 
 int DatasetBuilder::AddContinuous(const std::string& name) {
   util::Status st = ds_.schema_.Add(name, AttributeType::kContinuous);
-  if (!st.ok() && deferred_error_.ok()) {
-    deferred_error_ = st;
+  if (!st.ok()) {
+    if (deferred_error_.ok()) deferred_error_ = st;
     return -1;
   }
   ds_.categorical_.push_back(nullptr);
@@ -84,7 +84,7 @@ int DatasetBuilder::AddContinuous(const std::string& name) {
   return static_cast<int>(ds_.schema_.num_attributes()) - 1;
 }
 
-void DatasetBuilder::AppendCategorical(int attr, const std::string& value) {
+void DatasetBuilder::AppendCategorical(int attr, std::string_view value) {
   SDADCS_CHECK(ds_.is_categorical(attr));
   ds_.categorical_[attr]->Append(value);
 }

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/chunks.h"
@@ -111,13 +112,14 @@ class DatasetBuilder {
  public:
   DatasetBuilder() = default;
 
-  /// Declares a categorical attribute; returns its index.
+  /// Declares a categorical attribute; returns its index, or -1 when the
+  /// schema refuses the name (a repeat), which Build() then reports.
   int AddCategorical(const std::string& name);
-  /// Declares a continuous attribute; returns its index.
+  /// Declares a continuous attribute; returns its index or -1, as above.
   int AddContinuous(const std::string& name);
 
   /// Appends one value to a categorical attribute.
-  void AppendCategorical(int attr, const std::string& value);
+  void AppendCategorical(int attr, std::string_view value);
   /// Appends one value to a continuous attribute (NaN = missing).
   void AppendContinuous(int attr, double value);
   /// Appends a missing value to any attribute.

@@ -1,6 +1,7 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -24,14 +25,6 @@ std::vector<std::string> Split(std::string_view input, char delim) {
   return out;
 }
 
-std::string_view Trim(std::string_view s) {
-  size_t b = 0;
-  while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  size_t e = s.size();
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep) {
   std::string out;
@@ -43,15 +36,22 @@ std::string Join(const std::vector<std::string>& parts,
 }
 
 std::optional<double> ParseDouble(std::string_view s) {
-  std::string t(Trim(s));
+  const std::string_view t = Trim(s);
   if (t.empty()) return std::nullopt;
-  char* end = nullptr;
-  double v = std::strtod(t.c_str(), &end);
-  if (end != t.c_str() + t.size()) return std::nullopt;
-  // ERANGE is not an error here: strtod still returns the nearest double
-  // (a subnormal or zero on underflow, an infinity on overflow), and a
-  // writer printing a subnormal with %.17g emits such a literal. Callers
-  // that cannot take an infinity reject it themselves.
+  const char* const end = t.data() + t.size();
+  double v = 0.0;
+  const auto [stop, ec] = std::from_chars(t.data(), end, v);
+  if (ec == std::errc() && stop == end && !std::isnan(v)) return v;
+  // strtod takes what from_chars refuses or reads differently: a leading
+  // '+', hex floats, a NaN's payload bits, and literals outside the
+  // double range. ERANGE is not an error here: strtod still returns the
+  // nearest double (a subnormal or zero on underflow, an infinity on
+  // overflow), and a writer printing a subnormal with %.17g emits such a
+  // literal. Callers that cannot take an infinity reject it themselves.
+  const std::string copy(t);
+  char* copy_end = nullptr;
+  v = std::strtod(copy.c_str(), &copy_end);
+  if (copy_end != copy.c_str() + copy.size()) return std::nullopt;
   return v;
 }
 

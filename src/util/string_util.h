@@ -12,18 +12,33 @@ namespace sdadcs::util {
 /// an empty input produces a single empty field (CSV semantics).
 std::vector<std::string> Split(std::string_view input, char delim);
 
-/// Removes leading and trailing ASCII whitespace.
-std::string_view Trim(std::string_view s);
+/// True for the bytes std::isspace accepts in the "C" locale: space,
+/// \t, \n, \v, \f and \r.
+constexpr bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Removes leading and trailing ASCII whitespace (IsSpace).
+inline std::string_view Trim(std::string_view s) {
+  size_t b = 0;
+  while (b < s.size() && IsSpace(s[b])) ++b;
+  size_t e = s.size();
+  while (e > b && IsSpace(s[e - 1])) --e;
+  return s.substr(b, e - b);
+}
 
 /// Joins `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep);
 
 /// Parses a double, requiring the whole (trimmed) string to be consumed.
-/// Returns nullopt for empty strings or trailing garbage. Accepts
-/// "nan"/"inf" in any case. A literal outside the double range parses to
-/// the nearest double: a subnormal or zero when it underflows, an
-/// infinity when it overflows.
+/// Returns nullopt for empty strings or trailing garbage. Accepts what
+/// strtod accepts in the "C" locale and returns its bits: a leading '+',
+/// hex floats, and "nan"/"inf" in any case. A literal outside the double
+/// range parses to the nearest double: a subnormal or zero when it
+/// underflows, an infinity when it overflows. Decimal literals take
+/// std::from_chars; anything it refuses, stops short on or reads as a
+/// NaN goes to strtod.
 std::optional<double> ParseDouble(std::string_view s);
 
 

@@ -199,7 +199,10 @@ class ReuseHarness {
     search->MineCombo(combo);
     for (const ContrastPattern& p : topk.Sorted()) {
       std::string line = p.itemset.Key();
-      for (double c : p.counts) line += " " + std::to_string(c);
+      for (double c : p.counts) {
+        line += ' ';
+        line += std::to_string(c);
+      }
       out.patterns.push_back(std::move(line));
     }
     ctx_.prune_table = nullptr;

@@ -72,8 +72,12 @@ TEST(ForEachChunkSpanTest, PartitionsSortedSelectionAtChunkSeams) {
                        }
                      });
     EXPECT_EQ(rebuilt, rows) << "chunk_rows " << chunk_rows;
-    if (chunk_rows == 1) EXPECT_EQ(spans, rows.size());
-    if (chunk_rows == 1000) EXPECT_EQ(spans, 1u);  // one span: dense path
+    if (chunk_rows == 1) {
+      EXPECT_EQ(spans, rows.size());
+    }
+    if (chunk_rows == 1000) {
+      EXPECT_EQ(spans, 1u);  // one span: dense path
+    }
   }
   // Empty selection: no spans, no crash.
   ForEachChunkSpan(ChunkLayout(100, 7), rows.data(), 0,

@@ -221,5 +221,30 @@ TEST(CsvTest, MissingFileIsIoError) {
   EXPECT_EQ(db.status().code(), util::StatusCode::kIoError);
 }
 
+// A directory opens but cannot be read: that is an IoError naming the
+// path, not an empty CSV.
+TEST(CsvTest, DirectoryIsIoError) {
+  const std::string dir = testing::TempDir();
+  auto db = ReadCsvFile(dir);
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), util::StatusCode::kIoError);
+  EXPECT_NE(db.status().message().find(dir), std::string::npos)
+      << db.status().message();
+}
+
+// The schema refuses a repeated name (two blank names repeat too): the
+// reader reports it, naming the column, before appending any value.
+TEST(CsvTest, DuplicateHeaderNameIsAnError) {
+  for (const char* text : {"a,a\n1,2\n", "a,b,\"a\"\nx,1,2\n", " , \n1,2\n"}) {
+    auto db = ReadCsvString(text);
+    ASSERT_FALSE(db.ok()) << text;
+    EXPECT_EQ(db.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(db.status().message().find("twice"), std::string::npos)
+        << db.status().message();
+  }
+  auto named = ReadCsvString("a,a\n1,2\n");
+  EXPECT_EQ(named.status().message(), "CSV header names column 'a' twice");
+}
+
 }  // namespace
 }  // namespace sdadcs::data

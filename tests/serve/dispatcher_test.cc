@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -162,6 +164,34 @@ TEST(DispatcherTest, FinalLineWithoutNewlineAndCrlfAreFrames) {
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_EQ(MustParse(replies[0]).GetString("id"), "1");
   EXPECT_EQ(MustParse(replies[1]).GetString("id"), "2");
+}
+
+// A load whose CSV header names a column twice fails with the reader's
+// InvalidArgument, and the session goes on to answer the next frame.
+TEST(DispatcherTest, DuplicateHeaderLoadFailsAndTheSessionGoesOn) {
+  const std::string path = testing::TempDir() + "sdadcs_dup_header.csv";
+  {
+    std::ofstream out(path);
+    out << "a,a\n1,2\n";
+  }
+  Server server({});
+  Dispatcher dispatcher(server, {});
+  const std::string input = R"({"op":"load","name":"d","id":"1","spec":")" +
+                            path + "\"}\n" + R"({"op":"ping","id":"2"})" +
+                            "\n";
+  std::vector<std::string> replies = ServeLockStep(dispatcher, input);
+  std::remove(path.c_str());
+  ASSERT_EQ(replies.size(), 2u);
+  JsonValue load = MustParse(replies[0]);
+  EXPECT_FALSE(load.GetBool("ok", true)) << replies[0];
+  ASSERT_NE(load.Find("error"), nullptr) << replies[0];
+  EXPECT_EQ(load.Find("error")->GetString("code"), "invalid_argument");
+  EXPECT_NE(load.Find("error")->GetString("message").find("twice"),
+            std::string::npos)
+      << replies[0];
+  JsonValue ping = MustParse(replies[1]);
+  EXPECT_EQ(ping.GetString("op"), "ping");
+  EXPECT_EQ(ping.GetString("id"), "2");
 }
 
 // The "patterns" array of an "emit":"patterns" reply, as rendered.

@@ -1,9 +1,16 @@
 #include "util/string_util.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "common/number_literals.h"
+#include "util/random.h"
 
 namespace sdadcs::util {
 namespace {
@@ -58,6 +65,67 @@ TEST(ParseDoubleTest, OutOfRangeLiteralsParseToTheNearestDouble) {
   // Overflow: an infinity, which callers that cannot take one reject.
   ASSERT_TRUE(ParseDouble("1e400").has_value());
   EXPECT_TRUE(std::isinf(*ParseDouble("1e400")));
+}
+
+// The parser ParseDouble replaced: strtod over a trimmed copy, the whole
+// copy consumed.
+std::optional<double> StrtodParse(std::string_view s) {
+  const std::string t(Trim(s));
+  if (t.empty()) return std::nullopt;
+  char* end = nullptr;
+  const double v = std::strtod(t.c_str(), &end);
+  if (end != t.c_str() + t.size()) return std::nullopt;
+  return v;
+}
+
+::testing::AssertionResult SameAsStrtod(const std::string& literal) {
+  const std::optional<double> got = ParseDouble(literal);
+  const std::optional<double> want = StrtodParse(literal);
+  if (got.has_value() != want.has_value()) {
+    return ::testing::AssertionFailure()
+           << "'" << literal << "': parsed " << got.has_value()
+           << ", strtod " << want.has_value();
+  }
+  uint64_t g = 0;
+  uint64_t w = 0;
+  if (got.has_value()) {
+    std::memcpy(&g, &*got, sizeof g);
+    std::memcpy(&w, &*want, sizeof w);
+  }
+  if (g != w) {
+    return ::testing::AssertionFailure()
+           << "'" << literal << "': bits " << std::hex << g << ", strtod "
+           << w;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// ParseDouble takes std::from_chars where it can and strtod elsewhere;
+// either way it must return strtod's bits, NaN payloads included.
+TEST(ParseDoubleTest, MatchesStrtodBitForBit) {
+  util::Rng rng(0x0dd5eed);
+  for (const char* literal : test_support::kEdgeLiterals) {
+    ASSERT_TRUE(SameAsStrtod(literal));
+    std::string padded = " \t";
+    padded.append(literal).append("\r\n");
+    ASSERT_TRUE(SameAsStrtod(padded));
+    std::string signed_literal = "+";
+    signed_literal.append(literal);
+    ASSERT_TRUE(SameAsStrtod(signed_literal));
+  }
+  for (int i = 0; i < 25000; ++i) {
+    const double v = test_support::RandomDouble(rng);
+    for (int format = 0; format < 4; ++format) {
+      ASSERT_TRUE(SameAsStrtod(test_support::PrintDouble(v, format)));
+    }
+  }
+  for (int i = 0; i < 40000; ++i) {
+    std::string literal;
+    if (rng.Bernoulli(0.1)) literal.push_back(rng.Bernoulli(0.5) ? '+' : ' ');
+    literal.append(test_support::RandomNumberLiteral(rng));
+    if (rng.Bernoulli(0.1)) literal.push_back(rng.Bernoulli(0.5) ? 'x' : ' ');
+    ASSERT_TRUE(SameAsStrtod(literal));
+  }
 }
 
 TEST(ToLowerTest, LowersAscii) {
