@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -416,6 +417,108 @@ void AddCsvIngestCases(bench::BenchJson* json, bool smoke) {
     json->SetCase("mb_per_sec", mb_per_sec);
     json->SetCase("memory_usage_bytes", static_cast<uint64_t>(memory));
   }
+}
+
+// Root split: a perfbench-shaped root (the base selection of 20000 rows
+// of 6 continuous and 2 categorical features, two groups) cut on two
+// continuous attributes. SplitAndCount scans the root's rows at its
+// memoized cuts, as every root split did before the root-axis memo;
+// SplitRoot counts the cells from the memoized bits, alone and with
+// every cell's rows built (a mine builds only the rows of the cells
+// that recurse). A point reports each one's median, min and max wall
+// seconds over the reps, and checks that the splits agree.
+void AddRootSplitCases(bench::BenchJson* json, bool smoke) {
+  synth::ScalingOptions opt;
+  opt.rows = 20000;
+  opt.continuous_features = 6;
+  opt.categorical_features = 2;
+  const synth::NamedDataset nd = synth::MakeScalingDataset(opt);
+  auto attr = nd.db.schema().IndexOf(nd.group_attr);
+  SDADCS_CHECK(attr.ok());
+  auto gi = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
+  SDADCS_CHECK(gi.ok());
+  const bool simd = data::SimdByDefault();
+  core::Space root;
+  root.rows = gi->base_selection();
+  core::RootBits bits;
+  bits.groups = std::make_shared<const std::vector<std::vector<uint64_t>>>(
+      core::GroupBits(*gi, root.rows));
+  core::SplitScratch scratch;
+  std::vector<double> cuts;
+  for (const char* name : {"feat_c000", "feat_c001"}) {
+    auto idx = nd.db.schema().IndexOf(name);
+    SDADCS_CHECK(idx.ok());
+    const core::RootBounds rb =
+        core::ComputeRootBounds(nd.db, *idx, gi->base_selection());
+    root.bounds.push_back({*idx, rb.lo, rb.hi});
+    auto axis = std::make_shared<const core::RootAxis>(core::CutRootAxis(
+        nd.db, root.rows, root.bounds.back(), core::SplitKind::kMedian,
+        &scratch, simd));
+    cuts.push_back(axis->cut);
+    bits.axes[*idx] = std::move(axis);
+  }
+
+  const int reps = smoke ? 101 : 1001;
+  std::vector<double> scan_secs;
+  std::vector<double> bits_secs;
+  std::vector<double> rows_secs;
+  for (int rep = 0; rep < reps; ++rep) {
+    util::WallTimer scan_timer;
+    core::SplitResult scanned =
+        core::SplitAndCount(nd.db, *gi, root, cuts, &scratch, simd);
+    benchmark::DoNotOptimize(scanned.cells.data());
+    scan_secs.push_back(scan_timer.Seconds());
+
+    util::WallTimer bits_timer;
+    core::SplitResult split = core::SplitRoot(root, bits, &scratch, simd);
+    benchmark::DoNotOptimize(split.counts.data());
+    bits_secs.push_back(bits_timer.Seconds());
+
+    util::WallTimer rows_timer;
+    split = core::SplitRoot(root, bits, &scratch, simd);
+    for (size_t c = 0; c < split.cells.size(); ++c) {
+      split.cells[c].rows = core::RootCellRows(root, bits, split, c);
+    }
+    benchmark::DoNotOptimize(split.cells.data());
+    rows_secs.push_back(rows_timer.Seconds());
+
+    if (rep == 0) {
+      SDADCS_CHECK(split.cells.size() == 4);
+      for (size_t c = 0; c < split.cells.size(); ++c) {
+        SDADCS_CHECK(split.sizes[c] == scanned.sizes[c]);
+        SDADCS_CHECK(split.counts[c].counts == scanned.counts[c].counts);
+        SDADCS_CHECK(split.cells[c].rows.rows() ==
+                     scanned.cells[c].rows.rows());
+      }
+    }
+  }
+  const Spread scan = SpreadOf(scan_secs);
+  const Spread counted = SpreadOf(bits_secs);
+  const Spread built = SpreadOf(rows_secs);
+  const std::string name = "root_split_" +
+                           std::to_string(root.rows.size()) + "x" +
+                           std::to_string(root.bounds.size());
+  std::printf("\n== root split: SplitAndCount vs SplitRoot (median [min, "
+              "max] us) ==\n%s: scan %.1f [%.1f, %.1f] | bits %.1f "
+              "[%.1f, %.1f] | bits + all rows %.1f [%.1f, %.1f]\n",
+              name.c_str(), scan.median * 1e6, scan.min * 1e6,
+              scan.max * 1e6, counted.median * 1e6, counted.min * 1e6,
+              counted.max * 1e6, built.median * 1e6, built.min * 1e6,
+              built.max * 1e6);
+  json->BeginCase(name);
+  json->SetCase("rows", static_cast<uint64_t>(root.rows.size()));
+  json->SetCase("axes", static_cast<uint64_t>(root.bounds.size()));
+  json->SetCase("reps", static_cast<uint64_t>(reps));
+  json->SetCase("simd", std::string(simd ? "avx2" : "scalar"));
+  json->SetCase("scan_median_seconds", scan.median);
+  json->SetCase("scan_min_seconds", scan.min);
+  json->SetCase("scan_max_seconds", scan.max);
+  json->SetCase("bits_median_seconds", counted.median);
+  json->SetCase("bits_min_seconds", counted.min);
+  json->SetCase("bits_max_seconds", counted.max);
+  json->SetCase("bits_all_rows_median_seconds", built.median);
+  json->SetCase("bits_all_rows_min_seconds", built.min);
+  json->SetCase("bits_all_rows_max_seconds", built.max);
 }
 
 // Sharded cold mine, swept over rows x shards: the one-shard miner
@@ -860,6 +963,7 @@ void RunKernelComparison(bool smoke) {
   AddChunkedColdMineCase(&json, smoke);
   AddServedColdMineCase(&json, smoke);
   AddCsvIngestCases(&json, smoke);
+  AddRootSplitCases(&json, smoke);
   json.Write();
 }
 

@@ -236,7 +236,9 @@ uint64_t RunPoint(BenchJson* json, int connections, int requests) {
   const double shed_rate =
       total > 0 ? static_cast<double>(shed) / static_cast<double>(total) : 0.0;
 
-  const std::string prefix = "c" + std::to_string(connections) + ".";
+  std::string prefix = "c";
+  prefix += std::to_string(connections);
+  prefix += '.';
   json->BeginCase(prefix + "summary");
   json->SetCase("connections", static_cast<uint64_t>(connections));
   json->SetCase("wall_seconds", wall_seconds);

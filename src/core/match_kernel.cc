@@ -7,7 +7,7 @@
 #include "data/simd_select.h"
 
 #if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
+#include "data/avx2_gather.h"
 #define SDADCS_MATCH_KERNEL_X86 1
 #endif
 
@@ -124,8 +124,8 @@ __attribute__((target("avx2"))) inline uint32_t MatchBits8(
     } else {
       const __m256d vlo = _mm256_set1_pd(v.lo);
       const __m256d vhi = _mm256_set1_pd(v.hi);
-      __m256d x0 = _mm256_i32gather_pd(v.values, idx_lo, 8);
-      __m256d x1 = _mm256_i32gather_pd(v.values, idx_hi, 8);
+      __m256d x0 = data::GatherPd(v.values, idx_lo);
+      __m256d x1 = data::GatherPd(v.values, idx_hi);
       __m256d in0 = _mm256_and_pd(_mm256_cmp_pd(x0, vlo, _CMP_GT_OQ),
                                   _mm256_cmp_pd(x0, vhi, _CMP_LE_OQ));
       __m256d in1 = _mm256_and_pd(_mm256_cmp_pd(x1, vlo, _CMP_GT_OQ),
@@ -216,7 +216,7 @@ __attribute__((target("avx2"))) size_t FilterCountIntervalSpanAvx2(
   for (; i + 4 <= n; i += 4) {
     __m128i idx = _mm_sub_epi32(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(rs + i)), base);
-    __m256d v = _mm256_i32gather_pd(values, idx, 8);
+    __m256d v = data::GatherPd(values, idx);
     __m256d inside = _mm256_and_pd(_mm256_cmp_pd(v, vlo, _CMP_GT_OQ),
                                    _mm256_cmp_pd(v, vhi, _CMP_LE_OQ));
     uint32_t mask = static_cast<uint32_t>(_mm256_movemask_pd(inside));
@@ -250,7 +250,7 @@ __attribute__((target("avx2"))) size_t FilterAllPresentSpanAvx2(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(rs + i)), base);
     __m256d present = all_ones;
     for (const double* col : cols) {
-      __m256d v = _mm256_i32gather_pd(col, idx, 8);
+      __m256d v = data::GatherPd(col, idx);
       present = _mm256_and_pd(present, _mm256_cmp_pd(v, v, _CMP_ORD_Q));
     }
     uint32_t mask = static_cast<uint32_t>(_mm256_movemask_pd(present));

@@ -227,7 +227,7 @@ SdadCall MakeRootCall(MiningContext& ctx, const Itemset& cat_items,
 
 std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
                                        const SdadCall& call,
-                                       const std::vector<double>* cuts) {
+                                       const RootBits* root) {
   const MinerConfig& cfg = *ctx.cfg;
   MiningCounters& counters = *ctx.counters;
   // Cancellation checkpoint before the split: the fused split+count
@@ -241,18 +241,19 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
   std::vector<ContrastPattern> d;       // contrasts (Line 2)
   std::vector<ContrastPattern> d_temp;  // maybe-contrasts (Line 3)
 
-  // Split the space and count the children in one pass: each row's cell
-  // is computed and its group counted together (SplitAndCount; FindCombs
-  // + CountGroups, its per-cell reference, lives on as the test oracle).
-  const std::vector<double> split_cuts =
-      cuts != nullptr
-          ? *cuts
-          : PartitionCuts(*ctx.db, call.space, cfg.split,
-                          &ctx.split_scratch.values,
-                          &ctx.split_scratch.select, ctx.simd);
-  SplitResult split = SplitAndCount(*ctx.db, *ctx.gi, call.space, split_cuts,
-                                    &ctx.split_scratch, ctx.simd);
-  const std::vector<Space>& cells = split.cells;
+  // Split the space and count the children: a root space from its bits,
+  // any other in one pass over its rows, each row's cell computed and
+  // its group counted together (SplitAndCount; FindCombs + CountGroups,
+  // its per-cell reference, lives on as the test oracle).
+  SplitResult split =
+      root != nullptr
+          ? SplitRoot(call.space, *root, &ctx.split_scratch, ctx.simd)
+          : SplitAndCount(*ctx.db, *ctx.gi, call.space,
+                          PartitionCuts(*ctx.db, call.space, cfg.split,
+                                        &ctx.split_scratch.values,
+                                        &ctx.split_scratch.select, ctx.simd),
+                          &ctx.split_scratch, ctx.simd);
+  std::vector<Space>& cells = split.cells;
   if (cells.empty()) return {};
 
   const int item_count = static_cast<int>(call.cat_items.size() +
@@ -262,10 +263,11 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
   const double chi2_critical = ctx.ChiCritical(alpha_level, dof);
 
   for (size_t ci = 0; ci < cells.size(); ++ci) {
-    const Space& cell = cells[ci];
+    Space& cell = cells[ci];
+    const size_t cell_rows = split.sizes[ci];
     // Per-cell checkpoint: on stop, keep the patterns already collected
     // in this call (best-so-far) and drain out through the merge phase.
-    if (ctx.run.CheckPoint(RunState::NodeWeight(cell.rows.size()))) break;
+    if (ctx.run.CheckPoint(RunState::NodeWeight(cell_rows))) break;
     Itemset itemset = CellItemset(call.cat_items, cell.bounds);
     ++counters.partitions_evaluated;
 
@@ -306,7 +308,7 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
 
     const bool pure = purity >= 1.0 && gc.total() > 0.0;
     bool can_recurse = call.level < cfg.sdad_max_level &&
-                       cell.rows.size() >= kMinRowsToRecurse;
+                       cell_rows >= kMinRowsToRecurse;
     if (pure && cfg.PureSpacePruningOn()) {
       // A pure space cannot be improved; extensions are redundant
       // (Section 4.3). Report it, never refine or extend it.
@@ -346,9 +348,15 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
 
     std::vector<ContrastPattern> d_child;
     if (can_recurse) {
-      SdadCall child = call;
-      child.space = cell;
+      SdadCall child;
+      child.cat_items = call.cat_items;
+      child.cont_attrs = call.cont_attrs;
+      child.space.bounds = cell.bounds;
+      child.space.rows = root != nullptr
+                             ? RootCellRows(call.space, *root, split, ci)
+                             : std::move(cell.rows);
       child.level = call.level + 1;
+      child.outer_db_size = call.outer_db_size;
       child.parent_measure = measure;
       child.parent_supports = supports;
       child.parent_diff = diff;

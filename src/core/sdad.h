@@ -164,13 +164,15 @@ struct SdadCall {
 /// estimates whether to go deeper, and at level 1 merges contiguous
 /// statistically-similar cells (smallest hyper-volume first). Returns
 /// the contrast patterns found in this region (possibly empty — the
-/// caller then considers the region itself). `cuts`, when given, is
-/// partition(ca) of call.space exactly as PartitionCuts computes it (the
-/// lattice search passes the root cuts it memoizes); the recursion's
-/// child calls compute their own.
-std::vector<ContrastPattern> RunSdadCs(
-    MiningContext& ctx, const SdadCall& call,
-    const std::vector<double>* cuts = nullptr);
+/// caller then considers the region itself). `root`, when given, holds
+/// call.space's rows and the cut of each of its axes as bits (the
+/// lattice search memoizes them per root row set): the space then
+/// splits by SplitRoot, and a cell's rows are built only when the cell
+/// recurses. The recursion's child calls cut and split their spaces by
+/// PartitionCuts and SplitAndCount.
+std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
+                                       const SdadCall& call,
+                                       const RootBits* root = nullptr);
 
 /// Builds the root SdadCall for a search-tree node whose categorical
 /// prefix `cat_items` covers `rows` with per-group `counts`: its rows

@@ -103,6 +103,26 @@ bool ReplayOffers(const ComboLog& log, TopK* topk) {
   return true;
 }
 
+// The shape of a root row set: the attributes of the items naming it
+// (RootAxes), its prefix's categorical attributes and the continuous
+// ones whose missing values its root filter drops, in Itemset order.
+std::vector<int> RootShape(const Itemset& root) {
+  std::vector<int> shape;
+  shape.reserve(root.size());
+  for (const Item& item : root.items()) shape.push_back(item.attr);
+  return shape;
+}
+
+size_t BitsBytes(const std::vector<std::vector<uint64_t>>& groups) {
+  size_t words = 0;
+  for (const std::vector<uint64_t>& g : groups) words += g.size();
+  return words * sizeof(uint64_t);
+}
+
+size_t BitsBytes(const RootAxis& axis) {
+  return axis.right.size() * sizeof(uint64_t);
+}
+
 }  // namespace
 
 // One member of the team a level mines on: a context of its own (split
@@ -122,8 +142,7 @@ struct LatticeSearch::Member {
     ctx.run = RunState(run.ctx_.run.control());
     ctx.run.DeferCharges();
     search = std::make_unique<LatticeSearch>(ctx);
-    search->base_covers_ = run.base_covers_;
-    search->root_cuts_ = run.root_cuts_;
+    search->CopyMemos(run);
   }
   Member(const Member&) = delete;
   Member& operator=(const Member&) = delete;
@@ -162,7 +181,65 @@ struct LatticeSearch::Level {
   std::vector<Itemset> prune_entries;
 };
 
-LatticeSearch::LatticeSearch(MiningContext& ctx) : ctx_(ctx) {}
+// Which root parts one level's combinations read. Every combination
+// over a root shape reads the group bits of its roots (axis -1) and the
+// side bits of each of its continuous attributes, so a part no
+// combination of the level reads is read by no later level either: a
+// later combination over the shape that reads it has a continuous
+// attribute more, without missing values, whose removal leaves a
+// combination of this level that reads it.
+struct LatticeSearch::RootReads {
+  // Per (shape, axis), how many of the level's combinations read it.
+  std::map<std::pair<std::vector<int>, int>, uint32_t> readers;
+  // The run's last level: no combination reads a part after it.
+  bool last_level = false;
+
+  RootReads(const MiningContext& ctx,
+            const std::vector<std::vector<int>>& combos, bool last)
+      : last_level(last) {
+    for (const std::vector<int>& combo : combos) {
+      std::vector<int> shape;
+      std::vector<int> cont;
+      for (int a : combo) {
+        if (ctx.db->is_categorical(a)) {
+          shape.push_back(a);
+          continue;
+        }
+        cont.push_back(a);
+        auto bounds = ctx.root_bounds.find(a);
+        SDADCS_CHECK(bounds != ctx.root_bounds.end());
+        if (bounds->second.any_missing) shape.push_back(a);
+      }
+      if (cont.empty()) continue;
+      ++readers[{shape, -1}];
+      for (int a : cont) ++readers[{shape, a}];
+    }
+  }
+
+  // Whether a combination of the level reads the part.
+  bool Read(const std::vector<int>& shape, int axis) const {
+    return readers.count({shape, axis}) > 0;
+  }
+
+  // Whether a combination other than the one computing the part may
+  // read it: another of this level, or one of a later level.
+  bool Reread(const std::vector<int>& shape, int axis) const {
+    if (!last_level) return true;
+    auto it = readers.find({shape, axis});
+    return it != readers.end() && it->second > 1;
+  }
+};
+
+LatticeSearch::LatticeSearch(MiningContext& ctx) : ctx_(ctx) {
+  // Four bytes per analysis value of the continuous attributes: half
+  // their columns, and on a paged dataset at most half its resident cap.
+  root_memo_budget_ =
+      4 * ctx.gi->base_selection().size() * ctx.root_bounds.size();
+  if (ctx.db->paged()) {
+    const size_t cap = ctx.db->chunk_store()->stats().max_resident_bytes;
+    if (cap > 0) root_memo_budget_ = std::min(root_memo_budget_, cap / 2);
+  }
+}
 
 LatticeSearch::~LatticeSearch() = default;
 
@@ -221,6 +298,8 @@ void LatticeSearch::Run(const std::vector<int>& attrs) {
       break;
     }
     ReportProgress(level, 0, n);
+    root_reads_ = std::make_shared<const RootReads>(ctx_, lv.candidates,
+                                                    level == max_depth);
     ShareMemos();
     MineLevel(&lv);
     ctx_.counters->abandoned_candidates += n - lv.committed;
@@ -295,16 +374,77 @@ void LatticeSearch::MineLevel(Level* level) {
 }
 
 void LatticeSearch::ShareMemos() {
+  PruneRootMemo();
   for (const std::unique_ptr<Member>& member : members_) {
-    LatticeSearch& other = *member->search;
-    base_covers_.merge(other.base_covers_);
-    for (auto& [root, cuts] : other.root_cuts_) root_cuts_[root].merge(cuts);
+    TakeMemos(member->search.get());
     ctx_.TakeMemos(&member->ctx);
   }
   for (const std::unique_ptr<Member>& member : members_) {
-    member->search->base_covers_ = base_covers_;
-    member->search->root_cuts_ = root_cuts_;
+    member->search->CopyMemos(*this);
     member->ctx.CopyMemos(ctx_);
+  }
+}
+
+void LatticeSearch::TakeMemos(LatticeSearch* other) {
+  base_covers_.merge(other->base_covers_);
+  // A part is taken when the current level reads it and it fits.
+  auto takes = [this](const std::vector<int>& shape, int axis,
+                      size_t bytes) {
+    return root_memo_bytes_ + bytes <= root_memo_budget_ &&
+           (root_reads_ == nullptr || root_reads_->Read(shape, axis));
+  };
+  for (auto& [root, theirs] : other->root_bits_) {
+    const std::vector<int> shape = RootShape(root);
+    RootBits& mine = root_bits_[root];
+    if (mine.groups == nullptr && theirs.groups != nullptr &&
+        takes(shape, -1, BitsBytes(*theirs.groups))) {
+      root_memo_bytes_ += BitsBytes(*theirs.groups);
+      mine.groups = std::move(theirs.groups);
+    }
+    for (auto& [attr, axis] : theirs.axes) {
+      if (!mine.axes.contains(attr) &&
+          takes(shape, attr, BitsBytes(*axis))) {
+        root_memo_bytes_ += BitsBytes(*axis);
+        mine.axes.emplace(attr, std::move(axis));
+      }
+    }
+    if (mine.groups == nullptr && mine.axes.empty()) root_bits_.erase(root);
+  }
+  root_memo_peak_ = std::max(root_memo_peak_, root_memo_bytes_);
+}
+
+void LatticeSearch::CopyMemos(const LatticeSearch& other) {
+  base_covers_ = other.base_covers_;
+  root_bits_ = other.root_bits_;
+  root_memo_bytes_ = other.root_memo_bytes_;
+  root_memo_peak_ = std::max(root_memo_peak_, root_memo_bytes_);
+  root_reads_ = other.root_reads_;
+}
+
+LatticeSearch::RootMemoStats LatticeSearch::root_memo() const {
+  return {root_memo_bytes_, root_memo_peak_, root_memo_budget_};
+}
+
+void LatticeSearch::PruneRootMemo() {
+  if (root_reads_ == nullptr) return;
+  for (auto it = root_bits_.begin(); it != root_bits_.end();) {
+    const std::vector<int> shape = RootShape(it->first);
+    RootBits& bits = it->second;
+    // Every reader of a root's axis reads its group bits too.
+    if (!root_reads_->Read(shape, -1)) {
+      if (bits.groups != nullptr) root_memo_bytes_ -= BitsBytes(*bits.groups);
+      for (const auto& [attr, axis] : bits.axes) {
+        root_memo_bytes_ -= BitsBytes(*axis);
+      }
+      it = root_bits_.erase(it);
+      continue;
+    }
+    std::erase_if(bits.axes, [&](const auto& entry) {
+      if (root_reads_->Read(shape, entry.first)) return false;
+      root_memo_bytes_ -= BitsBytes(*entry.second);
+      return true;
+    });
+    ++it;
   }
 }
 
@@ -384,16 +524,45 @@ const LatticeSearch::ItemCover& LatticeSearch::BaseCover(const Item& item) {
   return cover;
 }
 
-double LatticeSearch::RootCut(const Itemset& root,
-                              const data::Selection& rows,
-                              const AxisBound& bound) {
-  auto [it, inserted] = root_cuts_[root].try_emplace(bound.attr);
-  if (inserted) {
-    it->second = PartitionCut(*ctx_.db, rows, bound, ctx_.cfg->split,
-                              &ctx_.split_scratch.values,
-                              &ctx_.split_scratch.select, ctx_.simd);
+RootBits LatticeSearch::RootAxes(const Itemset& root, const Space& space) {
+  const std::vector<int> shape = RootShape(root);
+  RootBits& held = root_bits_[root];
+  RootBits bits;
+  bits.groups = held.groups;
+  if (bits.groups == nullptr) {
+    bits.groups = std::make_shared<const std::vector<std::vector<uint64_t>>>(
+        GroupBits(*ctx_.gi, space.rows));
+    const size_t bytes = BitsBytes(*bits.groups);
+    if (Keeps(shape, -1, bytes)) {
+      held.groups = bits.groups;
+      root_memo_bytes_ += bytes;
+    }
   }
-  return it->second;
+  for (const AxisBound& bound : space.bounds) {
+    auto it = held.axes.find(bound.attr);
+    if (it != held.axes.end()) {
+      bits.axes.emplace(bound.attr, it->second);
+      continue;
+    }
+    auto axis = std::make_shared<const RootAxis>(
+        CutRootAxis(*ctx_.db, space.rows, bound, ctx_.cfg->split,
+                    &ctx_.split_scratch, ctx_.simd));
+    const size_t bytes = BitsBytes(*axis);
+    if (Keeps(shape, bound.attr, bytes)) {
+      held.axes.emplace(bound.attr, axis);
+      root_memo_bytes_ += bytes;
+    }
+    bits.axes.emplace(bound.attr, std::move(axis));
+  }
+  if (held.groups == nullptr && held.axes.empty()) root_bits_.erase(root);
+  root_memo_peak_ = std::max(root_memo_peak_, root_memo_bytes_);
+  return bits;
+}
+
+bool LatticeSearch::Keeps(const std::vector<int>& shape, int axis,
+                          size_t bytes) const {
+  return root_memo_bytes_ + bytes <= root_memo_budget_ &&
+         (root_reads_ == nullptr || root_reads_->Reread(shape, axis));
 }
 
 void LatticeSearch::EnumerateCategorical(const std::vector<int>& cat_attrs,
@@ -541,18 +710,13 @@ void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
   for (int attr : missing_attrs) {
     root_items.push_back(Item::Interval(attr, -kInf, kInf));
   }
-  const Itemset root(std::move(root_items));
-  std::vector<double> cuts;
-  cuts.reserve(call.space.bounds.size());
-  for (const AxisBound& bound : call.space.bounds) {
-    cuts.push_back(RootCut(root, call.space.rows, bound));
-  }
+  const RootBits bits = RootAxes(Itemset(std::move(root_items)), call.space);
 
   MiningCounters& counters = *ctx_.counters;
   const uint64_t evaluated_before = counters.partitions_evaluated;
   const uint64_t kills_before = MonotoneKills(counters);
 
-  std::vector<ContrastPattern> patterns = RunSdadCs(ctx_, call, &cuts);
+  std::vector<ContrastPattern> patterns = RunSdadCs(ctx_, call, &bits);
 
   const uint64_t evaluated = counters.partitions_evaluated - evaluated_before;
   const uint64_t kills = MonotoneKills(counters) - kills_before;

@@ -46,9 +46,11 @@ std::vector<std::vector<int>> GenerateLevelCandidates(
 /// Scans are reused within one run, never across runs: each single
 /// categorical item's cover of the base selection is computed once
 /// (BaseCover), every prefix's group counts travel down the
-/// enumeration with its rows, each root-space axis is cut once per row
-/// set (RootCut), and the counts the search computes seed the context's
-/// base-support memo (MiningContext::BaseCounts).
+/// enumeration with its rows, each root row set's groups and each of
+/// its axes' cuts are kept as bits while a later combination can read
+/// them and they fit the memo's budget (RootAxes), and the counts the
+/// search computes seed the context's base-support memo
+/// (MiningContext::BaseCounts).
 class LatticeSearch {
  public:
   /// `ctx` must outlive the search and have all pointers set.
@@ -64,6 +66,23 @@ class LatticeSearch {
   /// and files its prune entries; returns true if the combination stays
   /// alive for extension.
   bool MineCombo(const std::vector<int>& combo);
+
+  /// ShareMemos' two steps, exposed for testing: TakeMemos moves the
+  /// entries of `other`'s run memos that this search lacks into it (the
+  /// root-axis memo's within its budget), and CopyMemos replaces this
+  /// search's run memos with copies of `other`'s. Neither touches the
+  /// contexts' memos.
+  void TakeMemos(LatticeSearch* other);
+  void CopyMemos(const LatticeSearch& other);
+
+  /// The root-axis memo's size, exposed for testing: the bytes of the
+  /// bitsets it holds now, the most it has held, and its budget.
+  struct RootMemoStats {
+    size_t bytes = 0;
+    size_t peak = 0;
+    size_t budget = 0;
+  };
+  RootMemoStats root_memo() const;
 
  private:
   struct Member;
@@ -89,7 +108,8 @@ class LatticeSearch {
 
   /// Gives this search every memo entry its team members computed, and
   /// every member every entry this search holds, so a level reuses what
-  /// any thread computed in the levels before it. Memo entries are
+  /// any thread computed in the levels before it; root parts that no
+  /// combination of the level reads are dropped first. Memo entries are
   /// exact, so results do not depend on who computed one.
   void ShareMemos();
 
@@ -125,15 +145,27 @@ class LatticeSearch {
   /// per base row per categorical attribute.
   const ItemCover& BaseCover(const Item& item);
 
-  /// partition(ca) of one root-space axis, computed on first request and
-  /// kept for the run. `root` names the root rows: the categorical
-  /// prefix, plus an unbounded interval on each continuous attribute
-  /// whose missing values the root filter dropped. `bound` is the
-  /// attribute's root bound, fixed for the run, so the name decides the
-  /// cut. Most root cuts repeat: every combination over the same prefix
-  /// splits the same rows on each of its attributes.
-  double RootCut(const Itemset& root, const data::Selection& rows,
-                 const AxisBound& bound);
+  /// The bits of the root space `space`, whose rows `root` names: the
+  /// categorical prefix, plus an unbounded interval on each continuous
+  /// attribute whose missing values the root filter dropped. Its group
+  /// bits and the cut and side bits of each of its axes (CutRootAxis)
+  /// come from the memo when it holds them and are computed otherwise;
+  /// each axis's bound is the attribute's root bound, fixed for the
+  /// run, so the name decides them. A computed part is kept (Keeps)
+  /// when another combination may read it and it fits the memo's
+  /// budget. Most root axes repeat: every combination over the same
+  /// prefix splits the same rows on each of its attributes.
+  RootBits RootAxes(const Itemset& root, const Space& space);
+
+  /// Whether the memo keeps a computed part of a root of shape `shape`
+  /// (axis -1: its group bits) that takes `bytes`: some combination
+  /// other than the one computing it may read it (RootReads), and the
+  /// memo's bitsets stay within root_memo_budget_.
+  bool Keeps(const std::vector<int>& shape, int axis, size_t bytes) const;
+
+  /// Drops every root part that no combination of the current level
+  /// reads; no later level reads one either.
+  void PruneRootMemo();
 
   /// Invokes the run's progress callback, if any, with the top-k's
   /// best-so-far fields; `improved` is set on anytime runs whose top-k
@@ -143,8 +175,19 @@ class LatticeSearch {
   MiningContext& ctx_;
   /// BaseCover's memo, keyed by (attribute, value code).
   std::map<std::pair<int, int32_t>, ItemCover> base_covers_;
-  /// RootCut's memo: per root row set, the cut of each attribute.
-  std::unordered_map<Itemset, std::map<int, double>> root_cuts_;
+  /// RootAxes' memo, per root row set, and the bytes of its bitsets.
+  std::unordered_map<Itemset, RootBits> root_bits_;
+  size_t root_memo_bytes_ = 0;
+  size_t root_memo_peak_ = 0;
+  /// The most bytes of bitsets the memo holds: half the bytes of the
+  /// continuous columns over the analysis rows, and at most half the
+  /// resident cap of a paged dataset. A team member's search has a
+  /// budget of its own; members share what they copied.
+  size_t root_memo_budget_ = 0;
+  /// Which root parts the current level's combinations read; null
+  /// outside Run (MineCombo).
+  struct RootReads;
+  std::shared_ptr<const RootReads> root_reads_;
   /// TopK::version() at the last improved report; a report is flagged
   /// improved only when the top-k advanced past it.
   uint64_t last_improved_version_ = 0;

@@ -8,76 +8,53 @@
 
 namespace sdadcs::core {
 
-namespace {
-
-// Mean of the axis values over the space's rows (NaN when empty).
-double MeanOnAxis(const data::Dataset& db, int attr,
-                  const data::Selection& rows) {
-  const data::ContinuousColumn& col = db.continuous(attr);
-  double sum = 0.0;
-  size_t n = 0;
-  for (uint32_t r : rows) {
-    double v = col.value(r);
-    if (std::isnan(v)) continue;
-    sum += v;
-    ++n;
-  }
-  if (n == 0) return std::numeric_limits<double>::quiet_NaN();
-  return sum / static_cast<double>(n);
-}
-
-}  // namespace
-
 double PartitionCut(const data::Dataset& db, const data::Selection& rows,
                     const AxisBound& b, SplitKind kind,
-                    std::vector<double>* scratch,
-                    data::SelectScratch* select_scratch, bool simd) {
+                    std::vector<double>* values,
+                    data::SelectScratch* select_scratch, bool simd,
+                    size_t* count) {
   constexpr double kNoCut = std::numeric_limits<double>::quiet_NaN();
-  if (simd && kind == SplitKind::kMedian && scratch != nullptr &&
-      select_scratch != nullptr) {
-    // Vectorized path. The SDAD invariants (rows inside (lo, hi] on
-    // every axis, no missing values) make the feasibility check
-    // algebraic: the left half (lo, m] always holds the median element
-    // itself once m > lo, and the right half is non-empty exactly when
-    // some value exceeds the cut — which the gather pass's max answers
-    // without a second scan.
-    double mx;
-    double m = data::MedianInSelectionFast(db, b.attr, rows, scratch,
-                                           select_scratch, &mx);
-    bool splittable = !std::isnan(m) && m < b.hi && m > b.lo && mx > m;
-    return splittable ? m : kNoCut;
+  double max;
+  const size_t n =
+      data::GatherNonMissing(db, b.attr, rows, values, simd, &max);
+  if (count != nullptr) *count = n;
+  if (n == 0) return kNoCut;
+  const double* v = values->data();
+  double m;
+  // Whether some value lies at or below the cut: the lower median is
+  // one of the values; the mean need not reach the minimum.
+  bool has_left = true;
+  if (kind == SplitKind::kMedian) {
+    // Lower middle: rank (n-1)/2, so that "value <= median" keeps at
+    // least one value on each side whenever they are not all equal.
+    m = data::SelectKth(v, n, (n - 1) / 2, simd, select_scratch);
+  } else {
+    double sum = 0.0;
+    double min = v[0];
+    for (size_t i = 0; i < n; ++i) {
+      sum += v[i];
+      if (v[i] < min) min = v[i];
+    }
+    m = sum / static_cast<double>(n);
+    has_left = min <= m;
   }
-  double m = kind == SplitKind::kMedian
-                 ? data::MedianInSelection(db, b.attr, rows, scratch)
-                 : MeanOnAxis(db, b.attr, rows);
-  if (std::isnan(m) || m >= b.hi || m <= b.lo) {
-    return kNoCut;  // not splittable two ways inside (lo, hi]
-  }
-  // Both sides (lo, m] and (m, hi] must be non-empty. The lower median
-  // guarantees a non-empty left side; the mean guarantees neither.
-  const data::ContinuousColumn& col = db.continuous(b.attr);
-  bool has_left = false;
-  bool has_right = false;
-  for (uint32_t r : rows) {
-    double v = col.value(r);
-    if (std::isnan(v)) continue;
-    if (v > m && v <= b.hi) has_right = true;
-    if (v > b.lo && v <= m) has_left = true;
-    if (has_left && has_right) break;
-  }
-  return has_left && has_right ? m : kNoCut;
+  const bool splits = m > b.lo && m < b.hi && has_left && max > m;
+  return splits ? m : kNoCut;
 }
 
 std::vector<double> PartitionCuts(const data::Dataset& db,
                                   const Space& space, SplitKind kind,
-                                  std::vector<double>* scratch,
+                                  std::vector<double>* values,
                                   data::SelectScratch* select_scratch,
                                   bool simd) {
+  std::vector<double> local_values;
+  data::SelectScratch local_select;
   std::vector<double> cuts;
   cuts.reserve(space.bounds.size());
   for (const AxisBound& b : space.bounds) {
-    cuts.push_back(PartitionCut(db, space.rows, b, kind, scratch,
-                                select_scratch, simd));
+    cuts.push_back(PartitionCut(
+        db, space.rows, b, kind, values != nullptr ? values : &local_values,
+        select_scratch != nullptr ? select_scratch : &local_select, simd));
   }
   return cuts;
 }

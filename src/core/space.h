@@ -38,34 +38,34 @@ struct Space {
 using RootBounds = data::RootBounds;
 using data::ComputeRootBounds;
 
-/// partition(ca) of Algorithm 1: the split value of each axis of
-/// `space` (computed over the space's rows) — the median (paper default)
-/// or the mean. An axis whose rows cannot be split two ways (all values
-/// equal, or the cut leaves one side empty) gets NaN. `scratch`, when
-/// non-null, is a reusable gather buffer for the median computation.
-///
-/// With `simd` set (and both scratches supplied), median cuts go
-/// through the vectorized gather + quickselect kernels and the
-/// split-feasibility check uses the gather pass's max instead of a
-/// verification scan. That shortcut is exact only under the SDAD
-/// caller's invariants — every row value on every axis lies in
-/// (lo, hi] and rows missing any axis were stripped by the root
-/// filter — so only the mining recursion passes simd=true.
-std::vector<double> PartitionCuts(
-    const data::Dataset& db, const Space& space, SplitKind kind,
-    std::vector<double>* scratch = nullptr,
-    data::SelectScratch* select_scratch = nullptr, bool simd = false);
-
-/// One axis of PartitionCuts: the cut of `bound`'s attribute over
-/// `rows`, NaN when the axis cannot split two ways inside (lo, hi]. The
-/// cut depends on nothing but the rows, the attribute and its bounds, so
-/// a caller holding several spaces with the same rows and bounds on an
-/// axis (the lattice search's root spaces) computes it once.
+/// partition(ca) of Algorithm 1 on one axis: gathers the non-missing
+/// values of `bound`'s attribute over `rows`, in row order, into
+/// (*values)[0..*count), and returns their median (the lower middle,
+/// the paper default) or mean when some gathered value lies on each
+/// side of it and it lies inside (lo, hi); NaN otherwise (all values
+/// equal, a one-sided mean, no value). In the SDAD recursion every row
+/// holds a value inside (lo, hi] on every axis — the root filter drops
+/// rows missing one and the root bounds enclose every value — so both
+/// halves (lo, m] and (m, hi] of a cut are non-empty. The gather keeps
+/// the values' maximum and the mean pass their minimum, so no second
+/// scan checks the halves. `simd` gathers and selects on AVX2 (scalar
+/// on hosts without it); both paths return the same cut. This is the
+/// one cut routine: PartitionCuts cuts every axis of a space with it,
+/// and CutRootAxis (core/split_kernel.h) takes a root axis's side bits
+/// from the values it leaves.
 double PartitionCut(const data::Dataset& db, const data::Selection& rows,
                     const AxisBound& bound, SplitKind kind,
-                    std::vector<double>* scratch = nullptr,
-                    data::SelectScratch* select_scratch = nullptr,
-                    bool simd = false);
+                    std::vector<double>* values,
+                    data::SelectScratch* select_scratch, bool simd,
+                    size_t* count = nullptr);
+
+/// PartitionCut of every axis of `space`, over the space's rows. The
+/// scratches, when given, are reused across calls (the SDAD recursion
+/// cuts every space it splits); `simd` is PartitionCut's.
+std::vector<double> PartitionCuts(
+    const data::Dataset& db, const Space& space, SplitKind kind,
+    std::vector<double>* values = nullptr,
+    data::SelectScratch* select_scratch = nullptr, bool simd = false);
 
 /// PartitionCuts with the paper's default, the median.
 std::vector<double> PartitionMedians(const data::Dataset& db,

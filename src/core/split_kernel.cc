@@ -1,5 +1,6 @@
 #include "core/split_kernel.h"
 
+#include <bit>
 #include <cmath>
 
 #include "data/chunks.h"
@@ -7,7 +8,7 @@
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SDADCS_SPLIT_KERNEL_X86 1
-#include <immintrin.h>
+#include "data/avx2_gather.h"
 #else
 #define SDADCS_SPLIT_KERNEL_X86 0
 #endif
@@ -88,7 +89,7 @@ __attribute__((target("avx2"), always_inline)) inline size_t Pass1Step(
   unsigned cell_bits[4] = {0, 0, 0, 0};
   for (size_t bit = 0; bit < k && inside != 0; ++bit) {
     const AxisView& a = axes[bit];
-    __m256d v = _mm256_i32gather_pd(a.values, rid, 8);
+    __m256d v = data::GatherPd(a.values, rid);
     __m256d in_lo = _mm256_cmp_pd(v, _mm256_set1_pd(a.lo), _CMP_GT_OQ);
     __m256d in_hi = _mm256_cmp_pd(v, _mm256_set1_pd(a.hi), _CMP_LE_OQ);
     inside &= static_cast<unsigned>(
@@ -140,15 +141,152 @@ __attribute__((target("avx2"))) size_t Pass1Avx2(
 
 #endif  // SDADCS_SPLIT_KERNEL_X86
 
+// Bit i of words[0..(n + 63) / 64), which start zeroed, set when
+// values[i] > cut. The scalar oracle of RightOfCutAvx2.
+void RightOfCutScalar(const double* values, size_t n, double cut,
+                      uint64_t* words) {
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t bit = values[i] > cut ? 1 : 0;
+    words[i / 64] |= bit << (i % 64);
+  }
+}
+
+// Counts the rows and the per-group rows of every cell of a root split,
+// one 64-row word at a time: the word's rows are parted into the cells
+// axis by axis (after axis b, words[m] holds the rows of partial cell
+// m < 2^(b+1)), then each cell's word is popcounted, alone and ANDed
+// with each group's word. tallies[cell * (G + 1)] takes the cell's
+// size and tallies[cell * (G + 1) + 1 + g] its rows in group g. Bits
+// past the n root rows are masked off the last word, so the left side
+// of an axis (the complement of its right bits) holds no phantom row.
+__attribute__((always_inline)) inline void TallyRootCellsBody(
+    const uint64_t* const* right, size_t k, const uint64_t* const* groups,
+    size_t num_groups, size_t n, uint64_t* words, uint32_t* tallies) {
+  const size_t num_words = (n + 63) / 64;
+  const size_t num_cells = size_t{1} << k;
+  const size_t slots = num_groups + 1;
+  for (size_t w = 0; w < num_words; ++w) {
+    const size_t left = n - w * 64;
+    words[0] = left >= 64 ? ~uint64_t{0} : (uint64_t{1} << left) - 1;
+    for (size_t b = 0; b < k; ++b) {
+      const uint64_t r = right[b][w];
+      const size_t half = size_t{1} << b;
+      for (size_t m = 0; m < half; ++m) {
+        words[m + half] = words[m] & r;
+        words[m] &= ~r;
+      }
+    }
+    for (size_t cell = 0; cell < num_cells; ++cell) {
+      const uint64_t x = words[cell];
+      if (x == 0) continue;
+      uint32_t* t = tallies + cell * slots;
+      t[0] += static_cast<uint32_t>(__builtin_popcountll(x));
+      for (size_t g = 0; g < num_groups; ++g) {
+        const uint64_t in_group = x & groups[g][w];
+        t[1 + g] += static_cast<uint32_t>(__builtin_popcountll(in_group));
+      }
+    }
+  }
+}
+
+void TallyRootCellsScalar(const uint64_t* const* right, size_t k,
+                          const uint64_t* const* groups, size_t num_groups,
+                          size_t n, uint64_t* words, uint32_t* tallies) {
+  TallyRootCellsBody(right, k, groups, num_groups, n, words, tallies);
+}
+
+#if SDADCS_SPLIT_KERNEL_X86
+
+// RightOfCutScalar on AVX2, 64 values per output word; the tail runs
+// scalar.
+__attribute__((target("avx2"))) void RightOfCutAvx2(const double* values,
+                                                    size_t n, double cut,
+                                                    uint64_t* words) {
+  const __m256d c = _mm256_set1_pd(cut);
+  size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    uint64_t word = 0;
+    for (size_t j = 0; j < 16; ++j) {
+      const __m256d v = _mm256_loadu_pd(values + i + 4 * j);
+      word |= static_cast<uint64_t>(_mm256_movemask_pd(
+                  _mm256_cmp_pd(v, c, _CMP_GT_OQ)))
+              << (4 * j);
+    }
+    words[i / 64] = word;
+  }
+  RightOfCutScalar(values + i, n - i, cut, words + i / 64);
+}
+
+// TallyRootCellsScalar with the popcount instruction.
+__attribute__((target("popcnt"))) void TallyRootCellsPopcnt(
+    const uint64_t* const* right, size_t k, const uint64_t* const* groups,
+    size_t num_groups, size_t n, uint64_t* words, uint32_t* tallies) {
+  TallyRootCellsBody(right, k, groups, num_groups, n, words, tallies);
+}
+
+#endif  // SDADCS_SPLIT_KERNEL_X86
+
+// RightOfCutScalar and TallyRootCellsScalar, on the vector path when
+// `simd` asks for it and the host has AVX2.
+void RightOfCut(const double* values, size_t n, double cut, uint64_t* words,
+                bool simd) {
+#if SDADCS_SPLIT_KERNEL_X86
+  if (simd && data::Avx2Supported()) {
+    RightOfCutAvx2(values, n, cut, words);
+    return;
+  }
+#endif
+  RightOfCutScalar(values, n, cut, words);
+}
+
+void TallyRootCells(const uint64_t* const* right, size_t k,
+                    const uint64_t* const* groups, size_t num_groups,
+                    size_t n, uint64_t* words, uint32_t* tallies,
+                    bool simd) {
+#if SDADCS_SPLIT_KERNEL_X86
+  if (simd && data::Avx2Supported()) {
+    TallyRootCellsPopcnt(right, k, groups, num_groups, n, words, tallies);
+    return;
+  }
+#endif
+  TallyRootCellsScalar(right, k, groups, num_groups, n, words, tallies);
+}
+
+// The cells of a split of `space` at `cuts` along `axes`, in mask
+// order, with their bounds set (the right half (m, hi] of axes[b] where
+// bit b of the mask is set, the left half (lo, m] where it is clear)
+// and their sizes and counts left for the kernel to fill.
+SplitResult SplitCells(const Space& space, const std::vector<double>& cuts,
+                       const std::vector<int>& axes) {
+  SplitResult out;
+  const size_t num_cells = size_t{1} << axes.size();
+  out.cells.resize(num_cells);
+  out.sizes.resize(num_cells);
+  out.counts.resize(num_cells);
+  for (size_t mask = 0; mask < num_cells; ++mask) {
+    std::vector<AxisBound>& bounds = out.cells[mask].bounds;
+    bounds = space.bounds;
+    for (size_t bit = 0; bit < axes.size(); ++bit) {
+      const int axis = axes[bit];
+      if (mask & (size_t{1} << bit)) {
+        bounds[axis].lo = cuts[axis];
+      } else {
+        bounds[axis].hi = cuts[axis];
+      }
+    }
+  }
+  out.axes = axes;
+  return out;
+}
+
 }  // namespace
 
 SplitResult SplitAndCount(const data::Dataset& db, const data::GroupInfo& gi,
                           const Space& space, const std::vector<double>& cuts,
                           SplitScratch* scratch, bool simd) {
   SDADCS_CHECK(cuts.size() == space.bounds.size());
-  SplitResult out;
   const std::vector<int> splittable = SplittableAxes(cuts);
-  if (splittable.empty()) return out;
+  if (splittable.empty()) return {};
 
   const size_t k = splittable.size();
   const size_t num_cells = size_t{1} << k;
@@ -232,21 +370,11 @@ SplitResult SplitAndCount(const data::Dataset& db, const data::GroupInfo& gi,
   // Pass 2 — materialize the cells in mask order. Each cell's row vector
   // is allocated at its exact size and filled through a raw write
   // pointer; scattering rows in selection order keeps it sorted.
-  out.cells.resize(num_cells);
-  out.counts.resize(num_cells);
+  SplitResult out = SplitCells(space, cuts, splittable);
   std::vector<std::vector<uint32_t>> cell_rows(num_cells);
   std::vector<uint32_t*> cell_end(num_cells);
   for (size_t mask = 0; mask < num_cells; ++mask) {
-    Space& cell = out.cells[mask];
-    cell.bounds = space.bounds;
-    for (size_t bit = 0; bit < k; ++bit) {
-      int axis = splittable[bit];
-      if (mask & (size_t{1} << bit)) {
-        cell.bounds[axis].lo = cuts[axis];  // right half (m, hi]
-      } else {
-        cell.bounds[axis].hi = cuts[axis];  // left half (lo, m]
-      }
-    }
+    out.sizes[mask] = scratch->cell_sizes[mask];
     cell_rows[mask].resize(scratch->cell_sizes[mask]);
     cell_end[mask] = cell_rows[mask].data();
     out.counts[mask].counts.assign(
@@ -262,6 +390,97 @@ SplitResult SplitAndCount(const data::Dataset& db, const data::GroupInfo& gi,
     out.cells[mask].rows = data::Selection(std::move(cell_rows[mask]));
   }
   return out;
+}
+
+std::vector<std::vector<uint64_t>> GroupBits(const data::GroupInfo& gi,
+                                             const data::Selection& rows) {
+  std::vector<std::vector<uint64_t>> bits(
+      static_cast<size_t>(gi.num_groups()),
+      std::vector<uint64_t>((rows.size() + 63) / 64, 0));
+  const int16_t* codes = gi.group_codes();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const int16_t g = codes[rows[i]];
+    if (g >= 0) {
+      bits[static_cast<size_t>(g)][i / 64] |= uint64_t{1} << (i % 64);
+    }
+  }
+  return bits;
+}
+
+RootAxis CutRootAxis(const data::Dataset& db, const data::Selection& rows,
+                     const AxisBound& bound, SplitKind kind,
+                     SplitScratch* scratch, bool simd) {
+  size_t n;
+  RootAxis axis;
+  axis.cut = PartitionCut(db, rows, bound, kind, &scratch->values,
+                          &scratch->select, simd, &n);
+  // No root row misses a value, so value i is root row i's.
+  SDADCS_CHECK(n == rows.size());
+  if (std::isnan(axis.cut)) return axis;
+  axis.right.assign((n + 63) / 64, 0);
+  RightOfCut(scratch->values.data(), n, axis.cut, axis.right.data(), simd);
+  return axis;
+}
+
+SplitResult SplitRoot(const Space& root, const RootBits& bits,
+                      SplitScratch* scratch, bool simd) {
+  std::vector<double> cuts;
+  cuts.reserve(root.bounds.size());
+  for (const AxisBound& b : root.bounds) {
+    cuts.push_back(bits.axes.at(b.attr)->cut);
+  }
+  const std::vector<int> splittable = SplittableAxes(cuts);
+  if (splittable.empty()) return {};
+  SplitResult out = SplitCells(root, cuts, splittable);
+
+  const size_t k = splittable.size();
+  const size_t num_cells = size_t{1} << k;
+  const std::vector<std::vector<uint64_t>>& group_bits = *bits.groups;
+  const size_t num_groups = group_bits.size();
+  const uint64_t* right[kMaxSplitAxes];
+  for (size_t b = 0; b < k; ++b) {
+    right[b] = bits.axes.at(root.bounds[splittable[b]].attr)->right.data();
+  }
+  std::vector<const uint64_t*> groups;
+  groups.reserve(num_groups);
+  for (const std::vector<uint64_t>& g : group_bits) groups.push_back(g.data());
+  const size_t slots = num_groups + 1;
+  scratch->cell_words.resize(num_cells);
+  scratch->tallies.assign(num_cells * slots, 0);
+  TallyRootCells(right, k, groups.data(), num_groups, root.rows.size(),
+                 scratch->cell_words.data(), scratch->tallies.data(), simd);
+  for (size_t mask = 0; mask < num_cells; ++mask) {
+    const uint32_t* t = scratch->tallies.data() + mask * slots;
+    out.sizes[mask] = t[0];
+    out.counts[mask].counts.assign(num_groups, 0.0);
+    for (size_t g = 0; g < num_groups; ++g) {
+      out.counts[mask].counts[g] = static_cast<double>(t[1 + g]);
+    }
+  }
+  return out;
+}
+
+data::Selection RootCellRows(const Space& root, const RootBits& bits,
+                             const SplitResult& split, size_t cell) {
+  const size_t k = split.axes.size();
+  const uint64_t* right[kMaxSplitAxes];
+  uint64_t flip[kMaxSplitAxes];
+  for (size_t b = 0; b < k; ++b) {
+    right[b] = bits.axes.at(root.bounds[split.axes[b]].attr)->right.data();
+    flip[b] = (cell >> b) & 1 ? 0 : ~uint64_t{0};
+  }
+  std::vector<uint32_t> rows(split.sizes[cell]);
+  uint32_t* out = rows.data();
+  const uint32_t* ids = root.rows.rows().data();
+  const size_t n = root.rows.size();
+  for (size_t w = 0; w * 64 < n; ++w) {
+    const size_t left = n - w * 64;
+    uint64_t x = left >= 64 ? ~uint64_t{0} : (uint64_t{1} << left) - 1;
+    for (size_t b = 0; b < k; ++b) x &= right[b][w] ^ flip[b];
+    const uint32_t* word_ids = ids + w * 64;
+    for (; x != 0; x &= x - 1) *out++ = word_ids[std::countr_zero(x)];
+  }
+  return data::Selection(std::move(rows));
 }
 
 }  // namespace sdadcs::core

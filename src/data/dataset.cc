@@ -1,9 +1,17 @@
 #include "data/dataset.h"
 
+#include <limits>
+
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace sdadcs::data {
+
+namespace {
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+}  // namespace
 
 const CategoricalColumn& Dataset::categorical(int attr) const {
   SDADCS_CHECK(is_categorical(attr));
@@ -122,8 +130,18 @@ util::StatusOr<Dataset> DatasetBuilder::Build() && {
     }
   }
   ds_.num_rows_ = n;
-  for (auto& col : ds_.continuous_) {
-    if (col != nullptr) col->SealStats();
+  for (size_t a = 0; a < ds_.continuous_.size(); ++a) {
+    ContinuousColumn* col = ds_.continuous_[a].get();
+    if (col == nullptr) continue;
+    col->SealStats();
+    // As in a CSV file: an infinite value leaves no root bound below or
+    // above it (data::ComputeRootBounds), so its rows would fall outside
+    // every root split while still counting in their group.
+    if (col->sealed_min() == -kInfinity || col->sealed_max() == kInfinity) {
+      return util::Status::InvalidArgument(
+          util::StrFormat("attribute '%s' holds an infinite value",
+                          ds_.schema_.attribute(a).name.c_str()));
+    }
   }
   return std::move(ds_);
 }

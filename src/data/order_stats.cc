@@ -39,19 +39,18 @@ double MedianInSelection(const Dataset& db, int attr, const Selection& sel,
   return vals[k];
 }
 
-double MedianInSelectionFast(const Dataset& db, int attr,
-                             const Selection& sel,
-                             std::vector<double>* scratch,
-                             SelectScratch* select_scratch, double* max_out) {
+size_t GatherNonMissing(const Dataset& db, int attr, const Selection& sel,
+                        std::vector<double>* out, bool simd,
+                        double* max_out) {
   ColumnChunks chunks = db.chunks();
   const uint32_t* rows = sel.rows().data();
   const size_t n = sel.size();
-  if (scratch->size() < n + 4) scratch->resize(n + 4);
-  double* dst = scratch->data();
-  // Chunk-wise fused gather: survivors append at the running count, so
-  // the gathered buffer is the same contiguous row-order value sequence
-  // the monolithic gather produced; the per-span slack stays within the
-  // n + 4 buffer because every span writes at most 4 past its survivors.
+  if (out->size() < n + 4) out->resize(n + 4);
+  double* dst = out->data();
+  // Chunk-wise gather: survivors append at the running count, so the
+  // buffer holds the same row-order value sequence a monolithic gather
+  // gives; the per-span slack stays within the n + 4 buffer because
+  // every span writes at most 4 past its survivors.
   size_t cnt = 0;
   double mx = -std::numeric_limits<double>::infinity();
   ForEachChunkSpan(chunks.layout(), rows, n,
@@ -60,19 +59,13 @@ double MedianInSelectionFast(const Dataset& db, int attr,
                      double span_max;
                      cnt += GatherNonNanMaxSpan(pin.values(), pin.row_base(),
                                                 rows + b, e - b, dst + cnt,
-                                                &span_max, /*simd=*/true);
+                                                &span_max, simd);
                      if (span_max > mx) mx = span_max;
                    });
-  if (cnt == 0) {
-    *max_out = std::numeric_limits<double>::quiet_NaN();
-    return std::numeric_limits<double>::quiet_NaN();
+  if (max_out != nullptr) {
+    *max_out = cnt > 0 ? mx : std::numeric_limits<double>::quiet_NaN();
   }
-  *max_out = mx;
-  // Same lower-middle rank as MedianInSelection; the k-th order
-  // statistic is algorithm-independent, so the quickselect result is
-  // the same double nth_element would produce.
-  size_t k = (cnt - 1) / 2;
-  return SelectKth(dst, cnt, k, /*simd=*/true, select_scratch);
+  return cnt;
 }
 
 double QuantileInSelection(const Dataset& db, int attr, const Selection& sel,

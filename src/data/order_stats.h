@@ -23,18 +23,14 @@ namespace sdadcs::data {
 double MedianInSelection(const Dataset& db, int attr, const Selection& sel,
                          std::vector<double>* scratch = nullptr);
 
-/// MedianInSelection through the vectorized kernels: one fused
-/// gather + NaN-compress + max pass, then a SIMD 3-way quickselect
-/// (data/simd_select.h). Returns the identical double to
-/// MedianInSelection. *max_out receives the selection's maximum
-/// non-missing value (NaN when empty) — the split-feasibility test
-/// "does any value exceed the cut?" falls out of the gather pass for
-/// free, so callers can skip their verification scan. Falls back to
-/// the scalar gather + nth_element on hosts without AVX2.
-double MedianInSelectionFast(const Dataset& db, int attr,
-                             const Selection& sel,
-                             std::vector<double>* scratch,
-                             SelectScratch* select_scratch, double* max_out);
+/// Gathers the non-missing values of `attr` over `sel`, in row order,
+/// into (*out)[0..count) and returns count; *max_out, when given, gets
+/// their maximum (NaN when none). `out` grows to sel.size() + 4 (the
+/// vectorized gather's slack) and never shrinks. `simd` gathers on
+/// AVX2 (scalar on hosts without it); both paths give the same values.
+size_t GatherNonMissing(const Dataset& db, int attr, const Selection& sel,
+                        std::vector<double>* out, bool simd,
+                        double* max_out = nullptr);
 
 /// q-quantile (0<=q<=1) of `attr` over `sel`, by rank floor(q*(n-1)).
 double QuantileInSelection(const Dataset& db, int attr, const Selection& sel,

@@ -1,6 +1,7 @@
 #include "data/prepared.h"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "data/order_stats.h"
@@ -43,6 +44,13 @@ RootBounds ComputeRootBounds(const Dataset& db, int attr,
   } else {
     double range = mm.max - mm.min;
     rb.lo = mm.min - (range > 0.0 ? 1e-9 * range : 1e-9);
+  }
+  // A step below half an ulp of the minimum rounds back to it (integral
+  // values from 2^53 on, a range tiny next to the magnitude), and
+  // (lo, hi] would then leave out every row at the minimum. The next
+  // double below keeps lo strictly below every value.
+  if (!(rb.lo < mm.min)) {
+    rb.lo = std::nextafter(mm.min, -std::numeric_limits<double>::infinity());
   }
   return rb;
 }

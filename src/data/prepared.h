@@ -18,8 +18,10 @@ namespace sdadcs::data {
 
 /// Display/normalization bounds of one continuous attribute over the
 /// analysis rows: lo is a "nice" value just below the minimum (min-1 for
-/// integral data, matching the paper's "18 < Age" rendering), hi is the
-/// maximum. `any_missing` says whether some analysis row lacks a value;
+/// integral data, matching the paper's "18 < Age" rendering; the next
+/// double below the minimum where that step would round back to it),
+/// hi is the maximum, so (lo, hi] holds every finite analysis value.
+/// `any_missing` says whether some analysis row lacks a value;
 /// when it is false the SDAD-CS root filter keeps every row, so the
 /// search skips that scan. It defaults to true, so bounds built by hand
 /// keep the filter.

@@ -9,7 +9,7 @@
 #include <utility>
 
 #if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
+#include "data/avx2_gather.h"
 #define SDADCS_SIMD_SELECT_X86 1
 #endif
 
@@ -119,7 +119,7 @@ __attribute__((target("avx2"))) size_t GatherNonNanMaxAvx2(
   for (; i + 4 <= n; i += 4) {
     __m128i idx = _mm_sub_epi32(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + i)), base);
-    __m256d v = _mm256_i32gather_pd(values, idx, 8);
+    __m256d v = GatherPd(values, idx);
     __m256d ord = _mm256_cmp_pd(v, v, _CMP_ORD_Q);
     int mask = _mm256_movemask_pd(ord);
     __m256 packed = _mm256_permutevar8x32_ps(
@@ -145,14 +145,14 @@ __attribute__((target("avx2"))) size_t GatherNonNanMaxAvx2(
   return cnt;
 }
 
-double SelectKthAvx2(double* vals, size_t n, size_t k,
+double SelectKthAvx2(const double* vals, size_t n, size_t k,
                      SelectScratch* scratch) {
   scratch->a.resize(n + 4);
   scratch->b.resize(n + 4);
   scratch->c.resize(n + 4);
   double* bufs[3] = {scratch->a.data(), scratch->b.data(),
                      scratch->c.data()};
-  double* cur = vals;  // the original input is only ever a source
+  const double* cur = vals;  // the input is only ever a source
   int cur_idx = -1;
   size_t m = n;
   while (m > kScalarCutoff) {
@@ -163,7 +163,6 @@ double SelectKthAvx2(double* vals, size_t n, size_t k,
     auto [n_lt, n_gt] = PartitionAvx2(cur, m, pivot, bufs[t0], bufs[t1]);
     size_t n_eq = m - n_lt - n_gt;
     if (k < n_lt) {
-      cur = bufs[t0];
       cur_idx = t0;
       m = n_lt;
     } else if (k < n_lt + n_eq) {
@@ -172,30 +171,33 @@ double SelectKthAvx2(double* vals, size_t n, size_t k,
       return pivot;
     } else {
       k -= n_lt + n_eq;
-      cur = bufs[t1];
       cur_idx = t1;
       m = n_gt;
     }
+    cur = bufs[cur_idx];
   }
-  std::nth_element(cur, cur + k, cur + m);
-  return cur[k];
+  // A select that never partitioned finishes on a copy of its input.
+  double* last = bufs[cur_idx < 0 ? 0 : cur_idx];
+  if (cur_idx < 0) std::copy(vals, vals + m, last);
+  std::nth_element(last, last + k, last + m);
+  return last[k];
 }
 
 #endif  // SDADCS_SIMD_SELECT_X86
 
 }  // namespace
 
-double SelectKth(double* vals, size_t n, size_t k, bool simd,
+double SelectKth(const double* vals, size_t n, size_t k, bool simd,
                  SelectScratch* scratch) {
   SDADCS_CHECK(k < n);
 #if defined(SDADCS_SIMD_SELECT_X86)
-  if (simd && scratch != nullptr && Avx2Supported()) {
-    return SelectKthAvx2(vals, n, k, scratch);
-  }
+  if (simd && Avx2Supported()) return SelectKthAvx2(vals, n, k, scratch);
 #endif
-  (void)scratch;
-  std::nth_element(vals, vals + k, vals + n);
-  return vals[k];
+  (void)simd;
+  scratch->a.assign(vals, vals + n);
+  std::nth_element(scratch->a.begin(), scratch->a.begin() + k,
+                   scratch->a.end());
+  return scratch->a[k];
 }
 
 size_t GatherNonNanMaxSpan(const double* values, uint32_t row_base,

@@ -28,15 +28,18 @@ bool Avx2Supported();
 /// scalar oracle. Read once per process.
 bool SimdByDefault();
 
-/// k-th smallest (0-based) element of vals[0..n). `vals` is clobbered.
-/// With simd=false this is std::nth_element; with simd=true a 3-way
-/// quickselect whose partition runs on AVX2 compress stores (falling
-/// back to nth_element on hosts without AVX2). Both paths return the
-/// identical double for NaN-free input: the k-th order statistic of a
-/// multiset does not depend on the selection algorithm. (The one
-/// representational wrinkle, -0.0 vs +0.0 among equal zeros, is pinned
-/// by the differential goldens.) Requires NaN-free input and k < n.
-double SelectKth(double* vals, size_t n, size_t k, bool simd,
+/// k-th smallest (0-based) element of vals[0..n), which is left as it
+/// was. With simd=false this is std::nth_element on a copy in
+/// `scratch`; with simd=true a 3-way quickselect whose partition runs
+/// on AVX2 compress stores (falling back to the copy and nth_element on
+/// hosts without AVX2). The first partition pass reads the input into
+/// the scratch, so past 64 values the vectorized select copies nothing.
+/// Both paths return the identical double for NaN-free input: the k-th
+/// order statistic of a multiset does not depend on the selection
+/// algorithm. (The one representational wrinkle, -0.0 vs +0.0 among
+/// equal zeros, is pinned by the differential goldens.) Requires
+/// NaN-free input and k < n.
+double SelectKth(const double* vals, size_t n, size_t k, bool simd,
                  SelectScratch* scratch);
 
 /// Gathers values[rows[i]] for i in [0, n), dropping NaNs, into the

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -269,6 +270,14 @@ util::StatusOr<Dataset> OpenSpill(const std::string& path,
                                              path + "'");
       }
       seals[a].all_integral = all_integral != 0;
+      // The stats were sealed from the column's values, which
+      // DatasetBuilder::Build keeps finite.
+      if (seals[a].min == -std::numeric_limits<double>::infinity() ||
+          seals[a].max == std::numeric_limits<double>::infinity()) {
+        return util::Status::InvalidArgument("infinite value in column '" +
+                                             name + "' of spill file '" +
+                                             path + "'");
+      }
       util::Status st = schema.Add(name, AttributeType::kContinuous);
       if (!st.ok()) return st;
       categorical.push_back(nullptr);

@@ -1,5 +1,6 @@
 #include "engine/session.h"
 
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -90,6 +91,19 @@ util::StatusOr<MiningSession> MiningSession::Begin(
         session.root_bounds_[a] =
             data::ComputeRootBounds(db, a, gi.base_selection());
       }
+    }
+  }
+  // Every root row lies inside its root bounds, so the root split reads
+  // no value (core::SplitRoot). The CSV reader, DatasetBuilder::Build
+  // and OpenSpill refuse infinite values; a spill file whose column
+  // stats hide one gives an infinite bound here.
+  for (int a : session.attributes_) {
+    auto it = session.root_bounds_.find(a);
+    if (it != session.root_bounds_.end() &&
+        (std::isinf(it->second.lo) || std::isinf(it->second.hi))) {
+      return util::Status::InvalidArgument(
+          "attribute '" + db.schema().attribute(static_cast<size_t>(a)).name +
+          "' holds an infinite value");
     }
   }
   return session;

@@ -20,7 +20,8 @@ namespace {
 // Converts a dense dataset into a paged one: spill to a columnar temp
 // file, reopen mmap-backed with the requested chunk geometry and byte
 // cap, and unlink the file immediately — the mapping keeps the inode
-// alive, and nothing leaks if the process dies.
+// alive, and nothing leaks if the process dies. The temp file is the
+// registry's own, not one a spec named, so its failures are kInternal.
 util::StatusOr<data::Dataset> PageThroughSpill(
     const data::Dataset& db, const DatasetLoadOptions& options) {
   static std::atomic<uint64_t> counter{0};
@@ -29,12 +30,13 @@ util::StatusOr<data::Dataset> PageThroughSpill(
                      std::to_string(static_cast<long>(::getpid())) + "_" +
                      std::to_string(counter.fetch_add(1)) + ".spill";
   util::Status st = data::WriteSpill(db, path);
-  if (!st.ok()) return st;
+  if (!st.ok()) return util::Status::Internal(st.message());
   data::SpillOptions sopt;
   sopt.chunk_rows = options.chunk_rows;
   sopt.max_resident_bytes = options.max_resident_bytes;
   util::StatusOr<data::Dataset> paged = data::OpenSpill(path, sopt);
   ::unlink(path.c_str());
+  if (!paged.ok()) return util::Status::Internal(paged.status().message());
   return paged;
 }
 

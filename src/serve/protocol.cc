@@ -58,6 +58,10 @@ ErrorCode CodeFromStatus(const util::Status& status) {
     case util::StatusCode::kInvalidArgument:
     case util::StatusCode::kOutOfRange:
     case util::StatusCode::kFailedPrecondition:
+    // Only a load reads files, and an IoError there names the file its
+    // spec gave (missing, a directory, unreadable); the registry reports
+    // a failure of its own temp spill as kInternal.
+    case util::StatusCode::kIoError:
       return ErrorCode::kInvalidArgument;
     case util::StatusCode::kNotFound:
       return ErrorCode::kNotFound;

@@ -204,5 +204,33 @@ TEST(MinerTest, MeanSupportDifferenceHelper) {
   EXPECT_DOUBLE_EQ(MiningResult().MeanSupportDifference(10), 0.0);
 }
 
+// Epoch-ns-like integral values, far past 2^53: the root split must
+// count every row, the rows at the column minimum included, so the
+// lower half of the one split holds all of group A (support 1.000).
+TEST(MinerTest, RootSplitCountsEveryRowOfHugeIntegralColumn) {
+  data::DatasetBuilder b;
+  const int g = b.AddCategorical("g");
+  const int x = b.AddContinuous("x");
+  for (int i = 0; i < 200; ++i) {
+    b.AppendCategorical(g, i < 100 ? "A" : "B");
+    b.AppendContinuous(x, 1.7e18 + 256.0 * i);
+  }
+  auto db = std::move(b).Build();
+  ASSERT_TRUE(db.ok());
+  MinerConfig cfg = BaseConfig();
+  cfg.max_depth = 1;
+  auto result = Miner(cfg).Mine(*db, GroupRequest("g"));
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->contrasts.size(), 2u);
+  double rows = 0.0;
+  for (const ContrastPattern& p : result->contrasts) {
+    ASSERT_EQ(p.counts.size(), 2u);
+    EXPECT_EQ(p.counts[0] + p.counts[1], 100.0) << p.itemset.Key();
+    EXPECT_EQ(std::max(p.supports[0], p.supports[1]), 1.0);
+    rows += p.counts[0] + p.counts[1];
+  }
+  EXPECT_EQ(rows, 200.0);
+}
+
 }  // namespace
 }  // namespace sdadcs::core

@@ -115,6 +115,82 @@ TEST(RunControlMiningTest, NodeBudgetStopsTheRun) {
   EXPECT_EQ(full->completion, Completion::kComplete);
 }
 
+// A node budget that runs out inside a root space: the budget is
+// checked at each root cell, so the run stops part way through one root
+// split (after cell 1 of 2 and after cell 2 of 4 on this data) and
+// returns the patterns found so far. Whatever splits a root, the stop,
+// the partial patterns and every counter must stay where they were:
+// the constants below were taken from the mine that split each root
+// space with a scan of its rows.
+TEST(RunControlMiningTest, BudgetStopInsideARootSpaceKeepsItsPartials) {
+  synth::ScalingOptions opt;
+  opt.rows = 6000;
+  opt.continuous_features = 3;
+  opt.categorical_features = 1;
+  opt.seed = 5;
+  synth::NamedDataset sc = synth::MakeScalingDataset(opt);
+  MinerConfig cfg;
+  cfg.max_depth = 2;
+  struct Pinned {
+    uint64_t budget;
+    size_t patterns;
+    uint64_t render_fnv;
+    MiningCounters counters;
+  };
+  auto counters = [](uint64_t partitions, uint64_t sdad_calls,
+                     uint64_t lookup, uint64_t min_support,
+                     uint64_t redundant, uint64_t oe_measure,
+                     uint64_t unproductive, uint64_t chi2_tests,
+                     uint64_t abandoned) {
+    MiningCounters c;
+    c.partitions_evaluated = partitions;
+    c.sdad_calls = sdad_calls;
+    c.pruned_lookup = lookup;
+    c.pruned_min_support = min_support;
+    c.pruned_redundant = redundant;
+    c.pruned_oe_measure = oe_measure;
+    c.unproductive = unproductive;
+    c.chi2_tests = chi2_tests;
+    c.abandoned_candidates = abandoned;
+    return c;
+  };
+  const Pinned kPinned[] = {
+      {95, 8, 0xcba3da2c607c5a71ULL, counters(59, 28, 0, 5, 11, 14, 4, 30, 5)},
+      {170, 9, 0x236f4d8cf497d633ULL,
+       counters(101, 47, 2, 20, 15, 26, 9, 42, 2)},
+  };
+  for (const Pinned& pin : kPinned) {
+    SCOPED_TRACE("budget " + std::to_string(pin.budget));
+    MineRequest request;
+    request.group_attr = sc.group_attr;
+    request.run_control.set_node_budget(pin.budget);
+    auto result = Miner(cfg).Mine(sc.db, request);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->completion, Completion::kBudgetExhausted);
+    EXPECT_EQ(result->contrasts.size(), pin.patterns);
+    uint64_t fnv = 1469598103934665603ULL;
+    for (unsigned char ch : RenderResult(result->contrasts)) {
+      fnv = (fnv ^ ch) * 1099511628211ULL;
+    }
+    EXPECT_EQ(fnv, pin.render_fnv);
+    const MiningCounters& got = result->counters;
+    const MiningCounters& want = pin.counters;
+    EXPECT_EQ(got.partitions_evaluated, want.partitions_evaluated);
+    EXPECT_EQ(got.sdad_calls, want.sdad_calls);
+    EXPECT_EQ(got.pruned_lookup, want.pruned_lookup);
+    EXPECT_EQ(got.pruned_min_support, want.pruned_min_support);
+    EXPECT_EQ(got.pruned_low_expected, 0u);
+    EXPECT_EQ(got.pruned_redundant, want.pruned_redundant);
+    EXPECT_EQ(got.pruned_pure, 0u);
+    EXPECT_EQ(got.pruned_oe_measure, want.pruned_oe_measure);
+    EXPECT_EQ(got.pruned_oe_chi2, 0u);
+    EXPECT_EQ(got.unproductive, want.unproductive);
+    EXPECT_EQ(got.merges, 0u);
+    EXPECT_EQ(got.chi2_tests, want.chi2_tests);
+    EXPECT_EQ(got.abandoned_candidates, want.abandoned_candidates);
+  }
+}
+
 TEST(RunControlMiningTest, PreCancelledRequestReturnsOkAndEmptyish) {
   data::Dataset db = synth::MakeSimulated3(800);
   MinerConfig cfg;

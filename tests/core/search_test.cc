@@ -1,5 +1,6 @@
 #include "core/search.h"
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -172,7 +173,8 @@ struct ComboOutcome {
 // context's and the search's run memos persist across calls.
 class ReuseHarness {
  public:
-  ReuseHarness(const data::Dataset& db, bool simd) {
+  ReuseHarness(const data::Dataset& db, bool simd, int max_depth = 5) {
+    cfg_.max_depth = max_depth;
     auto gi = data::GroupInfo::Create(db, 0);
     SDADCS_CHECK(gi.ok());
     gi_ = std::make_unique<data::GroupInfo>(std::move(gi).value());
@@ -181,9 +183,12 @@ class ReuseHarness {
     ctx_.cfg = &cfg_;
     ctx_.simd = simd;
     ctx_.group_sizes = GroupSizes(*gi_);
-    for (int attr : {kReuseX, kReuseY}) {
-      ctx_.root_bounds[attr] =
-          ComputeRootBounds(db, attr, gi_->base_selection());
+    for (size_t a = 0; a < db.num_attributes(); ++a) {
+      const int attr = static_cast<int>(a);
+      if (db.is_continuous(attr)) {
+        ctx_.root_bounds[attr] =
+            ComputeRootBounds(db, attr, gi_->base_selection());
+      }
     }
   }
 
@@ -232,12 +237,16 @@ void ExpectSameCounters(const MiningCounters& a, const MiningCounters& b) {
   EXPECT_EQ(a.chi2_tests, b.chi2_tests);
 }
 
-// The run memos (item covers, root-axis cuts, base counts) carry values
-// from one combination to the next. Mining (x), then (x, y), then
-// (c, x, y) with one search must give each combination exactly what a
-// fresh search gives it: a root cut of x is reused only over the same
-// rows, which (x, y) does not share with (x) when y misses values, and
-// no categorical prefix shares with the empty one.
+// The run memos (item covers, root axes, base counts) carry values from
+// one combination to the next. Mining (x), then (x, y), then (c, x, y)
+// with one search must give each combination exactly what a fresh
+// search gives it: a root axis of x is reused only over the same rows,
+// which (x, y) does not share with (x) when y misses values, and no
+// categorical prefix shares with the empty one. So must a search whose
+// memo came the way a team member's does: another search (the member)
+// mines the combination first, and the relay takes the member's
+// entries and hands it a copy back, as ShareMemos does at a level's
+// start.
 TEST(LatticeSearchTest, ReusedSearchMinesEachComboLikeAFreshOne) {
   const std::vector<std::vector<int>> combos = {
       {kReuseX}, {kReuseX, kReuseY}, {kReuseC, kReuseX, kReuseY}};
@@ -246,22 +255,180 @@ TEST(LatticeSearchTest, ReusedSearchMinesEachComboLikeAFreshOne) {
     for (bool simd : {false, true}) {
       ReuseHarness shared(db, simd);
       LatticeSearch search(shared.ctx());
+      ReuseHarness member_harness(db, simd);
+      LatticeSearch member(member_harness.ctx());
+      ReuseHarness relay_harness(db, simd);
+      LatticeSearch relay(relay_harness.ctx());
       size_t patterns = 0;
       for (const std::vector<int>& combo : combos) {
         SCOPED_TRACE("y_missing " + std::to_string(y_missing) + " simd " +
                      std::to_string(simd) + " combo of " +
                      std::to_string(combo.size()));
         ComboOutcome reused = shared.Mine(&search, combo);
+        ComboOutcome by_member = member_harness.Mine(&member, combo);
+        relay.TakeMemos(&member);
+        member.CopyMemos(relay);
+        ComboOutcome relayed = relay_harness.Mine(&relay, combo);
         ReuseHarness fresh(db, simd);
         LatticeSearch fresh_search(fresh.ctx());
         ComboOutcome alone = fresh.Mine(&fresh_search, combo);
         EXPECT_GT(alone.counters.partitions_evaluated, 0u);
         patterns += alone.patterns.size();
-        EXPECT_EQ(reused.patterns, alone.patterns);
-        ExpectSameCounters(reused.counters, alone.counters);
+        for (const ComboOutcome* outcome : {&reused, &by_member, &relayed}) {
+          EXPECT_EQ(outcome->patterns, alone.patterns);
+          ExpectSameCounters(outcome->counters, alone.counters);
+        }
       }
       EXPECT_GT(patterns, 0u);
     }
+  }
+}
+
+// Bytes of one bitset over `rows` positions.
+size_t BitsetBytes(size_t rows) { return (rows + 63) / 64 * sizeof(uint64_t); }
+
+// Mines `attrs` with one search at `max_depth` through Run and returns
+// its root-axis memo's size once the run is over.
+LatticeSearch::RootMemoStats RunAndMeasure(const data::Dataset& db,
+                                           bool simd, int max_depth,
+                                           const std::vector<int>& attrs) {
+  ReuseHarness h(db, simd, max_depth);
+  PruneTable table;
+  TopK topk(100, MinerConfig().delta);
+  MiningCounters counters;
+  h.ctx().prune_table = &table;
+  h.ctx().topk = &topk;
+  h.ctx().counters = &counters;
+  LatticeSearch search(h.ctx());
+  search.Run(attrs);
+  EXPECT_GT(counters.partitions_evaluated, 0u);
+  return search.root_memo();
+}
+
+// The memo keeps a root part only while a later combination can read
+// it. At depth 2 over (c, x, y) without missing values the last level
+// mines (c, x), (c, y) and (x, y): the base root's group bits and both
+// axes stay from level 1 for (x, y), and each prefix root keeps its
+// group bits, which (c, x) and (c, y) share, but not its axes, which
+// one combination each reads. When y misses values, (y) leaves nothing
+// alive on the rows that have y, so the last level mines (c, x) alone:
+// it drops every part level 1 kept, and keeps none of its own.
+TEST(LatticeSearchTest, RootMemoKeepsOnlyWhatALaterCombinationReads) {
+  for (bool y_missing : {false, true}) {
+    const data::Dataset db = MakeReuseData(y_missing);
+    auto gi = data::GroupInfo::Create(db, 0);
+    ASSERT_TRUE(gi.ok());
+    const size_t groups = static_cast<size_t>(gi->num_groups());
+    const data::Selection& base = gi->base_selection();
+    size_t want = 0;
+    if (!y_missing) {
+      want = (groups + 2) * BitsetBytes(base.size());
+      const data::CategoricalColumn& c = db.categorical(kReuseC);
+      for (int32_t code = 0; code < c.cardinality(); ++code) {
+        const size_t rows = base.Filter([&](uint32_t r) {
+                                  return c.code(r) == code;
+                                }).size();
+        want += groups * BitsetBytes(rows);
+      }
+    }
+    for (bool simd : {false, true}) {
+      SCOPED_TRACE("y_missing " + std::to_string(y_missing) + " simd " +
+                   std::to_string(simd));
+      const LatticeSearch::RootMemoStats memo =
+          RunAndMeasure(db, simd, 2, {kReuseC, kReuseX, kReuseY});
+      EXPECT_EQ(memo.bytes, want);
+      EXPECT_GE(memo.peak, want);
+      EXPECT_GT(memo.peak, 0u);
+      EXPECT_LE(memo.peak, memo.budget);
+      EXPECT_EQ(memo.budget, 4 * base.size() * 2);
+    }
+  }
+}
+
+// Attributes of the wide data: the group, kWideCats categorical
+// attributes of three values and one continuous x.
+constexpr int kWideCats = 12;
+constexpr int kWideX = kWideCats + 1;
+
+// Two groups that differ by x <= 50 where c0 = "p"; the other
+// categorical attributes are noise. Every prefix root holds about a
+// third of the rows, so the parts of a few prefixes fill the memo's
+// budget of four bytes per row of x.
+data::Dataset MakeWideData() {
+  static const char* const kValues[] = {"p", "q", "r"};
+  util::Rng rng(29);
+  data::DatasetBuilder b;
+  b.AddCategorical("g");
+  for (int c = 0; c < kWideCats; ++c) {
+    std::string name = "c";
+    name += std::to_string(c);
+    b.AddCategorical(name);
+  }
+  b.AddContinuous("x");
+  for (int i = 0; i < 1500; ++i) {
+    const double x = rng.Uniform(0.0, 100.0);
+    int32_t first = 0;
+    for (int c = 0; c < kWideCats; ++c) {
+      const int32_t v = static_cast<int32_t>(rng.NextBelow(3));
+      if (c == 0) first = v;
+      b.AppendCategorical(1 + c, kValues[v]);
+    }
+    const double p_a = first == 0 ? (x <= 50.0 ? 0.85 : 0.15) : 0.5;
+    b.AppendCategorical(0, rng.Bernoulli(p_a) ? "a" : "b");
+    b.AppendContinuous(kWideX, x);
+  }
+  auto db = std::move(b).Build();
+  SDADCS_CHECK(db.ok());
+  return std::move(db).value();
+}
+
+// Mined one after another with one search, combinations over many
+// prefixes fill the memo to its budget; the parts that no longer fit
+// are computed for their split and not kept, and every combination,
+// mined once or again, still gets what a fresh search gives it.
+TEST(LatticeSearchTest, RootMemoStaysWithinItsBudget) {
+  const data::Dataset db = MakeWideData();
+  std::vector<std::vector<int>> combos = {{kWideX}};
+  for (int c = 1; c <= kWideCats; ++c) combos.push_back({c, kWideX});
+  combos.push_back({1, 2, kWideX});
+  combos.push_back({1, kWideX});
+  combos.push_back({kWideCats, kWideX});
+  // The group bits (two groups) and x's side bits of every root these
+  // combinations split (the base selection and each one-item prefix)
+  // would take more than the budget of 4 bytes per row.
+  size_t parts = 3 * BitsetBytes(db.num_rows());
+  for (int c = 1; c <= kWideCats; ++c) {
+    const data::CategoricalColumn& col = db.categorical(c);
+    for (int32_t code = 0; code < col.cardinality(); ++code) {
+      size_t rows = 0;
+      for (uint32_t r = 0; r < db.num_rows(); ++r) rows += col.code(r) == code;
+      parts += 3 * BitsetBytes(rows);
+    }
+  }
+  ASSERT_GT(parts, 4 * db.num_rows());
+  for (bool simd : {false, true}) {
+    ReuseHarness shared(db, simd);
+    LatticeSearch search(shared.ctx());
+    size_t patterns = 0;
+    for (const std::vector<int>& combo : combos) {
+      SCOPED_TRACE("simd " + std::to_string(simd) + " combo of " +
+                   std::to_string(combo.size()) + " from " +
+                   std::to_string(combo.front()));
+      ComboOutcome reused = shared.Mine(&search, combo);
+      ReuseHarness fresh(db, simd);
+      LatticeSearch fresh_search(fresh.ctx());
+      ComboOutcome alone = fresh.Mine(&fresh_search, combo);
+      EXPECT_GT(alone.counters.partitions_evaluated, 0u);
+      patterns += alone.patterns.size();
+      EXPECT_EQ(reused.patterns, alone.patterns);
+      ExpectSameCounters(reused.counters, alone.counters);
+      EXPECT_LE(search.root_memo().bytes, search.root_memo().budget);
+    }
+    EXPECT_GT(patterns, 0u);
+    const LatticeSearch::RootMemoStats memo = search.root_memo();
+    EXPECT_EQ(memo.budget, 4 * db.num_rows());
+    EXPECT_LE(memo.peak, memo.budget);
+    EXPECT_GT(memo.peak, memo.budget / 2);
   }
 }
 

@@ -1,15 +1,22 @@
 #include "core/split_kernel.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/match_kernel.h"
+#include "core/sdad.h"
 #include "core/space.h"
 #include "core/support.h"
 #include "data/dataset.h"
 #include "data/group_info.h"
+#include "data/order_stats.h"
+#include "data/spill.h"
 #include "util/random.h"
 
 namespace sdadcs::core {
@@ -24,7 +31,9 @@ data::Dataset MakeRandom(uint64_t seed, size_t rows, int axes,
   data::DatasetBuilder b;
   std::vector<int> cont;
   for (int a = 0; a < axes; ++a) {
-    cont.push_back(b.AddContinuous("x" + std::to_string(a)));
+    std::string name = "x";
+    name += std::to_string(a);
+    cont.push_back(b.AddContinuous(name));
   }
   int grp = b.AddCategorical("grp");
   for (size_t r = 0; r < rows; ++r) {
@@ -35,9 +44,9 @@ data::Dataset MakeRandom(uint64_t seed, size_t rows, int axes,
         b.AppendContinuous(cont[a], rng.Uniform(-10.0, 10.0));
       }
     }
-    b.AppendCategorical(
-        grp, "g" + std::to_string(rng.NextBelow(
-                       static_cast<uint64_t>(num_values))));
+    std::string value = "g";
+    value += std::to_string(rng.NextBelow(static_cast<uint64_t>(num_values)));
+    b.AppendCategorical(grp, value);
   }
   auto db = std::move(b).Build();
   EXPECT_TRUE(db.ok());
@@ -235,6 +244,260 @@ TEST(SplitKernelTest, SplittableAxesCappedAtMax) {
   axes = SplittableAxes(cuts);
   ASSERT_EQ(axes.size(), kMaxSplitAxes);
   EXPECT_EQ(axes[3], 4);  // NaN axis skipped, next axis takes its place
+}
+
+// Attributes of the root-split data: `kRootAxes` continuous attributes
+// of small integers (values tie at the cut), one constant continuous
+// attribute (it never splits), a categorical prefix attribute and the
+// group.
+constexpr int kRootAxes = 4;
+constexpr int kFlat = kRootAxes;
+constexpr int kPrefix = kRootAxes + 1;
+constexpr int kRootGroup = kRootAxes + 2;
+
+// Seeded root-split data; each continuous value is missing at
+// `missing_rate`, so the root filter of any combination drops rows.
+data::Dataset MakeRootData(uint64_t seed, size_t rows, double missing_rate) {
+  static const char* const kPrefixValues[] = {"p", "q", "r"};
+  static const char* const kGroupValues[] = {"a", "b", "c"};
+  util::Rng rng(seed);
+  data::DatasetBuilder b;
+  for (int a = 0; a < kRootAxes; ++a) {
+    std::string name = "x";
+    name += std::to_string(a);
+    b.AddContinuous(name);
+  }
+  b.AddContinuous("flat");
+  b.AddCategorical("c");
+  b.AddCategorical("grp");
+  for (size_t r = 0; r < rows; ++r) {
+    for (int a = 0; a <= kFlat; ++a) {
+      if (rng.Bernoulli(missing_rate)) {
+        b.AppendMissing(a);
+      } else {
+        b.AppendContinuous(
+            a, a == kFlat ? 2.5 : static_cast<double>(rng.UniformInt(-4, 4)));
+      }
+    }
+    b.AppendCategorical(kPrefix, kPrefixValues[rng.NextBelow(3)]);
+    b.AppendCategorical(kRootGroup, kGroupValues[rng.NextBelow(3)]);
+  }
+  auto db = std::move(b).Build();
+  EXPECT_TRUE(db.ok());
+  return std::move(db).value();
+}
+
+// True when a and b are the same double bit for bit (NaN equals NaN).
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// partition(ca) row by row, the oracle of PartitionCut: the lower
+// median (data::MedianInSelection) or the row-order mean of the axis's
+// values over `rows`, kept when both halves (lo, m] and (m, hi] hold a
+// row.
+double OracleCut(const data::Dataset& db, const data::Selection& rows,
+                 const AxisBound& b, SplitKind kind) {
+  const data::ContinuousColumn& col = db.continuous(b.attr);
+  double m = data::MedianInSelection(db, b.attr, rows);
+  if (kind == SplitKind::kMean) {
+    double sum = 0.0;
+    size_t n = 0;
+    for (uint32_t r : rows) {
+      const double v = col.value(r);
+      if (std::isnan(v)) continue;
+      sum += v;
+      ++n;
+    }
+    m = n > 0 ? sum / static_cast<double>(n) : std::nan("");
+  }
+  bool left = false;
+  bool right = false;
+  for (uint32_t r : rows) {
+    const double v = col.value(r);
+    if (v > b.lo && v <= m) left = true;
+    if (v > m && v <= b.hi) right = true;
+  }
+  return left && right ? m : std::nan("");
+}
+
+// Builds the root space of `cont_attrs` under `prefix` (empty, or one
+// categorical item) as the lattice search does (MakeRootCall), splits it
+// from its bits (CutRootAxis, SplitRoot, RootCellRows) and checks every
+// cut, cell, bound, size, count and row against what a root split ran
+// before the bits: PartitionCuts, then SplitAndCount. Each cut also
+// matches OracleCut. Returns the number of cells.
+size_t ExpectRootSplitMatches(const data::Dataset& db,
+                              const data::GroupInfo& gi,
+                              const Itemset& prefix,
+                              const std::vector<int>& cont_attrs,
+                              SplitKind kind, bool simd) {
+  MiningContext ctx;
+  ctx.db = &db;
+  ctx.gi = &gi;
+  ctx.simd = simd;
+  for (int attr : cont_attrs) {
+    ctx.root_bounds[attr] = ComputeRootBounds(db, attr, gi.base_selection());
+  }
+  GroupCounts counts;
+  data::Selection rows = gi.base_selection();
+  counts.counts = GroupSizes(gi);
+  if (!prefix.empty()) {
+    rows = FilterCountItemKernel(db, gi, prefix.item(0), rows, &counts,
+                                 &ctx.split_scratch, simd);
+  }
+  const SdadCall call = MakeRootCall(ctx, prefix, cont_attrs, rows, counts);
+  const Space& root = call.space;
+
+  RootBits bits;
+  bits.groups = std::make_shared<const std::vector<std::vector<uint64_t>>>(
+      GroupBits(gi, root.rows));
+  for (const AxisBound& bound : root.bounds) {
+    bits.axes[bound.attr] = std::make_shared<const RootAxis>(CutRootAxis(
+        db, root.rows, bound, kind, &ctx.split_scratch, simd));
+  }
+  SplitScratch oracle_scratch;
+  const std::vector<double> cuts =
+      PartitionCuts(db, root, kind, &oracle_scratch.values,
+                    &oracle_scratch.select, simd);
+  for (size_t a = 0; a < root.bounds.size(); ++a) {
+    const RootAxis& axis = *bits.axes.at(root.bounds[a].attr);
+    const double oracle = OracleCut(db, root.rows, root.bounds[a], kind);
+    EXPECT_TRUE(SameBits(axis.cut, oracle))
+        << "axis " << a << ": " << axis.cut << " vs " << oracle;
+    EXPECT_TRUE(SameBits(cuts[a], oracle))
+        << "axis " << a << ": " << cuts[a] << " vs " << oracle;
+    EXPECT_EQ(axis.right.empty(), std::isnan(axis.cut));
+  }
+  const SplitResult want =
+      SplitAndCount(db, gi, root, cuts, &oracle_scratch, simd);
+  const SplitResult got = SplitRoot(root, bits, &ctx.split_scratch, simd);
+  EXPECT_EQ(got.axes, want.axes);
+  EXPECT_EQ(got.sizes, want.sizes);
+  EXPECT_EQ(got.cells.size(), want.cells.size());
+  EXPECT_EQ(got.counts.size(), want.counts.size());
+  if (got.cells.size() != want.cells.size()) return 0;
+  for (size_t c = 0; c < got.cells.size(); ++c) {
+    SCOPED_TRACE("cell " + std::to_string(c));
+    const Space& gc = got.cells[c];
+    const Space& wc = want.cells[c];
+    EXPECT_EQ(gc.bounds.size(), wc.bounds.size());
+    for (size_t a = 0; a < gc.bounds.size() && a < wc.bounds.size(); ++a) {
+      EXPECT_EQ(gc.bounds[a].attr, wc.bounds[a].attr);
+      EXPECT_TRUE(SameBits(gc.bounds[a].lo, wc.bounds[a].lo));
+      EXPECT_TRUE(SameBits(gc.bounds[a].hi, wc.bounds[a].hi));
+    }
+    EXPECT_TRUE(gc.rows.empty());
+    EXPECT_EQ(got.counts[c].counts, want.counts[c].counts);
+    const data::Selection cell_rows = RootCellRows(root, bits, got, c);
+    EXPECT_EQ(cell_rows.rows(), wc.rows.rows());
+    EXPECT_EQ(cell_rows.rows().capacity(), cell_rows.size());
+  }
+  return got.cells.size();
+}
+
+// The root split from bits equals SplitAndCount on every root the
+// search builds: 1-4 axes (values tie at the cut; the constant axis
+// cannot split), with and without missing values for the root filter
+// to drop, under no prefix and each categorical prefix, for both split
+// kinds on both kernel paths. The 50-row data gives roots of at most 64
+// rows, which the AVX2 quickselect finishes on a copy of its input.
+TEST(RootSplitTest, MatchesSplitAndCountOnSeededRoots) {
+  const std::vector<std::vector<int>> axis_sets = {
+      {0}, {0, 1}, {0, kFlat, 2}, {0, 1, 2, 3}};
+  size_t split_roots = 0;
+  for (size_t rows : {size_t{50}, size_t{700}}) {
+    for (uint64_t seed : {3u, 29u}) {
+      for (double missing : {0.0, 0.2}) {
+        data::Dataset db = MakeRootData(seed, rows, missing);
+        auto gi = data::GroupInfo::Create(db, kRootGroup);
+        ASSERT_TRUE(gi.ok());
+        std::vector<Itemset> prefixes = {Itemset()};
+        for (int32_t code = 0; code < 3; ++code) {
+          prefixes.push_back(Itemset({Item::Categorical(kPrefix, code)}));
+        }
+        for (const std::vector<int>& axes : axis_sets) {
+          for (const Itemset& prefix : prefixes) {
+            for (SplitKind kind : {SplitKind::kMedian, SplitKind::kMean}) {
+              for (bool simd : {false, true}) {
+                SCOPED_TRACE("rows " + std::to_string(rows) + " seed " +
+                             std::to_string(seed) + " missing " +
+                             std::to_string(missing) + " axes " +
+                             std::to_string(axes.size()) + " prefix " +
+                             prefix.Key() + " mean " +
+                             std::to_string(kind == SplitKind::kMean) +
+                             " simd " + std::to_string(simd));
+                if (ExpectRootSplitMatches(db, *gi, prefix, axes, kind,
+                                           simd) > 0) {
+                  ++split_roots;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(split_roots, 400u);
+}
+
+// The same on resident columns sliced into chunks of 1, 7 and 4096 rows
+// and on the paged backend: the gathers that feed the bits walk the
+// rows chunk span by chunk span.
+TEST(RootSplitTest, MatchesSplitAndCountOnChunksAndPages) {
+  data::Dataset db = MakeRootData(11, 700, 0.2);
+  const std::string spill_path = testing::TempDir() + "root_split.spill";
+  ASSERT_TRUE(data::WriteSpill(db, spill_path).ok());
+  data::SpillOptions sopt;
+  sopt.chunk_rows = 64;
+  sopt.max_resident_bytes = db.MemoryUsage() / 4;
+  auto paged = data::OpenSpill(spill_path, sopt);
+  std::remove(spill_path.c_str());
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  const Itemset prefix({Item::Categorical(kPrefix, 1)});
+  for (size_t chunk_rows : {size_t{1}, size_t{7}, size_t{4096}, size_t{0}}) {
+    const bool on_pages = chunk_rows == 0;
+    if (!on_pages) db.SetChunkRows(chunk_rows);
+    const data::Dataset& data = on_pages ? *paged : db;
+    auto gi = data::GroupInfo::Create(data, kRootGroup);
+    ASSERT_TRUE(gi.ok());
+    for (const Itemset& root_prefix : {Itemset(), prefix}) {
+      for (bool simd : {false, true}) {
+        SCOPED_TRACE("chunk_rows " + std::to_string(chunk_rows) +
+                     " prefix " + root_prefix.Key() + " simd " +
+                     std::to_string(simd));
+        EXPECT_EQ(ExpectRootSplitMatches(data, *gi, root_prefix, {0, 1, 2},
+                                         SplitKind::kMedian, simd),
+                  8u);
+      }
+    }
+  }
+}
+
+// A root whose every axis is constant does not split on either path;
+// one whose values all tie with the median but one splits that one off.
+TEST(RootSplitTest, UnsplittableAndLopsidedAxes) {
+  data::DatasetBuilder b;
+  const int flat = b.AddContinuous("flat");
+  const int lopsided = b.AddContinuous("lopsided");
+  const int grp = b.AddCategorical("grp");
+  for (int r = 0; r < 90; ++r) {
+    b.AppendContinuous(flat, 7.0);
+    b.AppendContinuous(lopsided, r == 41 ? 9.0 : 1.0);
+    b.AppendCategorical(grp, r % 3 == 0 ? "a" : "b");
+  }
+  auto db = std::move(b).Build();
+  ASSERT_TRUE(db.ok());
+  auto gi = data::GroupInfo::Create(*db, grp);
+  ASSERT_TRUE(gi.ok());
+  for (bool simd : {false, true}) {
+    for (SplitKind kind : {SplitKind::kMedian, SplitKind::kMean}) {
+      EXPECT_EQ(ExpectRootSplitMatches(*db, *gi, Itemset(), {flat}, kind,
+                                       simd),
+                0u);
+      EXPECT_EQ(ExpectRootSplitMatches(*db, *gi, Itemset(),
+                                       {flat, lopsided}, kind, simd),
+                2u);
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -331,6 +332,32 @@ TEST(SpillTest, CodeOutsideTheDictionaryIsRejected) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_EQ(opened->categorical(0).code(0), 0);
   EXPECT_TRUE(opened->categorical(0).is_missing(1));
+}
+
+// Column stats that hold an infinity name a value DatasetBuilder::Build
+// would have refused: the open rejects the file.
+TEST(SpillTest, InfiniteColumnStatsAreRejected) {
+  auto file = [](double min, double max) {
+    return SpillBytes()
+        .Header(2, 1)
+        .Str("x")
+        .U8(1)
+        .F64(min)
+        .F64(max)
+        .U8(1)
+        .U64(72)
+        .PadTo(72)
+        .F64(min)
+        .F64(max);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  ExpectRejected(file(-inf, 1.0), 88, "minus_inf");
+  ExpectRejected(file(0.0, inf), 88, "plus_inf");
+  std::string path = file(0.0, 1.0).WriteTo("finite");
+  auto opened = OpenSpill(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->continuous(0).value(1), 1.0);
 }
 
 TEST(ChunkStoreTest, CapEvictsUnpinnedBeforeLoadingAndPinOvershoots) {

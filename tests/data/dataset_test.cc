@@ -1,6 +1,8 @@
 #include "data/dataset.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -52,6 +54,25 @@ TEST(DatasetBuilderTest, RejectsEmptySchema) {
   DatasetBuilder b;
   auto db = std::move(b).Build();
   EXPECT_FALSE(db.ok());
+}
+
+// An infinite value has no root bound below or above it, so Build
+// refuses one on either side, as the CSV reader does; NaN stays the
+// missing value.
+TEST(DatasetBuilderTest, RejectsInfiniteValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {-inf, inf}) {
+    DatasetBuilder b;
+    int x = b.AddContinuous("x");
+    b.AppendContinuous(x, 1.0);
+    b.AppendContinuous(x, bad);
+    b.AppendContinuous(x, std::nan(""));
+    auto db = std::move(b).Build();
+    ASSERT_FALSE(db.ok()) << bad;
+    EXPECT_EQ(db.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(db.status().message().find("'x'"), std::string::npos)
+        << db.status().message();
+  }
 }
 
 TEST(DatasetBuilderTest, MissingValues) {

@@ -3,6 +3,8 @@
 
 #include "data/prepared.h"
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,6 +120,54 @@ TEST(PreparedDatasetTest, GroupFailureIsNotCached) {
   auto good = prepared.Groups(nd.group_attr, nd.groups);
   EXPECT_TRUE(good.ok());
   EXPECT_EQ(prepared.stats().group_builds, 1u);
+}
+
+// One continuous column holding `values`.
+Dataset OneColumn(const std::vector<double>& values) {
+  DatasetBuilder b;
+  const int x = b.AddContinuous("x");
+  for (double v : values) b.AppendContinuous(x, v);
+  auto db = std::move(b).Build();
+  EXPECT_TRUE(db.ok());
+  return std::move(db).value();
+}
+
+constexpr double kMinusInf = -std::numeric_limits<double>::infinity();
+
+// From 2^53 on, min - 1 rounds back to the minimum (epoch-ns timestamps
+// sit near 2^60, where doubles are 256 apart). The bound falls to the
+// next double below, so (lo, hi] still holds the rows at the minimum.
+TEST(ComputeRootBoundsTest, LowerBoundBelowHugeIntegralMinimum) {
+  std::vector<double> values;
+  for (int i = 0; i < 200; ++i) values.push_back(1.7e18 + 256.0 * i);
+  const Dataset db = OneColumn(values);
+  const RootBounds rb = ComputeRootBounds(db, 0, Selection::All(200));
+  ASSERT_EQ(1.7e18 - 1.0, 1.7e18);  // the step the bound used to take
+  EXPECT_LT(rb.lo, 1.7e18);
+  EXPECT_EQ(rb.lo, std::nextafter(1.7e18, kMinusInf));
+  EXPECT_EQ(rb.hi, values.back());
+  EXPECT_FALSE(rb.any_missing);
+}
+
+// A fractional column whose range is tiny next to its magnitude: the
+// 1e-9·range step is below half an ulp of the minimum.
+TEST(ComputeRootBoundsTest, LowerBoundBelowFractionalMinimumWithTinyRange) {
+  const double min = 12345.678;
+  const double max = std::nextafter(std::nextafter(min, 1e9), 1e9);
+  const Dataset db = OneColumn({max, min, max});
+  const RootBounds rb = ComputeRootBounds(db, 0, Selection::All(3));
+  EXPECT_LT(rb.lo, min);
+  EXPECT_EQ(rb.lo, std::nextafter(min, kMinusInf));
+  EXPECT_EQ(rb.hi, max);
+}
+
+// Where the steps do move the bound, they still set it.
+TEST(ComputeRootBoundsTest, OrdinaryStepsUnchanged) {
+  RootBounds rb = ComputeRootBounds(OneColumn({3.0, 9.0}), 0,
+                                    Selection::All(2));
+  EXPECT_EQ(rb.lo, 2.0);
+  rb = ComputeRootBounds(OneColumn({0.5, 2.5}), 0, Selection::All(2));
+  EXPECT_EQ(rb.lo, 0.5 - 1e-9 * 2.0);
 }
 
 }  // namespace

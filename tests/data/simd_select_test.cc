@@ -52,9 +52,14 @@ TEST(SimdSelectTest, MatchesNthElementForEveryK) {
         std::nth_element(a.begin(), a.begin() + static_cast<long>(k),
                          a.end());
         double expected = a[k];
-        double got = SelectKth(b.data(), n, k, /*simd=*/true, &scratch);
-        EXPECT_EQ(expected, got) << "n=" << n << " k=" << k
-                                 << " variant=" << variant;
+        for (bool simd : {false, true}) {
+          double got = SelectKth(b.data(), n, k, simd, &scratch);
+          EXPECT_EQ(expected, got) << "n=" << n << " k=" << k
+                                   << " variant=" << variant
+                                   << " simd=" << simd;
+          // The input is left as it was, at every size.
+          EXPECT_EQ(b, base) << "n=" << n << " k=" << k;
+        }
       }
     }
   }

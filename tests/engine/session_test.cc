@@ -5,6 +5,8 @@
 
 #include "engine/session.h"
 
+#include <cstdio>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "core/config.h"
 #include "core/miner.h"
 #include "data/prepared.h"
+#include "data/spill.h"
 #include "synth/uci_like.h"
 #include "util/status.h"
 
@@ -98,6 +101,62 @@ TEST(MiningSessionTest, EmptyUniverseIsInvalidArgument) {
   ASSERT_FALSE(session.ok());
   EXPECT_EQ(session.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_TRUE(MentionsField(session.status(), "attributes"))
+      << session.status().ToString();
+}
+
+// A spill file whose column stats are finite but whose values hold
+// -inf opens (the values are read lazily), and the mine over it is
+// refused where the root bounds come out infinite: no row may lie
+// outside them.
+TEST(MiningSessionTest, InfiniteValueBehindFiniteSpillStatsIsInvalid) {
+  std::string bytes;
+  auto put = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  auto put_str = [&](const std::string& s) {
+    put(static_cast<uint32_t>(s.size()));
+    bytes += s;
+  };
+  // Header: magic, version 1, 4 rows, 2 attributes, default chunk rows.
+  bytes = "SDCSPIL1";
+  for (uint64_t v : {uint64_t{1}, uint64_t{4}, uint64_t{2}, uint64_t{0}}) {
+    put(v);
+  }
+  // g: categorical {a, b}, codes at byte 104; x: continuous with stats
+  // [1, 4], values at byte 120.
+  put_str("g");
+  put(uint8_t{0});
+  put(uint32_t{2});
+  put_str("a");
+  put_str("b");
+  put(uint64_t{104});
+  put_str("x");
+  put(uint8_t{1});
+  put(1.0);
+  put(4.0);
+  put(uint8_t{1});
+  put(uint64_t{120});
+  bytes.resize(104, '\0');
+  for (int32_t code : {0, 1, 0, 1}) put(code);
+  for (double v : {1.0, -std::numeric_limits<double>::infinity(), 3.0, 4.0}) {
+    put(v);
+  }
+  const std::string path = testing::TempDir() + "session_test_inf.spill";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  auto db = data::OpenSpill(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+
+  core::MinerConfig config;
+  core::MineRequest request;
+  request.group_attr = "g";
+  auto session = MiningSession::Begin(*db, config, request);
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(MentionsField(session.status(), "'x'"))
       << session.status().ToString();
 }
 

@@ -2,6 +2,8 @@
 // data, tiny groups, high-cardinality attributes, and k > 2 groups must
 // never crash the miner and must keep its statistical contracts.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/requests.h"
@@ -76,8 +78,9 @@ TEST(RobustnessTest, HighCardinalityCategorical) {
     b.AppendCategorical(g, i % 2 == 0 ? "a" : "b");
     // 100 distinct values: every value is rare -> everything should be
     // pruned by minimum deviation / expected count, quickly.
-    b.AppendCategorical(id_like,
-                        "v" + std::to_string(rng.NextBelow(100)));
+    std::string value = "v";
+    value += std::to_string(rng.NextBelow(100));
+    b.AppendCategorical(id_like, value);
   }
   auto db = std::move(b).Build();
   ASSERT_TRUE(db.ok());

@@ -249,6 +249,22 @@ TEST(DatasetRegistryTest, LoadOptionsPageDatasetsThroughTheSpillBackend) {
   EXPECT_GE(after.chunk_loads, s.chunk_loads);
 }
 
+// The temp spill a paged load writes is the registry's own file: a
+// failure to write it is a server fault (kInternal), while a spec path
+// that cannot be read stays the loader's IoError.
+TEST(DatasetRegistryTest, TempSpillFailureIsInternal) {
+  DatasetLoadOptions load_options;
+  load_options.max_resident_bytes = 16 * 1024;
+  load_options.spill_dir = "/nonexistent/spill/dir";
+  DatasetRegistry registry(/*memory_budget_bytes=*/0, load_options);
+  auto paged = registry.Load("t", "synth:transfusion");
+  ASSERT_FALSE(paged.ok());
+  EXPECT_EQ(paged.status().code(), util::StatusCode::kInternal);
+  auto missing = registry.Load("m", "/nonexistent/file.csv");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), util::StatusCode::kIoError);
+}
+
 TEST(DatasetRegistryTest, BudgetTrimsColdChunksBeforeEvictingDatasets) {
   // Measure the paged load size first, then set a budget that fits two
   // paged datasets but not two plus their materialized chunks: the

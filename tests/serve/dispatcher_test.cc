@@ -194,6 +194,33 @@ TEST(DispatcherTest, DuplicateHeaderLoadFailsAndTheSessionGoesOn) {
   EXPECT_EQ(ping.GetString("id"), "2");
 }
 
+// A load whose spec names a path that cannot be read (missing, a
+// directory, a missing spill file) is the client's bad argument, not a
+// server fault: invalid_argument on field "spec", and the session goes
+// on.
+TEST(DispatcherTest, UnreadableLoadPathIsAnInvalidSpec) {
+  const std::string missing = testing::TempDir() + "sdadcs_no_such_file.csv";
+  std::remove(missing.c_str());
+  Server server({});
+  Dispatcher dispatcher(server, {});
+  for (const std::string& spec :
+       {missing, testing::TempDir(), "spill:" + missing}) {
+    SCOPED_TRACE(spec);
+    const std::string input = R"({"op":"load","name":"d","id":"1","spec":")" +
+                              spec + "\"}\n" + R"({"op":"ping","id":"2"})" +
+                              "\n";
+    std::vector<std::string> replies = ServeLockStep(dispatcher, input);
+    ASSERT_EQ(replies.size(), 2u);
+    JsonValue load = MustParse(replies[0]);
+    EXPECT_FALSE(load.GetBool("ok", true)) << replies[0];
+    ASSERT_NE(load.Find("error"), nullptr) << replies[0];
+    EXPECT_EQ(load.Find("error")->GetString("code"), "invalid_argument")
+        << replies[0];
+    EXPECT_EQ(load.Find("error")->GetString("field"), "spec") << replies[0];
+    EXPECT_EQ(MustParse(replies[1]).GetString("op"), "ping");
+  }
+}
+
 // The "patterns" array of an "emit":"patterns" reply, as rendered.
 std::string PatternsOf(const std::string& reply) {
   const size_t at = reply.find("\"patterns\":[");

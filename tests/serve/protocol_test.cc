@@ -54,6 +54,8 @@ TEST(WireErrorTest, StatusCodeMapping) {
   EXPECT_EQ(
       WireError::FromStatus(util::Status::FailedPrecondition("x")).code,
       ErrorCode::kInvalidArgument);
+  EXPECT_EQ(WireError::FromStatus(util::Status::IoError("x")).code,
+            ErrorCode::kInvalidArgument);
 }
 
 TEST(WireErrorTest, JsonAndTextRenderings) {
